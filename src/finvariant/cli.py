@@ -7,8 +7,11 @@ Series and basis files share one line-oriented UTF-8 format: a header
 ``level=<N> weight=<k> prec=<P> label=<text>`` (``weight=?`` permitted for
 plain series), then one line per q-coefficient holding the index followed by
 phi(N) rationals ``p/q`` separated by single spaces. ``#`` starts a comment.
-A basis cache file is a sequence of such blocks. Machine-readable output
-(``--machine``) emits exactly this format, so commands compose.
+A series with an eps-part is written as its eps^0 block followed by a block
+labelled ``<label>.eps`` holding the eps^1 coefficients; reading folds the
+pair back into one series. A basis cache file is a sequence of such blocks.
+Machine-readable output (``--machine``) emits exactly this format, so
+commands compose.
 """
 
 from __future__ import annotations
@@ -22,14 +25,15 @@ from typing import Optional, Sequence, TextIO
 from .divcong import (BasisEntry, BasisError, EquivResult, ModularBasis,
                       PrecisionError, build_basis, is_equivalent,
                       make_lattice, policy_prec)
-from .exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
-from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, QUATERNIONIC,
-                        QUATERNIONIC_KERNEL_PARITY, XiTable, assemble_complex,
-                        assemble_complex_reduced, assemble_quaternionic,
-                        assemble_quaternionic_reduced, run_example)
+from .exactnum import CycNum, EpsPoly, LevelMismatchError, eps, euler_phi
+from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLE_LATTICES,
+                        QUATERNIONIC, QUATERNIONIC_KERNEL_PARITY, XiTable,
+                        assemble_complex, assemble_complex_reduced,
+                        assemble_quaternionic, assemble_quaternionic_reduced,
+                        example_lattice, run_example)
 from .genus import (ell_expansion, ell_numeric, ell_quaternionic, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
-from .qseries import EpsPartError, QSeries, is_integral_series
+from .qseries import EpsPartError, QSeries, eps_split, is_integral_series
 
 ORACLE_TOLERANCE = 1e-8
 
@@ -44,14 +48,16 @@ class DataError(ValueError):
 
 def write_series(fh: TextIO, series: QSeries, weight: Optional[int],
                  label: str) -> None:
+    """Write a series block, followed by a '<label>.eps' block for its eps^1 part."""
+    parts = eps_split(series)
+    if len(parts) > 2:
+        raise DataError("series files carry at most an eps^1 part")
     w = "?" if weight is None else str(weight)
-    fh.write(f"level={series.level} weight={w} prec={series.prec} label={label}\n")
-    for n in range(series.prec):
-        c = series.coefficient(n)
-        if not c.is_eps_free():
-            raise DataError("series files cannot carry eps-parts")
-        coords = " ".join(_fmt_fraction(x) for x in c.constant_part().coords)
-        fh.write(f"{n} {coords}\n")
+    for part, name in zip(parts, (label, label + ".eps")):
+        fh.write(f"level={part.level} weight={w} prec={part.prec} label={name}\n")
+        for n, c in enumerate(part.coeffs):
+            coords = " ".join(_fmt_fraction(x) for x in c.constant_part().coords)
+            fh.write(f"{n} {coords}\n")
 
 
 def _fmt_fraction(x: Fraction) -> str:
@@ -140,7 +146,13 @@ def _parse_header(line: str, path: Path, line_no: int) -> dict:
 
 
 def read_series(path: Path) -> QSeries:
+    """A single series block, or a '<label>' block with its '<label>.eps' block."""
     blocks = read_blocks(path)
+    if len(blocks) == 2 and blocks[1][1] == blocks[0][1] + ".eps":
+        const, eps_part = blocks[0][2], blocks[1][2]
+        if (const.level, const.prec) != (eps_part.level, eps_part.prec):
+            raise DataError(f"{path}: eps block does not match its series block")
+        return const + eps_part * eps(const.level)
     if len(blocks) != 1:
         raise DataError(f"{path}: expected a single series block, found {len(blocks)}")
     return blocks[0][2]
@@ -333,23 +345,13 @@ _EXAMPLE_NAMES = {
     "su3": "su3_appendix",
 }
 
-# weight bound and Gtilde direction of each example's indeterminacy lattice
-_EXAMPLE_MODULUS = {
-    "eta2_circle": (2, True),
-    "nu2_homogeneous": (4, True),
-    "etasigma_product": (5, False),
-    "su3_appendix": (5, False),
-}
-
 
 def _example_lattice(name: str, level: int, prec: int, basis_dir: Path):
     """Build the example's lattice through the basis cache (user bases allowed)."""
-    if name not in _EXAMPLE_MODULUS:
+    if name not in EXAMPLE_LATTICES:
         return None
-    weight, with_gtilde = _EXAMPLE_MODULUS[name]
-    basis = _load_or_build_basis(level, weight, prec, basis_dir)
-    gtilde = g_tilde(level, weight, prec) if with_gtilde else None
-    return make_lattice(level, weight, prec, gtilde=gtilde, basis=basis)
+    basis = _load_or_build_basis(level, EXAMPLE_LATTICES[name][0], prec, basis_dir)
+    return example_lattice(name, level, prec, basis)
 
 
 def _cmd_example(args) -> int:

@@ -13,11 +13,11 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import geometry
-from .divcong import (EquivResult, IndeterminacyLattice, is_equivalent,
-                      make_lattice, relative_integrality_check)
-from .exactnum import CycNum, EpsPoly, Scalar
+from .divcong import (EquivResult, IndeterminacyLattice, ModularBasis,
+                      is_equivalent, make_lattice, relative_integrality_check)
+from .exactnum import EpsPoly, Scalar
 from .genus import g_tilde, g_tilde_level1
-from .qseries import QSeries, divisors
+from .qseries import QSeries, divisor_sum
 
 COMPLEX_FULL = "complex_full"
 COMPLEX_POSITIVE = "complex_positive"
@@ -99,17 +99,9 @@ def assemble_complex(xi: XiTable, prec: int) -> FRepresentative:
     if xi.kind != COMPLEX_FULL:
         raise ValueError("assemble_complex needs a complex_full table")
     _require_support(xi, prec, both_signs=True)
-    level = xi.level
-    coeffs = [EpsPoly.zero(level)]
-    for n in range(1, prec):
-        acc = EpsPoly.zero(level)
-        for d in divisors(n):
-            j = n // d
-            acc = acc + xi.value(d) * CycNum.zeta(level, -j)
-            acc = acc - xi.value(-d) * CycNum.zeta(level, j)
-        coeffs.append(acc)
-    series = QSeries(level, prec, tuple(coeffs))
-    return FRepresentative(series, xi.l + 1, level, "complex transfer, all twists")
+    series = (divisor_sum(xi.level, prec, xi.value, minus=1)
+              - divisor_sum(xi.level, prec, lambda d: xi.value(-d), plus=1))
+    return FRepresentative(series, xi.l + 1, xi.level, "complex transfer, all twists")
 
 
 def assemble_complex_reduced(xi: XiTable, prec: int) -> FRepresentative:
@@ -120,18 +112,9 @@ def assemble_complex_reduced(xi: XiTable, prec: int) -> FRepresentative:
     if xi.kind != COMPLEX_POSITIVE:
         raise ValueError("assemble_complex_reduced needs a complex_positive table")
     _require_support(xi, prec, both_signs=False)
-    level = xi.level
     sign = 1 if (xi.l + 1) % 2 == 0 else -1
-    coeffs = [EpsPoly.zero(level)]
-    for n in range(1, prec):
-        acc = EpsPoly.zero(level)
-        for d in divisors(n):
-            j = n // d
-            weight = CycNum.zeta(level, -j) + sign * CycNum.zeta(level, j)
-            acc = acc + xi.value(d) * weight
-        coeffs.append(acc)
-    series = QSeries(level, prec, tuple(coeffs))
-    return FRepresentative(series, xi.l + 1, level, "complex transfer, positive twists")
+    series = divisor_sum(xi.level, prec, xi.value, minus=1, plus=sign)
+    return FRepresentative(series, xi.l + 1, xi.level, "complex transfer, positive twists")
 
 
 def assemble_quaternionic(xi: XiTable, prec: int) -> FRepresentative:
@@ -139,15 +122,8 @@ def assemble_quaternionic(xi: XiTable, prec: int) -> FRepresentative:
     if xi.kind != QUATERNIONIC:
         raise ValueError("assemble_quaternionic needs a quaternionic table")
     _require_support(xi, prec, both_signs=False)
-    level = xi.level
-    coeffs = [EpsPoly.zero(level)]
-    for n in range(1, prec):
-        acc = EpsPoly.zero(level)
-        for d in divisors(n):
-            acc = acc + xi.value(d)
-        coeffs.append(acc)
-    series = QSeries(level, prec, tuple(coeffs))
-    return FRepresentative(series, xi.l + 1, level, "quaternionic transfer")
+    series = divisor_sum(xi.level, prec, xi.value)
+    return FRepresentative(series, xi.l + 1, xi.level, "quaternionic transfer")
 
 
 def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentative:
@@ -167,14 +143,7 @@ def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentati
                                "quaternionic transfer, torsion-zero branch")
     _require_support(parities, prec, both_signs=False, odd_only=True)
     half = Fraction(1, 2)
-    coeffs = [EpsPoly.zero(level)]
-    for n in range(1, prec):
-        acc = EpsPoly.zero(level)
-        for d in divisors(n):
-            if d % 2:
-                acc = acc + parities.value(d)
-        coeffs.append(acc * half)
-    series = QSeries(level, prec, tuple(coeffs))
+    series = divisor_sum(level, prec, lambda d: parities.value(d) * half if d % 2 else 0)
     return FRepresentative(series, parities.l + 1, level,
                            "quaternionic transfer, kernel parities")
 
@@ -228,6 +197,23 @@ def _require_odd(level: int, name: str) -> None:
 EXAMPLES = ("trivial", "eta2_circle", "nu2_homogeneous", "etasigma_product",
             "su3_appendix")
 
+# weight bound of each example's indeterminacy lattice, and whether the
+# lattice carries the Gtilde direction of that weight
+EXAMPLE_LATTICES = {
+    "eta2_circle": (2, True),
+    "nu2_homogeneous": (4, True),
+    "etasigma_product": (5, False),
+    "su3_appendix": (5, False),
+}
+
+
+def example_lattice(name: str, level: int, prec: int,
+                    basis: Optional[ModularBasis] = None) -> IndeterminacyLattice:
+    """The indeterminacy lattice of an example, from EXAMPLE_LATTICES."""
+    weight, with_gtilde = EXAMPLE_LATTICES[name]
+    gtilde = g_tilde(level, weight, prec) if with_gtilde else None
+    return make_lattice(level, weight, prec, gtilde=gtilde, basis=basis)
+
 
 @dataclass(frozen=True)
 class ExampleReport:
@@ -264,7 +250,7 @@ def run_example(name: str, level: int, prec: int,
         xi = XiTable(COMPLEX_POSITIVE, level, 1, entries)
         assembled = assemble_complex_reduced(xi, prec)
         reference = known_representative("eta2", level, prec)
-        lat = lattice or make_lattice(level, 2, prec, gtilde=g_tilde(level, 2, prec))
+        lat = lattice or example_lattice(name, level, prec)
         eq = is_equivalent(assembled.series, reference.series, lat)
         return ExampleReport(name, level, prec, assembled, reference,
                              eq.equivalent, eq, {"xi": "1/2 - d*eps"})
@@ -276,7 +262,7 @@ def run_example(name: str, level: int, prec: int,
         assembled = assemble_complex_reduced(xi, prec)
         exact_form = g_tilde(level, 2, prec) * Fraction(1, 12)
         reference = known_representative("nu2", level, prec)
-        lat = lattice or make_lattice(level, 4, prec, gtilde=g_tilde(level, 4, prec))
+        lat = lattice or example_lattice(name, level, prec)
         eq = is_equivalent(assembled.series, reference.series, lat)
         verdict = eq.equivalent and assembled.series == exact_form
         return ExampleReport(name, level, prec, assembled, reference, verdict, eq,
@@ -297,7 +283,7 @@ def run_example(name: str, level: int, prec: int,
         assembled = assemble_quaternionic_reduced(table, prec)
         reference = known_representative("etasigma", level, prec)
         integral = relative_integrality_check(reference.series - assembled.series)
-        lat = lattice or make_lattice(level, 5, prec, gtilde=None)
+        lat = lattice or example_lattice(name, level, prec)
         eq = is_equivalent(assembled.series, reference.series, lat)
         detail["difference_integral"] = integral.integral
         return ExampleReport(name, level, prec, assembled, reference,

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .exactnum import (CycNum, EpsPoly, bernoulli,
                        eisenstein_weight_one_constant)
-from .qseries import QSeries, divisor_weighted_series, divisors, sigma
+from .qseries import QSeries, divisor_weighted_series, sigma
 
 
 def weight_constant(level: int, k: int) -> CycNum:
@@ -86,31 +86,6 @@ def ell_expansion(level: int, x_order: int, prec: int) -> EllExpansion:
         raise ValueError("x_order must be >= 1")
     return EllExpansion(level, x_order, prec,
                         tuple(g_hat(level, k, prec) for k in range(1, x_order + 1)))
-
-
-@dataclass(frozen=True)
-class TwistTable:
-    """Exact coefficient pairs of the line-bundle-twisted reduced genus.
-
-    entry (n, d), defined for d | n with 1 <= n < prec, is the pair
-    (-zeta^(-n/d), +zeta^(n/d)) multiplying ch(lambda^d) and ch(lambda^(-d)).
-    """
-
-    level: int
-    prec: int
-    entries: dict[tuple[int, int], tuple[CycNum, CycNum]]
-
-    def pair(self, n: int, d: int) -> tuple[CycNum, CycNum]:
-        return self.entries[(n, d)]
-
-
-def twist_table(level: int, prec: int) -> TwistTable:
-    entries = {}
-    for n in range(1, prec):
-        for d in divisors(n):
-            j = n // d
-            entries[(n, d)] = (-CycNum.zeta(level, -j), CycNum.zeta(level, j))
-    return TwistTable(level, prec, entries)
 
 
 def _ell_poly(level: int, x_order: int, prec: int,

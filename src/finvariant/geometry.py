@@ -1,9 +1,8 @@
 """Spectral and geometric inputs for the worked examples.
 
-Circle spectra (exact eps-linear xi-values and a Hurwitz-zeta oracle),
-Chebyshev polynomials and the induced operations on the representation ring
-of SU(2), the SU(3)/SU(2) kernel-parity enumeration, the quaternionic-plane
-index, and the symbolic Chern-Simons computation on the five-dimensional
+Circle spectra (exact eps-linear xi-values), Chebyshev polynomials and the
+induced operations on the representation ring of SU(2), the SU(3)/SU(2)
+kernel-parity enumeration, the quaternionic-plane index, and the symbolic Chern-Simons computation on the five-dimensional
 homogeneous space with global coframe (L1*, L2*, w1*, w2*, w3*).
 """
 
@@ -14,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping
 
-from .exactnum import EpsPoly, IntPoly, bernoulli
+from .exactnum import EpsPoly, IntPoly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -40,30 +39,6 @@ def circle_xi(level: int, d: int, use_eps: bool = True) -> EpsPoly:
     if not use_eps:
         return EpsPoly.rational(level, Fraction(1, 2))
     return EpsPoly.linear(level, Fraction(1, 2), -d)
-
-
-def hurwitz_zeta_zero(x: float, correction_terms: int = 12,
-                      cutoff: int = 40) -> float:
-    """Numeric Hurwitz zeta value at s = 0 via Euler-Maclaurin continuation.
-
-    Oracle contract: the continuation gives 1/2 - x on (0, 1), so the circle
-    eta-combination zeta(0, eps) - zeta(0, 1-eps) evaluates to 1 - 2*eps.
-    """
-    if not 0.0 < x < 1.0:
-        raise ValueError("x must lie in (0, 1)")
-    s = 0.0
-    # sum_{n<M} (n+x)^-s  +  (M+x)^(1-s)/(s-1)  +  (M+x)^-s / 2  + corrections
-    total = float(cutoff)  # each of the M = cutoff leading terms is (n+x)^0 = 1
-    total += -((cutoff + x) ** (1.0 - s)) / (1.0 - s)
-    total += 0.5 * (cutoff + x) ** (-s)
-    poch = s  # s*(s+1)*...*(s+2j-2), vanishes identically at s = 0
-    power = (cutoff + x) ** (-s - 1.0)
-    for j in range(1, correction_terms + 1):
-        b = float(bernoulli(2 * j))
-        total += b / math.factorial(2 * j) * poch * power
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        power /= (cutoff + x) ** 2
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +79,6 @@ def adams_psi_poly(d: int) -> IntPoly:
     if d == 1:
         return IntPoly.x()
     return IntPoly.x() * adams_psi_poly(d - 1) - adams_psi_poly(d - 2)
-
-
-def psi_as_irreps(d: int) -> dict[int, int]:
-    """The d-th Adams operation as the virtual module V_{d+1} - V_{d-1}.
-
-    Keys are dimensions of SU(2) irreducibles, values are (virtual)
-    multiplicities. Requires d >= 2; use adams_psi_poly for smaller d.
-    """
-    if d < 2:
-        raise ValueError("d >= 2 required; smaller d handled by adams_psi_poly")
-    return {d + 1: 1, d - 1: -1}
 
 
 def su2_tensor(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:

@@ -33,6 +33,15 @@ def sigma(n: int, k: int) -> int:
     return sum(d ** k for d in divisors(n))
 
 
+def _as_eps(level: int, c) -> EpsPoly:
+    """A rational, CycNum or EpsPoly as an EpsPoly of the given level."""
+    if isinstance(c, (int, Fraction)):
+        return EpsPoly.rational(level, c)
+    if isinstance(c, CycNum):
+        return EpsPoly.constant(c)
+    return c
+
+
 class QSeries:
     """Truncated q-expansion with EpsPoly coefficients sharing one level."""
 
@@ -116,12 +125,7 @@ class QSeries:
                 raise LevelMismatchError("series level mismatch")
             return other
         if isinstance(other, (int, Fraction, CycNum, EpsPoly)):
-            c = other
-            if isinstance(c, (int, Fraction)):
-                c = EpsPoly.rational(self.level, c)
-            elif isinstance(c, CycNum):
-                c = EpsPoly.constant(c)
-            return QSeries(self.level, self.prec, (c,))
+            return QSeries(self.level, self.prec, (_as_eps(self.level, other),))
         raise TypeError(f"cannot combine QSeries with {type(other)!r}")
 
     def __add__(self, other) -> "QSeries":
@@ -146,11 +150,7 @@ class QSeries:
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction, CycNum, EpsPoly)):
-            factor = other
-            if isinstance(factor, (int, Fraction)):
-                factor = EpsPoly.rational(self.level, factor)
-            elif isinstance(factor, CycNum):
-                factor = EpsPoly.constant(factor)
+            factor = _as_eps(self.level, other)
             return QSeries(self.level, self.prec,
                            tuple(c * factor for c in self.coeffs))
         o = self._coerce(other)
@@ -226,20 +226,37 @@ def eps_split(f: QSeries) -> list[QSeries]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _twist_weights(level: int, minus: int, plus: int) -> tuple[CycNum, ...]:
+    """minus*zeta^(-j) + plus*zeta^j for j = 0 .. level-1."""
+    return tuple(CycNum.zeta(level, -j) * minus + CycNum.zeta(level, j) * plus
+                 for j in range(level))
+
+
+def divisor_sum(level: int, prec: int, coeff: Callable[[int], object],
+                minus: int = 0, plus: int = 0) -> QSeries:
+    """The sieve sum_{n>=1} sum_{d*j=n} coeff(d) (minus*zeta^(-j) + plus*zeta^j) q^n.
+
+    coeff(d) is a rational, CycNum or EpsPoly; the weight is 1 when
+    minus = plus = 0. g_hat and the four assembly formulas are calls of it.
+    """
+    weights = _twist_weights(level, minus, plus) if minus or plus else None
+    out: list = [None] * prec
+    for d in range(1, prec):
+        c = coeff(d)
+        if not c:
+            continue
+        for n in range(d, prec, d):
+            t = c if weights is None else c * weights[n // d % level]
+            out[n] = t if out[n] is None else out[n] + t
+    zero = EpsPoly.zero(level)
+    return QSeries(level, prec, tuple(zero if t is None else _as_eps(level, t)
+                                      for t in out))
+
+
 def divisor_weighted_series(level: int, prec: int, weight: int,
                             sign: int) -> QSeries:
     """The double divisor sum sum_{n>=1} sum_{d|n} (zeta^(-n/d) + sign*zeta^(n/d)) d^(weight-1) q^n."""
     if weight < 1:
         raise ValueError("weight must be >= 1")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    zero = EpsPoly.zero(level)
-    coeffs = [zero]
-    for n in range(1, prec):
-        acc = CycNum.zero(level)
-        for d in divisors(n):
-            j = n // d
-            term = CycNum.zeta(level, -j) + sign * CycNum.zeta(level, j)
-            acc = acc + term * (d ** (weight - 1))
-        coeffs.append(EpsPoly.constant(acc))
-    return QSeries(level, prec, tuple(coeffs))
+    return divisor_sum(level, prec, lambda d: d ** (weight - 1), minus=1, plus=sign)

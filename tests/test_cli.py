@@ -7,6 +7,7 @@ import pytest
 from finvariant.cli import (DataError, main, read_basis, read_blocks,
                             read_series, write_basis, write_series)
 from finvariant.divcong import build_basis
+from finvariant.exactnum import eps
 from finvariant.genus import g_tilde
 from finvariant.qseries import QSeries
 
@@ -236,6 +237,51 @@ def test_assemble_pipeline_composes_with_divcong(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "divcong", str(assembled), str(ref),
                            "-N", "3", "-w", "4", "--basis", str(tmp_path / "bases"))
     assert code == 0
+
+
+def _circle_xi_file(tmp_path, prec):
+    xi_path = tmp_path / "xi_circle.txt"
+    xi_path.write_text("".join(f"{d} 1/2 {-d}\n" for d in range(1, prec)),
+                       encoding="utf-8")
+    return xi_path
+
+
+def test_assemble_machine_writes_eps_block(tmp_path, capsys):
+    xi_path = _circle_xi_file(tmp_path, 12)
+    code, out, err = run_cli(capsys, "assemble", "--kind", "complex-reduced",
+                             "--xi", str(xi_path), "-l", "1", "-N", "3",
+                             "-p", "12", "--machine")
+    assert code == 0 and not err
+    headers = [line for line in out.splitlines() if line.startswith("level=")]
+    assert headers == ["level=3 weight=? prec=12 label=assembled[complex-reduced]",
+                       "level=3 weight=? prec=12 label=assembled[complex-reduced].eps"]
+
+
+def test_eps_output_composes_with_divcong(tmp_path, capsys):
+    # the circle table assembles to (1/2) Gtilde_1 modulo the weight-2 lattice
+    xi_path = _circle_xi_file(tmp_path, 12)
+    code, out, _ = run_cli(capsys, "assemble", "--kind", "complex-reduced",
+                           "--xi", str(xi_path), "-l", "1", "-N", "3",
+                           "-p", "12", "--machine")
+    assert code == 0
+    pf = tmp_path / "F.txt"
+    pf.write_text(out, encoding="utf-8")
+    assert read_series(pf).eps_degree() == 1
+    pg = _write_series_file(tmp_path, "G.txt", g_tilde(3, 1, 12) * Fraction(1, 2))
+    code, out, _ = run_cli(capsys, "divcong", str(pf), str(pg), "-N", "3",
+                           "-w", "2", "--basis", str(tmp_path / "bases"),
+                           "--machine")
+    assert code == 0
+    assert "verdict=true" in out.splitlines()
+
+
+def test_eps_degree_two_not_written(tmp_path):
+    f = g_tilde(3, 1, 4) * eps(3) * eps(3)
+    path = tmp_path / "f.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        with pytest.raises(DataError):
+            write_series(fh, f, None, "f")
+    assert path.read_text(encoding="utf-8") == ""
 
 
 def test_assemble_quaternionic_reduced_requires_odd_support(tmp_path, capsys):

@@ -18,6 +18,8 @@ from finvariant.genus import g_tilde, g_tilde_level1
 from finvariant.geometry import circle_xi, nu2_xi_values
 from finvariant.qseries import QSeries, divisors, sigma
 
+from conftest import random_cyc
+
 
 def _table(kind, level, l, entries):
     return XiTable(kind, level, l, entries)
@@ -56,8 +58,8 @@ def test_single_twist_coefficient():
 
 
 def test_assembly_matches_twist_table_pairing():
-    # the two-sided assembly is the twist-table pairing applied to the table
-    from finvariant.genus import twist_table
+    # the two-sided assembly pairs xi[d] with zeta^(-n/d) and xi[-d] with
+    # -zeta^(n/d), checked by direct divisor enumeration
     rng = random.Random(92)
     prec = 8
     entries = {}
@@ -67,13 +69,47 @@ def test_assembly_matches_twist_table_pairing():
         entries[-d] = EpsPoly.rational(3, Fraction(rng.randint(-9, 9),
                                                    rng.randint(1, 6)))
     rep = assemble_complex(_table(COMPLEX_FULL, 3, 2, entries), prec)
-    table = twist_table(3, prec)
     for n in range(1, prec):
         acc = EpsPoly.zero(3)
         for d in divisors(n):
-            minus, plus = table.pair(n, d)
-            acc = acc - entries[d] * minus - entries[-d] * plus
+            j = n // d
+            acc = acc + entries[d] * CycNum.zeta(3, -j) - entries[-d] * CycNum.zeta(3, j)
         assert rep.series.coefficient(n) == acc
+
+
+def test_assemblers_match_direct_enumeration_with_cyclotomic_xi():
+    # xi-values with non-rational CycNum coefficients in both eps-degrees
+    rng = random.Random(57)
+    prec = 13
+    for level in (2, 5, 12):
+        def value():
+            return EpsPoly(level, (random_cyc(rng, level, 9, 4),
+                                   random_cyc(rng, level, 9, 4)))
+
+        ds = range(1, prec)
+        full = {s * d: value() for d in ds for s in (1, -1)}
+        positive = {d: value() for d in ds}
+        zeta = {j: CycNum.zeta(level, j) for j in range(-prec, prec)}
+        cases = (
+            (assemble_complex(_table(COMPLEX_FULL, level, 1, full), prec),
+             lambda n, d: full[d] * zeta[-(n // d)] - full[-d] * zeta[n // d]),
+            (assemble_complex_reduced(_table(COMPLEX_POSITIVE, level, 2, positive), prec),
+             lambda n, d: positive[d] * (zeta[-(n // d)] - zeta[n // d])),
+            (assemble_complex_reduced(_table(COMPLEX_POSITIVE, level, 3, positive), prec),
+             lambda n, d: positive[d] * (zeta[-(n // d)] + zeta[n // d])),
+            (assemble_quaternionic(_table(QUATERNIONIC, level, 3, positive), prec),
+             lambda n, d: positive[d]),
+            (assemble_quaternionic_reduced(
+                _table(QUATERNIONIC_KERNEL_PARITY, level, 4, positive), prec),
+             lambda n, d: positive[d] * Fraction(d % 2, 2)),
+        )
+        for rep, term in cases:
+            assert not rep.series.coefficient(0)
+            for n in range(1, prec):
+                acc = EpsPoly.zero(level)
+                for d in divisors(n):
+                    acc = acc + term(n, d)
+                assert rep.series.coefficient(n) == acc, (level, rep.note, n)
 
 
 def test_missing_twist_refused():

@@ -11,7 +11,7 @@ from finvariant.genus import (DivergenceError, PoleError, ell_expansion,
                               ell_numeric, ell_quaternionic, g2, g_hat,
                               g_tilde, g_tilde_level1, numeric_taylor,
                               phi_numeric, psi_numeric, series_value,
-                              twist_table, weight_constant)
+                              weight_constant)
 from finvariant.qseries import (divisor_weighted_series, divisors,
                                 is_integral_series, sigma)
 
@@ -67,26 +67,14 @@ def test_ell_expansion_structure():
         assert bernoulli(k) == 0
 
 
-def test_twist_table_entries():
-    table = twist_table(3, 6)
-    minus, plus = table.pair(1, 1)
-    assert minus == -CycNum.zeta(3, -1)
-    assert minus == -CycNum.zeta(3, 2)
-    assert plus == CycNum.zeta(3)
-    assert (4, 3) not in table.entries  # 3 does not divide 4
-    assert (4, 2) in table.entries
-
-
 def test_twist_table_collapses_to_weight_one():
-    # summing both coefficient slots at ch = 1 reproduces the q^n-coefficient
-    # of the constant-free weight-one series, by direct divisor enumeration
-    table = twist_table(3, 12)
+    # summing the twist pair (-zeta^(-n/d), +zeta^(n/d)) at ch = 1 over d | n
+    # reproduces the q^n-coefficient of the constant-free weight-one series
     gt1 = g_tilde(3, 1, 12)
     for n in range(1, 12):
         acc = CycNum.zero(3)
         for d in divisors(n):
-            minus, plus = table.pair(n, d)
-            acc = acc + minus + plus
+            acc = acc - CycNum.zeta(3, -(n // d)) + CycNum.zeta(3, n // d)
         assert EpsPoly.constant(acc) == gt1.coefficient(n)
 
 

@@ -12,9 +12,8 @@ from finvariant.geometry import (ExtForm, adams_psi_poly,
                                  chern_simons_volume_coefficients, circle_xi,
                                  connection_matrix, cs_integral,
                                  etasigma_parity_values, ext_d, hp1_index,
-                                 hurwitz_zeta_zero, nu2_xi_values, poly_const,
-                                 poly_mul, poly_y, psi_as_irreps, su2_dim,
-                                 su2_tensor, su3_dim, su3_kernel_parity,
+                                 nu2_xi_values, poly_const, poly_mul, poly_y,
+                                 su2_dim, su2_tensor, su3_dim, su3_kernel_parity,
                                  su3_psi_twist_kernel_parity,
                                  su3_restrict_su2, volume3_multiple,
                                  _dy_forms, _norm_shell)
@@ -34,19 +33,6 @@ def test_circle_xi_values():
 def test_circle_xi_rejects_untwisted():
     with pytest.raises(ValueError):
         circle_xi(3, 0)
-
-
-def test_hurwitz_zeta_zero():
-    assert abs(hurwitz_zeta_zero(0.5)) < 1e-12
-    assert abs(hurwitz_zeta_zero(0.25) - 0.25) < 1e-10
-    eps_value = 0.3
-    eta = hurwitz_zeta_zero(eps_value) - hurwitz_zeta_zero(1 - eps_value)
-    assert abs(eta - (1 - 2 * eps_value)) < 1e-9
-
-
-def test_hurwitz_domain():
-    with pytest.raises(ValueError):
-        hurwitz_zeta_zero(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +99,6 @@ def test_adams_poly_realizes_power_operation_on_characters():
         expected = [x + y for x, y in zip(_taylor_exp(d, order),
                                           _taylor_exp(-d, order))]
         assert acc == expected
-
-
-def test_psi_as_irreps():
-    assert psi_as_irreps(2) == {3: 1, 1: -1}
-    assert psi_as_irreps(3) == {4: 1, 2: -1}
-    assert su2_dim(psi_as_irreps(5)) == 2  # virtual dimension of the operation
-    with pytest.raises(ValueError):
-        psi_as_irreps(1)
 
 
 def test_su2_tensor_clebsch_gordan():

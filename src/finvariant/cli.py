@@ -27,10 +27,11 @@ from .divcong import (BasisEntry, BasisError, EquivResult, ModularBasis,
                       make_lattice, policy_prec)
 from .exactnum import CycNum, EpsPoly, LevelMismatchError, eps, euler_phi
 from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLE_LATTICES,
-                        QUATERNIONIC, QUATERNIONIC_KERNEL_PARITY, XiTable,
-                        assemble_complex, assemble_complex_reduced,
-                        assemble_quaternionic, assemble_quaternionic_reduced,
-                        example_lattice, run_example)
+                        QUATERNIONIC, QUATERNIONIC_KERNEL_PARITY,
+                        MissingTwistError, XiTable, assemble_complex,
+                        assemble_complex_reduced, assemble_quaternionic,
+                        assemble_quaternionic_reduced, example_lattice,
+                        run_example)
 from .genus import (ell_expansion, ell_numeric, ell_quaternionic, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
 from .qseries import EpsPartError, QSeries, eps_split, is_integral_series
@@ -506,7 +507,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (DataError, FileNotFoundError, BasisError, PrecisionError,
-            LevelMismatchError, EpsPartError) as exc:
+            LevelMismatchError, EpsPartError, MissingTwistError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -28,7 +28,8 @@ from typing import Optional, Sequence
 from .exactnum import (CycNum, EpsPoly, euler_phi,
                        is_denominator_n_smooth, prime_factors)
 from .genus import g_hat
-from .qseries import EpsPartError, QSeries, eps_split, is_integral_series
+from .qseries import (EpsPartError, IntegralityReport, QSeries, eps_split,
+                      is_integral_series, relative_integrality_check)
 
 _ZERO = Fraction(0)
 
@@ -88,41 +89,32 @@ def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    H = [list(row) for row in matrix]
-    U = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    # rows 0..m-1 hold H and rows m.. hold U, so each column step acts on both
+    rows = ([list(row) for row in matrix]
+            + [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def col_swap(i, j):
-        for row in H:
-            row[i], row[j] = row[j], row[i]
-        for row in U:
+        for row in rows:
             row[i], row[j] = row[j], row[i]
 
     def col_axpy(dst, src, q):
         # column dst -= q * column src
         if q:
-            for row in H:
-                row[dst] -= q * row[src]
-            for row in U:
+            for row in rows:
                 row[dst] -= q * row[src]
 
     def col_negate(i):
-        for row in H:
-            row[i] = -row[i]
-        for row in U:
+        for row in rows:
             row[i] = -row[i]
 
     def col_combine(i, j, r):
         # act on columns (i, j) by a 2x2 unimodular matrix producing
         # gcd at H[r][i] and zero at H[r][j]
-        a, b = H[r][i], H[r][j]
+        a, b = rows[r][i], rows[r][j]
         g = math.gcd(a, b)
         x, y = _bezout(a, b)
         ag, bg = a // g, b // g
-        for row in H:
-            vi, vj = row[i], row[j]
-            row[i] = x * vi + y * vj
-            row[j] = -bg * vi + ag * vj
-        for row in U:
+        for row in rows:
             vi, vj = row[i], row[j]
             row[i] = x * vi + y * vj
             row[j] = -bg * vi + ag * vj
@@ -131,25 +123,26 @@ def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
     for row_idx in range(m):
         if col >= n:
             break
-        pivot = next((j for j in range(col, n) if H[row_idx][j]), None)
+        h = rows[row_idx]
+        pivot = next((j for j in range(col, n) if h[j]), None)
         if pivot is None:
             continue
         if pivot != col:
             col_swap(col, pivot)
         for j in range(col + 1, n):
-            if H[row_idx][j]:
-                if H[row_idx][j] % H[row_idx][col] == 0:
-                    col_axpy(j, col, H[row_idx][j] // H[row_idx][col])
+            if h[j]:
+                if h[j] % h[col] == 0:
+                    col_axpy(j, col, h[j] // h[col])
                 else:
                     col_combine(col, j, row_idx)
-        if H[row_idx][col] < 0:
+        if h[col] < 0:
             col_negate(col)
-        p = H[row_idx][col]
+        p = h[col]
         for j in range(col):
-            if H[row_idx][j]:
-                col_axpy(j, col, H[row_idx][j] // p)
+            if h[j]:
+                col_axpy(j, col, h[j] // p)
         col += 1
-    return H, U
+    return rows[:m], rows[m:]
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -233,8 +226,7 @@ class _ColumnSpace:
     pivot, so reduction residuals vanish identically on all pivot rows.
     """
 
-    def __init__(self, dim: int, ncols: int):
-        self.dim = dim
+    def __init__(self, ncols: int):
         self.ncols = ncols
         self.pivots: list[int] = []
         self.vecs: list[list[Fraction]] = []
@@ -328,7 +320,7 @@ def build_basis(level: int, maxweight: int, prec: int,
     dims = {0: 1}
     for w in range(1, maxweight + 1):
         monomials = _weight_monomials(gens, w, level, prec)
-        space = _ColumnSpace(euler_phi(level) * prec, len(monomials))
+        space = _ColumnSpace(len(monomials))
         kept: list[BasisEntry] = []
         for label, series in monomials:
             before = len(space.pivots)
@@ -510,9 +502,8 @@ def _integral_span_solve(series: QSeries, lattice: IndeterminacyLattice,
     span_series = [lattice.basis.entries[i].series for i in lattice.span_indices]
     if lattice.gtilde is not None:
         span_series.append(lattice.gtilde)
-    ncols = len(span_series)
 
-    space = _ColumnSpace(dim, ncols)
+    space = _ColumnSpace(len(span_series))
     for j, s in enumerate(span_series):
         space.insert(j, series_to_vector(s.truncate(min(prec, s.prec)), prec))
 
@@ -526,29 +517,18 @@ def _integral_span_solve(series: QSeries, lattice: IndeterminacyLattice,
     free_rows = [i for i in range(dim) if i not in pivot_set]
     if not free_rows:
         return None  # full column space yet nonzero residual: impossible
-    row_of = {row: idx for idx, row in enumerate(free_rows)}
 
-    # generators of the projected unit-vector lattice, restricted to free rows
-    gen_cols: list[list[Fraction]] = []
-    for i in range(dim):
-        if i in pivot_set:
-            r_i, _ = space.reduce(_unit_vector(dim, i))
-            gen_cols.append([r_i[row] for row in free_rows])
-        else:
-            col = [_ZERO] * len(free_rows)
-            col[row_of[i]] = Fraction(1)
-            gen_cols.append(col)
-
-    denom = 1
-    for col in gen_cols:
-        for x in col:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    # The projected unit-vector lattice on the free rows, scaled by denom:
+    # column i is e_i for a free row i and -vecs[k] for pivot row i = p_k.
+    denom = math.lcm(*(x.denominator for vec in space.vecs for x in vec),
+                     *(r_v[row].denominator for row in free_rows))
+    A = []
     for row in free_rows:
-        x = r_v[row]
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
-
-    A = [[int(gen_cols[j][i] * denom) for j in range(dim)]
-         for i in range(len(free_rows))]
+        a = [0] * dim
+        a[row] = denom
+        for p, vec in zip(space.pivots, space.vecs):
+            a[p] = -int(vec[row] * denom)
+        A.append(a)
     u = [int(r_v[row] * denom) for row in free_rows]
 
     H, U = hnf(A)
@@ -562,14 +542,11 @@ def _integral_span_solve(series: QSeries, lattice: IndeterminacyLattice,
             return None
         while nf % d:
             nf *= level
-    z = [sum(U[i][j] * x[j] * nf for j in range(len(x))) for i in range(dim)]
-    # z entries are integers once scaled by nf
-    z_int = []
-    for val in z:
-        if val.denominator != 1:
-            raise AssertionError("HNF combination not integral (internal error)")
-        z_int.append(int(val))
-    w = [Fraction(zi, nf) for zi in z_int]
+    scaled = [c * nf for c in x]
+    if any(c.denominator != 1 for c in scaled):
+        raise AssertionError("scaled HNF solution not integral (internal error)")
+    xn = [c.numerator for c in scaled]
+    w = [Fraction(sum(a * b for a, b in zip(row, xn)), nf) for row in U]
 
     # a-coefficients: solve span * a = v - w through the reduced column space
     target = [vi - wi for vi, wi in zip(v, w)]
@@ -577,12 +554,6 @@ def _integral_span_solve(series: QSeries, lattice: IndeterminacyLattice,
     if any(r_t):
         raise AssertionError("residual not in span after lattice solve (internal error)")
     return comb_t, w
-
-
-def _unit_vector(dim: int, i: int) -> list[Fraction]:
-    out = [_ZERO] * dim
-    out[i] = Fraction(1)
-    return out
 
 
 def _solve_echelon(H: list[list[int]], u: list[int]) -> Optional[list[Fraction]]:
@@ -607,25 +578,6 @@ def _solve_echelon(H: list[list[int]], u: list[int]) -> Optional[list[Fraction]]
     if any(residue):
         return None
     return x
-
-
-@dataclass(frozen=True)
-class IntegralityReport:
-    integral: bool
-    first_failure: Optional[int]
-
-    def __bool__(self) -> bool:
-        return self.integral
-
-
-def relative_integrality_check(F: QSeries) -> IntegralityReport:
-    """Coefficientwise Z[zeta,1/N]-integrality with the first failure reported."""
-    if not F.is_eps_free():
-        raise EpsPartError("integrality undefined for series with eps-part")
-    for n in range(F.prec):
-        if not F.coefficient(n).constant_part().is_n_integral():
-            return IntegralityReport(False, n)
-    return IntegralityReport(True, None)
 
 
 __all__ = [

@@ -358,33 +358,14 @@ class CycNum:
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """Field inverse via the extended Euclidean algorithm in Q[x]."""
+        """Field inverse: the product of the other Galois conjugates over the norm."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
-        modulus = [Fraction(c) for c in cyclotomic_poly(self.level).coeffs]
-        r0, r1 = modulus, list(self.coords)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) <= 1:
-                break
-            q, r = _qpoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _qpoly_sub(s0, _qpoly_mul(q, s1))
-        if not r1 or r1[0] == 0:
-            raise ZeroDivisionError("not invertible modulo the cyclotomic polynomial")
-        unit = r1[0]
-        inv_coords = [c / unit for c in s1]
-        # s1 may exceed the basis length by construction; reduce through zeta powers
-        acc = CycNum.zero(self.level)
-        zpow = CycNum.one(self.level)
-        z = CycNum.zeta(self.level)
-        for c in inv_coords:
-            if c:
-                acc = acc + zpow * c
-            zpow = zpow * z
-        return acc
+        others = CycNum.one(self.level)
+        for j in range(2, self.level):
+            if gcd(j, self.level) == 1:
+                others = others * self.galois(j)
+        return others / (self * others).coords[0]
 
     def __truediv__(self, other: Union["CycNum", Scalar]) -> "CycNum":
         if isinstance(other, (int, Fraction)):
@@ -414,11 +395,13 @@ class CycNum:
         """Apply the Galois automorphism zeta -> zeta^j (requires gcd(j, level) = 1)."""
         if gcd(j, self.level) != 1:
             raise ValueError("galois exponent must be prime to the level")
-        acc = CycNum.zero(self.level)
+        out = [_ZERO] * len(self.coords)
         for i, c in enumerate(self.coords):
             if c:
-                acc = acc + CycNum.zeta(self.level, i * j) * c
-        return acc
+                for t, z in enumerate(_zeta_power_coords(self.level, i * j)):
+                    if z:
+                        out[t] += c * z
+        return CycNum(self.level, out)
 
     def rational_part(self) -> Fraction | None:
         """The value as a Fraction if it lies in Q, else None."""
@@ -455,44 +438,6 @@ class CycNum:
             else:
                 terms.append(f"{c}*z^{i}")
         return " + ".join(terms) if terms else "0"
-
-
-def _qpoly_divmod(a: list[Fraction], b: list[Fraction]):
-    """Quotient and remainder in Q[x]; inputs dense lowest-first."""
-    r = list(a)
-    q = [_ZERO] * max(len(a) - len(b) + 1, 1)
-    db = len(b) - 1
-    lead = b[-1]
-    for i in range(len(r) - len(b), -1, -1):
-        c = r[i + db] / lead
-        if c:
-            q[i] = c
-            for j, bc in enumerate(b):
-                r[i + j] -= c * bc
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
-
-
-def _qpoly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _qpoly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 def eisenstein_weight_one_constant(level: int) -> CycNum:
@@ -610,9 +555,6 @@ class EpsPoly:
         return EpsPoly(self.level, tuple(out))
 
     __rmul__ = __mul__
-
-    def is_n_integral(self) -> bool:
-        return all(c.is_n_integral() for c in self.coeffs)
 
     def __repr__(self) -> str:
         return f"EpsPoly({self.level}, {[str(c) for c in self.coeffs]})"

@@ -30,6 +30,7 @@ _KINDS = (COMPLEX_FULL, COMPLEX_POSITIVE, QUATERNIONIC,
 
 class MissingTwistError(KeyError):
     """A required twist index is absent from the table (no silent zero-fill)."""
+    __str__ = Exception.__str__  # the message unquoted, unlike KeyError
 
 
 @dataclass(frozen=True)

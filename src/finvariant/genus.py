@@ -88,18 +88,6 @@ def ell_expansion(level: int, x_order: int, prec: int) -> EllExpansion:
                         tuple(g_hat(level, k, prec) for k in range(1, x_order + 1)))
 
 
-def _ell_poly(level: int, x_order: int, prec: int,
-              negate_x: bool) -> list[QSeries]:
-    """Coefficients (in x) of Ell(+-x) up to x^x_order; index j holds x^j."""
-    out = [QSeries.one(level, prec)]
-    for k in range(1, x_order + 1):
-        c = g_hat(level, k, prec) * Fraction(1, math.factorial(k - 1))
-        if negate_x and k % 2 == 1:
-            c = -c
-        out.append(c)
-    return out
-
-
 def ell_quaternionic(level: int, c2_order: int, prec: int) -> list[QSeries]:
     """x^2-power coefficients of (1 - Ell(x)Ell(-x)) / x^2.
 
@@ -111,8 +99,11 @@ def ell_quaternionic(level: int, c2_order: int, prec: int) -> list[QSeries]:
     if c2_order < 0:
         raise ValueError("c2_order must be >= 0")
     x_order = 2 * c2_order + 2
-    plus = _ell_poly(level, x_order, prec, negate_x=False)
-    minus = _ell_poly(level, x_order, prec, negate_x=True)
+    exp = ell_expansion(level, x_order, prec)
+    plus = [QSeries.one(level, prec)] + [exp.x_coefficient(k)
+                                         for k in range(1, x_order + 1)]
+    # Ell(-x) has the coefficients of Ell(x) with the odd powers negated
+    minus = [-c if k % 2 else c for k, c in enumerate(plus)]
     entries = []
     for j in range(c2_order + 1):
         deg = 2 * j + 2

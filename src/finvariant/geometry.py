@@ -224,10 +224,6 @@ def hp1_index(d: int) -> int:
 PolyY = dict[tuple[int, int, int], Fraction]
 
 
-def poly_zero() -> PolyY:
-    return {}
-
-
 def poly_const(c) -> PolyY:
     c = Fraction(c)
     return {(0, 0, 0): c} if c else {}

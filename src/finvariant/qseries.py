@@ -7,9 +7,10 @@ equality is coefficientwise up to the shared precision.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .exactnum import CycNum, EpsPoly, LevelMismatchError, Scalar
 
@@ -78,11 +79,6 @@ class QSeries:
                        values: Sequence[Scalar]) -> "QSeries":
         return cls(level, prec,
                    tuple(EpsPoly.rational(level, v) for v in values))
-
-    @classmethod
-    def from_function(cls, level: int, prec: int,
-                      fn: Callable[[int], EpsPoly]) -> "QSeries":
-        return cls(level, prec, tuple(fn(n) for n in range(prec)))
 
     # -- structure ---------------------------------------------------------
 
@@ -201,15 +197,28 @@ class EpsPartError(ValueError):
     """Raised when an operation requires an eps-free series."""
 
 
-def is_integral_series(f: QSeries) -> bool:
-    """True iff every coefficient lies in Z[zeta, 1/level].
+@dataclass(frozen=True)
+class IntegralityReport:
+    integral: bool
+    first_failure: Optional[int]
 
-    Rejects series with a nonzero eps-part: integrality of a formally
-    eps-dependent series is undefined.
-    """
+    def __bool__(self) -> bool:
+        return self.integral
+
+
+def relative_integrality_check(f: QSeries) -> IntegralityReport:
+    """Coefficientwise Z[zeta,1/N]-integrality with the first failure reported."""
     if not f.is_eps_free():
         raise EpsPartError("integrality undefined for series with eps-part")
-    return all(c.constant_part().is_n_integral() for c in f.coeffs)
+    for n, c in enumerate(f.coeffs):
+        if not c.constant_part().is_n_integral():
+            return IntegralityReport(False, n)
+    return IntegralityReport(True, None)
+
+
+def is_integral_series(f: QSeries) -> bool:
+    """True iff every coefficient lies in Z[zeta, 1/level]."""
+    return relative_integrality_check(f).integral
 
 
 def eps_split(f: QSeries) -> list[QSeries]:

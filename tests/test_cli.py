@@ -169,6 +169,43 @@ def test_divcong_nu2_pair(tmp_path, capsys):
     assert "certificate" in out
 
 
+# byte-exact --machine stdout for the nu2 pair: the verdict, the certificate
+# and the residual must not drift when the lattice solve is reworked
+_DIVCONG_NU2_MACHINE = """\
+verdict=true
+false_is_proof=yes
+modulus=weight<=4_lattice_at_level_3_(free_weights_0,4;_integral_series+R*Gtilde)
+cert basis 1 31/1440
+cert basis Ghat1*Ghat3 -6/5
+cert basis Ghat1^4 -31/10
+cert gtilde 0 0
+level=3 weight=? prec=12 label=residual
+0 0 0
+1 0 0
+2 -1 0
+3 0 0
+4 -11 0
+5 -20 0
+6 -1 0
+7 -56 0
+8 -95 0
+9 0 0
+10 -186 0
+11 -220 0
+"""
+
+
+def test_divcong_machine_golden(tmp_path, capsys):
+    gt2 = g_tilde(3, 2, 12)
+    pf = _write_series_file(tmp_path, "F.txt", gt2 * Fraction(1, 12))
+    pg = _write_series_file(tmp_path, "G.txt", gt2 * gt2 * Fraction(1, 2))
+    code, out, _ = run_cli(capsys, "divcong", str(pf), str(pg), "-N", "3",
+                           "-w", "4", "-p", "12", "--basis", str(tmp_path / "bases"),
+                           "--machine")
+    assert code == 0
+    assert out == _DIVCONG_NU2_MACHINE
+
+
 def test_divcong_missing_file_exit_three(tmp_path, capsys):
     pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(3, 8))
     code, _, err = run_cli(capsys, "divcong", str(tmp_path / "missing.txt"),
@@ -290,6 +327,17 @@ def test_assemble_quaternionic_reduced_requires_odd_support(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "assemble", "--kind", "quaternionic-reduced",
                            "--xi", str(xi_path), "-l", "4", "-N", "3", "-p", "5")
     assert code == 0
+
+
+def test_assemble_short_xi_table_exit_three(tmp_path, capsys):
+    # a missing twist is a data error, not a false verdict
+    xi_path = tmp_path / "xi.txt"
+    xi_path.write_text("1 1/2\n2 1/3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "assemble", "--kind", "quaternionic",
+                             "--xi", str(xi_path), "-l", "3", "-N", "3", "-p", "12")
+    assert code == 3
+    assert not out
+    assert err == "error: twist 3 missing (need support to 11)\n"
 
 
 def test_example_exit_codes(tmp_path, capsys):

@@ -190,3 +190,28 @@ def test_int_poly_divexact_rejects_inexact():
 def test_rational_part():
     assert CycNum.from_rational(3, Fraction(7, 2)).rational_part() == Fraction(7, 2)
     assert CycNum.zeta(3).rational_part() is None
+
+
+def test_inverse_matches_sympy_invert():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(41)
+    for level in (3, 5, 7, 8, 12):
+        modulus = sympy.cyclotomic_poly(level, x)
+        for _ in range(6):
+            a = random_cyc(rng, level)
+            if not a:
+                continue
+            poly = sum(sympy.Rational(str(c)) * x ** i for i, c in enumerate(a.coords))
+            inv = sympy.Poly(sympy.invert(poly, modulus, x), x).all_coeffs()[::-1]
+            expected = [Fraction(str(c)) for c in inv]
+            expected += [Fraction(0)] * (euler_phi(level) - len(expected))
+            assert list(a.inverse().coords) == expected
+
+
+def test_cyclotomic_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 41):
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert cyclotomic_poly(n).coeffs == tuple(int(c) for c in expected)

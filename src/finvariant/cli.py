@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Subcommands: eis, ell, g2, divcong, assemble, example, oracle.
-Exit codes: 0 success / true verdict, 1 false verdict, 2 usage, 3 data error.
+Exit codes: 0 success / true verdict, 1 false verdict, 2 usage, 3 data error,
+4 internal error.
 
 Series and basis files share one line-oriented UTF-8 format: a header
 ``level=<N> weight=<k> prec=<P> label=<text>`` (``weight=?`` permitted for
@@ -316,7 +317,10 @@ def _read_xi_table(path: Path, kind: str, level: int, l: int) -> XiTable:
             entries[d] = EpsPoly.linear(level, const, eps_c)
     if not entries:
         raise DataError(f"{path}: empty xi table")
-    return XiTable(kind, level, l, entries)
+    try:
+        return XiTable(kind, level, l, entries)
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 _ASSEMBLERS = {
@@ -513,6 +517,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {str(exc).removesuffix(' (internal error)')}", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

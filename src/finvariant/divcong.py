@@ -400,12 +400,10 @@ class EquivResult:
 
 def make_lattice(level: int, weight: int, prec: int,
                  gtilde: Optional[QSeries] = None,
-                 basis: Optional[ModularBasis] = None,
-                 check_dims: bool = True) -> IndeterminacyLattice:
+                 basis: Optional[ModularBasis] = None) -> IndeterminacyLattice:
     """Assemble the weight-bound lattice, building the basis if not supplied."""
     if basis is None:
-        basis = build_basis(level, weight, max(prec, policy_prec(level, weight)),
-                            check_dims=check_dims)
+        basis = build_basis(level, weight, max(prec, policy_prec(level, weight)))
     if basis.level != level:
         raise BasisError("basis level does not match lattice level")
     if basis.maxweight < weight:
@@ -414,26 +412,6 @@ def make_lattice(level: int, weight: int, prec: int,
     if gtilde is not None:
         use_prec = min(use_prec, gtilde.prec)
     return IndeterminacyLattice(level, weight, basis, gtilde, use_prec)
-
-
-def _rational_multiple(series: QSeries, target: QSeries,
-                       prec: int) -> Optional[Fraction]:
-    """c with target = c * series exactly to prec, if such a rational exists."""
-    lead = None
-    for n in range(prec):
-        if series.coefficient(n):
-            lead = n
-            break
-    if lead is None:
-        return Fraction(0) if not any(target.coeffs[:prec]) else None
-    s = series.coefficient(lead).constant_part()
-    t = target.coefficient(lead).constant_part()
-    ratio = (t / s).rational_part()
-    if ratio is None:
-        return None
-    if series * EpsPoly.rational(series.level, ratio) == target:
-        return ratio
-    return None
 
 
 def is_equivalent(F: QSeries, G: QSeries,
@@ -463,10 +441,12 @@ def is_equivalent(F: QSeries, G: QSeries,
     if len(parts) == 2 and parts[1]:
         if lattice.gtilde is None:
             return negative()
-        ratio = _rational_multiple(lattice.gtilde.truncate(prec), parts[1], prec)
-        if ratio is None:
+        space = _ColumnSpace(1)
+        space.insert(0, series_to_vector(lattice.gtilde.truncate(prec), prec))
+        r, comb = space.reduce(series_to_vector(parts[1], prec))
+        if any(r):
             return negative()
-        c1 = ratio
+        c1 = comb[0]
 
     solved = _integral_span_solve(parts[0], lattice, prec)
     if solved is None:

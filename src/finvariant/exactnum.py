@@ -221,7 +221,8 @@ def cyclotomic_poly(n: int) -> IntPoly:
 def _reduction_table(level: int) -> tuple[tuple[int, ...], ...]:
     """Row j: coordinates of x^(deg+j) modulo the level-th cyclotomic polynomial.
 
-    Enough rows to reduce any product of two reduced elements (degree 2*deg-2).
+    Enough rows to reduce any product of two reduced elements (degree 2*deg-2)
+    and every power of zeta (degree level-1).
     """
     poly = cyclotomic_poly(level)
     deg = poly.degree
@@ -229,13 +230,10 @@ def _reduction_table(level: int) -> tuple[tuple[int, ...], ...]:
     rows: list[tuple[int, ...]] = []
     current = [-c for c in poly.coeffs[:deg]]
     rows.append(tuple(current))
-    for _ in range(deg - 2):
-        shifted = [0] + current[:-1]
+    for _ in range(max(deg - 2, level - 1 - deg)):
+        # x * row: shift up one degree, then fold x^deg back in through row 0
         top = current[-1]
-        if top:
-            base = rows[0]
-            shifted = [s + top * b for s, b in zip(shifted, base)]
-        current = shifted
+        current = [s + top * b for s, b in zip([0] + current[:-1], rows[0])]
         rows.append(tuple(current))
     return tuple(rows)
 
@@ -248,15 +246,7 @@ def _zeta_power_coords(level: int, j: int) -> tuple[Fraction, ...]:
         coords = [_ZERO] * deg
         coords[j] = _ONE
         return tuple(coords)
-    # reduce x^j stepwise through the table
-    table = _reduction_table(level)
-    coords = [Fraction(c) for c in table[0]]
-    for _ in range(j - deg):
-        top = coords[-1]
-        coords = [_ZERO] + coords[:-1]
-        if top:
-            coords = [c + top * b for c, b in zip(coords, table[0])]
-    return tuple(coords)
+    return tuple(Fraction(c) for c in _reduction_table(level)[j - deg])
 
 
 class CycNum:

@@ -8,9 +8,10 @@ homogeneous space with global coframe (L1*, L2*, w1*, w2*, w3*).
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, Mapping
 
 from .exactnum import EpsPoly, IntPoly
@@ -218,10 +219,33 @@ def hp1_index(d: int) -> int:
 # Exterior calculus on the 5-dimensional homogeneous space
 
 # Coefficients live in Q[y1, y2, y3] / (y1^2 + y2^2 + y3^2 - 1), normal form
-# with y3-degree <= 1 (substitute y3^2 = 1 - y1^2 - y2^2); monomial keys are
-# exponent triples.
+# with y3-degree <= 1 (substitute y3^2 = 1 - y1^2 - y2^2, in _normal_form
+# only); monomial keys are exponent triples.
 
-PolyY = dict[tuple[int, int, int], Fraction]
+Mono = tuple[int, int, int]
+PolyY = dict[Mono, Fraction]
+
+
+def _accumulate(out: dict, key, value) -> None:
+    """out[key] += value, dropping the key when the sum vanishes."""
+    s = out.get(key, 0) + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+@lru_cache(maxsize=None)
+def _normal_form(exps: Mono) -> tuple[tuple[Mono, int], ...]:
+    """The monomial y^exps in normal form, as (monomial, integer coefficient) pairs."""
+    e1, e2, e3 = exps
+    if e3 <= 1:
+        return ((exps, 1),)
+    out: dict[Mono, int] = {}
+    for (f1, f2, f3), v in _normal_form((e1, e2, e3 - 2)):
+        for key, c in (((f1, f2, f3), v), ((f1 + 2, f2, f3), -v), ((f1, f2 + 2, f3), -v)):
+            _accumulate(out, key, c)
+    return tuple(out.items())
 
 
 def poly_const(c) -> PolyY:
@@ -235,94 +259,29 @@ def poly_y(i: int) -> PolyY:
     return {tuple(e): _ONE}
 
 
-def poly_add(a: PolyY, b: PolyY) -> PolyY:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k, _ZERO) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def poly_scale(a: PolyY, c: Fraction) -> PolyY:
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
-
-
 def poly_mul(a: PolyY, b: PolyY) -> PolyY:
+    """Product of two normal forms, each monomial product reduced by _normal_form."""
     out: PolyY = {}
     for (e1, e2, e3), va in a.items():
         for (f1, f2, f3), vb in b.items():
-            k = (e1 + f1, e2 + f2, e3 + f3)
-            s = out.get(k, _ZERO) + va * vb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-    return poly_normalize(out)
-
-
-def poly_normalize(a: PolyY) -> PolyY:
-    """Reduce y3-powers >= 2 through y3^2 = 1 - y1^2 - y2^2."""
-    work = dict(a)
-    out: PolyY = {}
-    while work:
-        (e1, e2, e3), v = work.popitem()
-        if e3 <= 1:
-            s = out.get((e1, e2, e3), _ZERO) + v
-            if s:
-                out[(e1, e2, e3)] = s
-            else:
-                out.pop((e1, e2, e3), None)
-            continue
-        # y3^e3 = y3^(e3-2) * (1 - y1^2 - y2^2)
-        for delta, coeff in (((0, 0, -2), v), ((2, 0, -2), -v), ((0, 2, -2), -v)):
-            k = (e1 + delta[0], e2 + delta[1], e3 + delta[2])
-            work[k] = work.get(k, _ZERO) + coeff
-            if not work[k]:
-                del work[k]
+            for key, c in _normal_form((e1 + f1, e2 + f2, e3 + f3)):
+                _accumulate(out, key, c * va * vb)
     return out
-
-
-def poly_diff(a: PolyY, i: int) -> PolyY:
-    """Partial derivative with respect to y_{i+1} of a normal form."""
-    out: PolyY = {}
-    for exps, v in a.items():
-        e = exps[i]
-        if e:
-            k = list(exps)
-            k[i] = e - 1
-            key = tuple(k)
-            s = out.get(key, _ZERO) + v * e
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-COFRAME = ("L1*", "L2*", "w1*", "w2*", "w3*")
 
 
 class ExtForm:
     """Exterior-algebra element over the 5-element coframe with PolyY coefficients.
 
     Stored on strictly increasing index tuples; wedge products resort with the
-    permutation sign and coefficients are kept in sphere-relation normal form.
+    permutation sign. Coefficients are normal forms (as built by poly_const,
+    poly_y and poly_mul); zero coefficients are dropped.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], PolyY] | None = None):
-        self.terms: dict[tuple[int, ...], PolyY] = {}
-        if terms:
-            for k, v in terms.items():
-                vv = poly_normalize(v)
-                if vv:
-                    self.terms[k] = vv
+        self.terms: dict[tuple[int, ...], PolyY] = {
+            k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
     def zero(cls) -> "ExtForm":
@@ -350,29 +309,22 @@ class ExtForm:
     def __add__(self, other: "ExtForm") -> "ExtForm":
         out = {k: dict(v) for k, v in self.terms.items()}
         for k, v in other.terms.items():
-            merged = poly_add(out.get(k, {}), v)
-            if merged:
-                out[k] = merged
-            else:
-                out.pop(k, None)
+            coeff = out.setdefault(k, {})
+            for key, c in v.items():
+                _accumulate(coeff, key, c)
         return ExtForm(out)
 
     def __sub__(self, other: "ExtForm") -> "ExtForm":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def __neg__(self) -> "ExtForm":
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def scale(self, c) -> "ExtForm":
-        c = Fraction(c)
-        if not c:
-            return ExtForm.zero()
-        return ExtForm({k: poly_scale(v, c) for k, v in self.terms.items()})
+        return self.mul_poly(poly_const(c))
 
     def mul_poly(self, p: PolyY) -> "ExtForm":
-        if not p:
-            return ExtForm.zero()
-        return ExtForm({k: poly_mul(v, p) for k, v in self.terms.items()})
+        return self.wedge(ExtForm.function(p))
 
     def wedge(self, other: "ExtForm") -> "ExtForm":
         out: dict[tuple[int, ...], PolyY] = {}
@@ -381,24 +333,10 @@ class ExtForm:
                 if set(ka) & set(kb):
                     continue
                 merged, sign = _merge_indices(ka, kb)
-                coeff = poly_mul(va, vb)
-                if sign < 0:
-                    coeff = poly_scale(coeff, Fraction(-1))
-                acc = poly_add(out.get(merged, {}), coeff)
-                if acc:
-                    out[merged] = acc
-                else:
-                    out.pop(merged, None)
+                coeff = out.setdefault(merged, {})
+                for key, c in poly_mul(va, vb).items():
+                    _accumulate(coeff, key, sign * c)
         return ExtForm(out)
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for k in sorted(self.terms):
-            names = "^".join(COFRAME[i] for i in k) if k else "1"
-            parts.append(f"({_poly_str(self.terms[k])}) {names}")
-        return " + ".join(parts)
 
 
 def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -416,22 +354,9 @@ def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, .
     return tuple(merged), sign
 
 
-def _poly_str(p: PolyY) -> str:
-    parts = []
-    for exps in sorted(p):
-        v = p[exps]
-        mono = "*".join(f"y{i+1}^{e}" if e > 1 else f"y{i+1}"
-                        for i, e in enumerate(exps) if e)
-        parts.append(f"{v}*{mono}" if mono else f"{v}")
-    return " + ".join(parts) if parts else "0"
-
-
 def _l3_star() -> ExtForm:
     """The dependent coframe element L3* = y1 w1* + y2 w2* + y3 w3*."""
-    acc = ExtForm.zero()
-    for i in range(3):
-        acc = acc + ExtForm.basis(2 + i, poly_y(i))
-    return acc
+    return ExtForm({(2 + i,): poly_y(i) for i in range(3)})
 
 
 @lru_cache(maxsize=1)
@@ -490,75 +415,51 @@ def _dtheta() -> tuple[ExtForm, ...]:
     return tuple(out)
 
 
-def _d_poly(p: PolyY) -> ExtForm:
-    dys = _dy_forms()
-    acc = ExtForm.zero()
-    for i in range(3):
-        dp = poly_diff(p, i)
-        if dp:
-            acc = acc + dys[i].mul_poly(dp)
-    return acc
-
-
 def ext_d(form: ExtForm) -> ExtForm:
     """Exterior derivative: d(f theta_I) = df ^ theta_I + f * d(theta_I)."""
+    dys = _dy_forms()
     dthetas = _dtheta()
     acc = ExtForm.zero()
     for indices, coeff in form.terms.items():
-        base = ExtForm({indices: poly_const(1)})
-        acc = acc + _d_poly(coeff).wedge(base)
+        for exps, v in coeff.items():
+            for i, e in enumerate(exps):
+                if e:
+                    lower = exps[:i] + (e - 1,) + exps[i + 1:]
+                    acc = acc + dys[i].wedge(ExtForm({indices: {lower: v * e}}))
         for j, idx in enumerate(indices):
             rest = indices[:j] + indices[j + 1:]
-            sign = Fraction((-1) ** j)
-            partial = dthetas[idx].wedge(ExtForm({rest: poly_const(1)}))
-            acc = acc + partial.mul_poly(poly_const(sign)).mul_poly(coeff)
+            acc = acc + dthetas[idx].wedge(ExtForm({rest: coeff})).scale((-1) ** j)
     return acc
 
 
 def volume3_multiple(form: ExtForm) -> Fraction:
-    """Express a 3-form as c * L1*^L2*^L3* with rational c, or raise.
+    """Express a 3-form as c * L1*^L2*^L3* with rational c, or raise ValueError.
 
-    L1*^L2*^L3* expands to y1 L1 L2 w1 + y2 L1 L2 w2 + y3 L1 L2 w3, so the
-    form must have exactly those components with coefficients c*y_i.
+    L1*^L2*^L3* has the component y1 L1* L2* w1*, so c is the coefficient of
+    y1 there, and the whole form must then equal c times the volume form.
     """
-    expected_keys = {(0, 1, 2): 0, (0, 1, 3): 1, (0, 1, 4): 2}
-    c: Fraction | None = None
-    for key, coeff in form.terms.items():
-        if key not in expected_keys:
-            raise ValueError(f"not a volume-form multiple: stray component {key}")
-        i = expected_keys[key]
-        mono = [0, 0, 0]
-        mono[i] = 1
-        if set(coeff) != {tuple(mono)}:
-            raise ValueError(f"component {key} is not a multiple of y{i+1}")
-        value = coeff[tuple(mono)]
-        if c is None:
-            c = value
-        elif c != value:
-            raise ValueError("inconsistent volume coefficients")
-    if c is None:
-        return _ZERO
+    volume = ExtForm.basis(0).wedge(ExtForm.basis(1)).wedge(_l3_star())
+    c = form.terms.get((0, 1, 2), {}).get((1, 0, 0), _ZERO)
+    if form != volume.scale(c):
+        raise ValueError("not a rational multiple of the volume form L1*^L2*^L3*")
     return c
 
 
 def chern_simons_traces() -> tuple[ExtForm, ExtForm]:
     """The 3-form traces tr(omega ^ d omega) and tr(omega ^ omega ^ omega)."""
     omega = connection_matrix()
-    domega = [[ext_d(omega[a][b]) for b in range(5)] for a in range(5)]
-    tr_wdw = ExtForm.zero()
-    for a in range(5):
-        for b in range(5):
-            if omega[a][b] and domega[b][a]:
-                tr_wdw = tr_wdw + omega[a][b].wedge(domega[b][a])
-    tr_www = ExtForm.zero()
-    for a in range(5):
-        for b in range(5):
-            if not omega[a][b]:
-                continue
-            for c in range(5):
-                if omega[b][c] and omega[c][a]:
-                    tr_www = tr_www + omega[a][b].wedge(omega[b][c]).wedge(omega[c][a])
-    return tr_wdw, tr_www
+    domega = [[ext_d(w) for w in row] for row in omega]
+    return _wedge_trace(omega, domega), _wedge_trace(omega, omega, omega)
+
+
+def _wedge_trace(*factors) -> ExtForm:
+    """tr(M1 ^ ... ^ Mk) of 5x5 matrices of forms, summed over index cycles."""
+    acc = ExtForm.zero()
+    for idx in itertools.product(range(5), repeat=len(factors)):
+        entries = [m[a][b] for m, a, b in zip(factors, idx, idx[1:] + idx[:1])]
+        if all(entries):
+            acc = acc + reduce(ExtForm.wedge, entries)
+    return acc
 
 
 @lru_cache(maxsize=1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from finvariant import cli
 from finvariant.cli import (DataError, main, read_basis, read_blocks,
                             read_series, write_basis, write_series)
 from finvariant.divcong import build_basis
@@ -338,6 +339,35 @@ def test_assemble_short_xi_table_exit_three(tmp_path, capsys):
     assert code == 3
     assert not out
     assert err == "error: twist 3 missing (need support to 11)\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("0 1/2", "twist index 0 is not allowed"),
+    ("-1 1/2", "complex_positive tables take positive indices only"),
+])
+def test_assemble_bad_twist_index_exit_three(tmp_path, capsys, line, message):
+    # an index the table kind forbids is bad data, not a usage error
+    xi_path = tmp_path / "xi.txt"
+    xi_path.write_text(f"{line}\n1 1/3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "assemble", "--kind", "complex-reduced",
+                             "--xi", str(xi_path), "-l", "1", "-N", "3", "-p", "4")
+    assert code == 3
+    assert not out
+    assert err == f"error: {xi_path}: {message}\n"
+
+
+def test_internal_error_exit_four(tmp_path, capsys, monkeypatch):
+    # a failed internal check must not look like a false verdict (exit 1)
+    def broken(F, G, lattice):
+        raise AssertionError("certificate replay mismatch (internal error)")
+
+    monkeypatch.setattr(cli, "is_equivalent", broken)
+    pf = _write_series_file(tmp_path, "F.txt", QSeries.zero(3, 8))
+    code, out, err = run_cli(capsys, "divcong", str(pf), str(pf), "-N", "3",
+                             "-w", "0", "--basis", str(tmp_path / "bases"))
+    assert code == 4
+    assert not out
+    assert err == "internal error: certificate replay mismatch\n"
 
 
 def test_example_exit_codes(tmp_path, capsys):

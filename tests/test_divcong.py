@@ -104,6 +104,29 @@ def test_hnf_random_shapes():
         _assert_hnf_shape(H)
 
 
+def test_hnf_matches_sympy():
+    # sympy's column-style form is upper triangular with its pivots counted
+    # from the bottom right; on the row-reversed matrix, reversing both axes
+    # of its result gives the nonzero columns of H
+    pytest.importorskip("sympy")
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+    rng = random.Random(2024)
+    for trial in range(200):
+        m, n = rng.randint(1, 6), rng.randint(1, 8)
+        A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if trial % 4 == 0:   # rank-deficient
+            A[-1] = [2 * x for x in A[0]]
+        H, U = hnf(A)
+        assert _mat_mul(A, U) == H
+        assert abs(_det(U)) == 1
+        nonzero = [j for j in range(n) if any(row[j] for row in H)]
+        S = hermite_normal_form(Matrix(A[::-1]))
+        expected = [[int(S[i, j]) for j in reversed(range(S.cols))]
+                    for i in reversed(range(S.rows))]
+        assert [[row[j] for j in nonzero] for row in H] == expected
+
+
 # ---------------------------------------------------------------------------
 # Bases
 

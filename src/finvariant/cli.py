@@ -312,6 +312,8 @@ def _read_xi_table(path: Path, kind: str, level: int, l: int) -> XiTable:
                 d = int(toks[0])
             except ValueError as exc:
                 raise DataError(f"{path}:{line_no}: bad twist index {toks[0]!r}") from exc
+            if d in entries:
+                raise DataError(f"{path}:{line_no}: repeated twist index {d}")
             const = _parse_fraction(toks[1], f"{path}:{line_no}")
             eps_c = _parse_fraction(toks[2], f"{path}:{line_no}") if len(toks) == 3 else Fraction(0)
             entries[d] = EpsPoly.linear(level, const, eps_c)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .exactnum import (CycNum, EpsPoly, bernoulli,
                        eisenstein_weight_one_constant)
-from .qseries import QSeries, divisor_weighted_series, sigma
+from .qseries import QSeries, divisor_sum, sigma
 
 
 def weight_constant(level: int, k: int) -> CycNum:
@@ -37,15 +37,16 @@ def g_hat(level: int, k: int, prec: int) -> QSeries:
     """
     if level < 2:
         raise ValueError("level must be >= 2")
+    constant = EpsPoly.constant(weight_constant(level, k))
     sign = 1 if k % 2 == 0 else -1
-    series = divisor_weighted_series(level, prec, k, sign)
-    return QSeries(level, prec, (EpsPoly.constant(weight_constant(level, k)),)) - series
+    series = divisor_sum(level, prec, lambda d: d ** (k - 1), minus=-1, plus=-sign)
+    return QSeries(level, prec, (constant,) + series.coeffs[1:])
 
 
 def g_tilde(level: int, k: int, prec: int) -> QSeries:
     """G_hat_k with its constant term removed (starts at q^1)."""
     f = g_hat(level, k, prec)
-    return f - QSeries(f.level, prec, (f.coefficient(0),))
+    return QSeries(level, prec, (EpsPoly.zero(level),) + f.coeffs[1:])
 
 
 def g_tilde_level1(level: int, k: int, prec: int) -> QSeries:

@@ -3,6 +3,14 @@
 A QSeries stores the coefficients of q^0 .. q^(prec-1) exactly. Arithmetic
 between series requires equal level and truncates to the smaller precision;
 equality is coefficientwise up to the shared precision.
+
+The two hot loops run in integers. Each eps-part of a coefficient list is
+split into integer power-basis rows over one common denominator
+(`_int_parts`); the series product multiplies two such parts by Kronecker
+substitution (one big-int product of the packed bivariate (q, zeta)
+polynomials, see Harvey, JSC 2009), and `divisor_sum` sieves the rows with
+integer twist vectors. Fractions are built once per output coordinate
+(`_from_int_parts`).
 """
 
 from __future__ import annotations
@@ -10,9 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import add, mul
 from typing import Callable, Optional, Sequence
 
-from .exactnum import CycNum, EpsPoly, LevelMismatchError, Scalar
+from .exactnum import (_ZERO, CycNum, EpsPoly, LevelMismatchError, Scalar, _reduction_table,
+                       _zeta_power_coords, euler_phi)
 
 
 @lru_cache(maxsize=None)
@@ -151,17 +162,8 @@ class QSeries:
                            tuple(c * factor for c in self.coeffs))
         o = self._coerce(other)
         p = min(self.prec, o.prec)
-        zero = EpsPoly.zero(self.level)
-        out = [zero] * p
-        for i in range(p):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(p - i):
-                b = o.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return QSeries(self.level, p, tuple(out))
+        return QSeries(self.level, p,
+                       _series_product(self.level, p, self.coeffs[:p], o.coeffs[:p]))
 
     __rmul__ = __mul__
 
@@ -235,11 +237,113 @@ def eps_split(f: QSeries) -> list[QSeries]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Integer kernels
+
+
+IntRows = list[list[int]]
+
+
+def _int_parts(coeffs: Sequence[Optional[EpsPoly]], deg: int) -> tuple[list[IntRows], int]:
+    """Coefficients (None for zero) as integer rows per eps part over one denominator.
+
+    Returns (parts, den): parts[e][n][t] is den times coordinate t of the
+    eps^e coefficient of coeffs[n], and den is the least common denominator
+    of all coordinates.
+    """
+    top = max((len(c.coeffs) for c in coeffs if c), default=0)
+    den = lcm(*(x.denominator for c in coeffs if c for y in c.coeffs for x in y.coords))
+    zero = [0] * deg
+    return [[[x.numerator * (den // x.denominator) for x in c.coeffs[e].coords]
+             if c and e < len(c.coeffs) else zero for c in coeffs]
+            for e in range(top)], den
+
+
+def _from_int_parts(level: int, parts: Sequence[IntRows], den: int,
+                    count: int) -> tuple[EpsPoly, ...]:
+    """The first count coefficients sum_e eps^e * parts[e][n] / den."""
+    return tuple(
+        EpsPoly(level, tuple(
+            CycNum(level, [Fraction(v, den) if v else _ZERO for v in rows[n]])
+            for rows in parts))
+        for n in range(count))
+
+
+def _pack(rows: IntRows, stride: int, width: int) -> int:
+    """Signed rows as one int: entry t of row n in slot n*stride + t, width bytes a slot."""
+    half = 1 << (8 * width - 1)
+    pad = half.to_bytes(width, "little") * (stride - len(rows[0]))
+    packed = b"".join(b"".join((v + half).to_bytes(width, "little") for v in row) + pad
+                      for row in rows)
+    return int.from_bytes(packed, "little") - _slot_offset(width, len(rows) * stride)
+
+
+def _unpack(z: int, count: int, width: int) -> list[int]:
+    """The low count slots of z as balanced (signed) digits, width bytes a slot."""
+    half = 1 << (8 * width - 1)
+    shifted = (z + _slot_offset(width, count)) & ((1 << (8 * width * count)) - 1)
+    raw = shifted.to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * count, width)]
+
+
+def _slot_offset(width: int, count: int) -> int:
+    """Half the slot range in each of count slots: shifts balanced digits to unsigned."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _series_product(level: int, prec: int, a: Sequence[EpsPoly],
+                    b: Sequence[EpsPoly]) -> tuple[EpsPoly, ...]:
+    """Coefficients of a*b to O(q^prec) by Kronecker substitution.
+
+    Each eps part of a factor is packed into one int with 2*deg-1 slots per
+    q-power, so the zeta-degree of a product term stays inside its q-power;
+    eps part k of the product is the sum of the big-int products of parts i
+    and k-i. Its slots are unpacked and reduced modulo the cyclotomic
+    polynomial column by column.
+    """
+    deg = euler_phi(level)
+    stride = 2 * deg - 1
+    (parts_a, den_a), (parts_b, den_b) = _int_parts(a, deg), _int_parts(b, deg)
+    if not parts_a or not parts_b:
+        return _from_int_parts(level, (), 1, prec)
+    big_a = max(abs(v) for rows in parts_a for row in rows for v in row)
+    big_b = max(abs(v) for rows in parts_b for row in rows for v in row)
+    terms = min(len(parts_a), len(parts_b)) * prec * deg
+    width = (big_a.bit_length() + big_b.bit_length() + terms.bit_length() + 2 + 7) // 8
+    packed_a = [_pack(rows, stride, width) for rows in parts_a]
+    packed_b = [_pack(rows, stride, width) for rows in parts_b]
+    out = []
+    for k in range(len(parts_a) + len(parts_b) - 1):
+        z = sum(packed_a[i] * packed_b[k - i]
+                for i in range(max(0, k - len(parts_b) + 1), min(k, len(parts_a) - 1) + 1))
+        digits = _unpack(z, prec * stride, width)
+        # column s holds the zeta^s coordinate of every q-power; fold s >= deg down
+        cols = [digits[s::stride] for s in range(stride)]
+        for high, red in zip(cols[deg:], _reduction_table(level)):
+            for t, r in enumerate(red):
+                if r:
+                    cols[t] = [x + r * y for x, y in zip(cols[t], high)]
+        out.append([list(row) for row in zip(*cols[:deg])])
+    return _from_int_parts(level, out, den_a * den_b, prec)
+
+
 @lru_cache(maxsize=None)
-def _twist_weights(level: int, minus: int, plus: int) -> tuple[CycNum, ...]:
-    """minus*zeta^(-j) + plus*zeta^j for j = 0 .. level-1."""
-    return tuple(CycNum.zeta(level, -j) * minus + CycNum.zeta(level, j) * plus
-                 for j in range(level))
+def _twist_matrices(level: int, minus: int,
+                    plus: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Multiplication by minus*zeta^(-j) + plus*zeta^j for j = 0 .. level-1, in integers.
+
+    Entry j holds one column per output coordinate t: column t, row i is
+    coordinate t of minus*zeta^(i-j) + plus*zeta^(i+j).
+    """
+    deg = euler_phi(level)
+    matrices = []
+    for j in range(level):
+        rows = [[int(minus * x + plus * y) for x, y in zip(_zeta_power_coords(level, i - j),
+                                                           _zeta_power_coords(level, i + j))]
+                for i in range(deg)]
+        matrices.append(tuple(zip(*rows)))
+    return tuple(matrices)
 
 
 def divisor_sum(level: int, prec: int, coeff: Callable[[int], object],
@@ -248,19 +352,36 @@ def divisor_sum(level: int, prec: int, coeff: Callable[[int], object],
 
     coeff(d) is a rational, CycNum or EpsPoly; the weight is 1 when
     minus = plus = 0. g_hat and the four assembly formulas are calls of it.
+    coeff is evaluated once per d; each product coeff(d)*weight(j) is taken
+    once per residue of j mod level, in integers.
     """
-    weights = _twist_weights(level, minus, plus) if minus or plus else None
-    out: list = [None] * prec
+    values: list[Optional[EpsPoly]] = [None]
     for d in range(1, prec):
         c = coeff(d)
-        if not c:
-            continue
-        for n in range(d, prec, d):
-            t = c if weights is None else c * weights[n // d % level]
-            out[n] = t if out[n] is None else out[n] + t
-    zero = EpsPoly.zero(level)
-    return QSeries(level, prec, tuple(zero if t is None else _as_eps(level, t)
-                                      for t in out))
+        if c:
+            c = _as_eps(level, c)
+            if c.level != level:
+                raise LevelMismatchError("series coefficient level mismatch")
+        values.append(c or None)
+    deg = euler_phi(level)
+    twists = _twist_matrices(level, minus, plus) if minus or plus else None
+    parts, den = _int_parts(values, deg)
+    sums = []
+    for rows in parts:
+        acc = [[0] * deg for _ in range(prec)]
+        for d in range(1, prec):
+            row = rows[d]
+            if not any(row):
+                continue
+            top = (prec - 1) // d
+            terms = [row] * level
+            if twists is not None:
+                for j in range(1, min(top, level) + 1):
+                    terms[j % level] = [sum(map(mul, row, col)) for col in twists[j % level]]
+            for j in range(1, top + 1):
+                acc[d * j] = list(map(add, acc[d * j], terms[j % level]))
+        sums.append(acc)
+    return QSeries(level, prec, _from_int_parts(level, sums, den, prec))
 
 
 def divisor_weighted_series(level: int, prec: int, weight: int,

@@ -356,6 +356,17 @@ def test_assemble_bad_twist_index_exit_three(tmp_path, capsys, line, message):
     assert err == f"error: {xi_path}: {message}\n"
 
 
+def test_assemble_repeated_twist_index_exit_three(tmp_path, capsys):
+    # a repeated index must not silently keep the last value
+    xi_path = tmp_path / "xi.txt"
+    xi_path.write_text("1 1/2\n2 1/5\n1 1/3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "assemble", "--kind", "complex-reduced",
+                             "--xi", str(xi_path), "-l", "1", "-N", "3", "-p", "4")
+    assert code == 3
+    assert not out
+    assert err == f"error: {xi_path}:3: repeated twist index 1\n"
+
+
 def test_internal_error_exit_four(tmp_path, capsys, monkeypatch):
     # a failed internal check must not look like a false verdict (exit 1)
     def broken(F, G, lattice):

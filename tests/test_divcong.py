@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_integral_series
-from finvariant.divcong import (BasisError, PrecisionError, build_basis,
-                                default_generators, hnf, is_equivalent,
+from finvariant.divcong import (DIM_TARGETS, BasisError, PrecisionError,
+                                build_basis, default_generators, hnf, is_equivalent,
                                 make_lattice, policy_prec,
                                 relative_integrality_check, series_to_vector,
                                 sturm_bound, vector_to_series)
@@ -21,6 +21,37 @@ def test_sturm_bound_values():
     assert sturm_bound(2, 4) == 1   # index 3: ceil(12/12)
     assert sturm_bound(3, 0) == 0
     assert sturm_bound(4, 6) == 6   # index 12: ceil(72/12)
+
+
+def _rank(vectors):
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_sturm_bound_saturates_generator_rank(level):
+    # weight-w monomials in the built-in generators: their rank on the first
+    # sturm_bound + 1 coefficients is already the full dimension and the rank at P = 60
+    prec = 60
+    (w1, _, g1), (w2, _, g2) = default_generators(level, prec)
+    for w in range(1, 7):
+        monomials = [g1 ** a * g2 ** ((w - a * w1) // w2)
+                     for a in range(w // w1 + 1) if (w - a * w1) % w2 == 0]
+        full = _rank([series_to_vector(m, prec) for m in monomials])
+        short = sturm_bound(level, w) + 1
+        assert _rank([series_to_vector(m, short) for m in monomials]) == full
+        assert full == DIM_TARGETS[level][w]
 
 
 # ---------------------------------------------------------------------------

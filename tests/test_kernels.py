@@ -1,0 +1,196 @@
+"""Differential tests of the integer series kernels against direct CycNum oracles.
+
+The series product is checked against a per-coefficient CycNum convolution
+and the divisor sieve against direct enumeration of divisors(n) with
+CycNum.zeta. Neither oracle calls QSeries.__mul__ or divisor_sum.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from finvariant.exactnum import CycNum, EpsPoly, euler_phi
+from finvariant.qseries import QSeries, divisor_sum, divisors
+
+LEVELS = (2, 3, 5, 7, 8, 12, 15)
+BIG = 2 ** 120
+
+
+def _fraction(rng, big):
+    if rng.random() < 0.25:
+        return Fraction(0)
+    if big:
+        return Fraction(rng.randint(-BIG, BIG), rng.randint(1, BIG))
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _cyc(rng, level, big=False):
+    return CycNum(level, [_fraction(rng, big) for _ in range(euler_phi(level))])
+
+
+def _eps_poly(rng, level, eps_degree, big=False):
+    return EpsPoly(level, [_cyc(rng, level, big) for _ in range(eps_degree + 1)])
+
+
+def _series(rng, level, prec, eps_degree=0, density=1.0, big=False):
+    return QSeries(level, prec, [
+        _eps_poly(rng, level, eps_degree, big) if rng.random() < density
+        else EpsPoly.zero(level) for _ in range(prec)])
+
+
+def _convolution(a: QSeries, b: QSeries) -> list[EpsPoly]:
+    """Coefficients of a*b from CycNum products, eps-degree by eps-degree."""
+    level, prec = a.level, min(a.prec, b.prec)
+    out = []
+    for n in range(prec):
+        parts = [CycNum.zero(level)] * (a.eps_degree() + b.eps_degree() + 1)
+        for i in range(n + 1):
+            x, y = a.coefficient(i), b.coefficient(n - i)
+            for e, u in enumerate(x.coeffs):
+                for f, v in enumerate(y.coeffs):
+                    parts[e + f] = parts[e + f] + u * v
+        out.append(EpsPoly(level, parts))
+    return out
+
+
+def _divisor_enumeration(level, prec, coeff, minus, plus) -> list[EpsPoly]:
+    """Coefficients of the divisor sum from divisors(n) and CycNum.zeta."""
+    out = [EpsPoly.zero(level)]
+    for n in range(1, prec):
+        acc = EpsPoly.zero(level)
+        for d in divisors(n):
+            if minus or plus:
+                weight = (CycNum.zeta(level, -(n // d)) * minus
+                          + CycNum.zeta(level, n // d) * plus)
+            else:
+                weight = CycNum.one(level)
+            acc = acc + EpsPoly.constant(weight) * coeff(d)
+        out.append(acc)
+    return out
+
+
+def _assert_product(a: QSeries, b: QSeries) -> None:
+    got = a * b
+    assert got.prec == min(a.prec, b.prec)
+    assert list(got.coeffs) == _convolution(a, b)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_product_matches_convolution(level):
+    rng = random.Random(1000 + level)
+    for _ in range(6):
+        a = _series(rng, level, rng.randint(1, 14), rng.choice((0, 0, 1)))
+        b = _series(rng, level, rng.randint(1, 14), rng.choice((0, 1)))
+        _assert_product(a, b)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_product_of_eps_parts_reaches_eps_squared(level):
+    rng = random.Random(2000 + level)
+    a = _series(rng, level, 9, eps_degree=1)
+    b = _series(rng, level, 9, eps_degree=1)
+    product = a * b
+    assert product.eps_degree() == 2
+    assert list(product.coeffs) == _convolution(a, b)
+
+
+@pytest.mark.parametrize("level", (3, 5, 12))
+def test_product_eps_part_cancels(level):
+    # (1 + eps)(1 - eps) * q-series: the eps^1 part cancels, eps^2 stays
+    prec = 6
+    plus = QSeries(level, prec, [EpsPoly.linear(level, 1, 1)] * prec)
+    minus = QSeries(level, prec, [EpsPoly.linear(level, 1, -1)] * prec)
+    product = plus * minus
+    assert list(product.coeffs) == _convolution(plus, minus)
+    for n, c in enumerate(product.coeffs):
+        assert not c.coefficient(1)
+        assert c.coefficient(0) == n + 1 and c.coefficient(2) == -(n + 1)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_product_sparse_zero_and_precision_one(level):
+    rng = random.Random(3000 + level)
+    zero = QSeries.zero(level, 7)
+    dense = _series(rng, level, 11)
+    sparse = _series(rng, level, 12, density=0.2)
+    assert (dense * zero).is_zero() and (zero * dense).prec == 7
+    _assert_product(dense, sparse)
+    _assert_product(sparse, sparse)
+    _assert_product(_series(rng, level, 1), dense)
+    _assert_product(dense, _series(rng, level, 1, eps_degree=1))
+    eps_only = QSeries(level, 5, [EpsPoly(level, (CycNum.zero(level), _cyc(rng, level)))] * 5)
+    _assert_product(eps_only, dense)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_product_big_numerators_and_denominators(level):
+    # entries above 2^100 of both signs exercise the slot width and negative digits
+    rng = random.Random(4000 + level)
+    a = _series(rng, level, 8, eps_degree=1, big=True)
+    b = _series(rng, level, 10, big=True)
+    _assert_product(a, b)
+    mixed = _series(rng, level, 9)
+    _assert_product(a, mixed)
+    _assert_product(mixed, -mixed)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("minus, plus", [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1), (-2, 3)])
+def test_divisor_sum_matches_enumeration(level, minus, plus):
+    rng = random.Random(5000 + 10 * level + 3 * minus + plus)
+    prec = rng.randint(12, 24)
+    kinds = {
+        "rational": lambda: _fraction(rng, False),
+        "cyclotomic": lambda: _cyc(rng, level),
+        "eps": lambda: _eps_poly(rng, level, 1),
+        "big": lambda: _eps_poly(rng, level, rng.randint(0, 1), big=True),
+    }
+    for make in kinds.values():
+        table = {d: make() for d in range(1, prec)}
+        got = divisor_sum(level, prec, table.__getitem__, minus, plus)
+        assert list(got.coeffs) == _divisor_enumeration(level, prec, table.__getitem__,
+                                                        minus, plus)
+
+
+@pytest.mark.parametrize("level", (2, 5, 12))
+def test_divisor_sum_sparse_and_tiny_precision(level):
+    rng = random.Random(6000 + level)
+    table = {d: (_cyc(rng, level) if d % 3 == 1 else 0) for d in range(1, 30)}
+    for prec in (1, 2, 3, 30):
+        got = divisor_sum(level, prec, table.__getitem__, 1, -1)
+        assert list(got.coeffs) == _divisor_enumeration(level, prec, table.__getitem__, 1, -1)
+    assert divisor_sum(level, 10, lambda d: 0, 1, 1).is_zero()
+
+
+def test_kernels_match_oracles_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rationals = st.fractions(min_value=-(2 ** 70), max_value=2 ** 70, max_denominator=2 ** 40)
+
+    @st.composite
+    def series_pair(draw):
+        level = draw(st.sampled_from(LEVELS))
+        deg = euler_phi(level)
+
+        def series(prec):
+            coeffs = []
+            for _ in range(prec):
+                parts = draw(st.lists(st.lists(rationals, min_size=deg, max_size=deg),
+                                      max_size=2))
+                coeffs.append(EpsPoly(level, [CycNum(level, p) for p in parts]))
+            return QSeries(level, prec, coeffs)
+
+        return series(draw(st.integers(1, 6))), series(draw(st.integers(1, 6)))
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+    @hypothesis.given(series_pair(), st.sampled_from([(0, 0), (1, 0), (1, 1), (1, -1)]))
+    def check(pair, weights):
+        a, b = pair
+        _assert_product(a, b)
+        coeff = lambda d: a.coefficient(d % a.prec)
+        assert list(divisor_sum(a.level, b.prec + 3, coeff, *weights).coeffs) == \
+            _divisor_enumeration(a.level, b.prec + 3, coeff, *weights)
+
+    check()

@@ -5,7 +5,7 @@ Subpackage layout:
 - exactnum:  cyclotomic/rational scalars, Bernoulli numbers, integer polynomials
 - qseries:   truncated q-series over eps-polynomials
 - genus:     level-N Eisenstein-type series, genus expansion, numeric oracles
-- divcong:   modular bases, Hermite normal form, lattice equivalence decisions
+- divcong:   modular bases, lattice equivalence decisions, Hermite normal form
 - geometry:  circle/homogeneous-space spectra, SU(2)/SU(3) data, Chern-Simons
 - fassembly: xi-tables, assembly formulas, known representatives, examples
 - cli:       batch command-line front end and series/basis file formats

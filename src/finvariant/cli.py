@@ -2,7 +2,7 @@
 
 Subcommands: eis, ell, g2, divcong, assemble, example, oracle.
 Exit codes: 0 success / true verdict, 1 false verdict, 2 usage, 3 data error,
-4 internal error.
+4 internal error or output closed early (never a verdict).
 
 Series and basis files share one line-oriented UTF-8 format: a header
 ``level=<N> weight=<k> prec=<P> label=<text>`` (``weight=?`` permitted for
@@ -18,6 +18,7 @@ commands compose.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -511,7 +512,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (DataError, FileNotFoundError, BasisError, PrecisionError,
             LevelMismatchError, EpsPartError, MissingTwistError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -519,8 +522,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal error: {str(exc).removesuffix(' (internal error)')}", file=sys.stderr)
+    except BrokenPipeError:
+        # the reader left before the verdict was written; stdout goes to
+        # devnull so that the interpreter's last flush fails silently too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 4
+    except Exception as exc:
+        # any other failure is a defect, and must never read as a false verdict
+        message = str(exc).removesuffix(" (internal error)")
+        if not isinstance(exc, AssertionError):
+            message = f"{type(exc).__name__}: {message}"
+        print(f"internal error: {message}", file=sys.stderr)
         return 4
 
 

@@ -13,9 +13,12 @@ scalar in front of Gtilde_k may carry an eps-part, which is how the circle
 example's eps-term is absorbed.
 
 Membership is decided exactly: the rational span is eliminated by column
-reduction, and what remains is a finitely generated Z[1/N]-module membership
-problem, settled by a Hermite-normal-form solve plus a denominator-support
-check.  A positive verdict always carries a replayable certificate.
+reduction (built once per lattice), and what remains is a congruence system
+in s <= dim(span) unknowns, settled by a local solve over Z/p^e for the
+primes p not dividing N in the denominators; the solve runs modulo their
+product, which is the same system by the Chinese remainder theorem and needs
+no factoring (Storjohann-Mulders, ESA 1998; Cohen, GTM 138 sec. 2.4).  A
+positive verdict always carries a replayable certificate.
 """
 
 from __future__ import annotations
@@ -23,13 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
-from .exactnum import (CycNum, EpsPoly, euler_phi,
-                       is_denominator_n_smooth, prime_factors)
+from .exactnum import CycNum, EpsPoly, _coprime_part, euler_phi, prime_factors
 from .genus import g_hat
-from .qseries import (EpsPartError, IntegralityReport, QSeries, eps_split,
-                      is_integral_series, relative_integrality_check)
+from .qseries import (EpsPartError, IntegralityReport, QSeries, _linear_combination,
+                      eps_split, is_integral_series, relative_integrality_check)
 
 _ZERO = Fraction(0)
 
@@ -297,6 +300,26 @@ class IndeterminacyLattice:
         return (f"weight<={self.weight} lattice at level {self.level} "
                 f"(free weights 0,{self.weight}; integral series{g})")
 
+    @cached_property
+    def _spaces(self) -> tuple[_ColumnSpace, Optional[_ColumnSpace]]:
+        """`_spaces_at` the lattice precision, built once per lattice."""
+        return self._spaces_at(self.prec)
+
+    def _spaces_at(self, prec: int) -> tuple[_ColumnSpace, Optional[_ColumnSpace]]:
+        """Reduced column spaces, to O(q^prec), of the span series (weights 0
+        and k, then Gtilde) and of Gtilde alone (None without Gtilde)."""
+        span = [self.basis.entries[i].series for i in self.span_indices]
+        space = _ColumnSpace(len(span) + (self.gtilde is not None))
+        for j, series in enumerate(span):
+            space.insert(j, series_to_vector(series, prec))
+        if self.gtilde is None:
+            return space, None
+        gvec = series_to_vector(self.gtilde, prec)
+        space.insert(len(span), gvec)
+        gspace = _ColumnSpace(1)
+        gspace.insert(0, gvec)
+        return space, gspace
+
 
 def build_basis(level: int, maxweight: int, prec: int,
                 generators: Optional[list[tuple[int, str, QSeries]]] = None,
@@ -375,15 +398,14 @@ class EquivCertificate:
     residual: QSeries
 
     def replay(self, lattice: IndeterminacyLattice) -> QSeries:
-        """Reconstruct the certified difference from its parts."""
-        acc = QSeries.zero(self.level, self.prec)
-        for coeff, entry in zip(self.basis_coeffs, lattice.basis.entries):
-            if coeff:
-                acc = acc + entry.series.truncate(min(self.prec, entry.series.prec)) * coeff
+        """Reconstruct the certified difference from its parts, in one integer sum."""
+        terms = [((coeff,), entry.series.coeffs)
+                 for coeff, entry in zip(self.basis_coeffs, lattice.basis.entries) if coeff]
         if lattice.gtilde is not None and (self.gtilde_coeff or self.gtilde_eps_coeff):
-            scalar = EpsPoly.linear(self.level, self.gtilde_coeff, self.gtilde_eps_coeff)
-            acc = acc + lattice.gtilde.truncate(min(self.prec, lattice.gtilde.prec)) * scalar
-        return acc + self.residual
+            terms.append(((self.gtilde_coeff, self.gtilde_eps_coeff), lattice.gtilde.coeffs))
+        terms.append(((1,), self.residual.coeffs))
+        prec = min(self.prec, *(len(coeffs) for _, coeffs in terms))
+        return QSeries(self.level, prec, _linear_combination(self.level, prec, terms))
 
 
 @dataclass(frozen=True)
@@ -437,18 +459,18 @@ def is_equivalent(F: QSeries, G: QSeries,
     def negative() -> EquivResult:
         return EquivResult(False, None, sound, prec, modulus)
 
+    # pivots of a reduction at lattice.prec may lie beyond a lower precision
+    space, gspace = lattice._spaces if prec == lattice.prec else lattice._spaces_at(prec)
     c1 = Fraction(0)
     if len(parts) == 2 and parts[1]:
-        if lattice.gtilde is None:
+        if gspace is None:
             return negative()
-        space = _ColumnSpace(1)
-        space.insert(0, series_to_vector(lattice.gtilde.truncate(prec), prec))
-        r, comb = space.reduce(series_to_vector(parts[1], prec))
+        r, comb = gspace.reduce(series_to_vector(parts[1], prec))
         if any(r):
             return negative()
         c1 = comb[0]
 
-    solved = _integral_span_solve(parts[0], lattice, prec)
+    solved = _integral_span_solve(parts[0], space, lattice.level, prec)
     if solved is None:
         return negative()
     span_coeffs, residual_vec = solved
@@ -462,102 +484,112 @@ def is_equivalent(F: QSeries, G: QSeries,
     cert = EquivCertificate(lattice.level, prec, tuple(basis_coeffs), c0, c1, residual)
     if not is_integral_series(residual):
         raise AssertionError("non-integral certificate residual (internal error)")
-    replayed = cert.replay(lattice)
-    if replayed != diff:
+    # replay rebuilds F - G from the span coefficients and the residual, so
+    # it also shows that F - G - residual lies in the span
+    if cert.replay(lattice) != diff:
         raise AssertionError("certificate replay mismatch (internal error)")
     return EquivResult(True, cert, sound, prec, modulus)
 
 
-def _integral_span_solve(series: QSeries, lattice: IndeterminacyLattice,
+def _integral_span_solve(series: QSeries, space: _ColumnSpace, level: int,
                          prec: int) -> Optional[tuple[list[Fraction], list[Fraction]]]:
     """Solve series = sum a_j * span_j + w with w integral over Z[zeta,1/N].
 
-    Returns (a, w-vector) or None. Exact: after eliminating the rational span
-    by column reduction, membership of the residual in the projected
-    Z[1/N]-unit lattice is decided by an HNF solve whose solution must have
-    denominators supported on primes dividing N.
+    Returns (a, w-vector) or None. The reduction v = sum c_k*vecs_k + r_v
+    leaves r_v zero on every pivot row, where vecs_k is 1 at its own pivot
+    and 0 at the others; so v is a member exactly when some t in Z^s makes
+    w = r_v + sum t_k*vecs_k integral on the free rows. Scaled by the
+    common denominator D of vecs and r_v, that is a linear system over
+    Z/M, M the part of D prime to N (`_solve_mod`). Then
+    a = c - sum t_k*combs_k.
     """
-    level = lattice.level
-    dim = euler_phi(level) * prec
-    span_series = [lattice.basis.entries[i].series for i in lattice.span_indices]
-    if lattice.gtilde is not None:
-        span_series.append(lattice.gtilde)
-
-    space = _ColumnSpace(len(span_series))
-    for j, s in enumerate(span_series):
-        space.insert(j, series_to_vector(s.truncate(min(prec, s.prec)), prec))
-
     v = series_to_vector(series, prec)
     r_v, comb_v = space.reduce(v)
-    if not any(r_v):
-        # already in the rational span: residual zero
-        return comb_v, [_ZERO] * dim
-
-    pivot_set = set(space.pivots)
-    free_rows = [i for i in range(dim) if i not in pivot_set]
-    if not free_rows:
-        return None  # full column space yet nonzero residual: impossible
-
-    # The projected unit-vector lattice on the free rows, scaled by denom:
-    # column i is e_i for a free row i and -vecs[k] for pivot row i = p_k.
-    denom = math.lcm(*(x.denominator for vec in space.vecs for x in vec),
-                     *(r_v[row].denominator for row in free_rows))
-    A = []
-    for row in free_rows:
-        a = [0] * dim
-        a[row] = denom
-        for p, vec in zip(space.pivots, space.vecs):
-            a[p] = -int(vec[row] * denom)
-        A.append(a)
-    u = [int(r_v[row] * denom) for row in free_rows]
-
-    H, U = hnf(A)
-    x = _solve_echelon(H, u)
-    if x is None:
-        return None
-    nf = 1
-    for c in x:
-        d = c.denominator
-        if not is_denominator_n_smooth(d, level):
+    den = math.lcm(*(x.denominator for vec in space.vecs for x in vec),
+                   *(x.denominator for x in r_v))
+    modulus = _coprime_part(den, level)
+    t = [0] * len(space.vecs)
+    if modulus > 1:
+        pivots = set(space.pivots)
+        rows = [i for i in range(len(v)) if i not in pivots]
+        t = _solve_mod([[int(vec[i] * den) for vec in space.vecs] for i in rows],
+                       [-int(r_v[i] * den) for i in rows], modulus)
+        if t is None:
             return None
-        while nf % d:
-            nf *= level
-    scaled = [c * nf for c in x]
-    if any(c.denominator != 1 for c in scaled):
-        raise AssertionError("scaled HNF solution not integral (internal error)")
-    xn = [c.numerator for c in scaled]
-    w = [Fraction(sum(a * b for a, b in zip(row, xn)), nf) for row in U]
-
-    # a-coefficients: solve span * a = v - w through the reduced column space
-    target = [vi - wi for vi, wi in zip(v, w)]
-    r_t, comb_t = space.reduce(target)
-    if any(r_t):
-        raise AssertionError("residual not in span after lattice solve (internal error)")
-    return comb_t, w
+    w, a = r_v, comb_v
+    for tk, vec, cb in zip(t, space.vecs, space.combs):
+        if tk:
+            w = [x + tk * y for x, y in zip(w, vec)]
+            a = [x - tk * y for x, y in zip(a, cb)]
+    return a, w
 
 
-def _solve_echelon(H: list[list[int]], u: list[int]) -> Optional[list[Fraction]]:
-    """Solve H*x = u over Q for a column-echelon H (zero columns allowed)."""
-    m = len(H)
-    ncols = len(H[0]) if m else 0
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    for j in range(ncols):
-        row = next((i for i in range(m) if H[i][j]), None)
-        if row is None:
+def _solve_mod(matrix: list[list[int]], rhs: list[int],
+               modulus: int) -> Optional[list[int]]:
+    """A solution t of matrix*t == rhs (mod modulus), entries in [0, modulus), or None.
+
+    Diagonalises by invertible row and column operations over Z/modulus,
+    keeping the column operations in C so that t = C*y. Smith-style
+    pivoting: the pivot is an entry of least gcd with the modulus in the
+    whole remaining block, cleared along both its row and its column.
+    Modulo a prime power that gcd is p^valuation and the pivot divides the
+    whole block; otherwise a Bezout step replaces the pivot by a proper
+    divisor and its row and column are cleared again.
+    """
+    s = len(matrix[0]) if matrix else 0
+    rows = [[x % modulus for x in row] + [b % modulus] for row, b in zip(matrix, rhs)]
+    cols = [[int(i == j) for j in range(s)] for i in range(s)]
+    rank = 0
+    for k in range(min(s, len(rows))):
+        block = [(math.gcd(x, modulus), i, j) for i in range(k, len(rows))
+                 for j in range(k, s) if (x := rows[i][j])]
+        if not block:
             break
-        pivots.append((row, j))
-    x = [_ZERO] * len(pivots)
-    residue = [Fraction(c) for c in u]
-    for idx, (row, col) in enumerate(pivots):
-        c = residue[row] / H[row][col]
-        x[idx] = c
-        if c:
-            for i in range(m):
-                if H[i][col]:
-                    residue[i] -= c * H[i][col]
-    if any(residue):
+        _, i, j = min(block)
+        rows[k], rows[i] = rows[i], rows[k]
+        for row in rows + cols:
+            row[k], row[j] = row[j], row[k]
+        while True:
+            for i in range(k + 1, len(rows)):
+                if rows[i][k]:
+                    a, b, c, d = _clearing_step(rows[k][k], rows[i][k], modulus)
+                    u, v = rows[k], rows[i]
+                    rows[k] = [(a * x + b * y) % modulus for x, y in zip(u, v)]
+                    rows[i] = [(c * x + d * y) % modulus for x, y in zip(u, v)]
+            for j in range(k + 1, s):
+                if rows[k][j]:
+                    a, b, c, d = _clearing_step(rows[k][k], rows[k][j], modulus)
+                    for row in rows + cols:
+                        x, y = row[k], row[j]
+                        row[k], row[j] = (a * x + b * y) % modulus, (c * x + d * y) % modulus
+            if not any(row[k] for row in rows[k + 1:]):
+                break
+        rank = k + 1
+    y = [_quotient(row[s], row[k], modulus) for k, row in enumerate(rows[:rank])]
+    if None in y or any(row[s] for row in rows[rank:]):
         return None
-    return x
+    y += [0] * (s - rank)
+    return [sum(c * x for c, x in zip(row, y)) % modulus for row in cols]
+
+
+def _quotient(b: int, p: int, modulus: int) -> Optional[int]:
+    """f with f*p == b (mod modulus), or None if gcd(p, modulus) does not divide b."""
+    g = math.gcd(p, modulus)
+    return None if b % g else b // g * pow(p // g, -1, modulus // g) % modulus
+
+
+def _clearing_step(p: int, b: int, modulus: int) -> tuple[int, int, int, int]:
+    """An invertible (a, b; c, d) over Z/modulus taking the pair (p, b) to (p', 0).
+
+    (1, 0; -f, 1) with f*p == b where that f exists, else the Bezout matrix,
+    whose p' = gcd(p, b) is a proper divisor of p.
+    """
+    f = _quotient(b, p, modulus)
+    if f is not None:
+        return 1, 0, -f, 1
+    x, y = _bezout(p, b)
+    d = math.gcd(p, b)
+    return x, y, -(b // d), p // d
 
 
 __all__ = [

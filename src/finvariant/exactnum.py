@@ -25,6 +25,7 @@ class LevelMismatchError(ValueError):
     """Raised when combining cyclotomic values of different levels."""
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler totient of a positive integer."""
     if n < 1:
@@ -61,15 +62,16 @@ def prime_factors(n: int) -> list[int]:
 
 def is_denominator_n_smooth(den: int, n: int) -> bool:
     """True iff every prime dividing den also divides n."""
-    d = den
-    while d > 1:
-        g = gcd(d, n)
-        if g == 1:
-            return False
-        while g > 1:
-            d //= g
-            g = gcd(d, g)
-    return True
+    return _coprime_part(den, n) == 1
+
+
+def _coprime_part(d: int, n: int) -> int:
+    """The largest divisor of d >= 1 that is prime to n."""
+    g = gcd(d, n)
+    while g > 1:
+        d //= g
+        g = gcd(d, g)
+    return d
 
 
 # ---------------------------------------------------------------------------

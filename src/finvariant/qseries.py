@@ -4,13 +4,15 @@ A QSeries stores the coefficients of q^0 .. q^(prec-1) exactly. Arithmetic
 between series requires equal level and truncates to the smaller precision;
 equality is coefficientwise up to the shared precision.
 
-The two hot loops run in integers. Each eps-part of a coefficient list is
+The hot loops run in integers. Each eps-part of a coefficient list is
 split into integer power-basis rows over one common denominator
 (`_int_parts`); the series product multiplies two such parts by Kronecker
 substitution (one big-int product of the packed bivariate (q, zeta)
-polynomials, see Harvey, JSC 2009), and `divisor_sum` sieves the rows with
-integer twist vectors. Fractions are built once per output coordinate
-(`_from_int_parts`).
+polynomials, see Harvey, JSC 2009), `divisor_sum` sieves the rows with
+integer twist vectors, and the sum kernel `_linear_combination` adds
+rational (eps-polynomial) multiples of series as integer rows; +, -,
+rational scalar multiples and certificate replay are calls of it.
+Fractions are built once per output coordinate (`_from_int_parts`).
 """
 
 from __future__ import annotations
@@ -136,18 +138,19 @@ class QSeries:
         raise TypeError(f"cannot combine QSeries with {type(other)!r}")
 
     def __add__(self, other) -> "QSeries":
-        o = self._coerce(other)
-        p = min(self.prec, o.prec)
-        return QSeries(self.level, p,
-                       tuple(a + b for a, b in zip(self.coeffs[:p], o.coeffs[:p])))
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "QSeries":
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int) -> "QSeries":
+        """self + sign*other through the integer sum kernel."""
         o = self._coerce(other)
         p = min(self.prec, o.prec)
-        return QSeries(self.level, p,
-                       tuple(a - b for a, b in zip(self.coeffs[:p], o.coeffs[:p])))
+        return QSeries(self.level, p, _linear_combination(
+            self.level, p, (((1,), self.coeffs), ((sign,), o.coeffs))))
 
     def __rsub__(self, other) -> "QSeries":
         return self._coerce(other) - self
@@ -156,7 +159,10 @@ class QSeries:
         return QSeries(self.level, self.prec, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other) -> "QSeries":
-        if isinstance(other, (int, Fraction, CycNum, EpsPoly)):
+        if isinstance(other, (int, Fraction)):
+            return QSeries(self.level, self.prec,
+                           _linear_combination(self.level, self.prec, (((other,), self.coeffs),)))
+        if isinstance(other, (CycNum, EpsPoly)):
             factor = _as_eps(self.level, other)
             return QSeries(self.level, self.prec,
                            tuple(c * factor for c in self.coeffs))
@@ -267,6 +273,34 @@ def _from_int_parts(level: int, parts: Sequence[IntRows], den: int,
             CycNum(level, [Fraction(v, den) if v else _ZERO for v in rows[n]])
             for rows in parts))
         for n in range(count))
+
+
+def _linear_combination(level: int, prec: int,
+                        terms: Sequence[tuple[Sequence[Scalar], Sequence[EpsPoly]]]
+                        ) -> tuple[EpsPoly, ...]:
+    """Coefficients of sum (s_0 + s_1*eps + ...) * coeffs to O(q^prec), in integers.
+
+    Each term pairs rational scalars s_j, one per eps degree, with a
+    coefficient sequence of length >= prec. Every term's rows are scaled to
+    one common denominator and summed as integers.
+    """
+    deg = euler_phi(level)
+    scaled = []
+    for scalars, coeffs in terms:
+        parts, den = _int_parts(coeffs[:prec], deg)
+        if parts:
+            scaled.append(([Fraction(s) for s in scalars], parts, den))
+    total = lcm(*(den * s.denominator for scalars, _, den in scaled for s in scalars if s))
+    top = max((len(scalars) + len(parts) - 1 for scalars, parts, _ in scaled), default=0)
+    sums = [[0] * (prec * deg) for _ in range(top)]
+    for scalars, parts, den in scaled:
+        for i, s in enumerate(scalars):
+            if s:
+                m = s.numerator * (total // (den * s.denominator))
+                for e, rows in enumerate(parts):
+                    sums[i + e] = list(map(add, sums[i + e], [m * x for row in rows for x in row]))
+    return _from_int_parts(level, [[flat[n * deg:(n + 1) * deg] for n in range(prec)]
+                                   for flat in sums], total, prec)
 
 
 def _pack(rows: IntRows, stride: int, width: int) -> int:

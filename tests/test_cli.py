@@ -1,9 +1,14 @@
 """Command-line front end: subcommands, file formats, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import finvariant
 from finvariant import cli
 from finvariant.cli import (DataError, main, read_basis, read_blocks,
                             read_series, write_basis, write_series)
@@ -379,6 +384,33 @@ def test_internal_error_exit_four(tmp_path, capsys, monkeypatch):
     assert code == 4
     assert not out
     assert err == "internal error: certificate replay mismatch\n"
+
+
+def test_unexpected_exception_exit_four(tmp_path, capsys, monkeypatch):
+    # any exception the CLI does not list is a defect, never a false verdict
+    def broken(F, G, lattice):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "is_equivalent", broken)
+    pf = _write_series_file(tmp_path, "F.txt", QSeries.zero(3, 8))
+    code, out, err = run_cli(capsys, "divcong", str(pf), str(pf), "-N", "3",
+                             "-w", "0", "--basis", str(tmp_path / "bases"))
+    assert code == 4
+    assert not out
+    assert err == "internal error: TypeError: unsupported operand\n"
+
+
+def test_closed_output_no_traceback():
+    # the reader is gone before anything is written: no traceback, no exit 1
+    env = dict(os.environ, PYTHONPATH=str(Path(finvariant.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "finvariant.cli", "eis", "-N", "3",
+                             "-k", "2", "-p", "5"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 4
+    assert err == b""
 
 
 def test_example_exit_codes(tmp_path, capsys):

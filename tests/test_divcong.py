@@ -1,14 +1,17 @@
-"""Bases, Hermite normal form, and the lattice equivalence decision."""
+"""Bases, Hermite normal form, the local solve and the lattice equivalence decision."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_integral_series
-from finvariant.divcong import (DIM_TARGETS, BasisError, PrecisionError,
-                                build_basis, default_generators, hnf, is_equivalent,
-                                make_lattice, policy_prec,
+from finvariant import divcong
+from finvariant.divcong import (DIM_TARGETS, BasisEntry, BasisError, ModularBasis,
+                                PrecisionError, _solve_mod, build_basis,
+                                default_generators, hnf, is_equivalent,
+                                is_integral_series, make_lattice, policy_prec,
                                 relative_integrality_check, series_to_vector,
                                 sturm_bound, vector_to_series)
 from finvariant.exactnum import CycNum, EpsPoly, eps
@@ -416,3 +419,130 @@ def test_mid_weights_do_not_enlarge_the_lattice(lattice_k2):
     F = g_hat(3, 1, 12) * Fraction(1, 2)
     res = is_equivalent(F, QSeries.zero(3, 12), lattice_k2)
     assert not res.equivalent
+
+
+# ---------------------------------------------------------------------------
+# The local solve over Z/p^e, against enumeration of every t
+
+
+def _image(matrix, modulus):
+    """{matrix*t mod modulus : t in (Z/modulus)^s}, by enumeration."""
+    s = len(matrix[0])
+    return {tuple(sum(a * x for a, x in zip(row, t)) % modulus for row in matrix)
+            for t in itertools.product(range(modulus), repeat=s)}
+
+
+def _assert_local_solve(matrix, rhs, modulus, image):
+    t = _solve_mod(matrix, rhs, modulus)
+    b = tuple(x % modulus for x in rhs)
+    if b not in image:
+        assert t is None
+        return
+    assert t is not None and all(0 <= x < modulus for x in t)
+    assert tuple(sum(a * x for a, x in zip(row, t)) % modulus for row in matrix) == b
+
+
+@pytest.mark.parametrize("p, e", [(5, 1), (5, 2), (7, 1), (7, 2)])
+def test_local_solve_matches_enumeration(p, e):
+    modulus = p ** e
+    rng = random.Random(10 * p + e)
+    for _ in range(25):
+        s = rng.randint(1, 3 if modulus ** 3 < 20000 else 2)
+        m = rng.randint(1, 4)
+        # entries of every valuation, so pivots of positive valuation occur
+        matrix = [[rng.randrange(modulus) * p ** rng.randint(0, e) for _ in range(s)]
+                  for _ in range(m)]
+        image = _image(matrix, modulus)
+        for rhs in (rng.choice(sorted(image)), [rng.randrange(modulus) for _ in range(m)]):
+            _assert_local_solve(matrix, list(rhs), modulus, image)
+
+
+@pytest.mark.parametrize("matrix, rhs, modulus", [
+    # a unit that only a later column has: echelon leaves t_1 = 0 and fails
+    ([[10, 1]], [1], 25),
+    ([[5, 1, 0], [0, 5, 1]], [1, 1], 25),
+    # the later pivot 25 leaves t_1 free mod 5, and row 0 needs t_1 = 5
+    ([[25, 1], [0, 25]], [5, 0], 125),
+    # a composite modulus takes Bezout steps: no entry divides the others
+    ([[2, 3], [3, 2]], [1, 4], 36),
+])
+def test_local_solve_needs_column_combinations(matrix, rhs, modulus):
+    image = _image(matrix, modulus)
+    assert tuple(rhs) in image
+    _assert_local_solve(matrix, rhs, modulus, image)
+
+
+def test_local_solve_composite_moduli_match_enumeration():
+    rng = random.Random(11)
+    for modulus in (6, 12, 35, 45):
+        for _ in range(15):
+            matrix = [[rng.randrange(modulus) for _ in range(2)] for _ in range(rng.randint(1, 3))]
+            image = _image(matrix, modulus)
+            for rhs in (rng.choice(sorted(image)), [rng.randrange(modulus) for _ in matrix]):
+                _assert_local_solve(matrix, list(rhs), modulus, image)
+
+
+def _cyc_series(level, prec, coords):
+    return QSeries(level, prec, [EpsPoly.constant(CycNum(level, c)) for c in coords])
+
+
+@pytest.fixture()
+def lattice_25():
+    """A level-3 lattice whose two weight-2 directions carry 1/25 and 1/5
+    on rows that are not pivots."""
+    level, prec = 3, 6
+    f = Fraction
+    e1 = _cyc_series(level, prec, [(0, 0), (1, 0), (f(1, 25), f(3, 25)), (0, 0),
+                                   (f(2, 5), 0), (0, f(7, 25))])
+    e2 = _cyc_series(level, prec, [(0, 0), (0, 0), (0, 0), (1, 0),
+                                   (f(4, 25), f(1, 5)), (f(6, 25), 0)])
+    entries = (BasisEntry(0, QSeries.one(level, prec), "1"),
+               BasisEntry(2, e1, "e1"), BasisEntry(2, e2, "e2"))
+    basis = ModularBasis(level, 2, prec, entries, {0: 1, 2: 2})
+    return make_lattice(level, 2, prec, basis=basis), e1, e2
+
+
+def test_member_needs_two_span_directions(lattice_25, monkeypatch):
+    lattice, e1, e2 = lattice_25
+    calls = []
+
+    def spy(matrix, rhs, modulus):
+        t = _solve_mod(matrix, rhs, modulus)
+        calls.append((modulus, t))
+        return t
+
+    monkeypatch.setattr(divcong, "_solve_mod", spy)
+    integral = _cyc_series(3, 6, [(1, 2), (3, 0), (0, 1), (-2, 0), (0, 0), (5, Fraction(1, 3))])
+    F = integral + e1 * Fraction(3, 7) - e2 * Fraction(2, 11)
+    res = is_equivalent(F, QSeries.zero(3, 6), lattice)
+    assert res.equivalent
+    # the 1/25 entries of the reduced residual cancel only through both directions
+    [(modulus, t)] = calls
+    assert modulus == 25 and t[1] and t[2]
+    assert res.certificate.replay(lattice) == F
+    assert is_integral_series(res.certificate.residual)
+    # 1/5 on a row no direction reaches is no member
+    bumped = F + QSeries.from_rationals(3, 6, [0, 0, Fraction(1, 5)])
+    assert not is_equivalent(bumped, QSeries.zero(3, 6), lattice).equivalent
+
+
+@pytest.mark.parametrize("prec", [3, 4])
+def test_member_below_lattice_precision(lattice_25, prec):
+    # at prec 3 the pivot of e2 (its q^3 coordinate) lies beyond the cut
+    lattice, e1, e2 = lattice_25
+    F = (random_integral_series(random.Random(prec), 3, 6)
+         + e1 * Fraction(1, 9) + e2 * Fraction(4, 7)).truncate(prec)
+    res = is_equivalent(F, QSeries.zero(3, prec), lattice)
+    assert res.equivalent and res.prec_used == prec
+    assert res.certificate.replay(lattice) == F
+    assert is_integral_series(res.certificate.residual)
+
+
+def test_member_below_lattice_precision_modular(lattice_k4):
+    gt2 = g_tilde(3, 2, 12)
+    F = (gt2 * Fraction(1, 12)).truncate(8)
+    G = gt2 * gt2 * Fraction(1, 2)
+    res = is_equivalent(F, G, lattice_k4)
+    assert res.equivalent and res.prec_used == 8
+    assert res.certificate.replay(lattice_k4) == (F - G).truncate(8)
+    assert is_integral_series(res.certificate.residual)

@@ -1,8 +1,9 @@
 """Differential tests of the integer series kernels against direct CycNum oracles.
 
-The series product is checked against a per-coefficient CycNum convolution
-and the divisor sieve against direct enumeration of divisors(n) with
-CycNum.zeta. Neither oracle calls QSeries.__mul__ or divisor_sum.
+The series product is checked against a per-coefficient CycNum convolution,
+the divisor sieve against direct enumeration of divisors(n) with
+CycNum.zeta, and sums, differences and rational multiples against
+coefficientwise CycNum arithmetic. No oracle calls a QSeries operation.
 """
 
 import random
@@ -10,7 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from finvariant.exactnum import CycNum, EpsPoly, euler_phi
+from finvariant import divcong
+from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
+from finvariant.genus import g_tilde
 from finvariant.qseries import QSeries, divisor_sum, divisors
 
 LEVELS = (2, 3, 5, 7, 8, 12, 15)
@@ -161,6 +164,109 @@ def test_divisor_sum_sparse_and_tiny_precision(level):
         got = divisor_sum(level, prec, table.__getitem__, 1, -1)
         assert list(got.coeffs) == _divisor_enumeration(level, prec, table.__getitem__, 1, -1)
     assert divisor_sum(level, 10, lambda d: 0, 1, 1).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The linear-combination kernel: +, - and rational multiples
+
+
+SUM_LEVELS = (2, 3, 5, 12)
+
+
+def _coefficientwise(a: QSeries, b: QSeries, sign: int) -> list[EpsPoly]:
+    """Coefficients of a + sign*b from CycNum additions, eps-degree by eps-degree."""
+    out = []
+    for n in range(min(a.prec, b.prec)):
+        x, y = a.coefficient(n), b.coefficient(n)
+        top = max(len(x.coeffs), len(y.coeffs))
+        out.append(EpsPoly(a.level, [x.coefficient(e) + y.coefficient(e) * sign
+                                     for e in range(top)]))
+    return out
+
+
+def _scaled(a: QSeries, c: Fraction) -> list[EpsPoly]:
+    return [EpsPoly(a.level, [u * c for u in x.coeffs]) for x in a.coeffs]
+
+
+def _assert_sum_kernel(a: QSeries, b: QSeries, c: Fraction) -> None:
+    for got, want in ((a + b, _coefficientwise(a, b, 1)), (a - b, _coefficientwise(a, b, -1)),
+                      (b - a, _coefficientwise(b, a, -1))):
+        assert got.prec == min(a.prec, b.prec)
+        assert list(got.coeffs) == want
+    for got in (a * c, c * a):
+        assert got.prec == a.prec and list(got.coeffs) == _scaled(a, c)
+
+
+@pytest.mark.parametrize("level", SUM_LEVELS)
+def test_sum_kernel_matches_coefficientwise(level):
+    rng = random.Random(7000 + level)
+    for _ in range(8):
+        a = _series(rng, level, rng.randint(1, 14), rng.choice((0, 1)))
+        b = _series(rng, level, rng.randint(1, 14), rng.choice((0, 0, 1)), density=0.6)
+        _assert_sum_kernel(a, b, _fraction(rng, False))
+    # integer scalars, zero and one
+    a = _series(rng, level, 9, eps_degree=1)
+    for c in (0, 1, -3):
+        assert list((a * c).coeffs) == _scaled(a, Fraction(c))
+
+
+@pytest.mark.parametrize("level", SUM_LEVELS)
+def test_sum_kernel_eps_part_cancels(level):
+    # the eps^1 parts cancel to zero: the result must trim them
+    rng = random.Random(7100 + level)
+    a = _series(rng, level, 10, eps_degree=1)
+    b = QSeries(level, 10, [EpsPoly(level, (_cyc(rng, level), x.coefficient(1)))
+                            for x in a.coeffs])
+    diff = a - b
+    assert diff.is_eps_free()
+    assert all(len(c.coeffs) <= 1 for c in diff.coeffs)
+    _assert_sum_kernel(a, b, Fraction(-2, 3))
+    assert (a - a).is_zero() and all(not c.coeffs for c in (a - a).coeffs)
+    assert (a * Fraction(0)).is_zero()
+
+
+@pytest.mark.parametrize("level", SUM_LEVELS)
+def test_sum_kernel_zero_unequal_and_big(level):
+    rng = random.Random(7200 + level)
+    zero = QSeries.zero(level, 6)
+    dense = _series(rng, level, 11, eps_degree=1)
+    _assert_sum_kernel(dense, zero, Fraction(5, 7))
+    _assert_sum_kernel(zero, dense, Fraction(1))
+    _assert_sum_kernel(zero, zero, Fraction(3))
+    # entries above 2^100, both signs, mixed with small ones
+    big = _series(rng, level, 8, eps_degree=1, big=True)
+    _assert_sum_kernel(big, dense, Fraction(rng.randint(2 ** 100, 2 ** 101), 3 ** 70))
+    _assert_sum_kernel(big, -big, _fraction(rng, True))
+    # scalars coerce to a series with one coefficient
+    assert list((dense + 2).coeffs) == [dense.coeffs[0] + 2] + list(dense.coeffs[1:])
+
+
+def test_sum_kernel_level_mismatch():
+    a, b = QSeries.one(3, 4), QSeries.one(5, 4)
+    with pytest.raises(LevelMismatchError):
+        a + b
+    with pytest.raises(LevelMismatchError):
+        a - b
+
+
+def test_span_reduction_built_once_per_lattice(monkeypatch):
+    lattice = divcong.make_lattice(3, 2, 12, gtilde=g_tilde(3, 2, 12))
+    F = g_tilde(3, 2, 12) * Fraction(1, 4)
+    G = QSeries.zero(3, 12)
+    assert divcong.is_equivalent(F, G, lattice).equivalent
+    inserts = []
+    original = divcong._ColumnSpace.insert
+
+    def counting(self, *args):
+        inserts.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(divcong._ColumnSpace, "insert", counting)
+    eps_F = F + QSeries(3, 12, [EpsPoly.linear(3, 0, 1)]) * g_tilde(3, 2, 12)
+    assert divcong.is_equivalent(eps_F, G, lattice).equivalent
+    fifth = QSeries.from_rationals(3, 12, [0, Fraction(1, 5)])
+    assert not divcong.is_equivalent(F + fifth, G, lattice).equivalent
+    assert inserts == []
 
 
 def test_kernels_match_oracles_hypothesis():

@@ -3,7 +3,8 @@
 Subpackage layout:
 
 - exactnum:  cyclotomic/rational scalars, Bernoulli numbers, integer polynomials
-- qseries:   truncated q-series over eps-polynomials
+- qseries:   truncated q-series over Q(zeta_N)[eps], stored as integer rows over
+             one denominator
 - genus:     level-N Eisenstein-type series, genus expansion, numeric oracles
 - divcong:   modular bases, lattice equivalence decisions, Hermite normal form
 - geometry:  circle/homogeneous-space spectra, SU(2)/SU(3) data, Chern-Simons
@@ -12,7 +13,7 @@ Subpackage layout:
 """
 
 from .exactnum import CycNum, EpsPoly, IntPoly, bernoulli, cyclotomic_poly, eps
-from .qseries import QSeries, divisor_weighted_series, eps_split, is_integral_series
+from .qseries import QSeries, eps_split, is_integral_series
 from .genus import ell_expansion, g2, g_hat, g_tilde, g_tilde_level1
 from .divcong import (build_basis, hnf, is_equivalent, make_lattice,
                       relative_integrality_check, sturm_bound)
@@ -27,7 +28,7 @@ __all__ = [
     "CycNum", "EpsPoly", "FRepresentative", "IntPoly", "QSeries", "XiTable",
     "assemble_complex", "assemble_complex_reduced", "assemble_quaternionic",
     "assemble_quaternionic_reduced", "bernoulli", "build_basis",
-    "cyclotomic_poly", "divisor_weighted_series", "ell_expansion", "eps",
+    "cyclotomic_poly", "ell_expansion", "eps",
     "eps_split", "g2", "g_hat", "g_tilde", "g_tilde_level1", "hnf",
     "is_equivalent", "is_integral_series", "known_representative",
     "make_lattice", "relative_integrality_check", "run_example",

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, TextIO
 from .divcong import (BasisEntry, BasisError, EquivResult, ModularBasis,
                       PrecisionError, build_basis, is_equivalent,
                       make_lattice, policy_prec)
-from .exactnum import CycNum, EpsPoly, LevelMismatchError, eps, euler_phi
+from .exactnum import EpsPoly, LevelMismatchError, eps, euler_phi
 from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLE_LATTICES,
                         QUATERNIONIC, QUATERNIONIC_KERNEL_PARITY,
                         MissingTwistError, XiTable, assemble_complex,
@@ -36,7 +36,8 @@ from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLE_LATTICES,
                         run_example)
 from .genus import (ell_expansion, ell_numeric, ell_quaternionic, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
-from .qseries import EpsPartError, QSeries, eps_split, is_integral_series
+from .qseries import (EpsPartError, QSeries, eps_split, is_integral_series, series_to_vector,
+                      vector_to_series)
 
 ORACLE_TOLERANCE = 1e-8
 
@@ -56,10 +57,12 @@ def write_series(fh: TextIO, series: QSeries, weight: Optional[int],
     if len(parts) > 2:
         raise DataError("series files carry at most an eps^1 part")
     w = "?" if weight is None else str(weight)
+    deg = euler_phi(series.level)
     for part, name in zip(parts, (label, label + ".eps")):
         fh.write(f"level={part.level} weight={w} prec={part.prec} label={name}\n")
-        for n, c in enumerate(part.coeffs):
-            coords = " ".join(_fmt_fraction(x) for x in c.constant_part().coords)
+        vec = series_to_vector(part, part.prec)
+        for n in range(part.prec):
+            coords = " ".join(_fmt_fraction(x) for x in vec[n * deg:(n + 1) * deg])
             fh.write(f"{n} {coords}\n")
 
 
@@ -90,7 +93,7 @@ def read_blocks(path: Path) -> list[tuple[Optional[int], str, QSeries]]:
             raise DataError(
                 f"{path}:{line_no}: block '{header['label']}' has {len(rows)} "
                 f"coefficient lines, expected {prec}")
-        coeffs = []
+        vec: list[Fraction] = []
         for idx, (n, coords) in enumerate(rows):
             if n != idx:
                 raise DataError(f"{path}: block '{header['label']}' out of order at index {n}")
@@ -98,9 +101,8 @@ def read_blocks(path: Path) -> list[tuple[Optional[int], str, QSeries]]:
                 raise DataError(
                     f"{path}: block '{header['label']}' index {n}: "
                     f"{len(coords)} coordinates, expected {deg}")
-            coeffs.append(EpsPoly.constant(CycNum(level, coords)))
-        blocks.append((header["weight"], header["label"],
-                       QSeries(level, prec, tuple(coeffs))))
+            vec.extend(coords)
+        blocks.append((header["weight"], header["label"], vector_to_series(level, prec, vec)))
         header, rows = None, []
 
     with open(path, encoding="utf-8") as fh:
@@ -245,7 +247,9 @@ def _print_certificate(res: EquivResult, lattice, machine: bool) -> None:
             print(f"  {coeff} * {entry.label} (weight {entry.weight})")
     if cert.gtilde_coeff or cert.gtilde_eps_coeff:
         print(f"  ({cert.gtilde_coeff} + {cert.gtilde_eps_coeff}*eps) * Gtilde")
-    nonzero = sum(1 for n in range(cert.residual.prec) if cert.residual.coefficient(n))
+    vec = series_to_vector(cert.residual, cert.residual.prec)
+    deg = euler_phi(cert.residual.level)
+    nonzero = sum(1 for i in range(0, len(vec), deg) if any(vec[i:i + deg]))
     print(f"  + integral residual ({nonzero} nonzero coefficients)")
 
 
@@ -515,18 +519,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (DataError, FileNotFoundError, BasisError, PrecisionError,
-            LevelMismatchError, EpsPartError, MissingTwistError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader left before the verdict was written; stdout goes to
         # devnull so that the interpreter's last flush fails silently too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 4
+    except (DataError, OSError, UnicodeDecodeError, BasisError, PrecisionError,
+            LevelMismatchError, EpsPartError, MissingTwistError) as exc:
+        # OSError and UnicodeDecodeError: an unreadable or non-UTF-8 input path
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         # any other failure is a defect, and must never read as a false verdict
         message = str(exc).removesuffix(" (internal error)")

@@ -29,10 +29,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .exactnum import CycNum, EpsPoly, _coprime_part, euler_phi, prime_factors
+from .exactnum import _coprime_part, prime_factors
 from .genus import g_hat
 from .qseries import (EpsPartError, IntegralityReport, QSeries, _linear_combination,
-                      eps_split, is_integral_series, relative_integrality_check)
+                      eps_split, is_integral_series, relative_integrality_check,
+                      series_to_vector, vector_to_series)
 
 _ZERO = Fraction(0)
 
@@ -200,26 +201,6 @@ def default_generators(level: int, prec: int) -> list[tuple[int, str, QSeries]]:
         return [(1, "Ghat1", g_hat(4, 1, prec)), (2, "Ghat2", g_hat(4, 2, prec))]
     raise BasisError(
         f"no built-in generators for level {level}; supply a basis file")
-
-
-def series_to_vector(f: QSeries, prec: int) -> list[Fraction]:
-    """Flatten an eps-free series to phi(N)*prec rational coordinates."""
-    out: list[Fraction] = []
-    for n in range(prec):
-        c = f.coefficient(n)
-        if not c.is_eps_free():
-            raise EpsPartError("cannot flatten a series with eps-part")
-        out.extend(c.constant_part().coords)
-    return out
-
-
-def vector_to_series(level: int, prec: int, vec: Sequence[Fraction]) -> QSeries:
-    deg = euler_phi(level)
-    coeffs = []
-    for n in range(prec):
-        coords = vec[n * deg:(n + 1) * deg]
-        coeffs.append(EpsPoly.constant(CycNum(level, coords)))
-    return QSeries(level, prec, tuple(coeffs))
 
 
 class _ColumnSpace:
@@ -399,13 +380,13 @@ class EquivCertificate:
 
     def replay(self, lattice: IndeterminacyLattice) -> QSeries:
         """Reconstruct the certified difference from its parts, in one integer sum."""
-        terms = [((coeff,), entry.series.coeffs)
+        terms = [((coeff,), entry.series)
                  for coeff, entry in zip(self.basis_coeffs, lattice.basis.entries) if coeff]
         if lattice.gtilde is not None and (self.gtilde_coeff or self.gtilde_eps_coeff):
-            terms.append(((self.gtilde_coeff, self.gtilde_eps_coeff), lattice.gtilde.coeffs))
-        terms.append(((1,), self.residual.coeffs))
-        prec = min(self.prec, *(len(coeffs) for _, coeffs in terms))
-        return QSeries(self.level, prec, _linear_combination(self.level, prec, terms))
+            terms.append(((self.gtilde_coeff, self.gtilde_eps_coeff), lattice.gtilde))
+        terms.append(((1,), self.residual))
+        prec = min(self.prec, *(series.prec for _, series in terms))
+        return _linear_combination(self.level, prec, terms)
 
 
 @dataclass(frozen=True)

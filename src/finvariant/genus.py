@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import (CycNum, EpsPoly, bernoulli,
-                       eisenstein_weight_one_constant)
-from .qseries import QSeries, divisor_sum, sigma
+from .exactnum import CycNum, bernoulli, eisenstein_weight_one_constant
+from .qseries import QSeries, divisor_sum, series_to_vector, sigma
 
 
 def weight_constant(level: int, k: int) -> CycNum:
@@ -35,18 +34,17 @@ def g_hat(level: int, k: int, prec: int) -> QSeries:
 
     G_hat_k = c_k - sum_{n>=1} (sum_{d|n} (zeta^(-n/d) + (-1)^k zeta^(n/d)) d^(k-1)) q^n.
     """
-    if level < 2:
-        raise ValueError("level must be >= 2")
-    constant = EpsPoly.constant(weight_constant(level, k))
-    sign = 1 if k % 2 == 0 else -1
-    series = divisor_sum(level, prec, lambda d: d ** (k - 1), minus=-1, plus=-sign)
-    return QSeries(level, prec, (constant,) + series.coeffs[1:])
+    return g_tilde(level, k, prec) + weight_constant(level, k)
 
 
 def g_tilde(level: int, k: int, prec: int) -> QSeries:
     """G_hat_k with its constant term removed (starts at q^1)."""
-    f = g_hat(level, k, prec)
-    return QSeries(level, prec, (EpsPoly.zero(level),) + f.coeffs[1:])
+    if level < 2:
+        raise ValueError("level must be >= 2")
+    if k < 1:
+        raise ValueError("weight must be >= 1")
+    sign = 1 if k % 2 == 0 else -1
+    return divisor_sum(level, prec, lambda d: d ** (k - 1), minus=-1, plus=-sign)
 
 
 def g_tilde_level1(level: int, k: int, prec: int) -> QSeries:
@@ -231,11 +229,7 @@ def numeric_taylor(fn, order: int, radius: float = 0.4,
 def series_value(f: QSeries, tau: complex) -> complex:
     """Numeric value of an eps-free exact series at q = e^(2 pi i tau)."""
     q = _check_tau(tau)
-    acc = 0j
-    qn = 1 + 0j
-    for c in f.coeffs:
-        if not c.is_eps_free():
-            raise ValueError("cannot evaluate a series with eps-part")
-        acc += c.constant_part().to_complex() * qn
-        qn *= q
-    return acc
+    z = cmath.exp(2j * cmath.pi / f.level)
+    coords = series_to_vector(f, f.prec)
+    deg = len(coords) // f.prec
+    return sum((float(c) * z ** (i % deg) * q ** (i // deg) for i, c in enumerate(coords) if c), 0j)

@@ -1,18 +1,18 @@
-"""Truncated q-power series over EpsPoly coefficients.
+"""Truncated q-power series over Q(zeta_N)[eps], stored as integer rows over one denominator.
 
-A QSeries stores the coefficients of q^0 .. q^(prec-1) exactly. Arithmetic
-between series requires equal level and truncates to the smaller precision;
-equality is coefficientwise up to the shared precision.
+A QSeries holds q^0 .. q^(prec-1) exactly as a positive `den` and `parts`:
+per eps degree e, one flat tuple whose entry n*phi(N) + t is den times
+coordinate t (power basis) of the eps^e part of the q^n coefficient. The form
+is canonical (gcd(den, entries) = 1, last part nonzero) and only this module
+reads it; `coefficient(n)` builds one EpsPoly on demand and
+`series_to_vector`/`vector_to_series` are the flat rational view. Arithmetic
+requires equal levels and truncates to the smaller precision.
 
-The hot loops run in integers. Each eps-part of a coefficient list is
-split into integer power-basis rows over one common denominator
-(`_int_parts`); the series product multiplies two such parts by Kronecker
-substitution (one big-int product of the packed bivariate (q, zeta)
-polynomials, see Harvey, JSC 2009), `divisor_sum` sieves the rows with
-integer twist vectors, and the sum kernel `_linear_combination` adds
-rational (eps-polynomial) multiples of series as integer rows; +, -,
-rational scalar multiples and certificate replay are calls of it.
-Fractions are built once per output coordinate (`_from_int_parts`).
+Every operation runs on the rows: the product by Kronecker substitution (one
+big-int product of the packed (q, zeta) polynomials, see Harvey, JSC 2009),
+`divisor_sum` as an integer sieve, and +, -, rational multiples and
+certificate replay as one integer sum, `_linear_combination`. Input
+coefficients (rationals, CycNum, EpsPoly) become rows once, in `_int_parts`.
 """
 
 from __future__ import annotations
@@ -20,12 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import add, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
-from .exactnum import (_ZERO, CycNum, EpsPoly, LevelMismatchError, Scalar, _reduction_table,
-                       _zeta_power_coords, euler_phi)
+from .exactnum import (_ZERO, CycNum, EpsPoly, LevelMismatchError, Scalar, _coprime_part,
+                       _reduction_table, _zeta_power_coords, euler_phi)
+
+Coefficient = Union[Scalar, CycNum, EpsPoly]
 
 
 @lru_cache(maxsize=None)
@@ -47,35 +50,34 @@ def sigma(n: int, k: int) -> int:
     return sum(d ** k for d in divisors(n))
 
 
-def _as_eps(level: int, c) -> EpsPoly:
-    """A rational, CycNum or EpsPoly as an EpsPoly of the given level."""
-    if isinstance(c, (int, Fraction)):
-        return EpsPoly.rational(level, c)
-    if isinstance(c, CycNum):
-        return EpsPoly.constant(c)
-    return c
-
-
 class QSeries:
-    """Truncated q-expansion with EpsPoly coefficients sharing one level."""
+    """Truncated q-expansion over Q(zeta_level)[eps]: integer rows over one denominator."""
 
-    __slots__ = ("level", "prec", "coeffs")
+    __slots__ = ("level", "prec", "den", "parts")
 
-    def __init__(self, level: int, prec: int, coeffs: Sequence[EpsPoly]):
+    def __init__(self, level: int, prec: int, coeffs: Sequence[Coefficient]):
+        values = list(coeffs)[:prec]
+        self._store(level, prec, *_int_parts(level, values + [0] * (prec - len(values))))
+
+    @classmethod
+    def _of(cls, level: int, prec: int, den: int, parts: Sequence[Sequence[int]]) -> "QSeries":
+        """The series sum_e eps^e * parts[e] / den, each part prec*phi(level) ints."""
+        f = object.__new__(cls)
+        f._store(level, prec, den, parts)
+        return f
+
+    def _store(self, level: int, prec: int, den: int, parts: Sequence[Sequence[int]]) -> None:
+        """Set the canonical form: trailing zero parts dropped, gcd(den, entries) = 1."""
         if prec < 1:
             raise ValueError("precision must be >= 1")
-        cs = list(coeffs)
-        if len(cs) > prec:
-            cs = cs[:prec]
-        zero = EpsPoly.zero(level)
-        while len(cs) < prec:
-            cs.append(zero)
-        for c in cs:
-            if c.level != level:
-                raise LevelMismatchError("series coefficient level mismatch")
+        parts = list(parts)
+        while parts and not any(parts[-1]):
+            parts.pop()
+        g = gcd(den, *chain.from_iterable(parts))
         self.level = level
         self.prec = prec
-        self.coeffs: tuple[EpsPoly, ...] = tuple(cs)
+        self.den = den // g
+        self.parts = tuple(tuple(p) if g == 1 else tuple(x // g for x in p) for p in parts)
 
     # -- constructors ------------------------------------------------------
 
@@ -85,35 +87,45 @@ class QSeries:
 
     @classmethod
     def one(cls, level: int, prec: int) -> "QSeries":
-        return cls(level, prec, (EpsPoly.rational(level, 1),))
+        return cls(level, prec, (1,))
 
     @classmethod
     def from_rationals(cls, level: int, prec: int,
                        values: Sequence[Scalar]) -> "QSeries":
-        return cls(level, prec,
-                   tuple(EpsPoly.rational(level, v) for v in values))
+        return cls(level, prec, values)
 
     # -- structure ---------------------------------------------------------
 
     def coefficient(self, n: int) -> EpsPoly:
         if not 0 <= n < self.prec:
             raise IndexError(f"coefficient q^{n} beyond precision {self.prec}")
-        return self.coeffs[n]
+        deg = euler_phi(self.level)
+        return EpsPoly(self.level, tuple(
+            CycNum(self.level, [Fraction(v, self.den) if v else _ZERO
+                                for v in part[n * deg:(n + 1) * deg]])
+            for part in self.parts))
+
+    @property
+    def coeffs(self) -> tuple[EpsPoly, ...]:
+        """Every coefficient as an EpsPoly, built on demand."""
+        return tuple(self.coefficient(n) for n in range(self.prec))
 
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise ValueError("cannot extend precision by truncation")
-        return QSeries(self.level, prec, self.coeffs[:prec])
+        size = prec * euler_phi(self.level)
+        # dropped entries may have held the only factor not shared with den
+        return QSeries._of(self.level, prec, self.den, [p[:size] for p in self.parts])
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not self.parts
 
     def eps_degree(self) -> int:
         """Largest eps-degree over all coefficients (-1 for the zero series)."""
-        return max((c.eps_degree for c in self.coeffs), default=-1)
+        return len(self.parts) - 1
 
     def is_eps_free(self) -> bool:
-        return all(c.is_eps_free() for c in self.coeffs)
+        return len(self.parts) <= 1
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -124,7 +136,9 @@ class QSeries:
         if self.level != other.level:
             return False
         p = min(self.prec, other.prec)
-        return self.coeffs[:p] == other.coeffs[:p]
+        a = self if self.prec == p else self.truncate(p)
+        b = other if other.prec == p else other.truncate(p)
+        return a.den == b.den and a.parts == b.parts
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -134,7 +148,7 @@ class QSeries:
                 raise LevelMismatchError("series level mismatch")
             return other
         if isinstance(other, (int, Fraction, CycNum, EpsPoly)):
-            return QSeries(self.level, self.prec, (_as_eps(self.level, other),))
+            return QSeries(self.level, self.prec, (other,))
         raise TypeError(f"cannot combine QSeries with {type(other)!r}")
 
     def __add__(self, other) -> "QSeries":
@@ -148,28 +162,21 @@ class QSeries:
     def _combine(self, other, sign: int) -> "QSeries":
         """self + sign*other through the integer sum kernel."""
         o = self._coerce(other)
-        p = min(self.prec, o.prec)
-        return QSeries(self.level, p, _linear_combination(
-            self.level, p, (((1,), self.coeffs), ((sign,), o.coeffs))))
+        return _linear_combination(self.level, min(self.prec, o.prec),
+                                   (((1,), self), ((sign,), o)))
 
     def __rsub__(self, other) -> "QSeries":
         return self._coerce(other) - self
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.level, self.prec, tuple(-c for c in self.coeffs))
+        return QSeries._of(self.level, self.prec, self.den,
+                           [[-x for x in p] for p in self.parts])
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            return QSeries(self.level, self.prec,
-                           _linear_combination(self.level, self.prec, (((other,), self.coeffs),)))
-        if isinstance(other, (CycNum, EpsPoly)):
-            factor = _as_eps(self.level, other)
-            return QSeries(self.level, self.prec,
-                           tuple(c * factor for c in self.coeffs))
+            return _linear_combination(self.level, self.prec, (((other,), self),))
         o = self._coerce(other)
-        p = min(self.prec, o.prec)
-        return QSeries(self.level, p,
-                       _series_product(self.level, p, self.coeffs[:p], o.coeffs[:p]))
+        return _series_product(self.level, min(self.prec, o.prec), self, o)
 
     __rmul__ = __mul__
 
@@ -185,9 +192,10 @@ class QSeries:
         """Multiply by q^offset, truncating at the same precision."""
         if offset < 0:
             raise ValueError("negative shifts not supported")
-        zero = EpsPoly.zero(self.level)
-        return QSeries(self.level, self.prec,
-                       (zero,) * offset + self.coeffs[: self.prec - offset])
+        deg = euler_phi(self.level)
+        size, gap = self.prec * deg, min(offset, self.prec) * deg
+        return QSeries._of(self.level, self.prec, self.den,
+                           [(0,) * gap + p[:size - gap] for p in self.parts])
 
     def __repr__(self) -> str:
         return f"QSeries(level={self.level}, prec={self.prec})"
@@ -205,6 +213,29 @@ class EpsPartError(ValueError):
     """Raised when an operation requires an eps-free series."""
 
 
+def series_to_vector(f: QSeries, prec: int) -> list[Fraction]:
+    """The coordinates of q^0 .. q^(prec-1) of an eps-free series, phi(N)*prec rationals.
+
+    Raises EpsPartError for an eps-part among those coefficients and
+    IndexError for prec beyond f.prec.
+    """
+    size = prec * euler_phi(f.level)
+    if any(any(p[:size]) for p in f.parts[1:]):
+        raise EpsPartError("cannot flatten a series with eps-part")
+    if prec > f.prec:
+        raise IndexError(f"coefficient q^{f.prec} beyond precision {f.prec}")
+    return [Fraction(v, f.den) if v else _ZERO for v in (f.parts or [(0,) * size])[0][:size]]
+
+
+def vector_to_series(level: int, prec: int, vec: Sequence[Scalar]) -> QSeries:
+    """The eps-free series whose flattened coordinates are vec (zero past its end)."""
+    size = prec * euler_phi(level)
+    vec = vec[:size]
+    den = lcm(*(x.denominator for x in vec))
+    return QSeries._of(level, prec, den, [[x.numerator * (den // x.denominator) for x in vec]
+                                          + [0] * (size - len(vec))])
+
+
 @dataclass(frozen=True)
 class IntegralityReport:
     integral: bool
@@ -215,12 +246,17 @@ class IntegralityReport:
 
 
 def relative_integrality_check(f: QSeries) -> IntegralityReport:
-    """Coefficientwise Z[zeta,1/N]-integrality with the first failure reported."""
+    """Coefficientwise Z[zeta,1/N]-integrality with the first failure reported.
+
+    An entry v/den is integral exactly when the part of den prime to N divides v.
+    """
     if not f.is_eps_free():
         raise EpsPartError("integrality undefined for series with eps-part")
-    for n, c in enumerate(f.coeffs):
-        if not c.constant_part().is_n_integral():
-            return IntegralityReport(False, n)
+    d = _coprime_part(f.den, f.level)
+    if d > 1:
+        for i, v in enumerate(f.parts[0]):
+            if v % d:
+                return IntegralityReport(False, i // euler_phi(f.level))
     return IntegralityReport(True, None)
 
 
@@ -234,82 +270,74 @@ def eps_split(f: QSeries) -> list[QSeries]:
 
     The list has length eps_degree + 1 (a single entry for eps-free input).
     """
-    top = max(f.eps_degree(), 0)
-    out = []
-    for j in range(top + 1):
-        out.append(QSeries(
-            f.level, f.prec,
-            tuple(EpsPoly.constant(c.coefficient(j)) for c in f.coeffs)))
-    return out
+    return [QSeries._of(f.level, f.prec, f.den, (part,)) for part in f.parts] or [f]
 
 
 # ---------------------------------------------------------------------------
 # Integer kernels
 
 
-IntRows = list[list[int]]
+def _int_parts(level: int, values: Sequence[Coefficient]) -> tuple[int, list[list[int]]]:
+    """Rationals, CycNums and EpsPolys as flat integer rows per eps part, over one denominator.
 
-
-def _int_parts(coeffs: Sequence[Optional[EpsPoly]], deg: int) -> tuple[list[IntRows], int]:
-    """Coefficients (None for zero) as integer rows per eps part over one denominator.
-
-    Returns (parts, den): parts[e][n][t] is den times coordinate t of the
-    eps^e coefficient of coeffs[n], and den is the least common denominator
+    Returns (den, parts): parts[e][n*phi(level) + t] is den times coordinate t
+    of the eps^e part of values[n], and den is the least common denominator
     of all coordinates.
     """
-    top = max((len(c.coeffs) for c in coeffs if c), default=0)
-    den = lcm(*(x.denominator for c in coeffs if c for y in c.coeffs for x in y.coords))
+    deg = euler_phi(level)
+    coords = []
+    for c in values:
+        if isinstance(c, (CycNum, EpsPoly)):
+            if c.level != level:
+                raise LevelMismatchError("series coefficient level mismatch")
+            coords.append((c.coords,) if isinstance(c, CycNum) else
+                          tuple(x.coords for x in c.coeffs))
+        elif isinstance(c, (int, Fraction)):
+            coords.append(((c,),) if c else ())
+        else:
+            raise TypeError(f"series coefficient must be exact, not {type(c)!r}")
+    den = lcm(*(x.denominator for cs in coords for row in cs for x in row))
     zero = [0] * deg
-    return [[[x.numerator * (den // x.denominator) for x in c.coeffs[e].coords]
-             if c and e < len(c.coeffs) else zero for c in coeffs]
-            for e in range(top)], den
-
-
-def _from_int_parts(level: int, parts: Sequence[IntRows], den: int,
-                    count: int) -> tuple[EpsPoly, ...]:
-    """The first count coefficients sum_e eps^e * parts[e][n] / den."""
-    return tuple(
-        EpsPoly(level, tuple(
-            CycNum(level, [Fraction(v, den) if v else _ZERO for v in rows[n]])
-            for rows in parts))
-        for n in range(count))
+    parts = []
+    for e in range(max(map(len, coords), default=0)):
+        flat: list[int] = []
+        for cs in coords:
+            row = [x.numerator * (den // x.denominator) for x in cs[e]] if e < len(cs) else zero
+            flat += row
+            flat += zero[len(row):]
+        parts.append(flat)
+    return den, parts
 
 
 def _linear_combination(level: int, prec: int,
-                        terms: Sequence[tuple[Sequence[Scalar], Sequence[EpsPoly]]]
-                        ) -> tuple[EpsPoly, ...]:
-    """Coefficients of sum (s_0 + s_1*eps + ...) * coeffs to O(q^prec), in integers.
+                        terms: Sequence[tuple[Sequence[Scalar], QSeries]]) -> QSeries:
+    """sum (s_0 + s_1*eps + ...) * series to O(q^prec), in integers.
 
-    Each term pairs rational scalars s_j, one per eps degree, with a
-    coefficient sequence of length >= prec. Every term's rows are scaled to
-    one common denominator and summed as integers.
+    Each term pairs rational scalars s_j, one per eps degree, with a series
+    of precision >= prec. Every term's rows are scaled to one common
+    denominator and summed as integers.
     """
-    deg = euler_phi(level)
-    scaled = []
-    for scalars, coeffs in terms:
-        parts, den = _int_parts(coeffs[:prec], deg)
-        if parts:
-            scaled.append(([Fraction(s) for s in scalars], parts, den))
-    total = lcm(*(den * s.denominator for scalars, _, den in scaled for s in scalars if s))
-    top = max((len(scalars) + len(parts) - 1 for scalars, parts, _ in scaled), default=0)
-    sums = [[0] * (prec * deg) for _ in range(top)]
-    for scalars, parts, den in scaled:
+    size = prec * euler_phi(level)
+    scaled = [([Fraction(s) for s in scalars], f) for scalars, f in terms if f.parts]
+    total = lcm(*(f.den * s.denominator for scalars, f in scaled for s in scalars if s))
+    top = max((len(scalars) + len(f.parts) - 1 for scalars, f in scaled), default=0)
+    sums = [[0] * size for _ in range(top)]
+    for scalars, f in scaled:
         for i, s in enumerate(scalars):
             if s:
-                m = s.numerator * (total // (den * s.denominator))
-                for e, rows in enumerate(parts):
-                    sums[i + e] = list(map(add, sums[i + e], [m * x for row in rows for x in row]))
-    return _from_int_parts(level, [[flat[n * deg:(n + 1) * deg] for n in range(prec)]
-                                   for flat in sums], total, prec)
+                m = s.numerator * (total // (f.den * s.denominator))
+                for e, part in enumerate(f.parts):
+                    sums[i + e] = list(map(add, sums[i + e], [m * x for x in part[:size]]))
+    return QSeries._of(level, prec, total, sums)
 
 
-def _pack(rows: IntRows, stride: int, width: int) -> int:
-    """Signed rows as one int: entry t of row n in slot n*stride + t, width bytes a slot."""
+def _pack(flat: Sequence[int], deg: int, stride: int, width: int) -> int:
+    """Signed rows of deg entries as one int: entry n*deg + t in slot n*stride + t, width bytes each."""
     half = 1 << (8 * width - 1)
-    pad = half.to_bytes(width, "little") * (stride - len(rows[0]))
-    packed = b"".join(b"".join((v + half).to_bytes(width, "little") for v in row) + pad
-                      for row in rows)
-    return int.from_bytes(packed, "little") - _slot_offset(width, len(rows) * stride)
+    pad = half.to_bytes(width, "little") * (stride - deg)
+    cells = [(v + half).to_bytes(width, "little") for v in flat]
+    packed = b"".join(b"".join(cells[i:i + deg]) + pad for i in range(0, len(cells), deg))
+    return int.from_bytes(packed, "little") - _slot_offset(width, len(flat) // deg * stride)
 
 
 def _unpack(z: int, count: int, width: int) -> list[int]:
@@ -326,9 +354,8 @@ def _slot_offset(width: int, count: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def _series_product(level: int, prec: int, a: Sequence[EpsPoly],
-                    b: Sequence[EpsPoly]) -> tuple[EpsPoly, ...]:
-    """Coefficients of a*b to O(q^prec) by Kronecker substitution.
+def _series_product(level: int, prec: int, a: QSeries, b: QSeries) -> QSeries:
+    """a*b to O(q^prec) by Kronecker substitution.
 
     Each eps part of a factor is packed into one int with 2*deg-1 slots per
     q-power, so the zeta-degree of a product term stays inside its q-power;
@@ -337,16 +364,17 @@ def _series_product(level: int, prec: int, a: Sequence[EpsPoly],
     polynomial column by column.
     """
     deg = euler_phi(level)
-    stride = 2 * deg - 1
-    (parts_a, den_a), (parts_b, den_b) = _int_parts(a, deg), _int_parts(b, deg)
-    if not parts_a or not parts_b:
-        return _from_int_parts(level, (), 1, prec)
-    big_a = max(abs(v) for rows in parts_a for row in rows for v in row)
-    big_b = max(abs(v) for rows in parts_b for row in rows for v in row)
-    terms = min(len(parts_a), len(parts_b)) * prec * deg
+    if not a.parts or not b.parts:
+        return QSeries.zero(level, prec)
+    stride, size = 2 * deg - 1, prec * deg
+    parts_a = [p[:size] for p in a.parts]
+    parts_b = [p[:size] for p in b.parts]
+    big_a = max(max(map(abs, p)) for p in parts_a)
+    big_b = max(max(map(abs, p)) for p in parts_b)
+    terms = min(len(parts_a), len(parts_b)) * size
     width = (big_a.bit_length() + big_b.bit_length() + terms.bit_length() + 2 + 7) // 8
-    packed_a = [_pack(rows, stride, width) for rows in parts_a]
-    packed_b = [_pack(rows, stride, width) for rows in parts_b]
+    packed_a = [_pack(p, deg, stride, width) for p in parts_a]
+    packed_b = [_pack(p, deg, stride, width) for p in parts_b]
     out = []
     for k in range(len(parts_a) + len(parts_b) - 1):
         z = sum(packed_a[i] * packed_b[k - i]
@@ -358,8 +386,11 @@ def _series_product(level: int, prec: int, a: Sequence[EpsPoly],
             for t, r in enumerate(red):
                 if r:
                     cols[t] = [x + r * y for x, y in zip(cols[t], high)]
-        out.append([list(row) for row in zip(*cols[:deg])])
-    return _from_int_parts(level, out, den_a * den_b, prec)
+        flat = [0] * size
+        for t in range(deg):
+            flat[t::deg] = cols[t]
+        out.append(flat)
+    return QSeries._of(level, prec, a.den * b.den, out)
 
 
 @lru_cache(maxsize=None)
@@ -380,31 +411,23 @@ def _twist_matrices(level: int, minus: int,
     return tuple(matrices)
 
 
-def divisor_sum(level: int, prec: int, coeff: Callable[[int], object],
+def divisor_sum(level: int, prec: int, coeff: Callable[[int], Coefficient],
                 minus: int = 0, plus: int = 0) -> QSeries:
     """The sieve sum_{n>=1} sum_{d*j=n} coeff(d) (minus*zeta^(-j) + plus*zeta^j) q^n.
 
     coeff(d) is a rational, CycNum or EpsPoly; the weight is 1 when
-    minus = plus = 0. g_hat and the four assembly formulas are calls of it.
+    minus = plus = 0. g_tilde and the four assembly formulas are calls of it.
     coeff is evaluated once per d; each product coeff(d)*weight(j) is taken
     once per residue of j mod level, in integers.
     """
-    values: list[Optional[EpsPoly]] = [None]
-    for d in range(1, prec):
-        c = coeff(d)
-        if c:
-            c = _as_eps(level, c)
-            if c.level != level:
-                raise LevelMismatchError("series coefficient level mismatch")
-        values.append(c or None)
     deg = euler_phi(level)
     twists = _twist_matrices(level, minus, plus) if minus or plus else None
-    parts, den = _int_parts(values, deg)
+    den, parts = _int_parts(level, [0] + [coeff(d) for d in range(1, prec)])
     sums = []
-    for rows in parts:
+    for flat in parts:
         acc = [[0] * deg for _ in range(prec)]
         for d in range(1, prec):
-            row = rows[d]
+            row = flat[d * deg:(d + 1) * deg]
             if not any(row):
                 continue
             top = (prec - 1) // d
@@ -414,13 +437,5 @@ def divisor_sum(level: int, prec: int, coeff: Callable[[int], object],
                     terms[j % level] = [sum(map(mul, row, col)) for col in twists[j % level]]
             for j in range(1, top + 1):
                 acc[d * j] = list(map(add, acc[d * j], terms[j % level]))
-        sums.append(acc)
-    return QSeries(level, prec, _from_int_parts(level, sums, den, prec))
-
-
-def divisor_weighted_series(level: int, prec: int, weight: int,
-                            sign: int) -> QSeries:
-    """The double divisor sum sum_{n>=1} sum_{d|n} (zeta^(-n/d) + sign*zeta^(n/d)) d^(weight-1) q^n."""
-    if weight < 1:
-        raise ValueError("weight must be >= 1")
-    return divisor_sum(level, prec, lambda d: d ** (weight - 1), minus=1, plus=sign)
+        sums.append([x for row in acc for x in row])
+    return QSeries._of(level, prec, den, sums)

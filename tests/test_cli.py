@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, file formats, exit codes, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -372,6 +373,42 @@ def test_assemble_repeated_twist_index_exit_three(tmp_path, capsys):
     assert err == f"error: {xi_path}:3: repeated twist index 1\n"
 
 
+def test_input_directory_exit_three(tmp_path, capsys):
+    # a directory where a series or xi-table file is expected is bad input
+    pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(3, 8))
+    code, _, err = run_cli(capsys, "divcong", str(tmp_path), str(pg), "-N", "3",
+                           "-w", "0", "--basis", str(tmp_path / "bases"))
+    assert code == 3
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    code, _, err = run_cli(capsys, "assemble", "--kind", "quaternionic", "--xi",
+                           str(tmp_path), "-l", "1", "-N", "3", "-p", "4")
+    assert code == 3
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_basis_path_is_a_file_exit_three(tmp_path, capsys):
+    pf = _write_series_file(tmp_path, "F.txt", QSeries.zero(3, 8))
+    code, _, err = run_cli(capsys, "divcong", str(pf), str(pf), "-N", "3",
+                           "-w", "2", "--basis", str(pf))
+    assert code == 3
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_non_utf8_input_exit_three(tmp_path, capsys):
+    series = tmp_path / "F.txt"
+    series.write_bytes(b"level=3 weight=? prec=1 label=\xff\n0 1 0\n")
+    code, _, err = run_cli(capsys, "divcong", str(series), str(series), "-N", "3",
+                           "-w", "0", "--basis", str(tmp_path / "bases"))
+    assert code == 3
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    xi = tmp_path / "xi.txt"
+    xi.write_bytes(b"1 1/2 # \xe9\n")
+    code, _, err = run_cli(capsys, "assemble", "--kind", "quaternionic", "--xi",
+                           str(xi), "-l", "1", "-N", "3", "-p", "2")
+    assert code == 3
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_internal_error_exit_four(tmp_path, capsys, monkeypatch):
     # a failed internal check must not look like a false verdict (exit 1)
     def broken(F, G, lattice):
@@ -469,3 +506,42 @@ def test_oracle_passes(capsys):
     code, out, _ = run_cli(capsys, "oracle", "-N", "3", "-k", "4", "-p", "40")
     assert code == 0
     assert "PASS" in out
+
+
+# The README command tour, minus `oracle` (floating-point output): exit code
+# and sha256 of stdout, generated before series moved to integer storage.
+_README_TOUR = {
+    "eis": (["eis", "-N", "3", "-k", "2", "-p", "5"],
+            0, "526902eefa6d3862be9fc03f1f9fa5ef7af79af7a0da0f2f5fdb8d4624cff2ed"),
+    "eis-machine": (["eis", "-N", "3", "-k", "2", "-p", "10", "--tilde", "--machine"],
+                    0, "15417b2a94db0da540c39f518b8fe75e54c10cfa9c748a311b574ef06c24d079"),
+    "ell": (["ell", "-N", "3", "-k", "4", "-p", "8", "--quaternionic", "1"],
+            0, "2099c4a1cc5ca3664d05a9ccee0133b0a1e5f8670e90271e5748aee1b771b0b3"),
+    "g2": (["g2", "-N", "5", "-p", "50"],
+           0, "4bf1293d2986ef8911d7607d500972aa0e12242473199bdc2c205f1fdafb546f"),
+    "assemble": (["assemble", "--kind", "complex-reduced", "--xi", "{xi}", "-l", "3",
+                  "-N", "3", "-p", "12", "--machine"],
+                 0, "0c9f6409febdd7084d13cc2e636da4772feb5bd87b3d31512eb10c8ff3a8949d"),
+    "eta2": (["example", "eta2", "-N", "3", "-p", "12", "--basis", "{bases}"],
+             0, "ed32d162eb1d89f7c7684fb2b7220206b18689b12a38998fd999ddbd5345966d"),
+    "nu2": (["example", "nu2", "-N", "3", "-p", "10", "--basis", "{bases}"],
+            0, "c2085d93bd18854da25268b9a48b79b4150db3680740463b95ff89259fb2e02b"),
+    "etasigma": (["example", "etasigma", "-N", "3", "-p", "20", "--basis", "{bases}"],
+                 0, "839f8b199d666086b62ae32215fc69b09b877593bc84f89ee45282148cecc209"),
+    "su3": (["example", "su3", "-N", "3", "-p", "16", "--basis", "{bases}"],
+            0, "db2ce900adc622ebc4f3402d6d79f8e008a4c7a0d75a0882ea72bbd855a8b886"),
+    "trivial": (["example", "trivial", "-N", "3", "-e", "5/7", "--basis", "{bases}"],
+                0, "f4bc6880632075574cb64b822c468c2edfaca9c2203545ea2ffd91595475358c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_README_TOUR))
+def test_readme_tour_golden(tmp_path, capsys, name):
+    argv, want_code, want_sha = _README_TOUR[name]
+    xi = tmp_path / "xi.txt"
+    # constant and eps values, so the output has an eps block
+    xi.write_text("".join(f"{d} -{d}/12 1/{d + 1}\n" for d in range(1, 12)), encoding="utf-8")
+    argv = [a.format(xi=xi, bases=tmp_path / "bases") for a in argv]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha

@@ -12,8 +12,8 @@ from finvariant.genus import (DivergenceError, PoleError, ell_expansion,
                               g_tilde, g_tilde_level1, numeric_taylor,
                               phi_numeric, psi_numeric, series_value,
                               weight_constant)
-from finvariant.qseries import (divisor_weighted_series, divisors,
-                                is_integral_series, sigma)
+from finvariant.qseries import (divisor_sum, divisors, is_integral_series,
+                                sigma)
 
 
 def test_g_hat_level3_weight1():
@@ -137,7 +137,7 @@ def test_conjugation_symmetry_of_divisor_sums():
     for level in (3, 5):
         for k in (1, 2, 3):
             sign = 1 if k % 2 == 0 else -1
-            f = divisor_weighted_series(level, 15, k, sign)
+            f = divisor_sum(level, 15, lambda d: d ** (k - 1), minus=1, plus=sign)
             for n in range(15):
                 value = f.coefficient(n).constant_part()
                 assert value.galois(-1) == value * sign

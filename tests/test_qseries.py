@@ -7,10 +7,10 @@ from math import gcd
 import pytest
 
 from conftest import random_series
-from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, eps
+from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, eps, euler_phi
 from finvariant.genus import g2
-from finvariant.qseries import (EpsPartError, QSeries, divisor_weighted_series,
-                                divisors, eps_split, is_integral_series, sigma)
+from finvariant.qseries import (EpsPartError, QSeries, divisor_sum, divisors,
+                                eps_split, is_integral_series, sigma)
 
 
 def test_difference_of_squares():
@@ -103,7 +103,7 @@ def test_eps_split_eps_free_and_pure():
 
 def test_divisor_weighted_first_coefficient():
     # n = 1 has the single divisor d = 1: zeta^-1 - zeta
-    f = divisor_weighted_series(3, 4, 1, -1)
+    f = divisor_sum(3, 4, lambda d: d ** 0, minus=1, plus=-1)
     expected = CycNum.zeta(3, -1) - CycNum.zeta(3)
     assert f.coefficient(1) == EpsPoly.constant(expected)
     assert f.coefficient(0) == EpsPoly.zero(3)
@@ -111,17 +111,17 @@ def test_divisor_weighted_first_coefficient():
 
 def test_divisor_weighted_level2_odd_weight_vanishes():
     # zeta = -1 makes zeta^-j - zeta^j vanish identically
-    assert divisor_weighted_series(2, 30, 1, -1).is_zero()
+    assert divisor_sum(2, 30, lambda d: d ** 0, minus=1, plus=-1).is_zero()
 
 
 def test_divisor_weighted_weight2_value():
     # n = 2: (zeta^-2+zeta^2)*1 + (zeta^-1+zeta)*2 = -3 at level 3
-    f = divisor_weighted_series(3, 4, 2, 1)
+    f = divisor_sum(3, 4, lambda d: d ** 1, minus=1, plus=1)
     assert f.coefficient(2) == EpsPoly.rational(3, -3)
 
 
 def test_divisor_weighted_real_at_level2():
-    f = divisor_weighted_series(2, 20, 3, 1)
+    f = divisor_sum(2, 20, lambda d: d ** 2, minus=1, plus=1)
     for n in range(20):
         value = f.coefficient(n).constant_part()
         assert value.rational_part() is not None
@@ -130,7 +130,7 @@ def test_divisor_weighted_real_at_level2():
 def test_divisor_weighted_even_weight_rational_coefficients():
     # for even k the summands zeta^-j + zeta^j are conjugation-fixed, so
     # every coordinate outside the rational line vanishes
-    f = divisor_weighted_series(3, 25, 2, 1)
+    f = divisor_sum(3, 25, lambda d: d ** 1, minus=1, plus=1)
     for n in range(25):
         assert f.coefficient(n).constant_part().rational_part() is not None
 
@@ -162,3 +162,55 @@ def test_equality_up_to_shared_precision():
     assert g == f
     h = QSeries.from_rationals(3, 3, [1, 2, 4])
     assert f != h
+
+
+# ---------------------------------------------------------------------------
+# Storage: integer rows over one denominator, in canonical form
+
+
+def _assert_canonical(f: QSeries) -> None:
+    assert f.den > 0
+    assert gcd(f.den, *(x for part in f.parts for x in part)) == 1
+    assert all(len(part) == f.prec * euler_phi(f.level) for part in f.parts)
+    assert not f.parts or any(f.parts[-1])
+
+
+def _eps_series(rng, level, prec, eps_degree):
+    return QSeries(level, prec, [
+        EpsPoly(level, [CycNum(level, [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                       for _ in range(euler_phi(level))])
+                        for _ in range(eps_degree + 1)])
+        for _ in range(prec)])
+
+
+@pytest.mark.parametrize("level", (2, 3, 5, 12))
+def test_storage_canonical_after_every_operation(level):
+    rng = random.Random(400 + level)
+    for _ in range(6):
+        a = _eps_series(rng, level, rng.randint(1, 8), rng.randint(0, 2))
+        b = _eps_series(rng, level, rng.randint(1, 8), rng.randint(0, 1))
+        results = [a, a + b, a - b, a * b, a * Fraction(3, 4), a * 0, -a,
+                   a.truncate(rng.randint(1, a.prec)), a.shift(rng.randint(0, a.prec + 1)),
+                   *eps_split(a)]
+        for f in results:
+            _assert_canonical(f)
+
+
+def test_truncation_that_shrinks_the_denominator():
+    # the only entry with denominator 7 is cut off, so den drops from 14 to 2
+    f = QSeries.from_rationals(3, 4, [Fraction(1, 2), 1, 3, Fraction(1, 7)])
+    assert f.den == 14
+    cut = f.truncate(3)
+    direct = QSeries.from_rationals(3, 3, [Fraction(1, 2), 1, 3])
+    assert cut.den == direct.den == 2 and cut.parts == direct.parts
+    assert cut == direct
+    _assert_canonical(f.shift(1).truncate(3))
+
+
+def test_scaling_round_trip_and_cancellation():
+    rng = random.Random(41)
+    f = _eps_series(rng, 5, 7, 2)
+    assert (f * 3) * Fraction(1, 3) == f
+    assert ((f * 3) * Fraction(1, 3)).parts == f.parts
+    assert (f - f).eps_degree() == -1
+    assert (f - f).parts == () and (f - f).den == 1

@@ -22,7 +22,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 from .divcong import (BasisEntry, BasisError, EquivResult, ModularBasis,
                       PrecisionError, build_basis, is_equivalent,
@@ -34,7 +34,7 @@ from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLE_LATTICES,
                         assemble_complex_reduced, assemble_quaternionic,
                         assemble_quaternionic_reduced, example_lattice,
                         run_example)
-from .genus import (ell_expansion, ell_numeric, ell_quaternionic, g2, g_hat,
+from .genus import (ell_expansion, ell_function, ell_quaternionic, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
 from .qseries import (EpsPartError, QSeries, eps_split, is_integral_series, series_to_vector,
                       vector_to_series)
@@ -77,6 +77,18 @@ def _parse_fraction(tok: str, where: str) -> Fraction:
         raise DataError(f"{where}: bad rational {tok!r}") from exc
 
 
+def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each non-blank line of a UTF-8 file, comments cut."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    yield line_no, line
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def read_blocks(path: Path) -> list[tuple[Optional[int], str, QSeries]]:
     """Parse a series/basis file into (weight, label, series) blocks."""
     blocks: list[tuple[Optional[int], str, QSeries]] = []
@@ -105,23 +117,19 @@ def read_blocks(path: Path) -> list[tuple[Optional[int], str, QSeries]]:
         blocks.append((header["weight"], header["label"], vector_to_series(level, prec, vec)))
         header, rows = None, []
 
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("level="):
-                flush(line_no)
-                header = _parse_header(line, path, line_no)
-                continue
-            if header is None:
-                raise DataError(f"{path}:{line_no}: coefficient line before any header")
-            toks = line.split()
-            try:
-                n = int(toks[0])
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: bad coefficient index {toks[0]!r}") from exc
-            rows.append((n, [_parse_fraction(t, f"{path}:{line_no}") for t in toks[1:]]))
+    for line_no, line in _data_lines(path):
+        if line.startswith("level="):
+            flush(line_no)
+            header = _parse_header(line, path, line_no)
+            continue
+        if header is None:
+            raise DataError(f"{path}:{line_no}: coefficient line before any header")
+        toks = line.split()
+        try:
+            n = int(toks[0])
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: bad coefficient index {toks[0]!r}") from exc
+        rows.append((n, [_parse_fraction(t, f"{path}:{line_no}") for t in toks[1:]]))
     flush(-1)
     if not blocks:
         raise DataError(f"{path}: no series blocks found")
@@ -305,23 +313,19 @@ def _cmd_divcong(args) -> int:
 
 def _read_xi_table(path: Path, kind: str, level: int, l: int) -> XiTable:
     entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            if len(toks) not in (2, 3):
-                raise DataError(f"{path}:{line_no}: expected 'd value [eps-value]'")
-            try:
-                d = int(toks[0])
-            except ValueError as exc:
-                raise DataError(f"{path}:{line_no}: bad twist index {toks[0]!r}") from exc
-            if d in entries:
-                raise DataError(f"{path}:{line_no}: repeated twist index {d}")
-            const = _parse_fraction(toks[1], f"{path}:{line_no}")
-            eps_c = _parse_fraction(toks[2], f"{path}:{line_no}") if len(toks) == 3 else Fraction(0)
-            entries[d] = EpsPoly.linear(level, const, eps_c)
+    for line_no, line in _data_lines(path):
+        toks = line.split()
+        if len(toks) not in (2, 3):
+            raise DataError(f"{path}:{line_no}: expected 'd value [eps-value]'")
+        try:
+            d = int(toks[0])
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: bad twist index {toks[0]!r}") from exc
+        if d in entries:
+            raise DataError(f"{path}:{line_no}: repeated twist index {d}")
+        const = _parse_fraction(toks[1], f"{path}:{line_no}")
+        eps_c = _parse_fraction(toks[2], f"{path}:{line_no}") if len(toks) == 3 else Fraction(0)
+        entries[d] = EpsPoly.linear(level, const, eps_c)
     if not entries:
         raise DataError(f"{path}: empty xi table")
     try:
@@ -400,8 +404,8 @@ def _cmd_oracle(args) -> int:
     for level in levels:
         exp = ell_expansion(level, args.max_weight, args.prec)
         for tau in taus:
-            coeffs = numeric_taylor(lambda x: ell_numeric(level, tau, x),
-                                    args.max_weight, radius=0.4, samples=64)
+            coeffs = numeric_taylor(ell_function(level, tau), args.max_weight,
+                                    radius=0.4, samples=64)
             for k in range(1, args.max_weight + 1):
                 exact = series_value(exp.x_coefficient(k), tau)
                 err = abs(coeffs[k] - exact)
@@ -524,9 +528,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # devnull so that the interpreter's last flush fails silently too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 4
-    except (DataError, OSError, UnicodeDecodeError, BasisError, PrecisionError,
+    except (DataError, OSError, BasisError, PrecisionError,
             LevelMismatchError, EpsPartError, MissingTwistError) as exc:
-        # OSError and UnicodeDecodeError: an unreadable or non-UTF-8 input path
+        # OSError: an unreadable input path
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -308,6 +308,8 @@ class CycNum:
     def __add__(self, other: Union["CycNum", Scalar]) -> "CycNum":
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rational(self.level, other)
+        elif not isinstance(other, CycNum):
+            return NotImplemented
         self._check(other)
         return CycNum(self.level, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
@@ -316,10 +318,14 @@ class CycNum:
     def __sub__(self, other: Union["CycNum", Scalar]) -> "CycNum":
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rational(self.level, other)
+        elif not isinstance(other, CycNum):
+            return NotImplemented
         self._check(other)
         return CycNum(self.level, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __rsub__(self, other: Scalar) -> "CycNum":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return CycNum.from_rational(self.level, other) - self
 
     def __neg__(self) -> "CycNum":
@@ -328,6 +334,8 @@ class CycNum:
     def __mul__(self, other: Union["CycNum", Scalar]) -> "CycNum":
         if isinstance(other, (int, Fraction)):
             return CycNum(self.level, tuple(a * other for a in self.coords))
+        if not isinstance(other, CycNum):
+            return NotImplemented
         self._check(other)
         deg = len(self.coords)
         prod = [_ZERO] * (2 * deg - 1)
@@ -364,10 +372,14 @@ class CycNum:
             if other == 0:
                 raise ZeroDivisionError("division by zero")
             return CycNum(self.level, tuple(a / other for a in self.coords))
+        if not isinstance(other, CycNum):
+            return NotImplemented
         self._check(other)
         return self * other.inverse()
 
     def __rtruediv__(self, other: Scalar) -> "CycNum":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
         return CycNum.from_rational(self.level, other) / self
 
     def __pow__(self, exponent: int) -> "CycNum":
@@ -507,6 +519,7 @@ class EpsPoly:
         return hash((self.level, self.coeffs))
 
     def _coerce(self, other) -> "EpsPoly":
+        """other as an EpsPoly, or NotImplemented for a type it cannot take."""
         if isinstance(other, EpsPoly):
             if other.level != self.level:
                 raise LevelMismatchError("eps polynomial level mismatch")
@@ -515,10 +528,12 @@ class EpsPoly:
             return EpsPoly.constant(other)
         if isinstance(other, (int, Fraction)):
             return EpsPoly.rational(self.level, other)
-        raise TypeError(f"cannot combine EpsPoly with {type(other)!r}")
+        return NotImplemented
 
     def __add__(self, other) -> "EpsPoly":
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         n = max(len(self.coeffs), len(o.coeffs))
         return EpsPoly(self.level,
                        tuple(self.coefficient(i) + o.coefficient(i) for i in range(n)))
@@ -526,16 +541,20 @@ class EpsPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "EpsPoly":
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        return o if o is NotImplemented else self + (-o)
 
     def __rsub__(self, other) -> "EpsPoly":
-        return self._coerce(other) - self
+        o = self._coerce(other)
+        return o if o is NotImplemented else o - self
 
     def __neg__(self) -> "EpsPoly":
         return EpsPoly(self.level, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other) -> "EpsPoly":
         o = self._coerce(other)
+        if o is NotImplemented:
+            return o
         if not self.coeffs or not o.coeffs:
             return EpsPoly.zero(self.level)
         out = [CycNum.zero(self.level)] * (len(self.coeffs) + len(o.coeffs) - 1)

@@ -7,12 +7,15 @@ G_tilde, the quaternionic expansion, and the weight-two combination g2.
 Numeric side: floating-point evaluation of the genus via the standard
 triple-product form of the Jacobi-type Phi function, and of the auxiliary
 coth-plus-lattice sum psi. These exist purely as oracles for the exact series.
+The product's x-independent factors (q^n, (1-q^n)^2 and Phi(tau, -2*pi*i/N))
+are built once per (level, tau) by `ell_function`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,38 +151,63 @@ def _on_pole_lattice(tau: complex, x: complex, tol: float = 1e-9) -> bool:
     return (abs(u - round(u)) < tol and abs(v - round(v)) < tol)
 
 
+def _q_factors(tau: complex, terms: int) -> list[tuple[complex, complex]]:
+    """The x-independent parts (q^n, (1-q^n)^2), n = 1..terms, of the triple product."""
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    q = _check_tau(tau)
+    factors = []
+    qn = 1 + 0j
+    for _ in range(terms):
+        qn *= q
+        factors.append((qn, (1 - qn) ** 2))
+    return factors
+
+
+def _phi(factors: list[tuple[complex, complex]], x: complex) -> complex:
+    acc = cmath.exp(x / 2) - cmath.exp(-x / 2)
+    ex, emx = cmath.exp(x), cmath.exp(-x)
+    for qn, d in factors:
+        acc *= (1 - qn * ex) * (1 - qn * emx) / d
+    return acc
+
+
 def phi_numeric(tau: complex, x: complex, terms: int = 200) -> complex:
     """Triple-product evaluation of the odd Jacobi-type function Phi(tau, x).
 
     Phi = (e^(x/2) - e^(-x/2)) * prod_{n>=1} (1-q^n e^x)(1-q^n e^-x)/(1-q^n)^2,
     truncated after `terms` factors. Vanishes exactly on 2*pi*i*(Z + tau*Z).
     """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    q = _check_tau(tau)
-    acc = cmath.exp(x / 2) - cmath.exp(-x / 2)
-    ex, emx = cmath.exp(x), cmath.exp(-x)
-    qn = 1 + 0j
-    for _ in range(terms):
-        qn *= q
-        acc *= (1 - qn * ex) * (1 - qn * emx) / (1 - qn) ** 2
-    return acc
+    return _phi(_q_factors(tau, terms), x)
+
+
+def ell_function(level: int, tau: complex,
+                 terms: int = 200) -> Callable[[complex], complex]:
+    """The floating-point genus x -> x * Phi(tau, x - 2*pi*i/N) / (Phi(tau, x) Phi(tau, -2*pi*i/N)).
+
+    The q^n factors and Phi(tau, -2*pi*i/N) depend only on (level, tau,
+    terms) and are built once here; each call of the returned function
+    evaluates the two x-dependent products. The function raises PoleError
+    when x sits on the pole lattice (away from the removable origin).
+    """
+    factors = _q_factors(tau, terms)
+    shift = 2j * cmath.pi / level
+    phi_shift = _phi(factors, -shift)
+
+    def ell(x: complex) -> complex:
+        if _on_pole_lattice(tau, x) and abs(x) > 1e-9:
+            raise PoleError(f"x = {x} lies on the pole lattice")
+        if abs(x) < 1e-12:
+            return 1.0 + 0j
+        return x * _phi(factors, x - shift) / (_phi(factors, x) * phi_shift)
+
+    return ell
 
 
 def ell_numeric(level: int, tau: complex, x: complex,
                 terms: int = 200) -> complex:
-    """Floating-point genus x * Phi(tau, x - 2*pi*i/N) / (Phi(tau, x) Phi(tau, -2*pi*i/N)).
-
-    Raises PoleError when x sits on the pole lattice (away from the removable
-    origin).
-    """
-    shift = 2j * cmath.pi / level
-    if _on_pole_lattice(tau, x) and abs(x) > 1e-9:
-        raise PoleError(f"x = {x} lies on the pole lattice")
-    if abs(x) < 1e-12:
-        return 1.0 + 0j
-    return (x * phi_numeric(tau, x - shift, terms)
-            / (phi_numeric(tau, x, terms) * phi_numeric(tau, -shift, terms)))
+    """The genus of `ell_function` at one point x."""
+    return ell_function(level, tau, terms)(x)
 
 
 def psi_numeric(level: int, tau: complex, x: complex,

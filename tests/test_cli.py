@@ -400,13 +400,13 @@ def test_non_utf8_input_exit_three(tmp_path, capsys):
     code, _, err = run_cli(capsys, "divcong", str(series), str(series), "-N", "3",
                            "-w", "0", "--basis", str(tmp_path / "bases"))
     assert code == 3
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {series}: not UTF-8 text") and len(err.splitlines()) == 1
     xi = tmp_path / "xi.txt"
     xi.write_bytes(b"1 1/2 # \xe9\n")
     code, _, err = run_cli(capsys, "assemble", "--kind", "quaternionic", "--xi",
                            str(xi), "-l", "1", "-N", "3", "-p", "2")
     assert code == 3
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith(f"error: {xi}: not UTF-8 text") and len(err.splitlines()) == 1
 
 
 def test_internal_error_exit_four(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,8 @@ import pytest
 
 from finvariant.exactnum import CycNum, EpsPoly, bernoulli
 from finvariant.genus import (DivergenceError, PoleError, ell_expansion,
-                              ell_numeric, ell_quaternionic, g2, g_hat,
+                              ell_function, ell_numeric, ell_quaternionic,
+                              g2, g_hat,
                               g_tilde, g_tilde_level1, numeric_taylor,
                               phi_numeric, psi_numeric, series_value,
                               weight_constant)
@@ -167,6 +168,57 @@ def test_ell_numeric_pole_detection():
         ell_numeric(3, TAU, 2j * cmath.pi)
     with pytest.raises(PoleError):
         ell_numeric(3, TAU, 2j * cmath.pi * (1 + TAU))
+
+
+def _reference_phi(tau, x, terms):
+    # the triple product as one loop that rebuilds q^n and (1-q^n)^2 per call
+    q = cmath.exp(2j * cmath.pi * tau)
+    acc = cmath.exp(x / 2) - cmath.exp(-x / 2)
+    ex, emx = cmath.exp(x), cmath.exp(-x)
+    qn = 1 + 0j
+    for _ in range(terms):
+        qn *= q
+        acc *= (1 - qn * ex) * (1 - qn * emx) / (1 - qn) ** 2
+    return acc
+
+
+def _reference_ell(level, tau, x, terms):
+    shift = 2j * cmath.pi / level
+    return (x * _reference_phi(tau, x - shift, terms)
+            / (_reference_phi(tau, x, terms) * _reference_phi(tau, -shift, terms)))
+
+
+def test_numeric_genus_bit_identical_to_direct_loop():
+    # hoisting the x-independent factors must not move a single bit, so the
+    # comparison is ==, against a direct evaluation rather than stored values
+    points = [0.4 * cmath.exp(2j * cmath.pi * j / 64) for j in range(64)]
+    for tau in (0.31j, 0.05 + 0.4j, 0.2 + 0.25j):
+        for terms in (1, 7, 200):
+            for x in points:
+                assert phi_numeric(tau, x, terms) == _reference_phi(tau, x, terms)
+            for level in (2, 3, 5, 7):
+                ell = ell_function(level, tau, terms)
+                for x in points:
+                    want = _reference_ell(level, tau, x, terms)
+                    assert ell(x) == want
+                    assert ell_numeric(level, tau, x, terms) == want
+
+
+def test_numeric_genus_errors_and_origin():
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            phi_numeric(TAU, 0.3, bad)
+        with pytest.raises(ValueError):
+            ell_numeric(3, TAU, 0.3, bad)
+        with pytest.raises(ValueError):
+            ell_function(3, TAU, bad)
+    ell = ell_function(3, TAU)
+    for x in (2j * cmath.pi, 2j * cmath.pi * (1 + TAU), -2j * cmath.pi * TAU):
+        with pytest.raises(PoleError):
+            ell(x)
+    for x in (0j, 1e-13, -1e-13j):
+        assert ell(x) == 1 + 0j
+        assert ell_numeric(3, TAU, x) == 1 + 0j
 
 
 def test_psi_is_odd_level2():

@@ -214,3 +214,30 @@ def test_scaling_round_trip_and_cancellation():
     assert ((f * 3) * Fraction(1, 3)).parts == f.parts
     assert (f - f).eps_degree() == -1
     assert (f - f).parts == () and (f - f).den == 1
+
+
+@pytest.mark.parametrize("level", (3, 5))
+def test_scalar_on_the_left_defers_to_the_series(level):
+    # CycNum and EpsPoly operators return NotImplemented for a series, so
+    # Python falls back to the series' reflected operators
+    rng = random.Random(90 + level)
+    f = _eps_series(rng, level, 6, 1)
+    for c in (CycNum.zeta(level), CycNum.zeta(level, 2) * Fraction(-2, 3),
+              eps(level), eps(level) * CycNum.zeta(level) + 1):
+        assert c * f == f * c
+        assert c + f == f + c
+        assert c - f == -(f - c)
+        assert (c * f).parts == (f * c).parts and (c + f).parts == (f + c).parts
+
+
+def test_cyclotomic_scalar_times_eps_polynomial():
+    z, e = CycNum.zeta(3), eps(3)
+    assert z * e == e * z == EpsPoly(3, (CycNum.zero(3), z))
+    assert z + e == e + z == EpsPoly(3, (z, CycNum.one(3)))
+    assert z - e == -(e - z)
+    with pytest.raises(TypeError):
+        z + "1/2"
+    with pytest.raises(TypeError):
+        "1/2" - z
+    with pytest.raises(TypeError):
+        e * "x"

@@ -10,7 +10,7 @@ plain series), then one line per q-coefficient holding the index followed by
 phi(N) rationals ``p/q`` separated by single spaces. ``#`` starts a comment.
 A series with an eps-part is written as its eps^0 block followed by a block
 labelled ``<label>.eps`` holding the eps^1 coefficients; reading folds the
-pair back into one series. A basis cache file is a sequence of such blocks.
+pair back into one series. A basis file is a sequence of such blocks.
 Machine-readable output (``--machine``) emits exactly this format, so
 commands compose.
 """
@@ -21,12 +21,13 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
 from .divcong import (BasisEntry, BasisError, EquivResult, ModularBasis,
-                      PrecisionError, build_basis, is_equivalent,
-                      make_lattice, policy_prec)
+                      PrecisionError, build_basis, default_generators,
+                      is_equivalent, make_lattice, policy_prec)
 from .exactnum import EpsPoly, LevelMismatchError, eps, euler_phi
 from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLE_LATTICES,
                         QUATERNIONIC, QUATERNIONIC_KERNEL_PARITY,
@@ -171,12 +172,6 @@ def read_series(path: Path) -> QSeries:
     return blocks[0][2]
 
 
-def write_basis(path: Path, basis: ModularBasis) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in basis.entries:
-            write_series(fh, entry.series, entry.weight, entry.label)
-
-
 def read_basis(path: Path) -> ModularBasis:
     blocks = read_blocks(path)
     entries = []
@@ -197,17 +192,24 @@ def read_basis(path: Path) -> ModularBasis:
 
 def _load_or_build_basis(level: int, weight: int, prec: int,
                          basis_dir: Path) -> ModularBasis:
+    """The built-in generators' basis, which a file found must equal, else the file."""
     basis_prec = max(prec, policy_prec(level, weight))
     path = basis_dir / f"basis_N{level}_W{weight}_P{basis_prec}.txt"
-    if path.exists():
-        basis = read_basis(path)
-        if basis.level != level or basis.maxweight < weight or basis.prec < prec:
-            raise DataError(f"{path}: cached basis does not cover level {level}, "
-                            f"weight {weight}, prec {prec}")
-        return basis
-    basis = build_basis(level, weight, basis_prec)
-    basis_dir.mkdir(parents=True, exist_ok=True)
-    write_basis(path, basis)
+    try:
+        path.open(encoding="utf-8").close()  # only absence means "no file"
+    except FileNotFoundError:
+        return build_basis(level, weight, basis_prec)
+    found = read_basis(path)
+    if found.level != level or found.maxweight < weight or found.prec < prec:
+        raise DataError(f"{path}: basis file does not cover level {level}, "
+                        f"weight {weight}, prec {prec}")
+    try:
+        generators = default_generators(level, basis_prec)
+    except BasisError:
+        return found
+    basis = build_basis(level, weight, basis_prec, generators)
+    if found.entries != basis.entries:
+        raise DataError(f"{path}: differs from the basis built from the generators")
     return basis
 
 
@@ -362,19 +364,15 @@ _EXAMPLE_NAMES = {
 }
 
 
-def _example_lattice(name: str, level: int, prec: int, basis_dir: Path):
-    """Build the example's lattice through the basis cache (user bases allowed)."""
-    if name not in EXAMPLE_LATTICES:
-        return None
-    basis = _load_or_build_basis(level, EXAMPLE_LATTICES[name][0], prec, basis_dir)
-    return example_lattice(name, level, prec, basis)
-
-
 def _cmd_example(args) -> int:
     name = _EXAMPLE_NAMES[args.name]
-    lattice = _example_lattice(name, args.level, args.prec, Path(args.basis))
+    lattice = None
+    if name in EXAMPLE_LATTICES:
+        basis = _load_or_build_basis(args.level, EXAMPLE_LATTICES[name][0], args.prec,
+                                     Path(args.basis))
+        lattice = example_lattice(name, args.level, args.prec, basis)
     report = run_example(name, args.level, args.prec,
-                         e_invariant=Fraction(args.e_invariant),
+                         e_invariant=args.e_invariant,
                          lattice=lattice)
     if args.machine:
         print(f"example={args.name} level={args.level} prec={args.prec}")
@@ -447,6 +445,17 @@ def _nonnegative_arg(value: str) -> int:
     return n
 
 
+def _fraction_arg(value: str) -> Fraction:
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"expected a rational p/q, got {value!r}") from exc
+
+
+_BASIS_HELP = "directory of user basis files for levels without built-in generators"
+
+
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finv",
@@ -486,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("series_g", help="series file G")
     p.add_argument("-w", "--weight", type=_nonnegative_arg, required=True,
                    help="weight bound of the lattice")
-    p.add_argument("--basis", default="./bases", help="basis cache directory")
+    p.add_argument("--basis", default="./bases", help=_BASIS_HELP)
     p.add_argument("--no-gtilde", action="store_true",
                    help="drop the R*Gtilde direction from the lattice")
     p.set_defaults(func=_cmd_divcong, prec=None)
@@ -502,11 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example", help="run a worked example end to end")
     common(p)
     p.add_argument("name", choices=sorted(_EXAMPLE_NAMES))
-    p.add_argument("-e", "--e-invariant", default="1",
+    p.add_argument("-e", "--e-invariant", type=_fraction_arg, default="1",
                    help="rational e-invariant input for the trivial example")
-    p.add_argument("--basis", default="./bases",
-                   help="basis cache directory (required data for levels "
-                        "without built-in generators)")
+    p.add_argument("--basis", default="./bases", help=_BASIS_HELP)
     p.set_defaults(func=_cmd_example)
 
     p = sub.add_parser("oracle", help="compare exact series against the numeric genus")

@@ -12,8 +12,8 @@ import pytest
 import finvariant
 from finvariant import cli
 from finvariant.cli import (DataError, main, read_basis, read_blocks,
-                            read_series, write_basis, write_series)
-from finvariant.divcong import build_basis
+                            read_series, write_series)
+from finvariant.divcong import BasisEntry, ModularBasis, build_basis
 from finvariant.exactnum import eps
 from finvariant.genus import g_tilde
 from finvariant.qseries import QSeries
@@ -80,10 +80,16 @@ def test_series_round_trip(tmp_path):
     assert blocks[0][0] == 2 and blocks[0][1] == "gt2"
 
 
+def _write_basis_file(path, basis):
+    with open(path, "w", encoding="utf-8") as fh:
+        for entry in basis.entries:
+            write_series(fh, entry.series, entry.weight, entry.label)
+
+
 def test_basis_round_trip_bit_exact(tmp_path):
     basis = build_basis(3, 4, 10)
     path = tmp_path / "basis.txt"
-    write_basis(path, basis)
+    _write_basis_file(path, basis)
     first = path.read_bytes()
     loaded = read_basis(path)
     assert loaded.level == basis.level
@@ -94,7 +100,7 @@ def test_basis_round_trip_bit_exact(tmp_path):
         assert a.series == b.series
     # writing the loaded basis reproduces the file byte for byte
     path2 = tmp_path / "basis2.txt"
-    write_basis(path2, loaded)
+    _write_basis_file(path2, loaded)
     assert path2.read_bytes() == first
 
 
@@ -236,7 +242,7 @@ def test_foreign_level_basis_refused(tmp_path, capsys):
     cache = tmp_path / "bases"
     cache.mkdir()
     foreign = build_basis(2, 2, 10)
-    write_basis(cache / "basis_N3_W2_P10.txt", foreign)
+    _write_basis_file(cache / "basis_N3_W2_P10.txt", foreign)
     f = g_tilde(3, 2, 10)
     pf = _write_series_file(tmp_path, "F.txt", f)
     pg = _write_series_file(tmp_path, "G.txt", f)
@@ -246,19 +252,40 @@ def test_foreign_level_basis_refused(tmp_path, capsys):
     assert "does not cover" in err
 
 
-def test_basis_cache_created_and_reused(tmp_path, capsys):
-    f = g_tilde(3, 2, 10)
-    pf = _write_series_file(tmp_path, "F.txt", f)
-    pg = _write_series_file(tmp_path, "G.txt", f)
-    cache = tmp_path / "bases"
-    run_cli(capsys, "divcong", str(pf), str(pg), "-N", "3", "-w", "2",
-            "--basis", str(cache))
-    files = list(cache.glob("basis_N3_W2_*.txt"))
-    assert len(files) == 1
-    stamp = files[0].read_bytes()
-    run_cli(capsys, "divcong", str(pf), str(pg), "-N", "3", "-w", "2",
-            "--basis", str(cache))
-    assert files[0].read_bytes() == stamp
+def test_builtin_levels_write_nothing(tmp_path, capsys, monkeypatch):
+    # bases at the built-in levels are built each time: the default --basis
+    # directory (./bases) is never created
+    monkeypatch.chdir(tmp_path)
+    _write_series_file(tmp_path, "F.txt", g_tilde(3, 2, 10))
+    code, _, _ = run_cli(capsys, "divcong", "F.txt", "F.txt", "-N", "3", "-w", "2")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "example", "eta2", "-N", "3", "-p", "12")
+    assert code == 0
+    assert sorted(os.listdir(tmp_path)) == ["F.txt"]
+
+
+def test_tampered_basis_file_refused(tmp_path, capsys):
+    # (1/2)q is not in the weight-2 lattice at level 3; a basis file that
+    # swaps it in for Ghat1^2 would make it a member, so it must be refused
+    prec = 12
+    half_q = QSeries.from_rationals(3, prec, [0, Fraction(1, 2)])
+    pf = _write_series_file(tmp_path, "F.txt", half_q)
+    pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(3, prec))
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    path = bases / f"basis_N3_W2_P{prec}.txt"
+    argv = ["divcong", str(pf), str(pg), "-N", "3", "-w", "2", "-p", str(prec),
+            "--basis", str(bases)]
+    basis = build_basis(3, 2, prec)
+    _write_basis_file(path, basis)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1 and "verdict: False" in out
+    entries = [e if e.label != "Ghat1^2" else BasisEntry(2, half_q, e.label)
+               for e in basis.entries]
+    _write_basis_file(path, ModularBasis(3, 2, prec, tuple(entries)))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and not out
+    assert err.startswith(f"error: {path}: differs from the basis built")
 
 
 def test_assemble_pipeline_composes_with_divcong(tmp_path, capsys):
@@ -460,6 +487,14 @@ def test_example_exit_codes(tmp_path, capsys):
                            "--basis", bases)
     assert code == 2  # parity-of-level violation is reported as usage
     assert "odd level" in err
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+def test_example_bad_e_invariant_is_usage(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["example", "trivial", "-N", "3", "-e", value])
+    assert exc.value.code == 2
+    assert "argument -e/--e-invariant: expected a rational" in capsys.readouterr().err
 
 
 def test_example_su3_prints_parity_table(tmp_path, capsys):

@@ -27,7 +27,7 @@ from typing import Iterator, Optional, Sequence, TextIO
 
 from .divcong import (BasisEntry, BasisError, EquivResult, ModularBasis,
                       PrecisionError, build_basis, default_generators,
-                      is_equivalent, make_lattice, policy_prec)
+                      dependent_entry, is_equivalent, make_lattice, policy_prec)
 from .exactnum import EpsPoly, LevelMismatchError, eps, euler_phi
 from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLE_LATTICES,
                         QUATERNIONIC, QUATERNIONIC_KERNEL_PARITY,
@@ -206,11 +206,24 @@ def _load_or_build_basis(level: int, weight: int, prec: int,
     try:
         generators = default_generators(level, basis_prec)
     except BasisError:
+        _check_user_basis(found, path)
         return found
     basis = build_basis(level, weight, basis_prec, generators)
     if found.entries != basis.entries:
         raise DataError(f"{path}: differs from the basis built from the generators")
     return basis
+
+
+def _check_user_basis(basis: ModularBasis, path: Path) -> None:
+    """A user basis holds the constant 1 as its only weight-0 entry, and
+    the entries of each weight are independent."""
+    constants = basis.of_weight(0)
+    if len(constants) != 1 or constants[0].series != QSeries.one(basis.level, basis.prec):
+        raise DataError(f"{path}: a basis file needs exactly one weight-0 entry, the constant 1")
+    entry = dependent_entry(basis)
+    if entry is not None:
+        raise DataError(f"{path}: basis entry '{entry.label}' is a rational combination "
+                        f"of the weight-{entry.weight} entries before it")
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ series, so intermediate weights impose no extra freedom.  The formal real
 scalar in front of Gtilde_k may carry an eps-part, which is how the circle
 example's eps-term is absorbed.
 
-Membership is decided exactly: the rational span is eliminated by column
-reduction (built once per lattice), and what remains is a congruence system
-in s <= dim(span) unknowns, settled by a local solve over Z/p^e for the
-primes p not dividing N in the denominators; the solve runs modulo their
-product, which is the same system by the Chinese remainder theorem and needs
-no factoring (Storjohann-Mulders, ESA 1998; Cohen, GTM 138 sec. 2.4).  A
-positive verdict always carries a replayable certificate.
+Membership is decided exactly and in integers: the rational span is
+eliminated by fraction-free column reduction over one denominator, built once
+per lattice (Bareiss, Math. Comp. 1968; Cohen, GTM 138 sec. 2.2), and what
+remains is a congruence system in s <= dim(span) unknowns, settled by a local
+solve over Z/p^e for the primes p not dividing N in the denominators; the
+solve runs modulo their product, which is the same system by the Chinese
+remainder theorem and needs no factoring (Storjohann-Mulders, ESA 1998;
+Cohen, GTM 138 sec. 2.4).  A positive verdict always carries a replayable
+certificate; its s+1 coefficients are the only rationals the decision forms.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Optional, Sequence
 
 from .exactnum import _coprime_part, prime_factors
 from .genus import g_hat
 from .qseries import (EpsPartError, IntegralityReport, QSeries, _linear_combination,
                       eps_split, is_integral_series, relative_integrality_check,
-                      series_to_vector, vector_to_series)
+                      series_row, series_to_vector, vector_to_series)
 
 _ZERO = Fraction(0)
 
@@ -61,17 +64,13 @@ DIM_TARGETS: dict[int, dict[int, int]] = {
 def sturm_bound(level: int, k: int) -> int:
     """Precision threshold certifying vanishing of a weight-<=k expansion.
 
-    ceil(k*mu/12) with mu = 3 at level 2 and N^2*prod(1 - p^-2) above.
+    ceil(k*mu/12) with mu = N^2*prod(1 - p^-2) = prod p^(2e-2)*(p^2 - 1).
     """
     if k <= 0:
         return 0
-    if level == 2:
-        mu = 3
-    else:
-        mu_frac = Fraction(level * level)
-        for p in prime_factors(level):
-            mu_frac *= 1 - Fraction(1, p * p)
-        mu = int(mu_frac)
+    mu = level * level
+    for p in prime_factors(level):
+        mu = mu // (p * p) * (p * p - 1)
     return -(-k * mu // 12)
 
 
@@ -204,55 +203,59 @@ def default_generators(level: int, prec: int) -> list[tuple[int, str, QSeries]]:
 
 
 class _ColumnSpace:
-    """Mutually reduced column basis with combination tracking.
+    """Mutually reduced column basis with combination tracking, in integers.
 
-    Stored vectors have a 1 at their pivot coordinate and 0 at every other
-    pivot, so reduction residuals vanish identically on all pivot rows.
+    Stored vector k is vecs[k]/den: it holds den at its pivot pivots[k] and 0
+    at every other pivot, so reduction residuals vanish identically on all
+    pivot rows. combs[k]/den writes it as a combination of the inserted
+    columns. The form is canonical: den > 0 and gcd(den, every entry) = 1.
+    vden is the least common denominator of the vectors alone.
     """
 
     def __init__(self, ncols: int):
         self.ncols = ncols
+        self.den = self.vden = 1
         self.pivots: list[int] = []
-        self.vecs: list[list[Fraction]] = []
-        self.combs: list[list[Fraction]] = []
+        self.vecs: list[list[int]] = []
+        self.combs: list[list[int]] = []
 
-    def reduce(self, vector: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-        """Return (residual, combination) with vector = T*combination + residual."""
-        r = list(vector)
-        comb = [_ZERO] * self.ncols
+    def reduce(self, num: Sequence[int], den: int) -> tuple[list[int], list[int], int]:
+        """(r, comb, d) with num/den = sum_j comb[j]/d * column_j + r/d, d = den*self.den."""
+        r = [self.den * x for x in num]
+        comb = [0] * self.ncols
         for p, vec, cb in zip(self.pivots, self.vecs, self.combs):
-            c = r[p]
+            c = num[p]
             if c:
-                for i, x in enumerate(vec):
-                    if x:
-                        r[i] -= c * x
-                for i, x in enumerate(cb):
-                    if x:
-                        comb[i] += c * x
-        return r, comb
+                r = [x - c * y for x, y in zip(r, vec)]
+                comb = [x + c * y for x, y in zip(comb, cb)]
+        return r, comb, den * self.den
 
-    def insert(self, col_index: int, vector: Sequence[Fraction]) -> None:
-        r, comb = self.reduce(vector)
+    def insert(self, col_index: int, num: Sequence[int], den: int) -> bool:
+        """Add num/den as column col_index; False, storing nothing, if it lies in the span."""
+        r, comb, d = self.reduce(num, den)
         pivot = next((i for i, x in enumerate(r) if x), None)
         if pivot is None:
-            return
-        scale = r[pivot]
-        r = [x / scale for x in r]
-        comb = [-x / scale for x in comb]
-        comb[col_index] += Fraction(1) / scale
-        # eliminate the new pivot from the stored vectors
-        for vec, cb in zip(self.vecs, self.combs):
+            return False
+        # the new vector is r/s: column col_index minus comb/d, times d/s
+        s = r[pivot]
+        comb = [-x for x in comb]
+        comb[col_index] += d
+        if s < 0:
+            s, r, comb = -s, [-x for x in r], [-x for x in comb]
+        # over den*s: eliminate the new pivot from the stored rows, then divide by the gcd
+        for k, (vec, cb) in enumerate(zip(self.vecs, self.combs)):
             c = vec[pivot]
-            if c:
-                for i, x in enumerate(r):
-                    if x:
-                        vec[i] -= c * x
-                for i, x in enumerate(comb):
-                    if x:
-                        cb[i] -= c * x
+            self.vecs[k] = [s * x - c * y for x, y in zip(vec, r)]
+            self.combs[k] = [s * x - c * y for x, y in zip(cb, comb)]
         self.pivots.append(pivot)
-        self.vecs.append(r)
-        self.combs.append(comb)
+        self.vecs.append([self.den * x for x in r])
+        self.combs.append([self.den * x for x in comb])
+        g = math.gcd(self.den * s, *chain(*self.vecs, *self.combs))
+        self.den = self.den * s // g
+        self.vecs = [[x // g for x in vec] for vec in self.vecs]
+        self.combs = [[x // g for x in cb] for cb in self.combs]
+        self.vden = self.den // math.gcd(self.den, *chain(*self.vecs))
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +295,13 @@ class IndeterminacyLattice:
         span = [self.basis.entries[i].series for i in self.span_indices]
         space = _ColumnSpace(len(span) + (self.gtilde is not None))
         for j, series in enumerate(span):
-            space.insert(j, series_to_vector(series, prec))
+            space.insert(j, *series_row(series, prec))
         if self.gtilde is None:
             return space, None
-        gvec = series_to_vector(self.gtilde, prec)
-        space.insert(len(span), gvec)
+        grow = series_row(self.gtilde, prec)
+        space.insert(len(span), *grow)
         gspace = _ColumnSpace(1)
-        gspace.insert(0, gvec)
+        gspace.insert(0, *grow)
         return space, gspace
 
 
@@ -327,9 +330,7 @@ def build_basis(level: int, maxweight: int, prec: int,
         space = _ColumnSpace(len(monomials))
         kept: list[BasisEntry] = []
         for label, series in monomials:
-            before = len(space.pivots)
-            space.insert(len(kept), series_to_vector(series, prec))
-            if len(space.pivots) > before:
+            if space.insert(len(kept), *series_row(series, prec)):
                 kept.append(BasisEntry(w, series, label))
         dims[w] = len(kept)
         entries.extend(kept)
@@ -339,6 +340,16 @@ def build_basis(level: int, maxweight: int, prec: int,
                 raise BasisError(
                     f"level {level} weight {w}: rank {dims[w]} != expected {expected}")
     return ModularBasis(level, maxweight, prec, tuple(entries), dims)
+
+
+def dependent_entry(basis: ModularBasis) -> Optional[BasisEntry]:
+    """The first entry in the rational span of the earlier entries of its weight, or None."""
+    spaces: dict[int, _ColumnSpace] = {}
+    for j, entry in enumerate(basis.entries):
+        space = spaces.setdefault(entry.weight, _ColumnSpace(len(basis.entries)))
+        if not space.insert(j, *series_row(entry.series, basis.prec)):
+            return entry
+    return None
 
 
 def _weight_monomials(gens, w, level, prec) -> list[tuple[str, QSeries]]:
@@ -442,26 +453,26 @@ def is_equivalent(F: QSeries, G: QSeries,
 
     # pivots of a reduction at lattice.prec may lie beyond a lower precision
     space, gspace = lattice._spaces if prec == lattice.prec else lattice._spaces_at(prec)
-    c1 = Fraction(0)
-    if len(parts) == 2 and parts[1]:
+    c1 = _ZERO
+    if len(parts) == 2:
         if gspace is None:
             return negative()
-        r, comb = gspace.reduce(series_to_vector(parts[1], prec))
+        r, comb, d = gspace.reduce(*series_row(parts[1], prec))
         if any(r):
             return negative()
-        c1 = comb[0]
+        c1 = Fraction(comb[0], d)
 
-    solved = _integral_span_solve(parts[0], space, lattice.level, prec)
+    solved = _integral_span_solve(*series_row(parts[0], prec), space, lattice.level)
     if solved is None:
         return negative()
-    span_coeffs, residual_vec = solved
+    span_coeffs, residual_row, d = solved
 
     basis_coeffs = [_ZERO] * len(lattice.basis.entries)
     span_idx = lattice.span_indices
     for pos, idx in enumerate(span_idx):
-        basis_coeffs[idx] = span_coeffs[pos]
-    c0 = span_coeffs[len(span_idx)] if lattice.gtilde is not None else _ZERO
-    residual = vector_to_series(lattice.level, prec, residual_vec)
+        basis_coeffs[idx] = Fraction(span_coeffs[pos], d)
+    c0 = Fraction(span_coeffs[len(span_idx)], d) if lattice.gtilde is not None else _ZERO
+    residual = QSeries._of(lattice.level, prec, d, (residual_row,))
     cert = EquivCertificate(lattice.level, prec, tuple(basis_coeffs), c0, c1, residual)
     if not is_integral_series(residual):
         raise AssertionError("non-integral certificate residual (internal error)")
@@ -472,37 +483,34 @@ def is_equivalent(F: QSeries, G: QSeries,
     return EquivResult(True, cert, sound, prec, modulus)
 
 
-def _integral_span_solve(series: QSeries, space: _ColumnSpace, level: int,
-                         prec: int) -> Optional[tuple[list[Fraction], list[Fraction]]]:
-    """Solve series = sum a_j * span_j + w with w integral over Z[zeta,1/N].
+def _integral_span_solve(num: Sequence[int], den: int, space: _ColumnSpace,
+                         level: int) -> Optional[tuple[list[int], list[int], int]]:
+    """Solve v = num/den = sum a_j * span_j + w with w integral over Z[zeta,1/N].
 
-    Returns (a, w-vector) or None. The reduction v = sum c_k*vecs_k + r_v
-    leaves r_v zero on every pivot row, where vecs_k is 1 at its own pivot
-    and 0 at the others; so v is a member exactly when some t in Z^s makes
-    w = r_v + sum t_k*vecs_k integral on the free rows. Scaled by the
-    common denominator D of vecs and r_v, that is a linear system over
-    Z/M, M the part of D prime to N (`_solve_mod`). Then
-    a = c - sum t_k*combs_k.
+    Returns integer rows (a, w) over one denominator d as (a, w, d), or None.
+    The reduction v = sum c_k*vecs_k + r_v leaves r_v zero on every pivot
+    row, where vecs_k is 1 at its own pivot and 0 at the others; so v is a
+    member exactly when some t in Z^s makes w = r_v + sum t_k*vecs_k integral
+    on the free rows. Scaled by the common denominator D of vecs and r_v,
+    that is a linear system over Z/M, M the part of D prime to N
+    (`_solve_mod`). Then a = c - sum t_k*combs_k.
     """
-    v = series_to_vector(series, prec)
-    r_v, comb_v = space.reduce(v)
-    den = math.lcm(*(x.denominator for vec in space.vecs for x in vec),
-                   *(x.denominator for x in r_v))
-    modulus = _coprime_part(den, level)
-    t = [0] * len(space.vecs)
+    w, a, d = space.reduce(num, den)
+    lcd = math.lcm(space.vden, d // math.gcd(d, *w))
+    modulus = _coprime_part(lcd, level)
     if modulus > 1:
         pivots = set(space.pivots)
-        rows = [i for i in range(len(v)) if i not in pivots]
-        t = _solve_mod([[int(vec[i] * den) for vec in space.vecs] for i in rows],
-                       [-int(r_v[i] * den) for i in rows], modulus)
+        rows = [i for i in range(len(w)) if i not in pivots]
+        t = _solve_mod([[vec[i] * lcd // space.den for vec in space.vecs] for i in rows],
+                       [-(w[i] * lcd // d) for i in rows], modulus)
         if t is None:
             return None
-    w, a = r_v, comb_v
-    for tk, vec, cb in zip(t, space.vecs, space.combs):
-        if tk:
-            w = [x + tk * y for x, y in zip(w, vec)]
-            a = [x - tk * y for x, y in zip(a, cb)]
-    return a, w
+        # a stored row over space.den is den times that row over d = den*space.den
+        for tk, vec, cb in zip(t, space.vecs, space.combs):
+            if tk:
+                w = [x + tk * den * y for x, y in zip(w, vec)]
+                a = [x - tk * den * y for x, y in zip(a, cb)]
+    return a, w, d
 
 
 def _solve_mod(matrix: list[list[int]], rhs: list[int],
@@ -577,6 +585,7 @@ __all__ = [
     "BasisEntry", "BasisError", "DIM_TARGETS", "EquivCertificate",
     "EquivResult", "IndeterminacyLattice", "IntegralityReport",
     "ModularBasis", "PrecisionError", "build_basis", "default_generators",
+    "dependent_entry",
     "hnf", "is_equivalent", "is_integral_series", "make_lattice",
     "policy_prec", "relative_integrality_check", "series_to_vector",
     "sturm_bound", "vector_to_series",

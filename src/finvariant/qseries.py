@@ -4,8 +4,9 @@ A QSeries holds q^0 .. q^(prec-1) exactly as a positive `den` and `parts`:
 per eps degree e, one flat tuple whose entry n*phi(N) + t is den times
 coordinate t (power basis) of the eps^e part of the q^n coefficient. The form
 is canonical (gcd(den, entries) = 1, last part nonzero) and only this module
-reads it; `coefficient(n)` builds one EpsPoly on demand and
-`series_to_vector`/`vector_to_series` are the flat rational view. Arithmetic
+reads it; `coefficient(n)` builds one EpsPoly on demand, `series_row` is
+the flat integer view of an eps-free series and
+`series_to_vector`/`vector_to_series` the flat rational one. Arithmetic
 requires equal levels and truncates to the smaller precision.
 
 Every operation runs on the rows: the product by Kronecker substitution (one
@@ -213,8 +214,9 @@ class EpsPartError(ValueError):
     """Raised when an operation requires an eps-free series."""
 
 
-def series_to_vector(f: QSeries, prec: int) -> list[Fraction]:
-    """The coordinates of q^0 .. q^(prec-1) of an eps-free series, phi(N)*prec rationals.
+def series_row(f: QSeries, prec: int) -> tuple[Sequence[int], int]:
+    """(row, den): the coordinates of q^0 .. q^(prec-1) of an eps-free series
+    are row[i]/den, phi(N)*prec integers over f's denominator.
 
     Raises EpsPartError for an eps-part among those coefficients and
     IndexError for prec beyond f.prec.
@@ -224,7 +226,13 @@ def series_to_vector(f: QSeries, prec: int) -> list[Fraction]:
         raise EpsPartError("cannot flatten a series with eps-part")
     if prec > f.prec:
         raise IndexError(f"coefficient q^{f.prec} beyond precision {f.prec}")
-    return [Fraction(v, f.den) if v else _ZERO for v in (f.parts or [(0,) * size])[0][:size]]
+    return (f.parts or [(0,) * size])[0][:size], f.den
+
+
+def series_to_vector(f: QSeries, prec: int) -> list[Fraction]:
+    """`series_row` as phi(N)*prec rationals."""
+    row, den = series_row(f, prec)
+    return [Fraction(v, den) if v else _ZERO for v in row]
 
 
 def vector_to_series(level: int, prec: int, vec: Sequence[Scalar]) -> QSeries:

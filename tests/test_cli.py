@@ -15,7 +15,7 @@ from finvariant.cli import (DataError, main, read_basis, read_blocks,
                             read_series, write_series)
 from finvariant.divcong import BasisEntry, ModularBasis, build_basis
 from finvariant.exactnum import eps
-from finvariant.genus import g_tilde
+from finvariant.genus import g_hat, g_tilde
 from finvariant.qseries import QSeries
 
 
@@ -286,6 +286,52 @@ def test_tampered_basis_file_refused(tmp_path, capsys):
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and not out
     assert err.startswith(f"error: {path}: differs from the basis built")
+
+
+def _level5_user_basis(prec):
+    gens = [(1, "Ghat1", g_hat(5, 1, prec)), (2, "Ghat2", g_hat(5, 2, prec))]
+    return build_basis(5, 2, prec, generators=gens, check_dims=False)
+
+
+@pytest.mark.parametrize("constants", ["missing", "twice", "not_one"])
+def test_user_basis_needs_the_constant_one(tmp_path, capsys, constants):
+    # without its weight-0 block a level-5 basis drops the constants from the
+    # lattice, and the constant 1/7 would read as a proved non-member
+    prec = 12
+    pf = _write_series_file(tmp_path, "F.txt",
+                            QSeries.from_rationals(5, prec, [Fraction(1, 7)]))
+    pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(5, prec))
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    path = bases / f"basis_N5_W2_P{prec}.txt"
+    argv = ["divcong", str(pf), str(pg), "-N", "5", "-w", "2", "--no-gtilde",
+            "--machine", "--basis", str(bases)]
+    basis = _level5_user_basis(prec)
+    _write_basis_file(path, basis)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("verdict=true\n")
+    one, rest = basis.entries[0], basis.entries[1:]
+    entries = {"missing": rest, "twice": (one, one) + rest,
+               "not_one": (BasisEntry(0, one.series * 2, "1"),) + rest}[constants]
+    _write_basis_file(path, ModularBasis(5, 2, prec, entries))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and not out
+    assert err.startswith(f"error: {path}: a basis file needs exactly one weight-0 entry")
+
+
+def test_dependent_user_basis_entry_refused(tmp_path, capsys):
+    prec = 12
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    path = bases / f"basis_N5_W2_P{prec}.txt"
+    basis = _level5_user_basis(prec)
+    series = {e.label: e.series for e in basis.entries}
+    extra = BasisEntry(2, series["Ghat2"] * Fraction(3, 2) - series["Ghat1^2"], "mix")
+    _write_basis_file(path, ModularBasis(5, 2, prec, basis.entries + (extra,)))
+    code, out, err = run_cli(capsys, "example", "eta2", "-N", "5", "-p", str(prec),
+                             "--basis", str(bases))
+    assert code == 3 and not out
+    assert err.startswith(f"error: {path}: basis entry 'mix' is a rational combination")
 
 
 def test_assemble_pipeline_composes_with_divcong(tmp_path, capsys):

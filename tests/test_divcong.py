@@ -1,12 +1,13 @@
 """Bases, Hermite normal form, the local solve and the lattice equivalence decision."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_integral_series
+from conftest import random_integral_series, random_series
 from finvariant import divcong
 from finvariant.divcong import (DIM_TARGETS, BasisEntry, BasisError, ModularBasis,
                                 PrecisionError, _solve_mod, build_basis,
@@ -14,9 +15,9 @@ from finvariant.divcong import (DIM_TARGETS, BasisEntry, BasisError, ModularBasi
                                 is_integral_series, make_lattice, policy_prec,
                                 relative_integrality_check, series_to_vector,
                                 sturm_bound, vector_to_series)
-from finvariant.exactnum import CycNum, EpsPoly, eps
+from finvariant.exactnum import CycNum, EpsPoly, _coprime_part, eps, prime_factors
 from finvariant.genus import g_hat, g_tilde
-from finvariant.qseries import EpsPartError, QSeries, divisors
+from finvariant.qseries import EpsPartError, QSeries, divisors, eps_split
 
 
 def test_sturm_bound_values():
@@ -24,6 +25,17 @@ def test_sturm_bound_values():
     assert sturm_bound(2, 4) == 1   # index 3: ceil(12/12)
     assert sturm_bound(3, 0) == 0
     assert sturm_bound(4, 6) == 6   # index 12: ceil(72/12)
+
+
+def test_sturm_bound_integer_index_matches_fraction_formula():
+    # mu = N^2 * prod(1 - p^-2), in Fractions, against the integer product
+    for level in range(2, 41):
+        mu = Fraction(level * level)
+        for p in prime_factors(level):
+            mu *= 1 - Fraction(1, p * p)
+        assert mu.denominator == 1
+        for k in range(0, 9):
+            assert sturm_bound(level, k) == math.ceil(k * mu / 12)
 
 
 def _rank(vectors):
@@ -546,3 +558,204 @@ def test_member_below_lattice_precision_modular(lattice_k4):
     assert res.equivalent and res.prec_used == 8
     assert res.certificate.replay(lattice_k4) == (F - G).truncate(8)
     assert is_integral_series(res.certificate.residual)
+
+
+# ---------------------------------------------------------------------------
+# The integer column space against a rational reference: a Fraction column
+# reduction and span solve, which the integer rows must reproduce exactly
+
+
+class _FractionSpace:
+    def __init__(self, ncols):
+        self.ncols = ncols
+        self.pivots, self.vecs, self.combs = [], [], []
+
+    def reduce(self, vector):
+        r = list(vector)
+        comb = [Fraction(0)] * self.ncols
+        for p, vec, cb in zip(self.pivots, self.vecs, self.combs):
+            c = r[p]
+            if c:
+                r = [x - c * y for x, y in zip(r, vec)]
+                comb = [x + c * y for x, y in zip(comb, cb)]
+        return r, comb
+
+    def insert(self, col_index, vector):
+        r, comb = self.reduce(vector)
+        pivot = next((i for i, x in enumerate(r) if x), None)
+        if pivot is None:
+            return
+        scale = r[pivot]
+        r = [x / scale for x in r]
+        comb = [-x / scale for x in comb]
+        comb[col_index] += 1 / scale
+        for k, (vec, cb) in enumerate(zip(self.vecs, self.combs)):
+            c = vec[pivot]
+            self.vecs[k] = [x - c * y for x, y in zip(vec, r)]
+            self.combs[k] = [x - c * y for x, y in zip(cb, comb)]
+        self.pivots.append(pivot)
+        self.vecs.append(r)
+        self.combs.append(comb)
+
+
+def _fraction_span_solve(v, space, level):
+    r_v, comb_v = space.reduce(v)
+    den = math.lcm(*(x.denominator for vec in space.vecs for x in vec),
+                   *(x.denominator for x in r_v))
+    modulus = _coprime_part(den, level)
+    t = [0] * len(space.vecs)
+    if modulus > 1:
+        pivots = set(space.pivots)
+        rows = [i for i in range(len(v)) if i not in pivots]
+        t = _solve_mod([[int(vec[i] * den) for vec in space.vecs] for i in rows],
+                       [-int(r_v[i] * den) for i in rows], modulus)
+        if t is None:
+            return None
+    w, a = r_v, comb_v
+    for tk, vec, cb in zip(t, space.vecs, space.combs):
+        w = [x + tk * y for x, y in zip(w, vec)]
+        a = [x - tk * y for x, y in zip(a, cb)]
+    return a, w
+
+
+def _fraction_spaces(lattice):
+    prec = lattice.prec
+    span = [lattice.basis.entries[i].series for i in lattice.span_indices]
+    space = _FractionSpace(len(span) + (lattice.gtilde is not None))
+    for j, series in enumerate(span):
+        space.insert(j, series_to_vector(series, prec))
+    if lattice.gtilde is None:
+        return space, None
+    gvec = series_to_vector(lattice.gtilde, prec)
+    space.insert(len(span), gvec)
+    gspace = _FractionSpace(1)
+    gspace.insert(0, gvec)
+    return space, gspace
+
+
+def _fraction_decide(diff, lattice, spaces):
+    """(basis_coeffs, gtilde_coeff, gtilde_eps_coeff, residual vector), or None."""
+    space, gspace = spaces
+    parts = eps_split(diff)
+    c1 = Fraction(0)
+    if len(parts) == 2:
+        if gspace is None:
+            return None
+        r, comb = gspace.reduce(series_to_vector(parts[1], diff.prec))
+        if any(r):
+            return None
+        c1 = comb[0]
+    solved = _fraction_span_solve(series_to_vector(parts[0], diff.prec), space, lattice.level)
+    if solved is None:
+        return None
+    a, w = solved
+    coeffs = [Fraction(0)] * len(lattice.basis.entries)
+    for pos, idx in enumerate(lattice.span_indices):
+        coeffs[idx] = a[pos]
+    c0 = a[len(lattice.span_indices)] if lattice.gtilde is not None else Fraction(0)
+    return tuple(coeffs), c0, c1, w
+
+
+def _assert_canonical_and_equal(space, reference):
+    assert space.den > 0 and space.pivots == reference.pivots
+    assert math.gcd(space.den, *itertools.chain(*space.vecs, *space.combs)) == 1
+    for k, (vec, cb) in enumerate(zip(space.vecs, space.combs)):
+        assert [vec[p] for p in space.pivots] == [space.den * (j == k) for j in range(len(space.pivots))]
+        assert [Fraction(x, space.den) for x in vec] == reference.vecs[k]
+        assert [Fraction(x, space.den) for x in cb] == reference.combs[k]
+    assert space.vden == math.lcm(*(x.denominator for vec in reference.vecs for x in vec))
+
+
+def _assert_matches_reference(lattice, pairs):
+    spaces = _fraction_spaces(lattice)
+    for space, reference in zip(lattice._spaces, spaces):
+        if reference is not None:
+            _assert_canonical_and_equal(space, reference)
+    verdicts = set()
+    for F, G in pairs:
+        res = is_equivalent(F, G, lattice)
+        want = _fraction_decide((F - G).truncate(lattice.prec), lattice, spaces)
+        verdicts.add(res.equivalent)
+        if want is None:
+            assert not res.equivalent and res.certificate is None
+            continue
+        cert = res.certificate
+        assert res.equivalent
+        assert cert.basis_coeffs == want[0]
+        assert (cert.gtilde_coeff, cert.gtilde_eps_coeff) == want[1:3]
+        assert series_to_vector(cert.residual, lattice.prec) == want[3]
+    return verdicts
+
+
+def _random_pairs(lattice, rng, count):
+    """Members (a span combination, an integral series and an eps multiple of
+    Gtilde) and perturbed copies: 1/p at one coefficient, p prime to N, or an
+    eps-part off the Gtilde direction."""
+    level, prec = lattice.level, lattice.prec
+    span = [lattice.basis.entries[i].series for i in lattice.span_indices]
+    if lattice.gtilde is not None:
+        span.append(lattice.gtilde)
+    pairs = []
+    for n in range(count):
+        diff = random_integral_series(rng, level, prec)
+        for series in span:
+            diff = diff + series * Fraction(rng.randint(-9, 9), rng.choice([1, 5, 7, 11, 12, 35]))
+        if lattice.gtilde is not None:
+            diff = diff + lattice.gtilde * eps(level) * Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        kind = n % 3
+        if kind == 1:
+            coeffs = [0] * prec
+            coeffs[rng.randrange(prec)] = Fraction(rng.randint(1, 6), rng.choice([5, 7, 11, 13]))
+            diff = diff + QSeries.from_rationals(level, prec, coeffs)
+        elif kind == 2:
+            coeffs = [0] * prec
+            coeffs[rng.randrange(1, prec)] = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            diff = diff + QSeries.from_rationals(level, prec, coeffs) * eps(level)
+        G = random_integral_series(rng, level, prec) + random_series(rng, level, prec)
+        pairs.append((G + diff, G))
+    return pairs
+
+
+@pytest.mark.parametrize("level, weight, prec", [
+    (2, 6, 20), (3, 4, 12), (3, 4, 20), (4, 4, 20), (3, 4, 30)])
+def test_integer_column_space_matches_fraction_reference(level, weight, prec):
+    lattice = make_lattice(level, weight, prec, gtilde=g_tilde(level, weight, prec))
+    pairs = _random_pairs(lattice, random.Random(100 * level + prec), 12)
+    assert _assert_matches_reference(lattice, pairs) == {True, False}
+
+
+@pytest.fixture()
+def lattice_35():
+    """A level-3 lattice whose two weight-2 directions carry denominators
+    5 and 7 on rows that are not pivots, so members need t != 0."""
+    level, prec = 3, 8
+    f = Fraction
+    e1 = _cyc_series(level, prec, [(0, 0), (1, 0), (f(1, 35), f(3, 35)), (0, 0),
+                                   (f(2, 5), 0), (0, f(4, 7)), (f(1, 7), 0), (0, 0)])
+    e2 = _cyc_series(level, prec, [(0, 0), (0, 0), (0, 0), (1, 0),
+                                   (f(4, 35), f(1, 5)), (f(6, 7), 0), (0, f(2, 35)), (0, 0)])
+    entries = (BasisEntry(0, QSeries.one(level, prec), "1"),
+               BasisEntry(2, e1, "e1"), BasisEntry(2, e2, "e2"))
+    return ModularBasis(level, 2, prec, entries, {0: 1, 2: 2})
+
+
+@pytest.mark.parametrize("with_gtilde", [False, True])
+def test_integer_span_solve_with_unknowns_matches_fraction_reference(
+        lattice_35, with_gtilde, monkeypatch):
+    level, prec = 3, 8
+    gtilde = g_tilde(level, 2, prec) if with_gtilde else None
+    lattice = make_lattice(level, 2, prec, gtilde=gtilde, basis=lattice_35)
+    solves = []
+
+    def spy(matrix, rhs, modulus):
+        t = _solve_mod(matrix, rhs, modulus)
+        solves.append((len(matrix[0]), t))
+        return t
+
+    monkeypatch.setattr(divcong, "_solve_mod", spy)
+    pairs = _random_pairs(lattice, random.Random(35 + with_gtilde), 24)
+    assert _assert_matches_reference(lattice, pairs) == {True, False}
+    # the local solve ran with s >= 2 unknowns and found nonzero t; without
+    # Gtilde, members need both weight-2 directions
+    nonzero = [sum(x != 0 for x in t) for s, t in solves if s >= 2 and t]
+    assert nonzero and max(nonzero) >= (1 if with_gtilde else 2)

@@ -1,10 +1,11 @@
 """Exact scalar arithmetic: cyclotomic numbers, Bernoulli numbers, integer polynomials.
 
-Everything here is immutable and exact. `fractions.Fraction` is the rational
-scalar throughout the package; `CycNum` is an element of Q(zeta_N) in the
-power basis 1, zeta, ..., zeta^(phi(N)-1); `EpsPoly` is a polynomial in a
-formal real parameter eps with CycNum coefficients (eps is never given a
-numeric value); `IntPoly` is a dense integer polynomial.
+Everything here is immutable and exact. A rational scalar is an `int` or a
+`fractions.Fraction`; `CycNum` is an element of Q(zeta_N) stored as integer
+coordinates in the power basis 1, zeta, ..., zeta^(phi(N)-1) over one
+denominator, the form a q-coefficient has inside a `QSeries`; `EpsPoly` is a
+polynomial in a formal real parameter eps with CycNum coefficients (eps is
+never given a numeric value); `IntPoly` is a dense integer polynomial.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -58,11 +59,6 @@ def prime_factors(n: int) -> list[int]:
     if m > 1:
         out.append(m)
     return out
-
-
-def is_denominator_n_smooth(den: int, n: int) -> bool:
-    """True iff every prime dividing den also divides n."""
-    return _coprime_part(den, n) == 1
 
 
 def _coprime_part(d: int, n: int) -> int:
@@ -220,64 +216,57 @@ def cyclotomic_poly(n: int) -> IntPoly:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(level: int) -> tuple[tuple[int, ...], ...]:
-    """Row j: coordinates of x^(deg+j) modulo the level-th cyclotomic polynomial.
-
-    Enough rows to reduce any product of two reduced elements (degree 2*deg-2)
-    and every power of zeta (degree level-1).
-    """
-    poly = cyclotomic_poly(level)
-    deg = poly.degree
-    # x^deg = -(lower coefficients) since the polynomial is monic
-    rows: list[tuple[int, ...]] = []
-    current = [-c for c in poly.coeffs[:deg]]
-    rows.append(tuple(current))
-    for _ in range(max(deg - 2, level - 1 - deg)):
-        # x * row: shift up one degree, then fold x^deg back in through row 0
-        top = current[-1]
-        current = [s + top * b for s, b in zip([0] + current[:-1], rows[0])]
-        rows.append(tuple(current))
+def _zeta_powers(level: int) -> tuple[tuple[int, ...], ...]:
+    """Row j: the integer power-basis coordinates of zeta^j, j = 0 .. level-1."""
+    poly = cyclotomic_poly(level).coeffs
+    rows = [(1,) + (0,) * (len(poly) - 2)]
+    for _ in range(level - 1):
+        # x * row: shift up one degree, then fold x^deg = -(lower terms) back in (monic)
+        row = rows[-1]
+        rows.append(tuple(s - row[-1] * c for s, c in zip((0,) + row[:-1], poly)))
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _zeta_power_coords(level: int, j: int) -> tuple[Fraction, ...]:
-    deg = euler_phi(level)
-    j %= level
-    if j < deg:
-        coords = [_ZERO] * deg
-        coords[j] = _ONE
-        return tuple(coords)
-    return tuple(Fraction(c) for c in _reduction_table(level)[j - deg])
-
-
 class CycNum:
-    """Exact element of Q(zeta_level), coordinates in the power basis.
+    """Exact element of Q(zeta_level): power-basis coordinates ints[t]/den.
 
-    The power basis is an integral basis of the cyclotomic field, so
-    membership in Z[zeta, 1/level] is a per-coordinate denominator check.
+    The form is canonical: den > 0 and gcd(den, ints) = 1, so zero has
+    den = 1. The power basis is an integral basis of the cyclotomic field,
+    so membership in Z[zeta, 1/level] is a check on den alone.
     """
 
-    __slots__ = ("level", "coords")
+    __slots__ = ("level", "den", "ints")
 
     def __init__(self, level: int, coords: Sequence[Scalar]):
         if level < 2:
             raise ValueError("CycNum level must be >= 2")
         deg = euler_phi(level)
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coords]
-        if len(cs) > deg:
+        if len(coords) > deg:
             raise ValueError("too many coordinates for level")
-        cs += [_ZERO] * (deg - len(cs))
+        # over the lcm of reduced denominators the row is in lowest terms
+        den = lcm(*[c.denominator for c in coords])
+        ints = [c.numerator * (den // c.denominator) for c in coords]
         self.level = level
-        self.coords: tuple[Fraction, ...] = tuple(cs)
+        self.den = den
+        self.ints = tuple(ints + [0] * (deg - len(ints)))
+
+    @classmethod
+    def _of(cls, level: int, den: int, ints: Sequence[int]) -> "CycNum":
+        """The value with coordinates ints[t]/den (den > 0), put in canonical form."""
+        g = gcd(den, *ints)
+        z = object.__new__(cls)
+        z.level = level
+        z.den = den // g
+        z.ints = tuple(ints) if g == 1 else tuple(x // g for x in ints)
+        return z
 
     @classmethod
     def from_rational(cls, level: int, value: Scalar) -> "CycNum":
-        return cls(level, (Fraction(value),))
+        return cls(level, (value,))
 
     @classmethod
     def zeta(cls, level: int, power: int = 1) -> "CycNum":
-        return cls(level, _zeta_power_coords(level, power))
+        return cls(level, _zeta_powers(level)[power % level])
 
     @classmethod
     def zero(cls, level: int) -> "CycNum":
@@ -285,97 +274,101 @@ class CycNum:
 
     @classmethod
     def one(cls, level: int) -> "CycNum":
-        return cls(level, (_ONE,))
+        return cls(level, (1,))
 
-    def _check(self, other: "CycNum") -> None:
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as Fractions, built on demand."""
+        return tuple(Fraction(v, self.den) if v else _ZERO for v in self.ints)
+
+    def _coerce(self, other) -> "CycNum":
+        """other as a CycNum of this level, or NotImplemented for a type it cannot take."""
+        if isinstance(other, (int, Fraction)):
+            return CycNum.from_rational(self.level, other)
+        if not isinstance(other, CycNum):
+            return NotImplemented
         if self.level != other.level:
-            raise LevelMismatchError(
-                f"level mismatch: {self.level} vs {other.level}")
+            raise LevelMismatchError(f"level mismatch: {self.level} vs {other.level}")
+        return other
 
     def __bool__(self) -> bool:
-        return any(self.coords)
+        return any(self.ints)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rational(self.level, other)
         if not isinstance(other, CycNum):
             return NotImplemented
-        return self.level == other.level and self.coords == other.coords
+        return (self.level == other.level and self.den == other.den
+                and self.ints == other.ints)
 
     def __hash__(self) -> int:
-        return hash((self.level, self.coords))
+        return hash((self.level, self.den, self.ints))
+
+    def _sum(self, other, sign: int, other_sign: int) -> "CycNum":
+        """sign*self + other_sign*other over the lcm of the two denominators."""
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        den = lcm(self.den, o.den)
+        a, b = sign * (den // self.den), other_sign * (den // o.den)
+        return CycNum._of(self.level, den, [a * x + b * y for x, y in zip(self.ints, o.ints)])
 
     def __add__(self, other: Union["CycNum", Scalar]) -> "CycNum":
-        if isinstance(other, (int, Fraction)):
-            other = CycNum.from_rational(self.level, other)
-        elif not isinstance(other, CycNum):
-            return NotImplemented
-        self._check(other)
-        return CycNum(self.level, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._sum(other, 1, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other: Union["CycNum", Scalar]) -> "CycNum":
-        if isinstance(other, (int, Fraction)):
-            other = CycNum.from_rational(self.level, other)
-        elif not isinstance(other, CycNum):
-            return NotImplemented
-        self._check(other)
-        return CycNum(self.level, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._sum(other, 1, -1)
 
     def __rsub__(self, other: Scalar) -> "CycNum":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return CycNum.from_rational(self.level, other) - self
+        return self._sum(other, -1, 1)
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.level, tuple(-a for a in self.coords))
+        return CycNum._of(self.level, self.den, [-x for x in self.ints])
 
     def __mul__(self, other: Union["CycNum", Scalar]) -> "CycNum":
         if isinstance(other, (int, Fraction)):
-            return CycNum(self.level, tuple(a * other for a in self.coords))
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        self._check(other)
-        deg = len(self.coords)
-        prod = [_ZERO] * (2 * deg - 1)
-        for i, a in enumerate(self.coords):
+            return CycNum._of(self.level, self.den * other.denominator,
+                              [x * other.numerator for x in self.ints])
+        o = self._coerce(other)
+        if o is NotImplemented:
+            return o
+        deg = len(self.ints)
+        prod = [0] * (2 * deg - 1)
+        for i, a in enumerate(self.ints):
             if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        prod[i + j] += a * b
-        table = _reduction_table(self.level)
+                for j, b in enumerate(o.ints):
+                    prod[i + j] += a * b
+        table = _zeta_powers(self.level)
         out = prod[:deg]
-        for j in range(deg, 2 * deg - 1):
-            c = prod[j]
+        for s in range(deg, 2 * deg - 1):
+            c = prod[s]
             if c:
-                row = table[j - deg]
-                for i, r in enumerate(row):
+                for t, r in enumerate(table[s % self.level]):
                     if r:
-                        out[i] += c * r
-        return CycNum(self.level, tuple(out))
+                        out[t] += c * r
+        return CycNum._of(self.level, self.den * o.den, out)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        """Field inverse: the product of the other Galois conjugates over the norm."""
+        """Field inverse: den times the other Galois conjugates of ints, over their norm."""
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
+        num = CycNum._of(self.level, 1, self.ints)
         others = CycNum.one(self.level)
         for j in range(2, self.level):
             if gcd(j, self.level) == 1:
-                others = others * self.galois(j)
-        return others / (self * others).coords[0]
+                others = others * num.galois(j)
+        return others * Fraction(self.den, (num * others).ints[0])
 
     def __truediv__(self, other: Union["CycNum", Scalar]) -> "CycNum":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return CycNum(self.level, tuple(a / other for a in self.coords))
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        self._check(other)
-        return self * other.inverse()
+            return self * Fraction(other.denominator, other.numerator)  # raises for 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else self * o.inverse()
 
     def __rtruediv__(self, other: Scalar) -> "CycNum":
         if not isinstance(other, (int, Fraction)):
@@ -385,9 +378,7 @@ class CycNum:
     def __pow__(self, exponent: int) -> "CycNum":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        acc = CycNum.one(self.level)
-        base = self
-        e = exponent
+        acc, base, e = CycNum.one(self.level), self, exponent
         while e:
             if e & 1:
                 acc = acc * base
@@ -399,31 +390,32 @@ class CycNum:
         """Apply the Galois automorphism zeta -> zeta^j (requires gcd(j, level) = 1)."""
         if gcd(j, self.level) != 1:
             raise ValueError("galois exponent must be prime to the level")
-        out = [_ZERO] * len(self.coords)
-        for i, c in enumerate(self.coords):
+        table = _zeta_powers(self.level)
+        out = [0] * len(self.ints)
+        for i, c in enumerate(self.ints):
             if c:
-                for t, z in enumerate(_zeta_power_coords(self.level, i * j)):
+                for t, z in enumerate(table[i * j % self.level]):
                     if z:
                         out[t] += c * z
-        return CycNum(self.level, out)
+        return CycNum._of(self.level, self.den, out)
 
     def rational_part(self) -> Fraction | None:
         """The value as a Fraction if it lies in Q, else None."""
-        if any(self.coords[1:]):
+        if any(self.ints[1:]):
             return None
-        return self.coords[0]
+        return Fraction(self.ints[0], self.den)
 
     def is_n_integral(self) -> bool:
         """True iff the value lies in Z[zeta, 1/level]."""
-        return all(is_denominator_n_smooth(c.denominator, self.level) for c in self.coords)
+        return _coprime_part(self.den, self.level) == 1
 
     def to_complex(self) -> complex:
         """Floating-point value with zeta = exp(2*pi*i/level); for oracles only."""
         z = cmath.exp(2j * cmath.pi / self.level)
         acc = 0j
         zpow = 1 + 0j
-        for c in self.coords:
-            acc += float(c) * zpow
+        for v in self.ints:
+            acc += v / self.den * zpow
             zpow *= z
         return acc
 

@@ -12,8 +12,10 @@ requires equal levels and truncates to the smaller precision.
 Every operation runs on the rows: the product by Kronecker substitution (one
 big-int product of the packed (q, zeta) polynomials, see Harvey, JSC 2009),
 `divisor_sum` as an integer sieve, and +, -, rational multiples and
-certificate replay as one integer sum, `_linear_combination`. Input
-coefficients (rationals, CycNum, EpsPoly) become rows once, in `_int_parts`.
+certificate replay as one integer sum, `_linear_combination`. A CycNum
+already holds integers over one denominator, so `_int_parts` only rescales
+each input coefficient's (den, ints) to the row's denominator, and
+`coefficient(n)` slices the row back.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from operator import add, mul
 from typing import Callable, Optional, Sequence, Union
 
 from .exactnum import (_ZERO, CycNum, EpsPoly, LevelMismatchError, Scalar, _coprime_part,
-                       _reduction_table, _zeta_power_coords, euler_phi)
+                       _zeta_powers, euler_phi)
 
 Coefficient = Union[Scalar, CycNum, EpsPoly]
 
@@ -101,10 +103,8 @@ class QSeries:
         if not 0 <= n < self.prec:
             raise IndexError(f"coefficient q^{n} beyond precision {self.prec}")
         deg = euler_phi(self.level)
-        return EpsPoly(self.level, tuple(
-            CycNum(self.level, [Fraction(v, self.den) if v else _ZERO
-                                for v in part[n * deg:(n + 1) * deg]])
-            for part in self.parts))
+        return EpsPoly(self.level, tuple(CycNum._of(self.level, self.den, p[n * deg:(n + 1) * deg])
+                                         for p in self.parts))
 
     @property
     def coeffs(self) -> tuple[EpsPoly, ...]:
@@ -293,26 +293,25 @@ def _int_parts(level: int, values: Sequence[Coefficient]) -> tuple[int, list[lis
     of all coordinates.
     """
     deg = euler_phi(level)
-    coords = []
+    rows = []  # per value, one (den, ints) per eps degree
     for c in values:
         if isinstance(c, (CycNum, EpsPoly)):
             if c.level != level:
                 raise LevelMismatchError("series coefficient level mismatch")
-            coords.append((c.coords,) if isinstance(c, CycNum) else
-                          tuple(x.coords for x in c.coeffs))
+            rows.append([(x.den, x.ints) for x in ((c,) if isinstance(c, CycNum) else c.coeffs)])
         elif isinstance(c, (int, Fraction)):
-            coords.append(((c,),) if c else ())
+            rows.append([(c.denominator, (c.numerator,))] if c else [])
         else:
             raise TypeError(f"series coefficient must be exact, not {type(c)!r}")
-    den = lcm(*(x.denominator for cs in coords for row in cs for x in row))
+    den = lcm(*(d for cs in rows for d, _ in cs))
     zero = [0] * deg
     parts = []
-    for e in range(max(map(len, coords), default=0)):
+    for e in range(max(map(len, rows), default=0)):
         flat: list[int] = []
-        for cs in coords:
-            row = [x.numerator * (den // x.denominator) for x in cs[e]] if e < len(cs) else zero
-            flat += row
-            flat += zero[len(row):]
+        for cs in rows:
+            d, ints = cs[e] if e < len(cs) else (1, ())
+            flat += [x * (den // d) for x in ints]
+            flat += zero[len(ints):]
         parts.append(flat)
     return den, parts
 
@@ -326,7 +325,7 @@ def _linear_combination(level: int, prec: int,
     denominator and summed as integers.
     """
     size = prec * euler_phi(level)
-    scaled = [([Fraction(s) for s in scalars], f) for scalars, f in terms if f.parts]
+    scaled = [(scalars, f) for scalars, f in terms if f.parts]
     total = lcm(*(f.den * s.denominator for scalars, f in scaled for s in scalars if s))
     top = max((len(scalars) + len(f.parts) - 1 for scalars, f in scaled), default=0)
     sums = [[0] * size for _ in range(top)]
@@ -374,7 +373,7 @@ def _series_product(level: int, prec: int, a: QSeries, b: QSeries) -> QSeries:
     deg = euler_phi(level)
     if not a.parts or not b.parts:
         return QSeries.zero(level, prec)
-    stride, size = 2 * deg - 1, prec * deg
+    stride, size, table = 2 * deg - 1, prec * deg, _zeta_powers(level)
     parts_a = [p[:size] for p in a.parts]
     parts_b = [p[:size] for p in b.parts]
     big_a = max(max(map(abs, p)) for p in parts_a)
@@ -390,10 +389,10 @@ def _series_product(level: int, prec: int, a: QSeries, b: QSeries) -> QSeries:
         digits = _unpack(z, prec * stride, width)
         # column s holds the zeta^s coordinate of every q-power; fold s >= deg down
         cols = [digits[s::stride] for s in range(stride)]
-        for high, red in zip(cols[deg:], _reduction_table(level)):
-            for t, r in enumerate(red):
+        for s in range(deg, stride):
+            for t, r in enumerate(table[s % level]):
                 if r:
-                    cols[t] = [x + r * y for x, y in zip(cols[t], high)]
+                    cols[t] = [x + r * y for x, y in zip(cols[t], cols[s])]
         flat = [0] * size
         for t in range(deg):
             flat[t::deg] = cols[t]
@@ -410,10 +409,11 @@ def _twist_matrices(level: int, minus: int,
     coordinate t of minus*zeta^(i-j) + plus*zeta^(i+j).
     """
     deg = euler_phi(level)
+    table = _zeta_powers(level)
     matrices = []
     for j in range(level):
-        rows = [[int(minus * x + plus * y) for x, y in zip(_zeta_power_coords(level, i - j),
-                                                           _zeta_power_coords(level, i + j))]
+        rows = [[minus * x + plus * y for x, y in zip(table[(i - j) % level],
+                                                      table[(i + j) % level])]
                 for i in range(deg)]
         matrices.append(tuple(zip(*rows)))
     return tuple(matrices)

@@ -3,6 +3,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,7 +11,8 @@ from conftest import random_cyc
 from finvariant.exactnum import (CycNum, EpsPoly, IntPoly, LevelMismatchError,
                                  bernoulli, cyclotomic_poly,
                                  eisenstein_weight_one_constant, eps,
-                                 euler_phi, is_denominator_n_smooth)
+                                 euler_phi)
+from finvariant.qseries import QSeries
 
 
 def test_zeta_root_of_unity_order():
@@ -54,15 +56,28 @@ def test_is_n_integral_examples():
 
 
 def test_denominator_smoothness():
-    assert is_denominator_n_smooth(8, 6)
-    assert is_denominator_n_smooth(12, 6)
-    assert not is_denominator_n_smooth(10, 6)
-    assert is_denominator_n_smooth(1, 3)
+    # the check reads the denominator alone: is it level-smooth?
+    assert CycNum.from_rational(6, Fraction(1, 8)).is_n_integral()
+    assert CycNum.from_rational(6, Fraction(1, 12)).is_n_integral()
+    assert not CycNum.from_rational(6, Fraction(1, 10)).is_n_integral()
+    assert CycNum.from_rational(3, Fraction(1, 1)).is_n_integral()
 
 
 def test_level_mismatch_rejected():
     with pytest.raises(LevelMismatchError):
         CycNum.one(3) + CycNum.one(5)
+
+
+@pytest.mark.parametrize("build", [
+    lambda level: CycNum(level, [1]),
+    lambda level: CycNum.from_rational(level, 1),
+    CycNum.zero,
+    CycNum.one,
+    CycNum.zeta,
+], ids=["init", "from_rational", "zero", "one", "zeta"])
+def test_level_below_two_rejected_on_every_route(build):
+    with pytest.raises(ValueError):
+        build(1)
 
 
 def test_division_by_zero_rejected():
@@ -215,3 +230,123 @@ def test_cyclotomic_poly_matches_sympy():
     for n in range(1, 41):
         expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert cyclotomic_poly(n).coeffs == tuple(int(c) for c in expected)
+
+
+# Reference arithmetic on Fraction coordinates, independent of CycNum's
+# integer table: a product is the schoolbook product reduced by long
+# division by the cyclotomic polynomial, and zeta^m is x^m reduced the same way.
+
+def _ref_reduce(level, poly):
+    phi = cyclotomic_poly(level).coeffs
+    deg = len(phi) - 1
+    poly = list(poly) + [Fraction(0)] * max(0, deg - len(poly))
+    for k in range(len(poly) - 1, deg - 1, -1):
+        c = poly[k]
+        if c:
+            for i in range(deg + 1):
+                poly[k - deg + i] -= c * phi[i]
+    return tuple(poly[:deg])
+
+
+def _ref_mul(level, a, b):
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return _ref_reduce(level, prod)
+
+
+def _ref_galois(level, a, j):
+    poly = [Fraction(0)] * level
+    for i, x in enumerate(a):
+        poly[i * j % level] += x
+    return _ref_reduce(level, poly)
+
+
+def _ref_inverse(level, a):
+    others = (Fraction(1),) + (Fraction(0),) * (len(a) - 1)
+    for j in range(2, level):
+        if gcd(j, level) == 1:
+            others = _ref_mul(level, others, _ref_galois(level, a, j))
+    norm = _ref_mul(level, a, others)
+    assert not any(norm[1:])
+    return tuple(x / norm[0] for x in others)
+
+
+def _ref_pow(level, a, e):
+    if e < 0:
+        a, e = _ref_inverse(level, a), -e
+    acc = (Fraction(1),) + (Fraction(0),) * (len(a) - 1)
+    for _ in range(e):
+        acc = _ref_mul(level, acc, a)
+    return acc
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 7, 8, 9, 12])
+def test_integer_arithmetic_matches_fraction_reference(level):
+    rng = random.Random(1000 + level)
+    units = [j for j in range(1, level) if gcd(j, level) == 1]
+    for _ in range(50):
+        a, b = random_cyc(rng, level, 9, 8), random_cyc(rng, level, 9, 8)
+        x, y = a.coords, b.coords
+        assert (a + b).coords == tuple(p + q for p, q in zip(x, y))
+        assert (a - b).coords == tuple(p - q for p, q in zip(x, y))
+        assert (a * b).coords == _ref_mul(level, x, y)
+        for j in units:
+            assert a.galois(j).coords == _ref_galois(level, x, j)
+        if a:
+            assert a.inverse().coords == _ref_inverse(level, x)
+        e = rng.randint(-2 if a else 0, 4)
+        assert (a ** e).coords == _ref_pow(level, x, e)
+
+
+def _assert_canonical(z):
+    assert len(z.ints) == euler_phi(z.level)
+    assert z.den > 0
+    assert gcd(z.den, *z.ints) == 1
+    if not z:
+        assert z.den == 1
+
+
+def test_canonical_form():
+    rng = random.Random(17)
+    for level in (3, 5, 12):
+        zeros = [CycNum.zero(level), CycNum.from_rational(level, 0),
+                 CycNum(level, [Fraction(0, 5)] * euler_phi(level))]
+        for _ in range(30):
+            a, b = random_cyc(rng, level), random_cyc(rng, level)
+            zeros += [a - a, a * 0, (a + b) - b - a]
+            for z in (a, a + b, a - b, a * b, -a, a * Fraction(6, 7), a.galois(-1),
+                      a ** 2, CycNum.zeta(level, rng.randint(-9, 9)) / 6):
+                _assert_canonical(z)
+            if a:
+                _assert_canonical(a.inverse())
+                _assert_canonical(b / a)
+        for z in zeros:
+            _assert_canonical(z)
+            assert not z and z == 0
+
+
+def test_equality_and_hash_agree_across_routes():
+    half = [CycNum(3, [Fraction(2, 4)]),
+            CycNum(3, [Fraction(2, 4), 0]),
+            CycNum.from_rational(3, Fraction(1, 2)),
+            CycNum.one(3) / 2,
+            CycNum.one(3) * 3 / 6,
+            Fraction(1, 2) + CycNum.zero(3),
+            CycNum.zeta(3) * Fraction(1, 2) - CycNum.zeta(3) + CycNum(3, [Fraction(1, 2), Fraction(1, 2)]),
+            QSeries(3, 3, [Fraction(1, 6), Fraction(1, 2), CycNum.zeta(3) / 5])
+            .coefficient(1).coefficient(0)]
+    third_zeta = [CycNum(3, [0, Fraction(3, 9)]),
+                  CycNum.zeta(3) * Fraction(1, 3),
+                  CycNum.zeta(3, 4) / 3,
+                  CycNum.zeta(3, 2).galois(2) / 3,
+                  QSeries(3, 2, [Fraction(1, 7), CycNum.zeta(3) / 3])
+                  .coefficient(1).coefficient(0)]
+    for group in (half, third_zeta):
+        for z in group:
+            assert z == group[0]
+            assert hash(z) == hash(group[0])
+            assert (z.den, z.ints) == (group[0].den, group[0].ints)
+    assert half[0] == Fraction(1, 2)
+    assert half[0] != third_zeta[0]

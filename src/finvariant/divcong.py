@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence
 
-from .exactnum import _coprime_part, prime_factors
+from .exactnum import LevelMismatchError, _coprime_part, prime_factors
 from .genus import g_hat
 from .qseries import (EpsPartError, IntegralityReport, QSeries, _linear_combination,
                       eps_split, is_integral_series, relative_integrality_check,
@@ -311,22 +311,29 @@ def build_basis(level: int, maxweight: int, prec: int,
     """All generator monomials of weight <= maxweight, rank-reduced per weight.
 
     Requires prec >= sturm_bound(level, maxweight) + 5 so that the exact rank
-    computation certifies independence. Achieved dimensions are recorded and,
-    for the built-in levels, validated against the dimension table.
+    computation certifies independence, and generators at `level` of weight
+    >= 1 and precision >= prec; each monomial is one product. Achieved
+    dimensions are recorded and, for the built-in levels, validated against
+    the dimension table.
     """
     need = policy_prec(level, maxweight)
     if prec < need:
         raise PrecisionError(
             f"prec {prec} below policy {need} for weight {maxweight} at level {level}")
     gens = default_generators(level, prec) if generators is None else generators
-    for _, _, g in gens:
+    for weight, name, g in gens:
+        if g.level != level:
+            raise LevelMismatchError(f"generator {name} has level {g.level}, not {level}")
+        if weight < 1:
+            raise BasisError(f"generator {name} has weight {weight} < 1")
         if g.prec < prec:
             raise PrecisionError("generator precision below requested basis precision")
 
     entries: list[BasisEntry] = [BasisEntry(0, QSeries.one(level, prec), "1")]
     dims = {0: 1}
+    built: dict[int, dict[tuple[int, ...], QSeries]] = {}
     for w in range(1, maxweight + 1):
-        monomials = _weight_monomials(gens, w, level, prec)
+        monomials = _weight_monomials(gens, w, prec, built)
         space = _ColumnSpace(len(monomials))
         kept: list[BasisEntry] = []
         for label, series in monomials:
@@ -352,26 +359,25 @@ def dependent_entry(basis: ModularBasis) -> Optional[BasisEntry]:
     return None
 
 
-def _weight_monomials(gens, w, level, prec) -> list[tuple[str, QSeries]]:
-    """Products of generators with total weight exactly w."""
-    out: list[tuple[str, QSeries]] = []
+def _weight_monomials(gens, w, prec, built) -> list[tuple[str, QSeries]]:
+    """The weight-w monomials as (label, series), lexicographic in the exponents.
 
-    def rec(idx: int, remaining: int, label_parts: list[str], acc: QSeries):
-        if remaining == 0:
-            out.append(("*".join(label_parts) if label_parts else "1", acc))
-            return
-        if idx == len(gens):
-            return
-        weight, name, series = gens[idx]
-        max_e = remaining // weight
-        power = acc
-        for e in range(max_e + 1):
-            parts = label_parts + ([f"{name}^{e}" if e > 1 else name] if e else [])
-            rec(idx + 1, remaining - e * weight, parts, power)
-            if e < max_e:
-                power = power * series
-    rec(0, w, [], QSeries.one(level, prec))
-    return out
+    `built` maps each weight below w to {exponents: series} and gains weight w.
+    A generator's own monomial is it truncated to prec; any other is generator
+    j times the monomial with its last nonzero exponent, at j, lowered by one.
+    """
+    new: dict[tuple[int, ...], QSeries] = {}
+    for j, (weight, _, g) in enumerate(gens):
+        unit = tuple(int(i == j) for i in range(len(gens)))
+        if weight == w:
+            new[unit] = g.truncate(prec)
+        for lower, f in built.get(w - weight, {}).items():
+            if not any(lower[j + 1:]):
+                new[tuple(map(sum, zip(lower, unit)))] = f * g
+    built[w] = dict(sorted(new.items()))
+    return [("*".join(f"{name}^{e}" if e > 1 else name
+                      for (_, name, _), e in zip(gens, exps) if e), f)
+            for exps, f in built[w].items()]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from finvariant.divcong import (DIM_TARGETS, BasisEntry, BasisError, ModularBasi
                                 is_integral_series, make_lattice, policy_prec,
                                 relative_integrality_check, series_to_vector,
                                 sturm_bound, vector_to_series)
-from finvariant.exactnum import CycNum, EpsPoly, _coprime_part, eps, prime_factors
+from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError, _coprime_part, eps,
+                                 euler_phi, prime_factors)
 from finvariant.genus import g_hat, g_tilde
 from finvariant.qseries import EpsPartError, QSeries, divisors, eps_split
 
@@ -216,6 +217,149 @@ def test_build_basis_dimensions_monotone_level3():
 def test_build_basis_precision_policy():
     with pytest.raises(PrecisionError):
         build_basis(3, 4, policy_prec(3, 4) - 1)
+
+
+def _recursive_monomials(gens, w, level, prec):
+    """Reference enumeration: each monomial a chain of products starting from the series 1."""
+    out = []
+
+    def rec(idx, remaining, label_parts, acc):
+        if remaining == 0:
+            out.append(("*".join(label_parts) if label_parts else "1", acc))
+            return
+        if idx == len(gens):
+            return
+        weight, name, series = gens[idx]
+        max_e = remaining // weight
+        power = acc
+        for e in range(max_e + 1):
+            parts = label_parts + ([f"{name}^{e}" if e > 1 else name] if e else [])
+            rec(idx + 1, remaining - e * weight, parts, power)
+            if e < max_e:
+                power = power * series
+    rec(0, w, [], QSeries.one(level, prec))
+    return out
+
+
+def _series_key(series):
+    # QSeries.__eq__ compares at the smaller precision, so prec is compared apart
+    return series.den, series.parts, series.prec
+
+
+def _assert_matches_recursive(monkeypatch, level, maxweight, prec, generators=None):
+    gens = default_generators(level, prec) if generators is None else generators
+    built = {}
+    for w in range(1, maxweight + 1):
+        got = divcong._weight_monomials(gens, w, prec, built)
+        want = _recursive_monomials(gens, w, level, prec)
+        assert [(label, _series_key(f)) for label, f in got] == \
+            [(label, _series_key(f)) for label, f in want]
+    basis = build_basis(level, maxweight, prec, generators)
+    with monkeypatch.context() as m:
+        m.setattr(divcong, "_weight_monomials",
+                  lambda gens, w, prec, built: _recursive_monomials(gens, w, level, prec))
+        reference = build_basis(level, maxweight, prec, generators)
+    assert [(e.weight, e.label, _series_key(e.series)) for e in basis.entries] == \
+        [(e.weight, e.label, _series_key(e.series)) for e in reference.entries]
+    assert basis.dims == reference.dims
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+@pytest.mark.parametrize("extra", [0, 13])
+def test_weight_monomials_match_recursive_enumeration(monkeypatch, level, extra):
+    for maxweight in range(1, 9):
+        _assert_matches_recursive(monkeypatch, level, maxweight,
+                                  policy_prec(level, maxweight) + extra)
+
+
+def test_weight_monomials_truncate_user_generators(monkeypatch):
+    # level-5 generators held beyond the basis precision: a generator's own
+    # monomial must come out truncated, as the product with 1 left it
+    for maxweight in range(1, 6):
+        prec = policy_prec(5, maxweight)
+        gens = [(k, f"Ghat{k}", g_hat(5, k, prec + 7)) for k in (1, 2, 3)]
+        _assert_matches_recursive(monkeypatch, 5, maxweight, prec, gens)
+
+
+@pytest.mark.parametrize("level, maxweight, products",
+                         [(3, 4, 4), (4, 4, 6), (3, 6, 9), (4, 6, 13)])
+def test_build_basis_forms_one_product_per_monomial(monkeypatch, level, maxweight, products):
+    prec = policy_prec(level, maxweight)
+    gens = default_generators(level, prec)
+    weights = [w for w, _, _ in gens]
+    monomials = sum(1 for exps in itertools.product(range(maxweight + 1), repeat=len(gens))
+                    if 1 <= sum(e * w for e, w in zip(exps, weights)) <= maxweight)
+    assert products == monomials - sum(w <= maxweight for w in weights)
+    calls = []
+    mul = QSeries.__mul__
+    monkeypatch.setattr(QSeries, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    build_basis(level, maxweight, prec, gens)
+    assert len(calls) == products
+
+
+def test_build_basis_rejects_generator_of_another_level():
+    # a lone weight-1 generator is never multiplied, so only the check sees its level
+    prec = policy_prec(5, 2)
+    with pytest.raises(LevelMismatchError, match="Ghat1"):
+        build_basis(5, 2, prec, [(1, "Ghat1", g_hat(3, 1, prec))])
+    with pytest.raises(LevelMismatchError, match="Ghat2"):
+        build_basis(5, 2, prec, [(1, "Ghat1", g_hat(5, 1, prec)), (2, "Ghat2", g_hat(3, 2, prec))])
+
+
+@pytest.mark.parametrize("weight", [0, -1])
+def test_build_basis_rejects_generator_weight_below_one(weight):
+    prec = policy_prec(5, 2)
+    gens = [(1, "Ghat1", g_hat(5, 1, prec)), (weight, "C", QSeries.one(5, prec))]
+    with pytest.raises(ValueError, match=f"generator C has weight {weight}"):
+        build_basis(5, 2, prec, gens)
+
+
+def _dim_modular_forms(level, k):
+    """dim M_k(Gamma1(N)) for N >= 2, from the genus, elliptic points and cusps.
+
+    The Gamma1(N) case of the Cohen-Oesterle formula (Stein, Modular Forms: A
+    Computational Approach, GSM 79, ch. 6; Diamond-Shurman, GTM 228, Thms
+    3.5.1 and 3.6.1). Weight 1 is half the regular cusps, which holds only
+    while S_1(Gamma1(N)) = 0, so it is asked for at N <= 5 alone.
+    """
+    if k == 0:
+        return 1
+    if level == 2:
+        # Gamma1(2) = Gamma0(2) holds -I: no odd weights
+        mu, e2, e3, regular, irregular = 3, 1, 0, 2, 0
+    else:
+        mu = Fraction(level * level, 2)
+        for p in prime_factors(level):
+            mu *= 1 - Fraction(1, p * p)
+        cusps = sum(euler_phi(d) * euler_phi(level // d) for d in divisors(level)) // 2
+        # Gamma1(3) has one elliptic point of order 3; 1/2 is the irregular cusp of Gamma1(4)
+        e2, e3 = 0, int(level == 3)
+        regular, irregular = (2, 1) if level == 4 else (cusps, 0)
+    genus = 1 + Fraction(mu, 12) - Fraction(e2, 4) - Fraction(e3, 3) - Fraction(regular + irregular, 2)
+    assert genus.denominator == 1
+    if k == 1:
+        assert level <= 5
+        return 0 if level == 2 else regular // 2
+    if k % 2:
+        if level == 2:
+            return 0
+        return (k - 1) * (genus - 1) + k // 3 * e3 + Fraction(k, 2) * regular + (k - 1) // 2 * irregular
+    return (k - 1) * (genus - 1) + k // 4 * e2 + k // 3 * e3 + k // 2 * (regular + irregular)
+
+
+def test_dimension_oracle_pinned():
+    for level, dims in DIM_TARGETS.items():
+        for k, dim in dims.items():
+            assert _dim_modular_forms(level, k) == dim
+    assert _dim_modular_forms(5, 1) == 2
+    assert _dim_modular_forms(5, 2) == 3
+
+
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_built_basis_dimensions_match_oracle(level):
+    # DIM_TARGETS stops at weight 6, so above it only the oracle checks the dims
+    basis = build_basis(level, 10, policy_prec(level, 10))
+    assert basis.dims == {k: _dim_modular_forms(level, k) for k in range(11)}
 
 
 def test_make_lattice_rejects_mismatched_basis():

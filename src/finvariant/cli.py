@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("-k", "--order", type=_positive_arg, default=4,
                    help="highest x-power")
-    p.add_argument("--quaternionic", type=int, default=None, metavar="ORDER",
+    p.add_argument("--quaternionic", type=_nonnegative_arg, default=None, metavar="ORDER",
                    help="also print the quaternionic expansion entries 0..ORDER")
     p.set_defaults(func=_cmd_ell)
 

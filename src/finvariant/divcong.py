@@ -26,7 +26,7 @@ certificate; its s+1 coefficients are the only rationals the decision forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -286,19 +286,16 @@ class IndeterminacyLattice:
 
     @cached_property
     def _spaces(self) -> tuple[_ColumnSpace, Optional[_ColumnSpace]]:
-        """`_spaces_at` the lattice precision, built once per lattice."""
-        return self._spaces_at(self.prec)
-
-    def _spaces_at(self, prec: int) -> tuple[_ColumnSpace, Optional[_ColumnSpace]]:
         """Reduced column spaces, to O(q^prec), of the span series (weights 0
-        and k, then Gtilde) and of Gtilde alone (None without Gtilde)."""
+        and k, then Gtilde) and of Gtilde alone (None without Gtilde); built
+        once per lattice. A lower precision is a lattice at that precision."""
         span = [self.basis.entries[i].series for i in self.span_indices]
         space = _ColumnSpace(len(span) + (self.gtilde is not None))
         for j, series in enumerate(span):
-            space.insert(j, *series_row(series, prec))
+            space.insert(j, *series_row(series, self.prec))
         if self.gtilde is None:
             return space, None
-        grow = series_row(self.gtilde, prec)
+        grow = series_row(self.gtilde, self.prec)
         space.insert(len(span), *grow)
         gspace = _ColumnSpace(1)
         gspace.insert(0, *grow)
@@ -458,7 +455,8 @@ def is_equivalent(F: QSeries, G: QSeries,
         return EquivResult(False, None, sound, prec, modulus)
 
     # pivots of a reduction at lattice.prec may lie beyond a lower precision
-    space, gspace = lattice._spaces if prec == lattice.prec else lattice._spaces_at(prec)
+    at_prec = lattice if prec == lattice.prec else replace(lattice, prec=prec)
+    space, gspace = at_prec._spaces
     c1 = _ZERO
     if len(parts) == 2:
         if gspace is None:

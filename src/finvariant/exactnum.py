@@ -28,20 +28,12 @@ class LevelMismatchError(ValueError):
 
 @lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Euler totient of a positive integer."""
+    """Euler totient of a positive integer: n times (1 - 1/p) over the primes p | n."""
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in prime_factors(n):
+        result -= result // p
     return result
 
 
@@ -227,6 +219,20 @@ def _zeta_powers(level: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _fold(level: int, powers: Sequence[int]) -> list[int]:
+    """Power-basis coordinates of sum powers[s] * zeta^s; powers below phi(level)
+    are already coordinates, so only the tail s >= phi(level) is folded in."""
+    table = _zeta_powers(level)
+    deg = len(table[0])
+    out = list(powers[:deg])
+    for s, c in enumerate(powers[deg:], deg):
+        if c:
+            for t, r in enumerate(table[s % level]):
+                if r:
+                    out[t] += c * r
+    return out
+
+
 class CycNum:
     """Exact element of Q(zeta_level): power-basis coordinates ints[t]/den.
 
@@ -341,15 +347,7 @@ class CycNum:
             if a:
                 for j, b in enumerate(o.ints):
                     prod[i + j] += a * b
-        table = _zeta_powers(self.level)
-        out = prod[:deg]
-        for s in range(deg, 2 * deg - 1):
-            c = prod[s]
-            if c:
-                for t, r in enumerate(table[s % self.level]):
-                    if r:
-                        out[t] += c * r
-        return CycNum._of(self.level, self.den * o.den, out)
+        return CycNum._of(self.level, self.den * o.den, _fold(self.level, prod))
 
     __rmul__ = __mul__
 
@@ -390,14 +388,10 @@ class CycNum:
         """Apply the Galois automorphism zeta -> zeta^j (requires gcd(j, level) = 1)."""
         if gcd(j, self.level) != 1:
             raise ValueError("galois exponent must be prime to the level")
-        table = _zeta_powers(self.level)
-        out = [0] * len(self.ints)
+        powers = [0] * self.level
         for i, c in enumerate(self.ints):
-            if c:
-                for t, z in enumerate(table[i * j % self.level]):
-                    if z:
-                        out[t] += c * z
-        return CycNum._of(self.level, self.den, out)
+            powers[i * j % self.level] += c
+        return CycNum._of(self.level, self.den, _fold(self.level, powers))
 
     def rational_part(self) -> Fraction | None:
         """The value as a Fraction if it lies in Q, else None."""

@@ -99,7 +99,7 @@ def assemble_complex(xi: XiTable, prec: int) -> FRepresentative:
     """
     if xi.kind != COMPLEX_FULL:
         raise ValueError("assemble_complex needs a complex_full table")
-    _require_support(xi, prec, both_signs=True)
+    _require_support(xi, prec)
     series = (divisor_sum(xi.level, prec, xi.value, minus=1)
               - divisor_sum(xi.level, prec, lambda d: xi.value(-d), plus=1))
     return FRepresentative(series, xi.l + 1, xi.level, "complex transfer, all twists")
@@ -112,7 +112,7 @@ def assemble_complex_reduced(xi: XiTable, prec: int) -> FRepresentative:
     """
     if xi.kind != COMPLEX_POSITIVE:
         raise ValueError("assemble_complex_reduced needs a complex_positive table")
-    _require_support(xi, prec, both_signs=False)
+    _require_support(xi, prec)
     sign = 1 if (xi.l + 1) % 2 == 0 else -1
     series = divisor_sum(xi.level, prec, xi.value, minus=1, plus=sign)
     return FRepresentative(series, xi.l + 1, xi.level, "complex transfer, positive twists")
@@ -122,7 +122,7 @@ def assemble_quaternionic(xi: XiTable, prec: int) -> FRepresentative:
     """Level-independent assembly coefficient(q^n) = sum_{d|n} xi[d]."""
     if xi.kind != QUATERNIONIC:
         raise ValueError("assemble_quaternionic needs a quaternionic table")
-    _require_support(xi, prec, both_signs=False)
+    _require_support(xi, prec)
     series = divisor_sum(xi.level, prec, xi.value)
     return FRepresentative(series, xi.l + 1, xi.level, "quaternionic transfer")
 
@@ -142,18 +142,18 @@ def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentati
         series = QSeries.zero(level, prec)
         return FRepresentative(series, parities.l + 1, level,
                                "quaternionic transfer, torsion-zero branch")
-    _require_support(parities, prec, both_signs=False, odd_only=True)
+    _require_support(parities, prec)
     half = Fraction(1, 2)
     series = divisor_sum(level, prec, lambda d: parities.value(d) * half if d % 2 else 0)
     return FRepresentative(series, parities.l + 1, level,
                            "quaternionic transfer, kernel parities")
 
 
-def _require_support(xi: XiTable, prec: int, both_signs: bool,
-                     odd_only: bool = False) -> None:
-    for d in range(1, prec):
-        if odd_only and d % 2 == 0:
-            continue
+def _require_support(xi: XiTable, prec: int) -> None:
+    """Twists 1 .. prec-1 present: both signs if complex_full, odd d only if kernel-parity."""
+    both_signs = xi.kind == COMPLEX_FULL
+    step = 2 if xi.kind == QUATERNIONIC_KERNEL_PARITY else 1
+    for d in range(1, prec, step):
         if d not in xi.entries:
             raise MissingTwistError(f"twist {d} missing (need support to {prec - 1})")
         if both_signs and -d not in xi.entries:

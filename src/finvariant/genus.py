@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import CycNum, bernoulli, eisenstein_weight_one_constant
-from .qseries import QSeries, divisor_sum, series_to_vector, sigma
+from .qseries import QSeries, divisor_sum, series_to_vector
 
 
 def weight_constant(level: int, k: int) -> CycNum:
@@ -56,8 +56,7 @@ def g_tilde_level1(level: int, k: int, prec: int) -> QSeries:
     Normalization: G_k = -B_k/(2k) + sum sigma_(k-1)(n) q^n, constant removed.
     Represented at the given cyclotomic level so it can join level-N arithmetic.
     """
-    values = [0] + [sigma(n, k - 1) for n in range(1, prec)]
-    return QSeries.from_rationals(level, prec, values)
+    return divisor_sum(level, prec, lambda d: d ** (k - 1))
 
 
 def eisenstein_level1(level: int, k: int, prec: int) -> QSeries:

@@ -28,7 +28,7 @@ class CalibrationError(ArithmeticError):
 # Circle spectra
 
 
-def circle_xi(level: int, d: int, use_eps: bool = True) -> EpsPoly:
+def circle_xi(level: int, d: int) -> EpsPoly:
     """xi-representative 1/2 - d*eps of the d-th power twist on the circle.
 
     The twisted operator on the circle has spectrum 2*pi*(k + d*eps), whence
@@ -37,8 +37,6 @@ def circle_xi(level: int, d: int, use_eps: bool = True) -> EpsPoly:
     """
     if d == 0:
         raise ValueError("d = 0 is the e-invariant input, not a twist")
-    if not use_eps:
-        return EpsPoly.rational(level, Fraction(1, 2))
     return EpsPoly.linear(level, Fraction(1, 2), -d)
 
 

@@ -201,14 +201,6 @@ class QSeries:
     def __repr__(self) -> str:
         return f"QSeries(level={self.level}, prec={self.prec})"
 
-    def __str__(self) -> str:
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c:
-                body = str(c)
-                parts.append(body if n == 0 else f"({body})*q^{n}")
-        return " + ".join(parts) if parts else "0"
-
 
 class EpsPartError(ValueError):
     """Raised when an operation requires an eps-free series."""
@@ -423,10 +415,10 @@ def divisor_sum(level: int, prec: int, coeff: Callable[[int], Coefficient],
                 minus: int = 0, plus: int = 0) -> QSeries:
     """The sieve sum_{n>=1} sum_{d*j=n} coeff(d) (minus*zeta^(-j) + plus*zeta^j) q^n.
 
-    coeff(d) is a rational, CycNum or EpsPoly; the weight is 1 when
-    minus = plus = 0. g_tilde and the four assembly formulas are calls of it.
-    coeff is evaluated once per d; each product coeff(d)*weight(j) is taken
-    once per residue of j mod level, in integers.
+    coeff(d) is a rational, CycNum or EpsPoly; the weight is 1 when minus =
+    plus = 0. The one divisor-sum kernel: g_tilde, g_tilde_level1 and the four
+    assembly formulas are calls of it. coeff is evaluated once per d; each
+    product coeff(d)*weight(j) is taken once per residue of j mod level.
     """
     deg = euler_phi(level)
     twists = _twist_matrices(level, minus, plus) if minus or plus else None

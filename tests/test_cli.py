@@ -51,6 +51,20 @@ def test_eis_usage_error_on_bad_level(capsys):
     assert exc.value.code == 2
 
 
+def test_ell_negative_quaternionic_order_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ell", "-N", "3", "-k", "2", "-p", "3", "--quaternionic", "-1", "--machine"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_ell_quaternionic_order_zero_is_valid(capsys):
+    code, out, _ = run_cli(capsys, "ell", "-N", "3", "-k", "2", "-p", "3",
+                           "--quaternionic", "0", "--machine")
+    assert code == 0
+    assert "label=quaternionic_entry_0" in out
+
+
 def test_machine_mode_deterministic(capsys):
     _, first, _ = run_cli(capsys, "ell", "-N", "3", "-k", "3", "-p", "6",
                           "--quaternionic", "1", "--machine")

@@ -682,26 +682,59 @@ def test_member_needs_two_span_directions(lattice_25, monkeypatch):
     assert not is_equivalent(bumped, QSeries.zero(3, 6), lattice).equivalent
 
 
+def _assert_as_lattice_at_prec(F, G, lattice, prec):
+    """Below lattice.prec the decision equals the one on a lattice built
+    independently at that precision: verdict, certificate and residual rows."""
+    res = is_equivalent(F, G, lattice)
+    at_prec = make_lattice(lattice.level, lattice.weight, prec, gtilde=lattice.gtilde,
+                           basis=lattice.basis)
+    assert at_prec.prec == prec < lattice.prec
+    ref = is_equivalent(F, G, at_prec)
+    assert (res.equivalent, res.false_is_proof, res.prec_used, res.modulus) == \
+        (ref.equivalent, ref.false_is_proof, ref.prec_used, ref.modulus)
+    assert res.prec_used == prec
+    if ref.certificate is None:
+        assert res.certificate is None
+        return res
+    got, want = res.certificate, ref.certificate
+    assert (got.basis_coeffs, got.gtilde_coeff, got.gtilde_eps_coeff) == \
+        (want.basis_coeffs, want.gtilde_coeff, want.gtilde_eps_coeff)
+    assert (got.residual.prec, got.residual.den, got.residual.parts) == \
+        (want.residual.prec, want.residual.den, want.residual.parts)
+    assert got.replay(lattice) == (F - G).truncate(prec)
+    assert is_integral_series(got.residual)
+    return res
+
+
 @pytest.mark.parametrize("prec", [3, 4])
 def test_member_below_lattice_precision(lattice_25, prec):
     # at prec 3 the pivot of e2 (its q^3 coordinate) lies beyond the cut
     lattice, e1, e2 = lattice_25
     F = (random_integral_series(random.Random(prec), 3, 6)
          + e1 * Fraction(1, 9) + e2 * Fraction(4, 7)).truncate(prec)
-    res = is_equivalent(F, QSeries.zero(3, prec), lattice)
-    assert res.equivalent and res.prec_used == prec
-    assert res.certificate.replay(lattice) == F
-    assert is_integral_series(res.certificate.residual)
+    zero = QSeries.zero(3, prec)
+    assert _assert_as_lattice_at_prec(F, zero, lattice, prec).equivalent
+    # 1/7*zeta at q^2 needs a multiple of e1 that q^1 forbids
+    bump = QSeries(3, prec, [0, 0, EpsPoly.constant(CycNum(3, (0, Fraction(1, 7))))])
+    res = _assert_as_lattice_at_prec(F + bump, zero, lattice, prec)
+    assert not res.equivalent and not res.false_is_proof
 
 
 def test_member_below_lattice_precision_modular(lattice_k4):
-    gt2 = g_tilde(3, 2, 12)
-    F = (gt2 * Fraction(1, 12)).truncate(8)
+    gt2, gt4 = g_tilde(3, 2, 12), lattice_k4.gtilde
     G = gt2 * gt2 * Fraction(1, 2)
-    res = is_equivalent(F, G, lattice_k4)
-    assert res.equivalent and res.prec_used == 8
-    assert res.certificate.replay(lattice_k4) == (F - G).truncate(8)
-    assert is_integral_series(res.certificate.residual)
+    # prec 6 lies below the soundness policy, prec 8 meets it
+    for prec in (6, 8):
+        F = (gt2 * Fraction(1, 12)).truncate(prec)
+        assert _assert_as_lattice_at_prec(F, G, lattice_k4, prec).equivalent
+        res = _assert_as_lattice_at_prec(F + gt4 * (eps(3) * Fraction(2, 5)), G, lattice_k4, prec)
+        assert res.equivalent and res.certificate.gtilde_eps_coeff == Fraction(2, 5)
+        # an eps-part off the Gtilde direction, and 1/7 at q^1 off the span
+        for bump in (QSeries(3, prec, [0, eps(3)]),
+                     QSeries.from_rationals(3, prec, [0, Fraction(1, 7)])):
+            res = _assert_as_lattice_at_prec(F + bump, G, lattice_k4, prec)
+            assert not res.equivalent
+            assert res.false_is_proof == (prec >= policy_prec(3, 4))
 
 
 # ---------------------------------------------------------------------------

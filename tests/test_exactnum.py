@@ -118,6 +118,14 @@ def test_cyclotomic_small():
     assert cyclotomic_poly(12) == IntPoly((1, 0, -1, 0, 1))
 
 
+def test_euler_phi_counts_units():
+    for n in range(1, 301):
+        assert euler_phi(n) == sum(1 for j in range(1, n + 1) if gcd(j, n) == 1)
+    for n in (0, -1, -12):
+        with pytest.raises(ValueError):
+            euler_phi(n)
+
+
 def test_cyclotomic_level12_numeric_roots():
     poly = cyclotomic_poly(12)
     assert poly.degree == euler_phi(12)

@@ -117,6 +117,16 @@ def test_missing_twist_refused():
     xi = _table(COMPLEX_FULL, 3, 1, entries)
     with pytest.raises(MissingTwistError):
         assemble_complex(xi, 4)
+    # the table kind sets the support: both signs for complex_full, odd
+    # indices only for kernel parities
+    one = EpsPoly.rational(3, 1)
+    xi = _table(COMPLEX_FULL, 3, 1, {1: one, -1: one, 2: one})
+    with pytest.raises(MissingTwistError, match=r"^twist -2 missing \(need both signs\)$"):
+        assemble_complex(xi, 3)
+    parities = _table(QUATERNIONIC_KERNEL_PARITY, 3, 4, {1: one, 3: one})
+    assert assemble_quaternionic_reduced(parities, 5).series.prec == 5
+    with pytest.raises(MissingTwistError, match=r"^twist 5 missing \(need support to 6\)$"):
+        assemble_quaternionic_reduced(parities, 7)
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,12 @@ def test_g_tilde_constant_term_always_zero():
         assert not g_tilde(level, k, 6).coefficient(0)
 
 
-def test_level1_weight4_is_sigma3_sum():
-    f = g_tilde_level1(3, 4, 100)
+@pytest.mark.parametrize("level", [2, 3, 5, 12])
+@pytest.mark.parametrize("k", [1, 2, 4, 6, 8])
+def test_level1_is_sigma_sum(level, k):
+    f = g_tilde_level1(level, k, 100)
     for n in range(1, 100):
-        assert f.coefficient(n) == EpsPoly.rational(3, sigma(n, 3))
+        assert f.coefficient(n) == EpsPoly.rational(level, sigma(n, k - 1))
     assert not f.coefficient(0)
 
 

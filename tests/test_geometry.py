@@ -27,7 +27,6 @@ def test_circle_xi_values():
     assert circle_xi(3, 1) == EpsPoly.linear(3, Fraction(1, 2), -1)
     assert circle_xi(3, 2) == EpsPoly.linear(3, Fraction(1, 2), -2)
     assert circle_xi(3, -1) == EpsPoly.linear(3, Fraction(1, 2), 1)
-    assert circle_xi(3, 1, use_eps=False) == EpsPoly.rational(3, Fraction(1, 2))
 
 
 def test_circle_xi_rejects_untwisted():

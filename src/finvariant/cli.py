@@ -9,10 +9,11 @@ Series and basis files share one line-oriented UTF-8 format: a header
 plain series), then one line per q-coefficient holding the index followed by
 phi(N) rationals ``p/q`` separated by single spaces. ``#`` starts a comment.
 A series with an eps-part is written as its eps^0 block followed by a block
-labelled ``<label>.eps`` holding the eps^1 coefficients; reading folds the
-pair back into one series. A basis file is a sequence of such blocks.
-Machine-readable output (``--machine``) emits exactly this format, so
-commands compose.
+labelled ``<label>.eps`` holding the eps^1 coefficients; in every file the
+reader folds such a block into the block right before it. A series file holds
+one folded block; a basis file is a sequence of eps-free blocks. Reader errors
+name ``file:line``. Machine-readable output (``--machine``) emits exactly this
+format, so commands compose.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .divcong import (BasisEntry, BasisError, EquivResult, ModularBasis,
                       dependent_entry, is_equivalent, make_lattice, policy_prec)
 from .exactnum import EpsPoly, LevelMismatchError, eps, euler_phi
 from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLE_LATTICES,
-                        QUATERNIONIC, QUATERNIONIC_KERNEL_PARITY,
+                        EXAMPLES, QUATERNIONIC, QUATERNIONIC_KERNEL_PARITY,
                         MissingTwistError, XiTable, assemble_complex,
                         assemble_complex_reduced, assemble_quaternionic,
                         assemble_quaternionic_reduced, example_lattice,
@@ -63,12 +64,7 @@ def write_series(fh: TextIO, series: QSeries, weight: Optional[int],
         fh.write(f"level={part.level} weight={w} prec={part.prec} label={name}\n")
         vec = series_to_vector(part, part.prec)
         for n in range(part.prec):
-            coords = " ".join(_fmt_fraction(x) for x in vec[n * deg:(n + 1) * deg])
-            fh.write(f"{n} {coords}\n")
-
-
-def _fmt_fraction(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+            fh.write(f"{n} {' '.join(map(str, vec[n * deg:(n + 1) * deg]))}\n")
 
 
 def _parse_fraction(tok: str, where: str) -> Fraction:
@@ -91,53 +87,61 @@ def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
 
 
 def read_blocks(path: Path) -> list[tuple[Optional[int], str, QSeries]]:
-    """Parse a series/basis file into (weight, label, series) blocks."""
-    blocks: list[tuple[Optional[int], str, QSeries]] = []
-    header: Optional[dict] = None
-    rows: list[tuple[int, list[Fraction]]] = []
+    """Parse a series/basis file into (weight, label, series) blocks.
 
-    def flush(line_no: int) -> None:
-        nonlocal header, rows
-        if header is None:
-            return
-        level, prec = header["level"], header["prec"]
-        deg = euler_phi(level)
-        if len(rows) != prec:
-            raise DataError(
-                f"{path}:{line_no}: block '{header['label']}' has {len(rows)} "
-                f"coefficient lines, expected {prec}")
-        vec: list[Fraction] = []
-        for idx, (n, coords) in enumerate(rows):
-            if n != idx:
-                raise DataError(f"{path}: block '{header['label']}' out of order at index {n}")
-            if len(coords) != deg:
-                raise DataError(
-                    f"{path}: block '{header['label']}' index {n}: "
-                    f"{len(coords)} coordinates, expected {deg}")
-            vec.extend(coords)
-        blocks.append((header["weight"], header["label"], vector_to_series(level, prec, vec)))
-        header, rows = None, []
-
-    for line_no, line in _data_lines(path):
-        if line.startswith("level="):
-            flush(line_no)
-            header = _parse_header(line, path, line_no)
-            continue
-        if header is None:
-            raise DataError(f"{path}:{line_no}: coefficient line before any header")
-        toks = line.split()
-        try:
-            n = int(toks[0])
-        except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: bad coefficient index {toks[0]!r}") from exc
-        rows.append((n, [_parse_fraction(t, f"{path}:{line_no}") for t in toks[1:]]))
-    flush(-1)
-    if not blocks:
+    A '<label>.eps' block holds the eps^1 part of the '<label>' block right
+    before it, and folds into that block's series.
+    """
+    lines = list(_data_lines(path))
+    if not lines:
         raise DataError(f"{path}: no series blocks found")
+    if not lines[0][1].startswith("level="):
+        raise DataError(f"{path}:{lines[0][0]}: coefficient line before any header")
+    starts = [i for i, (_, line) in enumerate(lines) if line.startswith("level=")]
+    blocks: list[tuple[Optional[int], str, QSeries]] = []
+    prev = None
+    for start, end in zip(starts, starts[1:] + [len(lines)]):
+        weight, label, series = _parse_block(path, lines[start], lines[start + 1:end])
+        if prev is not None and label == prev + ".eps":
+            const = blocks[-1][2]
+            if (const.level, const.prec) != (series.level, series.prec):
+                raise DataError(f"{path}:{lines[start][0]}: eps block does not match "
+                                f"its series block")
+            blocks[-1] = blocks[-1][:2] + (const + series * eps(const.level),)
+        else:
+            blocks.append((weight, label, series))
+        prev = label
     return blocks
 
 
-def _parse_header(line: str, path: Path, line_no: int) -> dict:
+def _parse_block(path: Path, header: tuple[int, str],
+                 rows: list[tuple[int, str]]) -> tuple[Optional[int], str, QSeries]:
+    """(weight, label, series) of one block, from its numbered header and coefficient lines."""
+    header_no, line = header
+    level, prec, weight, label = _parse_header(line, path, header_no)
+    if len(rows) != prec:
+        raise DataError(f"{path}:{header_no}: block '{label}' has {len(rows)} "
+                        f"coefficient lines, expected {prec}")
+    deg = euler_phi(level)
+    vec: list[Fraction] = []
+    for n, (line_no, row) in enumerate(rows):
+        where = f"{path}:{line_no}"
+        toks = row.split()
+        try:
+            index = int(toks[0])
+        except ValueError as exc:
+            raise DataError(f"{where}: bad coefficient index {toks[0]!r}") from exc
+        if index != n:
+            raise DataError(f"{where}: block '{label}' out of order at index {index}")
+        if len(toks) - 1 != deg:
+            raise DataError(f"{where}: block '{label}' index {n}: "
+                            f"{len(toks) - 1} coordinates, expected {deg}")
+        vec.extend(_parse_fraction(t, where) for t in toks[1:])
+    return weight, label, vector_to_series(level, prec, vec)
+
+
+def _parse_header(line: str, path: Path, line_no: int) -> tuple[int, int, Optional[int], str]:
+    """(level, prec, weight, label) of a header line; weight None for 'weight=?'."""
     fields = {}
     label = ""
     for part in line.split(None, 3):
@@ -156,38 +160,32 @@ def _parse_header(line: str, path: Path, line_no: int) -> dict:
         raise DataError(f"{path}:{line_no}: malformed header {line!r}") from exc
     if level < 2 or prec < 1:
         raise DataError(f"{path}:{line_no}: level must be >= 2 and prec >= 1")
-    return {"level": level, "prec": prec, "weight": weight, "label": label}
+    return level, prec, weight, label
 
 
 def read_series(path: Path) -> QSeries:
-    """A single series block, or a '<label>' block with its '<label>.eps' block."""
+    """The series of a file holding a single block."""
     blocks = read_blocks(path)
-    if len(blocks) == 2 and blocks[1][1] == blocks[0][1] + ".eps":
-        const, eps_part = blocks[0][2], blocks[1][2]
-        if (const.level, const.prec) != (eps_part.level, eps_part.prec):
-            raise DataError(f"{path}: eps block does not match its series block")
-        return const + eps_part * eps(const.level)
     if len(blocks) != 1:
         raise DataError(f"{path}: expected a single series block, found {len(blocks)}")
     return blocks[0][2]
 
 
 def read_basis(path: Path) -> ModularBasis:
+    """A basis file: eps-free blocks of explicit weight, all at one level."""
     blocks = read_blocks(path)
-    entries = []
     level = blocks[0][2].level
-    prec = min(b[2].prec for b in blocks)
+    entries = []
     for weight, label, series in blocks:
         if weight is None:
             raise DataError(f"{path}: basis blocks need explicit weights")
         if series.level != level:
             raise DataError(f"{path}: mixed levels in basis file")
+        if not series.is_eps_free():
+            raise DataError(f"{path}: basis entry '{label}' carries an eps part")
         entries.append(BasisEntry(weight, series, label))
-    maxweight = max(e.weight for e in entries)
-    dims: dict[int, int] = {}
-    for e in entries:
-        dims[e.weight] = dims.get(e.weight, 0) + 1
-    return ModularBasis(level, maxweight, prec, tuple(entries), dims)
+    return ModularBasis(level, max(e.weight for e in entries),
+                        min(e.series.prec for e in entries), tuple(entries))
 
 
 def _load_or_build_basis(level: int, weight: int, prec: int,
@@ -259,9 +257,8 @@ def _print_certificate(res: EquivResult, lattice, machine: bool) -> None:
     if machine:
         for entry, coeff in zip(lattice.basis.entries, cert.basis_coeffs):
             if coeff:
-                print(f"cert basis {entry.label} {_fmt_fraction(coeff)}")
-        print(f"cert gtilde {_fmt_fraction(cert.gtilde_coeff)} "
-              f"{_fmt_fraction(cert.gtilde_eps_coeff)}")
+                print(f"cert basis {entry.label} {coeff}")
+        print(f"cert gtilde {cert.gtilde_coeff} {cert.gtilde_eps_coeff}")
         write_series(sys.stdout, cert.residual, None, "residual")
         return
     print("certificate:")
@@ -270,9 +267,7 @@ def _print_certificate(res: EquivResult, lattice, machine: bool) -> None:
             print(f"  {coeff} * {entry.label} (weight {entry.weight})")
     if cert.gtilde_coeff or cert.gtilde_eps_coeff:
         print(f"  ({cert.gtilde_coeff} + {cert.gtilde_eps_coeff}*eps) * Gtilde")
-    vec = series_to_vector(cert.residual, cert.residual.prec)
-    deg = euler_phi(cert.residual.level)
-    nonzero = sum(1 for i in range(0, len(vec), deg) if any(vec[i:i + deg]))
+    nonzero = sum(1 for c in cert.residual.coeffs if c)
     print(f"  + integral residual ({nonzero} nonzero coefficients)")
 
 
@@ -368,17 +363,8 @@ def _cmd_assemble(args) -> int:
     return 0
 
 
-_EXAMPLE_NAMES = {
-    "trivial": "trivial",
-    "eta2": "eta2_circle",
-    "nu2": "nu2_homogeneous",
-    "etasigma": "etasigma_product",
-    "su3": "su3_appendix",
-}
-
-
 def _cmd_example(args) -> int:
-    name = _EXAMPLE_NAMES[args.name]
+    name = EXAMPLES[args.name]
     lattice = None
     if name in EXAMPLE_LATTICES:
         basis = _load_or_build_basis(args.level, EXAMPLE_LATTICES[name][0], args.prec,
@@ -523,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example", help="run a worked example end to end")
     common(p)
-    p.add_argument("name", choices=sorted(_EXAMPLE_NAMES))
+    p.add_argument("name", choices=sorted(EXAMPLES))
     p.add_argument("-e", "--e-invariant", type=_fraction_arg, default="1",
                    help="rational e-invariant input for the trivial example")
     p.add_argument("--basis", default="./bases", help=_BASIS_HELP)

@@ -26,7 +26,7 @@ certificate; its s+1 coefficients are the only rationals the decision forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -49,11 +49,12 @@ class PrecisionError(ValueError):
     """Requested precision below the soundness policy."""
 
 
-# Dimensions of the weight-k form spaces used to validate the built-in
-# generator sets, k = 0..6.  Source: the classical free polynomial-ring
-# structure of the level-2/3/4 form rings (generator weights (2,4), (1,3)
-# and (1,2) respectively); confirmed independently by the rank saturation
-# in build_basis at Sturm-bound precision.
+# Weights k of the built-in generators Ghat_k, and the dimensions of the
+# weight-k form spaces used to validate them, k = 0..6.  Source: the classical
+# free polynomial-ring structure of the level-2/3/4 form rings on those
+# generators; confirmed independently by the rank saturation in build_basis at
+# Sturm-bound precision.
+_GENERATOR_WEIGHTS: dict[int, tuple[int, ...]] = {2: (2, 4), 3: (1, 3), 4: (1, 2)}
 DIM_TARGETS: dict[int, dict[int, int]] = {
     2: {0: 1, 1: 0, 2: 1, 3: 0, 4: 2, 5: 0, 6: 2},
     3: {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3},
@@ -180,7 +181,11 @@ class ModularBasis:
     maxweight: int
     prec: int
     entries: tuple[BasisEntry, ...]
-    dims: dict[int, int] = field(compare=False, default_factory=dict)
+
+    @property
+    def dims(self) -> dict[int, int]:
+        """The number of entries of each weight 0..maxweight."""
+        return {w: len(self.of_weight(w)) for w in range(self.maxweight + 1)}
 
     def of_weight(self, w: int) -> list[BasisEntry]:
         return [e for e in self.entries if e.weight == w]
@@ -192,14 +197,9 @@ def default_generators(level: int, prec: int) -> list[tuple[int, str, QSeries]]:
     Validity is not assumed here: build_basis confirms the expected
     per-weight dimensions by exact rank computation.
     """
-    if level == 2:
-        return [(2, "Ghat2", g_hat(2, 2, prec)), (4, "Ghat4", g_hat(2, 4, prec))]
-    if level == 3:
-        return [(1, "Ghat1", g_hat(3, 1, prec)), (3, "Ghat3", g_hat(3, 3, prec))]
-    if level == 4:
-        return [(1, "Ghat1", g_hat(4, 1, prec)), (2, "Ghat2", g_hat(4, 2, prec))]
-    raise BasisError(
-        f"no built-in generators for level {level}; supply a basis file")
+    if level not in _GENERATOR_WEIGHTS:
+        raise BasisError(f"no built-in generators for level {level}; supply a basis file")
+    return [(k, f"Ghat{k}", g_hat(level, k, prec)) for k in _GENERATOR_WEIGHTS[level]]
 
 
 class _ColumnSpace:
@@ -327,7 +327,6 @@ def build_basis(level: int, maxweight: int, prec: int,
             raise PrecisionError("generator precision below requested basis precision")
 
     entries: list[BasisEntry] = [BasisEntry(0, QSeries.one(level, prec), "1")]
-    dims = {0: 1}
     built: dict[int, dict[tuple[int, ...], QSeries]] = {}
     for w in range(1, maxweight + 1):
         monomials = _weight_monomials(gens, w, prec, built)
@@ -336,14 +335,13 @@ def build_basis(level: int, maxweight: int, prec: int,
         for label, series in monomials:
             if space.insert(len(kept), *series_row(series, prec)):
                 kept.append(BasisEntry(w, series, label))
-        dims[w] = len(kept)
         entries.extend(kept)
         if check_dims and level in DIM_TARGETS and w in DIM_TARGETS[level]:
             expected = DIM_TARGETS[level][w]
-            if dims[w] != expected:
+            if len(kept) != expected:
                 raise BasisError(
-                    f"level {level} weight {w}: rank {dims[w]} != expected {expected}")
-    return ModularBasis(level, maxweight, prec, tuple(entries), dims)
+                    f"level {level} weight {w}: rank {len(kept)} != expected {expected}")
+    return ModularBasis(level, maxweight, prec, tuple(entries))
 
 
 def dependent_entry(basis: ModularBasis) -> Optional[BasisEntry]:
@@ -385,7 +383,6 @@ class EquivCertificate:
     with the residual an integral series.
     """
 
-    level: int
     prec: int
     basis_coeffs: tuple[Fraction, ...]
     gtilde_coeff: Fraction
@@ -400,7 +397,7 @@ class EquivCertificate:
             terms.append(((self.gtilde_coeff, self.gtilde_eps_coeff), lattice.gtilde))
         terms.append(((1,), self.residual))
         prec = min(self.prec, *(series.prec for _, series in terms))
-        return _linear_combination(self.level, prec, terms)
+        return _linear_combination(self.residual.level, prec, terms)
 
 
 @dataclass(frozen=True)
@@ -410,9 +407,6 @@ class EquivResult:
     false_is_proof: bool
     prec_used: int
     modulus: str
-
-    def __bool__(self) -> bool:
-        return self.equivalent
 
 
 def make_lattice(level: int, weight: int, prec: int,
@@ -477,7 +471,7 @@ def is_equivalent(F: QSeries, G: QSeries,
         basis_coeffs[idx] = Fraction(span_coeffs[pos], d)
     c0 = Fraction(span_coeffs[len(span_idx)], d) if lattice.gtilde is not None else _ZERO
     residual = QSeries._of(lattice.level, prec, d, (residual_row,))
-    cert = EquivCertificate(lattice.level, prec, tuple(basis_coeffs), c0, c1, residual)
+    cert = EquivCertificate(prec, tuple(basis_coeffs), c0, c1, residual)
     if not is_integral_series(residual):
         raise AssertionError("non-integral certificate residual (internal error)")
     # replay rebuilds F - G from the span coefficients and the residual, so

@@ -195,8 +195,9 @@ def _require_odd(level: int, name: str) -> None:
 # Example pipelines
 
 
-EXAMPLES = ("trivial", "eta2_circle", "nu2_homogeneous", "etasigma_product",
-            "su3_appendix")
+# command-line name -> library name of each worked example
+EXAMPLES = {"trivial": "trivial", "eta2": "eta2_circle", "nu2": "nu2_homogeneous",
+            "etasigma": "etasigma_product", "su3": "su3_appendix"}
 
 # weight bound of each example's indeterminacy lattice, and whether the
 # lattice carries the Gtilde direction of that weight
@@ -226,9 +227,6 @@ class ExampleReport:
     verdict: bool
     equivalence: Optional[EquivResult]
     details: dict
-
-    def __bool__(self) -> bool:
-        return self.verdict
 
 
 def run_example(name: str, level: int, prec: int,
@@ -290,4 +288,4 @@ def run_example(name: str, level: int, prec: int,
         return ExampleReport(name, level, prec, assembled, reference,
                              eq.equivalent and integral.integral, eq, detail)
 
-    raise ValueError(f"unknown example {name!r}; choose from {EXAMPLES}")
+    raise ValueError(f"unknown example {name!r}; choose from {tuple(EXAMPLES.values())}")

@@ -56,6 +56,8 @@ def g_tilde_level1(level: int, k: int, prec: int) -> QSeries:
     Normalization: G_k = -B_k/(2k) + sum sigma_(k-1)(n) q^n, constant removed.
     Represented at the given cyclotomic level so it can join level-N arithmetic.
     """
+    if k < 1:
+        raise ValueError("weight must be >= 1")
     return divisor_sum(level, prec, lambda d: d ** (k - 1))
 
 

@@ -71,6 +71,8 @@ class QSeries:
 
     def _store(self, level: int, prec: int, den: int, parts: Sequence[Sequence[int]]) -> None:
         """Set the canonical form: trailing zero parts dropped, gcd(den, entries) = 1."""
+        if level < 2:
+            raise ValueError("QSeries level must be >= 2")
         if prec < 1:
             raise ValueError("precision must be >= 1")
         parts = list(parts)
@@ -240,9 +242,6 @@ def vector_to_series(level: int, prec: int, vec: Sequence[Scalar]) -> QSeries:
 class IntegralityReport:
     integral: bool
     first_failure: Optional[int]
-
-    def __bool__(self) -> bool:
-        return self.integral
 
 
 def relative_integrality_check(f: QSeries) -> IntegralityReport:

@@ -348,6 +348,63 @@ def test_dependent_user_basis_entry_refused(tmp_path, capsys):
     assert err.startswith(f"error: {path}: basis entry 'mix' is a rational combination")
 
 
+_H3 = "level=3 weight=? prec={} label=x\n"
+
+
+@pytest.mark.parametrize("role, text, line, message", [
+    ("series", _H3.format(2) + "0 1 0\n1 2\n", 3,
+     "block 'x' index 1: 1 coordinates, expected 2"),
+    ("series", "0 1 0\n" + _H3.format(1) + "0 1 0\n", 1,
+     "coefficient line before any header"),
+    ("series", _H3.format(1) + "z 1 0\n", 2, "bad coefficient index 'z'"),
+    ("series", _H3.format(2) + "1 0 0\n0 1 0\n", 2, "block 'x' out of order at index 1"),
+    ("series", "# no blocks\n\n", None, "no series blocks found"),
+    ("series", "level=3 weight=? prec=1 x\n0 1 0\n", 1, "malformed header field 'x'"),
+    ("series", "level=3 weight=? label=x\n0 1 0\n", 1,
+     "malformed header 'level=3 weight=? label=x'"),
+    ("series", _H3.format(0), 1, "level must be >= 2 and prec >= 1"),
+    ("series", "level=3 weight=2 prec=4 label=x\n0 1 0\n1 2 0\n", 1,
+     "block 'x' has 2 coefficient lines, expected 4"),
+    ("series", _H3.format(2) + "0 1 0\nlevel=3 weight=? prec=1 label=y\n0 1 0\n", 1,
+     "block 'x' has 1 coefficient lines, expected 2"),
+    ("series", _H3.format(2) + "0 1 0\n1 0 0\nlevel=3 weight=? prec=1 label=x.eps\n0 1 0\n",
+     4, "eps block does not match its series block"),
+    ("series", _H3.format(1) + "0 1 0\nlevel=3 weight=? prec=1 label=y\n0 1 0\n", None,
+     "expected a single series block, found 2"),
+    ("basis", "level=5 weight=? prec=1 label=1\n0 1 0 0 0\n", None,
+     "basis blocks need explicit weights"),
+    ("basis", "level=5 weight=0 prec=1 label=1\n0 1 0 0 0\n"
+     "level=3 weight=2 prec=1 label=g\n0 1 0\n", None, "mixed levels in basis file"),
+    # the level-5 user basis with q/7 as the eps part of Ghat1^2 (a '.eps' block)
+    ("basis", None, None, "basis entry 'Ghat1^2' carries an eps part"),
+], ids=["coordinates", "before_header", "bad_index", "out_of_order", "no_blocks",
+        "header_field", "header", "bounds", "truncated_last", "truncated_first",
+        "eps_mismatch", "two_blocks", "basis_weight", "basis_levels", "basis_eps"])
+def test_reader_errors_exit_three(tmp_path, capsys, role, text, line, message):
+    prec = 12
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    if role == "series":
+        path = tmp_path / "bad.txt"
+        argv = ["divcong", str(path), str(path), "-N", "3", "-w", "2"]
+    else:
+        path = bases / f"basis_N5_W2_P{prec}.txt"
+        q7 = QSeries.from_rationals(5, prec, [0, Fraction(1, 7)])
+        pf = _write_series_file(tmp_path, "F.txt", q7)
+        pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(5, prec))
+        argv = ["divcong", str(pf), str(pg), "-N", "5", "-w", "2", "--no-gtilde"]
+    if text is None:
+        entries = tuple(BasisEntry(e.weight, e.series + q7 * eps(5), e.label)
+                        if e.label == "Ghat1^2" else e
+                        for e in _level5_user_basis(prec).entries)
+        _write_basis_file(path, ModularBasis(5, 2, prec, entries))
+    else:
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--basis", str(bases))
+    where = path if line is None else f"{path}:{line}"
+    assert (code, out, err) == (3, "", f"error: {where}: {message}\n")
+
+
 def test_assemble_pipeline_composes_with_divcong(tmp_path, capsys):
     # xi_d = -d/12 assembles to Gtilde_2/12; compare against Gtilde_2^2/2
     xi_path = tmp_path / "xi.txt"

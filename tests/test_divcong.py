@@ -207,6 +207,14 @@ def test_build_basis_dimensions_levels_2_and_4():
     assert build_basis(4, 6, 16).dims == {0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 5: 3, 6: 4}
 
 
+def test_build_basis_rank_check_refuses_short_generator_set():
+    # Ghat1^3 twice spans one of the two weight-3 dimensions at level 3
+    prec = policy_prec(3, 3)
+    gens = [(1, "Ghat1", g_hat(3, 1, prec)), (3, "G1cubed", g_hat(3, 1, prec) ** 3)]
+    with pytest.raises(BasisError, match=r"level 3 weight 3: rank 1 != expected 2"):
+        build_basis(3, 3, prec, gens)
+
+
 def test_build_basis_dimensions_monotone_level3():
     dims = build_basis(3, 6, 16).dims
     for w in range(1, 7):
@@ -654,7 +662,7 @@ def lattice_25():
                                    (f(4, 25), f(1, 5)), (f(6, 25), 0)])
     entries = (BasisEntry(0, QSeries.one(level, prec), "1"),
                BasisEntry(2, e1, "e1"), BasisEntry(2, e2, "e2"))
-    basis = ModularBasis(level, 2, prec, entries, {0: 1, 2: 2})
+    basis = ModularBasis(level, 2, prec, entries)
     return make_lattice(level, 2, prec, basis=basis), e1, e2
 
 
@@ -913,7 +921,7 @@ def lattice_35():
                                    (f(4, 35), f(1, 5)), (f(6, 7), 0), (0, f(2, 35)), (0, 0)])
     entries = (BasisEntry(0, QSeries.one(level, prec), "1"),
                BasisEntry(2, e1, "e1"), BasisEntry(2, e2, "e2"))
-    return ModularBasis(level, 2, prec, entries, {0: 1, 2: 2})
+    return ModularBasis(level, 2, prec, entries)
 
 
 @pytest.mark.parametrize("with_gtilde", [False, True])

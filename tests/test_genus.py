@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from finvariant.exactnum import CycNum, EpsPoly, bernoulli
-from finvariant.genus import (DivergenceError, PoleError, ell_expansion,
-                              ell_function, ell_numeric, ell_quaternionic,
+from finvariant.genus import (DivergenceError, PoleError, eisenstein_level1,
+                              ell_expansion, ell_function, ell_numeric, ell_quaternionic,
                               g2, g_hat,
                               g_tilde, g_tilde_level1, numeric_taylor,
                               phi_numeric, psi_numeric, series_value,
@@ -204,6 +204,13 @@ def test_numeric_genus_bit_identical_to_direct_loop():
                     want = _reference_ell(level, tau, x, terms)
                     assert ell(x) == want
                     assert ell_numeric(level, tau, x, terms) == want
+
+
+@pytest.mark.parametrize("series", [g_tilde_level1, eisenstein_level1])
+@pytest.mark.parametrize("k", [0, -1])
+def test_level1_series_refuse_weight_below_one(series, k):
+    with pytest.raises(ValueError, match="weight must be >= 1"):
+        series(3, k, 5)
 
 
 def test_numeric_genus_errors_and_origin():

@@ -8,9 +8,9 @@ import pytest
 
 from conftest import random_series
 from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, eps, euler_phi
-from finvariant.genus import g2
+from finvariant.genus import g2, g_tilde_level1
 from finvariant.qseries import (EpsPartError, QSeries, divisor_sum, divisors,
-                                eps_split, is_integral_series, sigma)
+                                eps_split, is_integral_series, sigma, vector_to_series)
 
 
 def test_difference_of_squares():
@@ -57,6 +57,21 @@ def test_min_precision_rule():
 def test_level_mismatch_rejected():
     with pytest.raises(LevelMismatchError):
         QSeries.one(3, 4) + QSeries.one(2, 4)
+
+
+@pytest.mark.parametrize("build", [
+    lambda level: QSeries(level, 3, [1]),
+    lambda level: QSeries.zero(level, 3),
+    lambda level: QSeries.one(level, 3),
+    lambda level: QSeries.from_rationals(level, 3, [1, Fraction(1, 2)]),
+    lambda level: vector_to_series(level, 3, [Fraction(1)]),
+    lambda level: divisor_sum(level, 4, lambda d: 1),
+    lambda level: g_tilde_level1(level, 2, 5),
+], ids=["init", "zero", "one", "from_rationals", "vector_to_series", "divisor_sum",
+        "g_tilde_level1"])
+def test_level_below_two_rejected_on_every_route(build):
+    with pytest.raises(ValueError):
+        build(1)
 
 
 def test_associativity_random():

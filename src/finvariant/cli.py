@@ -5,9 +5,10 @@ Exit codes: 0 success / true verdict, 1 false verdict, 2 usage, 3 data error,
 4 internal error or output closed early (never a verdict).
 
 Series and basis files share one line-oriented UTF-8 format: a header
-``level=<N> weight=<k> prec=<P> label=<text>`` (``weight=?`` permitted for
-plain series), then one line per q-coefficient holding the index followed by
-phi(N) rationals ``p/q`` separated by single spaces. ``#`` starts a comment.
+``level=<N> weight=<k> prec=<P> label=<text>`` (each key once, ``label``
+optional, no other key; ``weight=?`` permitted for plain series), then one
+line per q-coefficient holding the index followed by phi(N) rationals ``p/q``
+separated by single spaces. ``#`` starts a comment.
 A series with an eps-part is written as its eps^0 block followed by a block
 labelled ``<label>.eps`` holding the eps^1 coefficients; in every file the
 reader folds such a block into the block right before it. A series file holds
@@ -103,11 +104,11 @@ def read_blocks(path: Path) -> list[tuple[Optional[int], str, QSeries]]:
     for start, end in zip(starts, starts[1:] + [len(lines)]):
         weight, label, series = _parse_block(path, lines[start], lines[start + 1:end])
         if prev is not None and label == prev + ".eps":
-            const = blocks[-1][2]
-            if (const.level, const.prec) != (series.level, series.prec):
+            const_weight, const_label, const = blocks[-1]
+            if (const_weight, const.level, const.prec) != (weight, series.level, series.prec):
                 raise DataError(f"{path}:{lines[start][0]}: eps block does not match "
                                 f"its series block")
-            blocks[-1] = blocks[-1][:2] + (const + series * eps(const.level),)
+            blocks[-1] = (weight, const_label, const + series * eps(const.level))
         else:
             blocks.append((weight, label, series))
         prev = label
@@ -141,17 +142,17 @@ def _parse_block(path: Path, header: tuple[int, str],
 
 
 def _parse_header(line: str, path: Path, line_no: int) -> tuple[int, int, Optional[int], str]:
-    """(level, prec, weight, label) of a header line; weight None for 'weight=?'."""
-    fields = {}
-    label = ""
+    """(level, prec, weight, label) of a header line holding level, weight and prec
+    once each and label at most once; weight None for 'weight=?'."""
+    fields: dict[str, str] = {}
     for part in line.split(None, 3):
         if "=" not in part:
             raise DataError(f"{path}:{line_no}: malformed header field {part!r}")
         key, value = part.split("=", 1)
-        if key == "label":
-            label = value
-        else:
-            fields[key] = value
+        if key in fields or key not in ("level", "weight", "prec", "label"):
+            kind = "repeated" if key in fields else "unknown"
+            raise DataError(f"{path}:{line_no}: {kind} header key {key!r}")
+        fields[key] = value
     try:
         level = int(fields["level"])
         prec = int(fields["prec"])
@@ -160,7 +161,7 @@ def _parse_header(line: str, path: Path, line_no: int) -> tuple[int, int, Option
         raise DataError(f"{path}:{line_no}: malformed header {line!r}") from exc
     if level < 2 or prec < 1:
         raise DataError(f"{path}:{line_no}: level must be >= 2 and prec >= 1")
-    return level, prec, weight, label
+    return level, prec, weight, fields.get("label", "")
 
 
 def read_series(path: Path) -> QSeries:

@@ -11,7 +11,8 @@ requires equal levels and truncates to the smaller precision.
 
 Every operation runs on the rows: the product by Kronecker substitution (one
 big-int product of the packed (q, zeta) polynomials, see Harvey, JSC 2009),
-`divisor_sum` as an integer sieve, and +, -, rational multiples and
+`divisor_sum` as a residue-class sieve (integer column sums per class of
+j mod N, each class twisted once), and +, -, rational multiples and
 certificate replay as one integer sum, `_linear_combination`. A CycNum
 already holds integers over one denominator, so `_int_parts` only rescales
 each input coefficient's (den, ints) to the row's denominator, and
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul
+from operator import add
 from typing import Callable, Optional, Sequence, Union
 
 from .exactnum import (_ZERO, CycNum, EpsPoly, LevelMismatchError, Scalar, _coprime_part,
@@ -416,25 +417,32 @@ def divisor_sum(level: int, prec: int, coeff: Callable[[int], Coefficient],
 
     coeff(d) is a rational, CycNum or EpsPoly; the weight is 1 when minus =
     plus = 0. The one divisor-sum kernel: g_tilde, g_tilde_level1 and the four
-    assembly formulas are calls of it. coeff is evaluated once per d; each
-    product coeff(d)*weight(j) is taken once per residue of j mod level.
+    assembly formulas are calls of it. coeff is evaluated once per d. Each
+    nonzero coordinate column of the coeff row is sieved unweighted into one
+    accumulator per class of j mod level, one slice addition per (j, column);
+    each class's twist (`_twist_matrices`) is applied once, after the sieve.
     """
     deg = euler_phi(level)
-    twists = _twist_matrices(level, minus, plus) if minus or plus else None
+    classes = level if minus or plus else 1
     den, parts = _int_parts(level, [0] + [coeff(d) for d in range(1, prec)])
     sums = []
     for flat in parts:
-        acc = [[0] * deg for _ in range(prec)]
-        for d in range(1, prec):
-            row = flat[d * deg:(d + 1) * deg]
-            if not any(row):
-                continue
-            top = (prec - 1) // d
-            terms = [row] * level
-            if twists is not None:
-                for j in range(1, min(top, level) + 1):
-                    terms[j % level] = [sum(map(mul, row, col)) for col in twists[j % level]]
-            for j in range(1, top + 1):
-                acc[d * j] = list(map(add, acc[d * j], terms[j % level]))
-        sums.append([x for row in acc for x in row])
+        cols = {i: c for i in range(deg) if any(c := flat[i::deg])}
+        acc = [{i: [0] * prec for i in cols} for _ in range(classes)]
+        for j in range(1, prec):
+            rows = acc[j % classes]
+            for i, c in cols.items():
+                rows[i][j::j] = map(add, rows[i][j::j], c[1:(prec - 1) // j + 1])
+        out = acc[0]
+        if classes > 1:
+            out = {}
+            for twist, rows in zip(_twist_matrices(level, minus, plus), acc):
+                for i, row in rows.items():
+                    for t, m in enumerate(col[i] for col in twist):
+                        if m:
+                            out[t] = [x + m * y for x, y in zip(out.get(t, [0] * prec), row)]
+        total = [0] * (prec * deg)
+        for t, row in out.items():
+            total[t::deg] = row
+        sums.append(total)
     return QSeries._of(level, prec, den, sums)

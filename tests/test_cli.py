@@ -362,6 +362,8 @@ _H3 = "level=3 weight=? prec={} label=x\n"
     ("series", "level=3 weight=? prec=1 x\n0 1 0\n", 1, "malformed header field 'x'"),
     ("series", "level=3 weight=? label=x\n0 1 0\n", 1,
      "malformed header 'level=3 weight=? label=x'"),
+    ("series", "level=3 weight=? prec=1 lable=x\n0 1 0\n", 1, "unknown header key 'lable'"),
+    ("series", "level=3 weight=? prec=1 level=5\n0 1 0\n", 1, "repeated header key 'level'"),
     ("series", _H3.format(0), 1, "level must be >= 2 and prec >= 1"),
     ("series", "level=3 weight=2 prec=4 label=x\n0 1 0\n1 2 0\n", 1,
      "block 'x' has 2 coefficient lines, expected 4"),
@@ -369,6 +371,8 @@ _H3 = "level=3 weight=? prec={} label=x\n"
      "block 'x' has 1 coefficient lines, expected 2"),
     ("series", _H3.format(2) + "0 1 0\n1 0 0\nlevel=3 weight=? prec=1 label=x.eps\n0 1 0\n",
      4, "eps block does not match its series block"),
+    ("series", _H3.format(1) + "0 1 0\nlevel=3 weight=2 prec=1 label=x.eps\n0 1 0\n",
+     3, "eps block does not match its series block"),
     ("series", _H3.format(1) + "0 1 0\nlevel=3 weight=? prec=1 label=y\n0 1 0\n", None,
      "expected a single series block, found 2"),
     ("basis", "level=5 weight=? prec=1 label=1\n0 1 0 0 0\n", None,
@@ -378,8 +382,9 @@ _H3 = "level=3 weight=? prec={} label=x\n"
     # the level-5 user basis with q/7 as the eps part of Ghat1^2 (a '.eps' block)
     ("basis", None, None, "basis entry 'Ghat1^2' carries an eps part"),
 ], ids=["coordinates", "before_header", "bad_index", "out_of_order", "no_blocks",
-        "header_field", "header", "bounds", "truncated_last", "truncated_first",
-        "eps_mismatch", "two_blocks", "basis_weight", "basis_levels", "basis_eps"])
+        "header_field", "header", "unknown_key", "repeated_key", "bounds", "truncated_last",
+        "truncated_first", "eps_mismatch", "eps_weight", "two_blocks", "basis_weight",
+        "basis_levels", "basis_eps"])
 def test_reader_errors_exit_three(tmp_path, capsys, role, text, line, message):
     prec = 12
     bases = tmp_path / "bases"

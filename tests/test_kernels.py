@@ -166,6 +166,29 @@ def test_divisor_sum_sparse_and_tiny_precision(level):
     assert divisor_sum(level, 10, lambda d: 0, 1, 1).is_zero()
 
 
+def _linear_row(rng, level, d):
+    """An EpsPoly.linear coefficient as xi-tables build it; its eps part is zero for d % 3 == 0."""
+    return EpsPoly.linear(level, _fraction(rng, False),
+                          0 if d % 3 == 0 else Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+
+
+@pytest.mark.parametrize("level", (5, 7, 15))
+@pytest.mark.parametrize("minus, plus", [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1), (-2, 3)])
+def test_divisor_sum_traffic_shapes(level, minus, plus):
+    # the rows callers pass: rational EpsPoly.linear entries (xi-tables), ints
+    # d^(k-1) (g_tilde), and 0 at even d with EpsPolys at odd d (quaternionic
+    # reduced assembly), at precisions around the level where zeta^r is dense
+    rng = random.Random(7000 + 10 * level + 3 * minus + plus)
+    for prec in (level - 1, level, level + 1, 2 * level + 1):
+        tables = [{d: _linear_row(rng, level, d) for d in range(1, prec)},
+                  {d: _linear_row(rng, level, d) if d % 2 else 0 for d in range(1, prec)}]
+        tables += [{d: d ** (k - 1) for d in range(1, prec)} for k in range(1, 9)]
+        for table in tables:
+            got = divisor_sum(level, prec, table.__getitem__, minus, plus)
+            assert list(got.coeffs) == _divisor_enumeration(level, prec, table.__getitem__,
+                                                            minus, plus)
+
+
 # ---------------------------------------------------------------------------
 # The linear-combination kernel: +, - and rational multiples
 

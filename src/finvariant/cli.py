@@ -5,8 +5,9 @@ Exit codes: 0 success / true verdict, 1 false verdict, 2 usage, 3 data error,
 4 internal error or output closed early (never a verdict).
 
 Series and basis files share one line-oriented UTF-8 format: a header
-``level=<N> weight=<k> prec=<P> label=<text>`` (each key once, ``label``
-optional, no other key; ``weight=?`` permitted for plain series), then one
+``level=<N> weight=<k> prec=<P> label=<text>`` (each key once, in any
+order, ``label`` optional, no other key; ``weight=?`` permitted for plain
+series), then one
 line per q-coefficient holding the index followed by phi(N) rationals ``p/q``
 separated by single spaces. ``#`` starts a comment.
 A series with an eps-part is written as its eps^0 block followed by a block
@@ -90,15 +91,17 @@ def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
 def read_blocks(path: Path) -> list[tuple[Optional[int], str, QSeries]]:
     """Parse a series/basis file into (weight, label, series) blocks.
 
-    A '<label>.eps' block holds the eps^1 part of the '<label>' block right
+    A header is any line whose first token holds '=' (a coefficient line
+    starts with its integer index), so its keys may come in any order. A
+    '<label>.eps' block holds the eps^1 part of the '<label>' block right
     before it, and folds into that block's series.
     """
     lines = list(_data_lines(path))
     if not lines:
         raise DataError(f"{path}: no series blocks found")
-    if not lines[0][1].startswith("level="):
+    starts = [i for i, (_, line) in enumerate(lines) if "=" in line.split(None, 1)[0]]
+    if not starts or starts[0]:
         raise DataError(f"{path}:{lines[0][0]}: coefficient line before any header")
-    starts = [i for i, (_, line) in enumerate(lines) if line.startswith("level=")]
     blocks: list[tuple[Optional[int], str, QSeries]] = []
     prev = None
     for start, end in zip(starts, starts[1:] + [len(lines)]):

@@ -8,7 +8,8 @@ Numeric side: floating-point evaluation of the genus via the standard
 triple-product form of the Jacobi-type Phi function, and of the auxiliary
 coth-plus-lattice sum psi. These exist purely as oracles for the exact series.
 The product's x-independent factors (q^n, (1-q^n)^2 and Phi(tau, -2*pi*i/N))
-are built once per (level, tau) by `ell_function`.
+are built once per (level, tau) by `ell_function`, and each product stops at
+its proven tail: the first n with |q^n| < 2^-60 / max(|e^x|, |e^-x|).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import CycNum, bernoulli, eisenstein_weight_one_constant
-from .qseries import QSeries, divisor_sum, series_to_vector
+from .qseries import QSeries, divisor_sum, series_row
 
 
 def weight_constant(level: int, k: int) -> CycNum:
@@ -165,10 +166,24 @@ def _q_factors(tau: complex, terms: int) -> list[tuple[complex, complex]]:
     return factors
 
 
+_TAIL = 2.0 ** -60
+
+
 def _phi(factors: list[tuple[complex, complex]], x: complex) -> complex:
+    """The triple product over `factors`, stopped at its proven tail.
+
+    The loop ends at the first n with |q^n| < t / max(|e^x|, |e^-x|), t = 2^-60.
+    |q^m| only shrinks, so every factor m >= n has |q^m e^(+-x)| <= t |q|^(m-n)
+    and the dropped factors change Phi by a relative O(t/(1-|q|)), far below
+    the 2^-53 relative spacing of doubles. `factors` is a cap: with fewer
+    factors than the tail needs, the product is truncated after the last one.
+    """
     acc = cmath.exp(x / 2) - cmath.exp(-x / 2)
     ex, emx = cmath.exp(x), cmath.exp(-x)
+    tail = _TAIL / max(abs(ex), abs(emx))
     for qn, d in factors:
+        if abs(qn) < tail:
+            break
         acc *= (1 - qn * ex) * (1 - qn * emx) / d
     return acc
 
@@ -177,7 +192,10 @@ def phi_numeric(tau: complex, x: complex, terms: int = 200) -> complex:
     """Triple-product evaluation of the odd Jacobi-type function Phi(tau, x).
 
     Phi = (e^(x/2) - e^(-x/2)) * prod_{n>=1} (1-q^n e^x)(1-q^n e^-x)/(1-q^n)^2,
-    truncated after `terms` factors. Vanishes exactly on 2*pi*i*(Z + tau*Z).
+    stopped at the proven tail of `_phi` (the dropped factors change Phi by a
+    relative O(t/(1-|q|)), t = 2^-60). `terms` caps the factor count: when the
+    tail needs more factors, the product is truncated after `terms` of them.
+    Vanishes exactly on 2*pi*i*(Z + tau*Z).
     """
     return _phi(_q_factors(tau, terms), x)
 
@@ -188,8 +206,11 @@ def ell_function(level: int, tau: complex,
 
     The q^n factors and Phi(tau, -2*pi*i/N) depend only on (level, tau,
     terms) and are built once here; each call of the returned function
-    evaluates the two x-dependent products. The function raises PoleError
-    when x sits on the pole lattice (away from the removable origin).
+    evaluates the two x-dependent products. Each product stops at the proven
+    tail of `_phi` (a relative change of O(t/(1-|q|)), t = 2^-60), and
+    `terms` caps it: a product that needs more factors is truncated after
+    `terms` of them. The function raises PoleError when x sits on the pole
+    lattice (away from the removable origin).
     """
     factors = _q_factors(tau, terms)
     shift = 2j * cmath.pi / level
@@ -256,9 +277,13 @@ def numeric_taylor(fn, order: int, radius: float = 0.4,
 
 
 def series_value(f: QSeries, tau: complex) -> complex:
-    """Numeric value of an eps-free exact series at q = e^(2 pi i tau)."""
+    """Numeric value of an eps-free exact series at q = e^(2 pi i tau).
+
+    Each coordinate is the integer quotient c / den, rounded once, as
+    float(Fraction(c, den)) is.
+    """
     q = _check_tau(tau)
     z = cmath.exp(2j * cmath.pi / f.level)
-    coords = series_to_vector(f, f.prec)
-    deg = len(coords) // f.prec
-    return sum((float(c) * z ** (i % deg) * q ** (i // deg) for i, c in enumerate(coords) if c), 0j)
+    row, den = series_row(f, f.prec)
+    deg = len(row) // f.prec
+    return sum((c / den * z ** (i % deg) * q ** (i // deg) for i, c in enumerate(row) if c), 0j)

@@ -153,6 +153,21 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     assert f.coefficient(0).constant_part().coords[0] == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("eps_header", [
+    "level=3 weight=? prec=2 label=x.eps",
+    "weight=? level=3 prec=2 label=x.eps",
+    "label=x.eps prec=2 weight=? level=3",
+])
+def test_header_keys_in_any_order_start_a_block(tmp_path, eps_header):
+    # a line whose first token holds '=' is a header, whatever its key order,
+    # so the '.eps' block folds into the block before it
+    path = tmp_path / "R.txt"
+    path.write_text(f"weight=? prec=2 level=3 label=x\n0 1 0\n1 2 0\n"
+                    f"{eps_header}\n0 0 0\n1 1/7 0\n", encoding="utf-8")
+    const = QSeries.from_rationals(3, 2, [1, 2])
+    assert read_series(path) == const + QSeries.from_rationals(3, 2, [0, Fraction(1, 7)]) * eps(3)
+
+
 # ---------------------------------------------------------------------------
 # divcong / assemble / example / oracle
 

@@ -206,6 +206,48 @@ def test_numeric_genus_bit_identical_to_direct_loop():
                     assert ell_numeric(level, tau, x, terms) == want
 
 
+_TAYLOR_POINTS = [0.4 * cmath.exp(2j * cmath.pi * j / 64) for j in range(64)]
+
+
+def test_tail_rule_matches_a_longer_cap():
+    # at the oracle's tau values the product ends at its proven tail well
+    # before 200 factors, so a cap of 4,000 changes no bit
+    for tau in (0.31j, 0.05 + 0.4j):
+        for level in range(2, 13):
+            short, long = ell_function(level, tau, 200), ell_function(level, tau, 4000)
+            for x in _TAYLOR_POINTS:
+                assert short(x) == long(x)
+    for x in _TAYLOR_POINTS:
+        assert phi_numeric(TAU, x, 30) == phi_numeric(TAU, x, 200) == phi_numeric(TAU, x, 4000)
+
+
+def test_cap_truncates_before_the_tail():
+    # at Im tau = 0.01 (|q| ~ 0.94) the tail lies far past 200 factors: the
+    # cap truncates the product exactly as the direct 200-factor loop does
+    tau = 0.01j
+    for x in _TAYLOR_POINTS[::8]:
+        assert phi_numeric(tau, x, 200) == _reference_phi(tau, x, 200)
+        assert phi_numeric(tau, x, 200) != phi_numeric(tau, x, 4000)
+
+
+def _reference_series_value(f, tau):
+    # the sum over float(Fraction) coordinates, in the same order
+    q = cmath.exp(2j * cmath.pi * tau)
+    z = cmath.exp(2j * cmath.pi / f.level)
+    return sum((float(c) * z ** t * q ** n
+                for n in range(f.prec)
+                for t, c in enumerate(f.coefficient(n).constant_part().coords) if c), 0j)
+
+
+@pytest.mark.parametrize("level", range(2, 8))
+def test_series_value_bit_identical_to_fraction_sum(level):
+    exp = ell_expansion(level, 8, 60)
+    for k in range(1, 9):
+        f = exp.x_coefficient(k)
+        for tau in (0.31j, 0.05 + 0.4j):
+            assert series_value(f, tau) == _reference_series_value(f, tau)
+
+
 @pytest.mark.parametrize("series", [g_tilde_level1, eisenstein_level1])
 @pytest.mark.parametrize("k", [0, -1])
 def test_level1_series_refuse_weight_below_one(series, k):

@@ -12,7 +12,8 @@ series, so intermediate weights impose no extra freedom.  The formal real
 scalar in front of Gtilde_k may carry an eps-part, which is how the circle
 example's eps-term is absorbed.
 
-Membership is decided exactly and in integers: the rational span is
+Membership is decided exactly and in integers, in one pass over rows: F - G is
+read as integer rows per eps degree over one denominator, the rational span is
 eliminated by fraction-free column reduction over one denominator, built once
 per lattice (Bareiss, Math. Comp. 1968; Cohen, GTM 138 sec. 2.2), and what
 remains is a congruence system in s <= dim(span) unknowns, settled by a local
@@ -20,7 +21,9 @@ solve over Z/p^e for the primes p not dividing N in the denominators; the
 solve runs modulo their product, which is the same system by the Chinese
 remainder theorem and needs no factoring (Storjohann-Mulders, ESA 1998;
 Cohen, GTM 138 sec. 2.4).  A positive verdict always carries a replayable
-certificate; its s+1 coefficients are the only rationals the decision forms.
+certificate; its s+1 coefficients are the only rationals the decision forms,
+its residual the only series, and its replay is checked against the rows of
+F - G as an integer identity.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from typing import Optional, Sequence
 
 from .exactnum import LevelMismatchError, _coprime_part, prime_factors
 from .genus import g_hat
-from .qseries import (EpsPartError, IntegralityReport, QSeries, _linear_combination,
-                      eps_split, is_integral_series, relative_integrality_check,
-                      series_row, series_to_vector, vector_to_series)
+from .qseries import (EpsPartError, IntegralityReport, QSeries, _row_sum, is_integral_series,
+                      relative_integrality_check, series_row, series_to_vector,
+                      vector_to_series)
 
 _ZERO = Fraction(0)
 
@@ -273,13 +276,15 @@ class IndeterminacyLattice:
     gtilde: Optional[QSeries]
     prec: int
 
-    @property
-    def span_indices(self) -> list[int]:
+    @cached_property
+    def span_indices(self) -> tuple[int, ...]:
         """Indices of basis entries entering the rational span (weights 0 and k)."""
-        return [i for i, e in enumerate(self.basis.entries)
-                if e.weight == 0 or e.weight == self.weight]
+        return tuple(i for i, e in enumerate(self.basis.entries)
+                     if e.weight == 0 or e.weight == self.weight)
 
+    @cached_property
     def describe(self) -> str:
+        """The lattice in words, as `EquivResult.modulus` reports it."""
         g = "+R*Gtilde" if self.gtilde is not None else ""
         return (f"weight<={self.weight} lattice at level {self.level} "
                 f"(free weights 0,{self.weight}; integral series{g})")
@@ -391,13 +396,17 @@ class EquivCertificate:
 
     def replay(self, lattice: IndeterminacyLattice) -> QSeries:
         """Reconstruct the certified difference from its parts, in one integer sum."""
+        return QSeries._of(self.residual.level, *self._rows(lattice))
+
+    def _rows(self, lattice: IndeterminacyLattice) -> tuple[int, int, list[Sequence[int]]]:
+        """(prec, den, rows): the replayed difference as the `_row_sum` of its parts."""
         terms = [((coeff,), entry.series)
                  for coeff, entry in zip(self.basis_coeffs, lattice.basis.entries) if coeff]
         if lattice.gtilde is not None and (self.gtilde_coeff or self.gtilde_eps_coeff):
             terms.append(((self.gtilde_coeff, self.gtilde_eps_coeff), lattice.gtilde))
         terms.append(((1,), self.residual))
         prec = min(self.prec, *(series.prec for _, series in terms))
-        return _linear_combination(self.residual.level, prec, terms)
+        return (prec, *_row_sum(self.residual.level, prec, terms))
 
 
 @dataclass(frozen=True)
@@ -429,20 +438,22 @@ def is_equivalent(F: QSeries, G: QSeries,
                   lattice: IndeterminacyLattice) -> EquivResult:
     """Decide F == G modulo the indeterminacy lattice; certify positive verdicts.
 
-    The eps^1-part of F - G must be an exact rational multiple of Gtilde
-    (the formal parameter is a transcendental real, so nothing else in the
-    lattice can absorb it); the eps^0-part is a rational-span-plus-integral
-    membership, solved exactly. A false verdict is marked as proof only when
-    the working precision meets the Sturm-bound policy.
+    F - G is read once, at the working precision, as integer rows per eps
+    degree over one denominator (`_row_sum`). The eps^1 row must be an exact
+    rational multiple of Gtilde (the formal parameter is a transcendental
+    real, so nothing else in the lattice can absorb it); the eps^0 row is a
+    rational-span-plus-integral membership, solved exactly. A false verdict
+    is marked as proof only when the working precision meets the Sturm-bound
+    policy. The certified residual is the one series a decision builds; the
+    replay is checked against the rows of F - G as an integer identity.
     """
     if F.level != lattice.level or G.level != lattice.level:
         raise BasisError("series level does not match lattice")
     prec = min(F.prec, G.prec, lattice.prec)
     sound = prec >= policy_prec(lattice.level, lattice.weight)
-    modulus = lattice.describe()
-    diff = (F - G).truncate(prec)
-    parts = eps_split(diff)
-    if len(parts) > 2:
+    modulus = lattice.describe
+    den, rows = _row_sum(lattice.level, prec, (((1,), F), ((-1,), G)))
+    if len(rows) > 2:
         raise EpsPartError("eps-degree >= 2 unsupported by the lattice")
 
     def negative() -> EquivResult:
@@ -452,15 +463,15 @@ def is_equivalent(F: QSeries, G: QSeries,
     at_prec = lattice if prec == lattice.prec else replace(lattice, prec=prec)
     space, gspace = at_prec._spaces
     c1 = _ZERO
-    if len(parts) == 2:
+    if len(rows) == 2:
         if gspace is None:
             return negative()
-        r, comb, d = gspace.reduce(*series_row(parts[1], prec))
+        r, comb, d = gspace.reduce(rows[1], den)
         if any(r):
             return negative()
         c1 = Fraction(comb[0], d)
 
-    solved = _integral_span_solve(*series_row(parts[0], prec), space, lattice.level)
+    solved = _integral_span_solve(rows[0], den, space, lattice.level)
     if solved is None:
         return negative()
     span_coeffs, residual_row, d = solved
@@ -475,8 +486,10 @@ def is_equivalent(F: QSeries, G: QSeries,
     if not is_integral_series(residual):
         raise AssertionError("non-integral certificate residual (internal error)")
     # replay rebuilds F - G from the span coefficients and the residual, so
-    # it also shows that F - G - residual lies in the span
-    if cert.replay(lattice) != diff:
+    # it also shows that F - G - residual lies in the span: replay/rden ==
+    # rows/den, eps degree by eps degree
+    _, rden, replayed = cert._rows(lattice)
+    if [[x * den for x in row] for row in replayed] != [[x * rden for x in row] for row in rows]:
         raise AssertionError("certificate replay mismatch (internal error)")
     return EquivResult(True, cert, sound, prec, modulus)
 

@@ -13,9 +13,11 @@ Every operation runs on the rows: the product by Kronecker substitution (one
 big-int product of the packed (q, zeta) polynomials, see Harvey, JSC 2009),
 `divisor_sum` as a residue-class sieve (integer column sums per class of
 j mod N, each class twisted once), and +, -, rational multiples and
-certificate replay as one integer sum, `_linear_combination`. A CycNum
-already holds integers over one denominator, so `_int_parts` only rescales
-each input coefficient's (den, ints) to the row's denominator, and
+certificate replay as one integer row sum, `_row_sum`; `_linear_combination`
+is that sum as a series. A lattice decision reads F - G from it as rows and
+checks its replay as an integer identity, so neither is made canonical. A
+CycNum already holds integers over one denominator, so `_int_parts` only
+rescales each input coefficient's (den, ints) to the row's denominator, and
 `coefficient(n)` slices the row back.
 """
 
@@ -308,26 +310,39 @@ def _int_parts(level: int, values: Sequence[Coefficient]) -> tuple[int, list[lis
     return den, parts
 
 
-def _linear_combination(level: int, prec: int,
-                        terms: Sequence[tuple[Sequence[Scalar], QSeries]]) -> QSeries:
-    """sum (s_0 + s_1*eps + ...) * series to O(q^prec), in integers.
+def _row_sum(level: int, prec: int,
+             terms: Sequence[tuple[Sequence[Scalar], QSeries]]) -> tuple[int, list[Sequence[int]]]:
+    """sum (s_0 + s_1*eps + ...) * series to O(q^prec) as integer rows over one denominator.
 
     Each term pairs rational scalars s_j, one per eps degree, with a series
     of precision >= prec. Every term's rows are scaled to one common
-    denominator and summed as integers.
+    denominator and summed as integers. Returns (den, rows): rows[e] is den
+    times the eps^e part, prec*phi(level) ints. den is that lcm, not reduced
+    against the entries; trailing zero rows are dropped, but one row remains.
     """
     size = prec * euler_phi(level)
     scaled = [(scalars, f) for scalars, f in terms if f.parts]
     total = lcm(*(f.den * s.denominator for scalars, f in scaled for s in scalars if s))
-    top = max((len(scalars) + len(f.parts) - 1 for scalars, f in scaled), default=0)
-    sums = [[0] * size for _ in range(top)]
+    top = max((len(scalars) + len(f.parts) - 1 for scalars, f in scaled), default=1)
+    sums: list = [None] * top  # a row no term reaches stays None until the end
     for scalars, f in scaled:
         for i, s in enumerate(scalars):
             if s:
                 m = s.numerator * (total // (f.den * s.denominator))
                 for e, part in enumerate(f.parts):
-                    sums[i + e] = list(map(add, sums[i + e], [m * x for x in part[:size]]))
-    return QSeries._of(level, prec, total, sums)
+                    row = part[:size] if m == 1 else [m * x for x in part[:size]]
+                    acc = sums[i + e]
+                    sums[i + e] = row if acc is None else list(map(add, acc, row))
+    sums = [[0] * size if row is None else row for row in sums]
+    while len(sums) > 1 and not any(sums[-1]):
+        sums.pop()
+    return total, sums
+
+
+def _linear_combination(level: int, prec: int,
+                        terms: Sequence[tuple[Sequence[Scalar], QSeries]]) -> QSeries:
+    """`_row_sum` as a canonical series."""
+    return QSeries._of(level, prec, *_row_sum(level, prec, terms))
 
 
 def _pack(flat: Sequence[int], deg: int, stride: int, width: int) -> int:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from finvariant.divcong import (DIM_TARGETS, BasisEntry, BasisError, ModularBasi
 from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError, _coprime_part, eps,
                                  euler_phi, prime_factors)
 from finvariant.genus import g_hat, g_tilde
-from finvariant.qseries import EpsPartError, QSeries, divisors, eps_split
+from finvariant.qseries import EpsPartError, QSeries, divisors, eps_split, series_row
 
 
 def test_sturm_bound_values():
@@ -944,3 +945,183 @@ def test_integer_span_solve_with_unknowns_matches_fraction_reference(
     # Gtilde, members need both weight-2 directions
     nonzero = [sum(x != 0 for x in t) for s, t in solves if s >= 2 and t]
     assert nonzero and max(nonzero) >= (1 if with_gtilde else 2)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass difference against a two-pass reference: F - G built as a
+# series, truncated, split by eps degree and flattened before the solve
+
+
+def _two_pass_decide(F, G, lattice):
+    """(verdict, false_is_proof, prec_used, certificate fields or None)."""
+    prec = min(F.prec, G.prec, lattice.prec)
+    sound = prec >= policy_prec(lattice.level, lattice.weight)
+    parts = eps_split((F - G).truncate(prec))
+    if len(parts) > 2:
+        raise EpsPartError("eps-degree >= 2")
+    at_prec = lattice if prec == lattice.prec else replace(lattice, prec=prec)
+    space, gspace = at_prec._spaces
+    c1 = Fraction(0)
+    if len(parts) == 2:
+        if gspace is None:
+            return False, sound, prec, None
+        r, comb, d = gspace.reduce(*series_row(parts[1], prec))
+        if any(r):
+            return False, sound, prec, None
+        c1 = Fraction(comb[0], d)
+    solved = divcong._integral_span_solve(*series_row(parts[0], prec), space, lattice.level)
+    if solved is None:
+        return False, sound, prec, None
+    a, w, d = solved
+    coeffs = [Fraction(0)] * len(lattice.basis.entries)
+    for pos, idx in enumerate(lattice.span_indices):
+        coeffs[idx] = Fraction(a[pos], d)
+    c0 = Fraction(a[len(lattice.span_indices)], d) if lattice.gtilde is not None else Fraction(0)
+    residual = QSeries._of(lattice.level, prec, d, (w,))
+    return True, sound, prec, (prec, tuple(coeffs), c0, c1,
+                               residual.prec, residual.den, residual.parts)
+
+
+def _assert_matches_two_pass(F, G, lattice):
+    want = _two_pass_decide(F, G, lattice)
+    res = is_equivalent(F, G, lattice)
+    assert (res.equivalent, res.false_is_proof, res.prec_used) == want[:3]
+    cert = res.certificate
+    if want[3] is None:
+        assert cert is None
+    else:
+        assert (cert.prec, cert.basis_coeffs, cert.gtilde_coeff, cert.gtilde_eps_coeff,
+                cert.residual.prec, cert.residual.den, cert.residual.parts) == want[3]
+    return res.equivalent
+
+
+@pytest.fixture(scope="module")
+def lattice_k2_16():
+    return make_lattice(3, 2, 16, gtilde=g_tilde(3, 2, 16))
+
+
+@pytest.mark.parametrize("prec_f, prec_g", [(16, 14), (13, 16), (9, 10), (11, 8)])
+def test_one_pass_matches_two_pass_across_precisions(lattice_k2, lattice_k2_16, prec_f, prec_g):
+    # members and perturbed copies at prec 16 with unequal denominators, cut
+    # to F.prec != G.prec and decided above and below each lattice's precision
+    verdicts, dens = set(), set()
+    for F, G in _random_pairs(lattice_k2_16, random.Random(prec_f * prec_g), 15):
+        F, G = F.truncate(prec_f), G.truncate(prec_g)
+        dens.add(F.den == G.den)
+        for lattice in (lattice_k2, lattice_k2_16):
+            verdicts.add(_assert_matches_two_pass(F, G, lattice))
+    assert verdicts == {True, False} and False in dens
+
+
+def test_one_pass_matches_two_pass_on_eps_parts(lattice_k2):
+    rng = random.Random(5)
+    e, gt = eps(3), lattice_k2.gtilde
+    A = random_integral_series(rng, 3, 12) + random_series(rng, 3, 12)
+    B = A + gt * Fraction(2, 7) + random_integral_series(rng, 3, 12)
+    off = QSeries(3, 12, [0, 0, e])  # an eps-part off the Gtilde direction
+    eps2 = QSeries(3, 14, [0, e * e * Fraction(3, 5)])
+    cases = [
+        (B + gt * e * Fraction(3, 4), A, True),  # in F only
+        (B, A + gt * e * Fraction(1, 6), True),  # in G only
+        (B + gt * e * 5, A + gt * e * Fraction(-2, 3), True),  # in both
+        (B + gt * e * 5, A + gt * e * 5, True),  # in both, cancelling
+        (B + off, A, False),
+        (B, A + off, False),
+        (B + eps2, A + eps2, True),  # equal eps^2 parts cancel
+        (QSeries.zero(3, 12), QSeries.zero(3, 12), True),
+        (QSeries.zero(3, 12), B - A, True),
+        (B - A, QSeries.zero(3, 12), True),
+        (QSeries.zero(3, 12), off, False),
+    ]
+    for F, G, verdict in cases:
+        assert _assert_matches_two_pass(F, G, lattice_k2) is verdict
+    # an eps^2 part at q^13 lies beyond prec 12; at q^1 it is refused
+    late = QSeries(3, 14, [0] * 13 + [e * e])
+    assert _assert_matches_two_pass(B + late, A, lattice_k2)
+    for F, G in ((B + eps2, A), (B, A + eps2)):
+        with pytest.raises(EpsPartError):
+            _two_pass_decide(F, G, lattice_k2)
+        with pytest.raises(EpsPartError):
+            is_equivalent(F, G, lattice_k2)
+
+
+@pytest.mark.parametrize("with_gtilde", [False, True])
+def test_one_pass_matches_two_pass_with_unknowns(lattice_35, lattice_25, with_gtilde,
+                                                 monkeypatch):
+    # span vectors with denominators prime to N: the rows reach the local
+    # solve with unknowns
+    solves = []
+
+    def spy(matrix, rhs, modulus):
+        solves.append((modulus, len(matrix[0])))
+        return _solve_mod(matrix, rhs, modulus)
+
+    monkeypatch.setattr(divcong, "_solve_mod", spy)
+    lattices = [make_lattice(3, 2, 8, basis=lattice_35,
+                             gtilde=g_tilde(3, 2, 8) if with_gtilde else None),
+                replace(lattice_25[0], gtilde=g_tilde(3, 2, 6) if with_gtilde else None)]
+    verdicts, reached = set(), 0
+    for lattice in lattices:
+        for F, G in _random_pairs(lattice, random.Random(lattice.prec + with_gtilde), 12):
+            solves.clear()
+            verdict = is_equivalent(F, G, lattice).equivalent
+            reached += any(modulus > 1 and s >= 1 for modulus, s in solves)
+            assert _assert_matches_two_pass(F, G, lattice) is verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False} and reached >= 12
+
+
+# ---------------------------------------------------------------------------
+# The decision's two internal checks fire on a wrong certificate
+
+
+def test_replay_check_fires_on_a_wrong_span_coefficient(lattice_k2, monkeypatch):
+    solve = divcong._integral_span_solve
+
+    def off_by_one(num, den, space, level):
+        a, w, d = solve(num, den, space, level)
+        return [a[0] + d] + a[1:], w, d  # the constant's coefficient plus 1
+
+    monkeypatch.setattr(divcong, "_integral_span_solve", off_by_one)
+    F = (random_integral_series(random.Random(3), 3, 12)
+         + lattice_k2.basis.of_weight(2)[0].series * Fraction(3, 7))
+    with pytest.raises(AssertionError, match="certificate replay mismatch"):
+        is_equivalent(F, QSeries.zero(3, 12), lattice_k2)
+
+
+def test_integrality_check_fires_on_a_non_integral_residual(lattice_k2, monkeypatch):
+    # every span coefficient 0 and all of F - G as residual: the replay holds
+    monkeypatch.setattr(divcong, "_integral_span_solve",
+                        lambda num, den, space, level: ([0] * space.ncols, list(num), den))
+    F = QSeries.from_rationals(3, 12, [0, Fraction(1, 7)])
+    with pytest.raises(AssertionError, match="non-integral certificate residual"):
+        is_equivalent(F, QSeries.zero(3, 12), lattice_k2)
+
+
+def test_replay_check_fires_on_a_wrong_eps_coefficient(monkeypatch):
+    lattice = make_lattice(3, 2, 12, gtilde=g_tilde(3, 2, 12))
+    gspace = lattice._spaces[1]
+    reduce = gspace.reduce
+
+    def c1_plus_one(num, den):
+        r, comb, d = reduce(num, den)
+        return r, [comb[0] + d], d
+
+    monkeypatch.setattr(gspace, "reduce", c1_plus_one)
+    F = lattice.gtilde * eps(3) * Fraction(3, 4)
+    with pytest.raises(AssertionError, match="certificate replay mismatch"):
+        is_equivalent(F, QSeries.zero(3, 12), lattice)
+
+
+def test_decision_builds_only_the_residual_series(lattice_k2, monkeypatch):
+    rng = random.Random(17)
+    G = random_series(rng, 3, 12)
+    member = G + lattice_k2.gtilde * (eps(3) * Fraction(2, 3)) + random_integral_series(rng, 3, 12)
+    outsider = G + QSeries.from_rationals(3, 12, [0, Fraction(1, 7)])
+    built = []
+    store = QSeries._store
+    monkeypatch.setattr(QSeries, "_store", lambda self, *args: built.append(args) or store(self, *args))
+    assert is_equivalent(member, G, lattice_k2).equivalent
+    assert len(built) == 1  # the certificate's residual
+    assert not is_equivalent(outsider, G, lattice_k2).equivalent
+    assert len(built) == 1

@@ -13,10 +13,9 @@ Subpackage layout:
 """
 
 from .exactnum import CycNum, EpsPoly, IntPoly, bernoulli, cyclotomic_poly, eps
-from .qseries import QSeries, eps_split, is_integral_series
+from .qseries import QSeries, eps_split, is_integral_series, relative_integrality_check
 from .genus import ell_expansion, g2, g_hat, g_tilde, g_tilde_level1
-from .divcong import (build_basis, hnf, is_equivalent, make_lattice,
-                      relative_integrality_check, sturm_bound)
+from .divcong import build_basis, hnf, is_equivalent, make_lattice, sturm_bound
 from .fassembly import (FRepresentative, XiTable, assemble_complex,
                         assemble_complex_reduced, assemble_quaternionic,
                         assemble_quaternionic_reduced, known_representative,

@@ -12,7 +12,9 @@ line per q-coefficient holding the index followed by phi(N) rationals ``p/q``
 separated by single spaces. ``#`` starts a comment.
 A series with an eps-part is written as its eps^0 block followed by a block
 labelled ``<label>.eps`` holding the eps^1 coefficients; in every file the
-reader folds such a block into the block right before it. A series file holds
+reader folds such a block into the block right before it, which must be the
+``<label>`` block with no eps block yet (any other ``.eps`` block, stacked or
+orphaned, is a data error). A series file holds
 one folded block; a basis file is a sequence of eps-free blocks. Reader errors
 name ``file:line``. Machine-readable output (``--machine``) emits exactly this
 format, so commands compose.
@@ -94,7 +96,9 @@ def read_blocks(path: Path) -> list[tuple[Optional[int], str, QSeries]]:
     A header is any line whose first token holds '=' (a coefficient line
     starts with its integer index), so its keys may come in any order. A
     '<label>.eps' block holds the eps^1 part of the '<label>' block right
-    before it, and folds into that block's series.
+    before it, and folds into that block's series; a block whose label ends
+    in '.eps' and follows anything else (no block, another label, or a block
+    that already took its eps block) is refused.
     """
     lines = list(_data_lines(path))
     if not lines:
@@ -103,18 +107,21 @@ def read_blocks(path: Path) -> list[tuple[Optional[int], str, QSeries]]:
     if not starts or starts[0]:
         raise DataError(f"{path}:{lines[0][0]}: coefficient line before any header")
     blocks: list[tuple[Optional[int], str, QSeries]] = []
-    prev = None
+    open_label = None  # the last block's label while it has no eps block
     for start, end in zip(starts, starts[1:] + [len(lines)]):
         weight, label, series = _parse_block(path, lines[start], lines[start + 1:end])
-        if prev is not None and label == prev + ".eps":
-            const_weight, const_label, const = blocks[-1]
-            if (const_weight, const.level, const.prec) != (weight, series.level, series.prec):
-                raise DataError(f"{path}:{lines[start][0]}: eps block does not match "
-                                f"its series block")
-            blocks[-1] = (weight, const_label, const + series * eps(const.level))
-        else:
+        where = f"{path}:{lines[start][0]}"
+        if not label.endswith(".eps"):
             blocks.append((weight, label, series))
-        prev = label
+            open_label = label
+            continue
+        if open_label is None or label != open_label + ".eps":
+            raise DataError(f"{where}: eps block '{label}' does not follow its series block")
+        const_weight, const_label, const = blocks[-1]
+        if (const_weight, const.level, const.prec) != (weight, series.level, series.prec):
+            raise DataError(f"{where}: eps block does not match its series block")
+        blocks[-1] = (weight, const_label, const + series * eps(const.level))
+        open_label = None
     return blocks
 
 
@@ -405,8 +412,7 @@ def _cmd_oracle(args) -> int:
     for level in levels:
         exp = ell_expansion(level, args.max_weight, args.prec)
         for tau in taus:
-            coeffs = numeric_taylor(ell_function(level, tau), args.max_weight,
-                                    radius=0.4, samples=64)
+            coeffs = numeric_taylor(ell_function(level, tau), args.max_weight)
             for k in range(1, args.max_weight + 1):
                 exact = series_value(exp.x_coefficient(k), tau)
                 err = abs(coeffs[k] - exact)

@@ -37,9 +37,7 @@ from typing import Optional, Sequence
 
 from .exactnum import LevelMismatchError, _coprime_part, prime_factors
 from .genus import g_hat
-from .qseries import (EpsPartError, IntegralityReport, QSeries, _row_sum, is_integral_series,
-                      relative_integrality_check, series_row, series_to_vector,
-                      vector_to_series)
+from .qseries import EpsPartError, QSeries, _row_sum, is_integral_series, series_row
 
 _ZERO = Fraction(0)
 
@@ -594,10 +592,7 @@ def _clearing_step(p: int, b: int, modulus: int) -> tuple[int, int, int, int]:
 
 __all__ = [
     "BasisEntry", "BasisError", "DIM_TARGETS", "EquivCertificate",
-    "EquivResult", "IndeterminacyLattice", "IntegralityReport",
-    "ModularBasis", "PrecisionError", "build_basis", "default_generators",
-    "dependent_entry",
-    "hnf", "is_equivalent", "is_integral_series", "make_lattice",
-    "policy_prec", "relative_integrality_check", "series_to_vector",
-    "sturm_bound", "vector_to_series",
+    "EquivResult", "IndeterminacyLattice", "ModularBasis", "PrecisionError",
+    "build_basis", "default_generators", "dependent_entry", "hnf",
+    "is_equivalent", "make_lattice", "policy_prec", "sturm_bound",
 ]

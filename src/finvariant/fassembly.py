@@ -14,10 +14,10 @@ from typing import Mapping, Optional
 
 from . import geometry
 from .divcong import (EquivResult, IndeterminacyLattice, ModularBasis,
-                      is_equivalent, make_lattice, relative_integrality_check)
+                      is_equivalent, make_lattice)
 from .exactnum import EpsPoly, Scalar
 from .genus import g_tilde, g_tilde_level1
-from .qseries import QSeries, divisor_sum
+from .qseries import QSeries, divisor_sum, relative_integrality_check
 
 COMPLEX_FULL = "complex_full"
 COMPLEX_POSITIVE = "complex_positive"
@@ -143,8 +143,7 @@ def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentati
         return FRepresentative(series, parities.l + 1, level,
                                "quaternionic transfer, torsion-zero branch")
     _require_support(parities, prec)
-    half = Fraction(1, 2)
-    series = divisor_sum(level, prec, lambda d: parities.value(d) * half if d % 2 else 0)
+    series = divisor_sum(level, prec, lambda d: parities.value(d) if d % 2 else 0) * Fraction(1, 2)
     return FRepresentative(series, parities.l + 1, level,
                            "quaternionic transfer, kernel parities")
 

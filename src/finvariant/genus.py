@@ -8,8 +8,9 @@ Numeric side: floating-point evaluation of the genus via the standard
 triple-product form of the Jacobi-type Phi function, and of the auxiliary
 coth-plus-lattice sum psi. These exist purely as oracles for the exact series.
 The product's x-independent factors (q^n, (1-q^n)^2 and Phi(tau, -2*pi*i/N))
-are built once per (level, tau) by `ell_function`, and each product stops at
-its proven tail: the first n with |q^n| < 2^-60 / max(|e^x|, |e^-x|).
+are built once per (level, tau) by `ell_function`, and extended when an x
+needs more of them. Every product and the psi sum stop at their proven tail,
+the first n with |q^n| max(|e^x|, |e^-x|) < 2^-60, and never at a count.
 """
 
 from __future__ import annotations
@@ -146,133 +147,125 @@ def _check_tau(tau: complex) -> complex:
     return cmath.exp(2j * cmath.pi * tau)
 
 
-def _on_pole_lattice(tau: complex, x: complex, tol: float = 1e-9) -> bool:
+def _on_pole_lattice(tau: complex, x: complex) -> bool:
     w = x / (2j * cmath.pi)
     v = w.imag / tau.imag if tau.imag else 0.0
     u = w.real - v * tau.real
-    return (abs(u - round(u)) < tol and abs(v - round(v)) < tol)
-
-
-def _q_factors(tau: complex, terms: int) -> list[tuple[complex, complex]]:
-    """The x-independent parts (q^n, (1-q^n)^2), n = 1..terms, of the triple product."""
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    q = _check_tau(tau)
-    factors = []
-    qn = 1 + 0j
-    for _ in range(terms):
-        qn *= q
-        factors.append((qn, (1 - qn) ** 2))
-    return factors
+    return abs(u - round(u)) < 1e-9 and abs(v - round(v)) < 1e-9
 
 
 _TAIL = 2.0 ** -60
 
 
-def _phi(factors: list[tuple[complex, complex]], x: complex) -> complex:
-    """The triple product over `factors`, stopped at its proven tail.
+def _phi(q: complex, factors: tuple, x: complex) -> tuple[complex, tuple]:
+    """The triple product at x, stopped at its proven tail, and the factors it read.
 
-    The loop ends at the first n with |q^n| < t / max(|e^x|, |e^-x|), t = 2^-60.
-    |q^m| only shrinks, so every factor m >= n has |q^m e^(+-x)| <= t |q|^(m-n)
-    and the dropped factors change Phi by a relative O(t/(1-|q|)), far below
-    the 2^-53 relative spacing of doubles. `factors` is a cap: with fewer
-    factors than the tail needs, the product is truncated after the last one.
+    `factors` holds (q^n, (1-q^n)^2) for n = 1, 2, ...; a new, longer tuple
+    replaces it when x's tail lies past its end. The loop ends at the first n
+    with |q^n| < t / max(|e^x|, |e^-x|), t = 2^-60. |q^m| only shrinks, so
+    every factor m >= n has |q^m e^(+-x)| <= t |q|^(m-n) and the dropped
+    factors change Phi by a relative O(t/(1-|q|)), far below the 2^-53
+    relative spacing of doubles.
     """
-    acc = cmath.exp(x / 2) - cmath.exp(-x / 2)
     ex, emx = cmath.exp(x), cmath.exp(-x)
     tail = _TAIL / max(abs(ex), abs(emx))
+    qn = factors[-1][0] if factors else 1 + 0j
+    if abs(qn) >= tail:
+        grown = list(factors)
+        while abs(qn) >= tail:
+            qn *= q
+            grown.append((qn, (1 - qn) ** 2))
+        factors = tuple(grown)
+    acc = cmath.exp(x / 2) - cmath.exp(-x / 2)
     for qn, d in factors:
         if abs(qn) < tail:
             break
         acc *= (1 - qn * ex) * (1 - qn * emx) / d
-    return acc
+    return acc, factors
 
 
-def phi_numeric(tau: complex, x: complex, terms: int = 200) -> complex:
+def phi_numeric(tau: complex, x: complex) -> complex:
     """Triple-product evaluation of the odd Jacobi-type function Phi(tau, x).
 
     Phi = (e^(x/2) - e^(-x/2)) * prod_{n>=1} (1-q^n e^x)(1-q^n e^-x)/(1-q^n)^2,
-    stopped at the proven tail of `_phi` (the dropped factors change Phi by a
-    relative O(t/(1-|q|)), t = 2^-60). `terms` caps the factor count: when the
-    tail needs more factors, the product is truncated after `terms` of them.
+    stopped at the proven tail of `_phi`, about 42/(2 pi Im tau) factors out.
     Vanishes exactly on 2*pi*i*(Z + tau*Z).
     """
-    return _phi(_q_factors(tau, terms), x)
+    return _phi(_check_tau(tau), (), x)[0]
 
 
-def ell_function(level: int, tau: complex,
-                 terms: int = 200) -> Callable[[complex], complex]:
+def ell_function(level: int, tau: complex) -> Callable[[complex], complex]:
     """The floating-point genus x -> x * Phi(tau, x - 2*pi*i/N) / (Phi(tau, x) Phi(tau, -2*pi*i/N)).
 
-    The q^n factors and Phi(tau, -2*pi*i/N) depend only on (level, tau,
-    terms) and are built once here; each call of the returned function
-    evaluates the two x-dependent products. Each product stops at the proven
-    tail of `_phi` (a relative change of O(t/(1-|q|)), t = 2^-60), and
-    `terms` caps it: a product that needs more factors is truncated after
-    `terms` of them. The function raises PoleError when x sits on the pole
-    lattice (away from the removable origin).
+    The factors (q^n, (1-q^n)^2) and Phi(tau, -2*pi*i/N) are built once per
+    (level, tau) and shared by every call of the returned function; a call
+    whose tail lies further out rebinds the factors to a longer tuple. Each
+    call evaluates the two x-dependent products to their proven tails, and
+    raises PoleError when x sits on the pole lattice (away from the
+    removable origin).
     """
-    factors = _q_factors(tau, terms)
+    q = _check_tau(tau)
     shift = 2j * cmath.pi / level
-    phi_shift = _phi(factors, -shift)
+    phi_shift, factors = _phi(q, (), -shift)
 
     def ell(x: complex) -> complex:
+        nonlocal factors
         if _on_pole_lattice(tau, x) and abs(x) > 1e-9:
             raise PoleError(f"x = {x} lies on the pole lattice")
         if abs(x) < 1e-12:
             return 1.0 + 0j
-        return x * _phi(factors, x - shift) / (_phi(factors, x) * phi_shift)
+        num, factors = _phi(q, factors, x - shift)
+        den, factors = _phi(q, factors, x)
+        return x * num / (den * phi_shift)
 
     return ell
 
 
-def ell_numeric(level: int, tau: complex, x: complex,
-                terms: int = 200) -> complex:
-    """The genus of `ell_function` at one point x."""
-    return ell_function(level, tau, terms)(x)
-
-
-def psi_numeric(level: int, tau: complex, x: complex,
-                terms: int = 400) -> complex:
+def psi_numeric(level: int, tau: complex, x: complex) -> complex:
     """Direct evaluation of the coth-plus-lattice sum.
 
     psi(x) = coth(x/2)/2 + sum_{n>=1} [zeta^n q^n e^-x/(1-q^n e^-x)
                                        - zeta^-n q^n e^x/(1-q^n e^x)],
-    absolutely convergent for |q| < min(|e^x|, |e^-x|).
+    absolutely convergent for |q| < min(|e^x|, |e^-x|). The sum stops at the
+    first n with |q^n| max(|e^x|, |e^-x|) < t, t = 2^-60: every later term
+    has both parts at most t |q|^(m-n) / (1-t), so the dropped terms sum to
+    at most 2^-59 / ((1-|q|)(1-2^-60)) in absolute value.
     """
     q = _check_tau(tau)
     if abs(q) >= math.exp(-abs(x.real)):
         raise DivergenceError("|q| >= min(|e^x|, |e^-x|): sum diverges")
     z = cmath.exp(2j * cmath.pi / level)
     ex, emx = cmath.exp(x), cmath.exp(-x)
+    tail = _TAIL / max(abs(ex), abs(emx))
     acc = 0.5 / cmath.tanh(x / 2)
-    qn = 1 + 0j
-    zn = 1 + 0j
-    for _ in range(terms):
-        qn *= q
+    qn = zn = 1 + 0j
+    while abs(qn := qn * q) >= tail:
         zn *= z
         acc += zn * qn * emx / (1 - qn * emx)
         acc -= qn * ex / ((1 - qn * ex) * zn)
     return acc
 
 
-def numeric_taylor(fn, order: int, radius: float = 0.4,
-                   samples: int = 64) -> list[complex]:
+_TAYLOR_RADIUS, _TAYLOR_SAMPLES = 0.4, 64
+
+
+def numeric_taylor(fn: Callable[[complex], complex], order: int) -> list[complex]:
     """Taylor coefficients a_0..a_order of an analytic fn via a circle DFT.
 
-    Independent finite-difference-style extraction used by the oracle tests:
-    a_k = (1/m) sum_j fn(r e^(2 pi i j/m)) e^(-2 pi i j k/m) / r^k.
+    Independent finite-difference-style extraction used by the oracle:
+    a_k = (1/m) sum_j fn(r e^(2 pi i j/m)) e^(-2 pi i j k/m) / r^k,
+    on m = 64 points of the circle of radius r = 0.4.
     """
-    if samples <= order:
+    r, m = _TAYLOR_RADIUS, _TAYLOR_SAMPLES
+    if m <= order:
         raise ValueError("need more samples than the requested order")
-    values = [fn(radius * cmath.exp(2j * cmath.pi * j / samples))
-              for j in range(samples)]
+    values = [fn(r * cmath.exp(2j * cmath.pi * j / m)) for j in range(m)]
     out = []
     for k in range(order + 1):
         acc = 0j
         for j, v in enumerate(values):
-            acc += v * cmath.exp(-2j * cmath.pi * j * k / samples)
-        out.append(acc / (samples * radius ** k))
+            acc += v * cmath.exp(-2j * cmath.pi * j * k / m)
+        out.append(acc / (m * r ** k))
     return out
 
 

@@ -12,14 +12,13 @@ import time
 from fractions import Fraction
 
 from conftest import random_cyc, random_integral_series, random_series
-from finvariant.divcong import (hnf, is_equivalent, make_lattice,
-                                relative_integrality_check)
+from finvariant.divcong import hnf, is_equivalent, make_lattice
 from finvariant.exactnum import CycNum, EpsPoly, eps
 from finvariant.fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE,
                                   QUATERNIONIC_KERNEL_PARITY, XiTable,
                                   assemble_complex, assemble_complex_reduced,
                                   assemble_quaternionic_reduced)
-from finvariant.genus import (ell_expansion, ell_numeric, ell_quaternionic,
+from finvariant.genus import (ell_expansion, ell_function, ell_quaternionic,
                               g2, g_tilde, g_tilde_level1, numeric_taylor,
                               series_value)
 from finvariant.geometry import (adams_psi_poly, chebyshev,
@@ -27,7 +26,7 @@ from finvariant.geometry import (adams_psi_poly, chebyshev,
                                  cs_integral, ext_d, ExtForm, su3_dim,
                                  su3_kernel_parity,
                                  su3_psi_twist_kernel_parity)
-from finvariant.qseries import QSeries, is_integral_series
+from finvariant.qseries import QSeries, is_integral_series, relative_integrality_check
 
 
 def _report(name: str, passed: bool, elapsed: float, budget: float) -> None:
@@ -44,8 +43,7 @@ def test_a1_numeric_genus_oracle():
     for level in (2, 3):
         exp = ell_expansion(level, 6, 60)
         for tau in (0.31j, 0.05 + 0.4j):
-            taylor = numeric_taylor(lambda x: ell_numeric(level, tau, x), 6,
-                                    radius=0.4, samples=64)
+            taylor = numeric_taylor(ell_function(level, tau), 6)
             for k in range(1, 7):
                 exact = series_value(exp.x_coefficient(k), tau)
                 worst = max(worst, abs(taylor[k] - exact))

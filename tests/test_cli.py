@@ -1,6 +1,8 @@
 """Command-line front end: subcommands, file formats, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -14,7 +16,7 @@ from finvariant import cli
 from finvariant.cli import (DataError, main, read_basis, read_blocks,
                             read_series, write_series)
 from finvariant.divcong import BasisEntry, ModularBasis, build_basis
-from finvariant.exactnum import eps
+from finvariant.exactnum import CycNum, EpsPoly, eps
 from finvariant.genus import g_hat, g_tilde
 from finvariant.qseries import QSeries
 
@@ -166,6 +168,69 @@ def test_header_keys_in_any_order_start_a_block(tmp_path, eps_header):
                     f"{eps_header}\n0 0 0\n1 1/7 0\n", encoding="utf-8")
     const = QSeries.from_rationals(3, 2, [1, 2])
     assert read_series(path) == const + QSeries.from_rationals(3, 2, [0, Fraction(1, 7)]) * eps(3)
+
+
+def _block_text(level, prec, label, rows, weight="?"):
+    lines = [f"level={level} weight={weight} prec={prec} label={label}\n"]
+    lines += [f"{n} {' '.join(map(str, row))}\n" for n, row in enumerate(rows)]
+    return "".join(lines)
+
+
+def test_orphan_eps_block_in_a_basis_refused(tmp_path, capsys):
+    # an 'X.eps' block after another entry's block is no plain entry: read as
+    # one, q/7 would join the level-5 lattice and q/7 vs 0 would read true
+    prec = 12
+    pf = _write_series_file(tmp_path, "F.txt", QSeries.from_rationals(5, prec, [0, Fraction(1, 7)]))
+    pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(5, prec))
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    path = bases / f"basis_N5_W2_P{prec}.txt"
+    _write_basis_file(path, _level5_user_basis(prec))
+    line = len(path.read_text(encoding="utf-8").splitlines()) + 1
+    q7 = [[0] * 4, [Fraction(1, 7), 0, 0, 0]] + [[0] * 4] * (prec - 2)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(_block_text(5, prec, "X.eps", q7, weight=2))
+    code, out, err = run_cli(capsys, "divcong", str(pf), str(pg), "-N", "5", "-w", "2",
+                             "--no-gtilde", "--machine", "--basis", str(bases))
+    assert (code, out, err) == (
+        3, "", f"error: {path}:{line}: eps block 'X.eps' does not follow its series block\n")
+
+
+def test_eps_blocks_fold_only_after_their_series_block(tmp_path):
+    # a file is read only when it is one block X, or X followed by X.eps;
+    # every other sequence of these labels exits 3, and none crashes
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    prec = 3
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+    rows = st.lists(st.lists(small, min_size=2, max_size=2), min_size=prec, max_size=prec)
+    labels = st.sampled_from(["F", "F.eps", "F.eps.eps", "G", "G.eps"])
+    # a third of the draws are well formed, or arbitrary lists would hardly
+    # ever hold X followed by X.eps
+    label_lists = st.sampled_from(["F", "G"]).flatmap(
+        lambda x: st.one_of(st.just([x]), st.just([x, x + ".eps"]),
+                            st.lists(labels, min_size=1, max_size=4)))
+    files = label_lists.flatmap(lambda ns: st.tuples(*(st.tuples(st.just(n), rows) for n in ns)))
+    path = tmp_path / "S.txt"
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(files)
+    def check(blocks):
+        path.write_text("".join(_block_text(3, prec, label, r) for label, r in blocks),
+                        encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["divcong", str(path), str(path), "-N", "3", "-w", "2"])
+        names = [label for label, _ in blocks]
+        well_formed = names[0] in ("F", "G") and names[1:] in ([], [names[0] + ".eps"])
+        assert code == (0 if well_formed else 3), err.getvalue()
+        if well_formed:
+            parts = [QSeries(3, prec, tuple(EpsPoly.constant(CycNum(3, row)) for row in r))
+                     for _, r in blocks]
+            want = parts[0] + parts[1] * eps(3) if len(parts) == 2 else parts[0]
+            assert read_series(path) == want
+
+    check()
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +453,12 @@ _H3 = "level=3 weight=? prec={} label=x\n"
      4, "eps block does not match its series block"),
     ("series", _H3.format(1) + "0 1 0\nlevel=3 weight=2 prec=1 label=x.eps\n0 1 0\n",
      3, "eps block does not match its series block"),
+    # x.eps holds q/7 and x.eps.eps -q/7: folded together they would cancel
+    ("series", _H3.format(2) + "0 0 0\n1 0 0\nlevel=3 weight=? prec=2 label=x.eps\n"
+     "0 0 0\n1 1/7 0\nlevel=3 weight=? prec=2 label=x.eps.eps\n0 0 0\n1 -1/7 0\n",
+     7, "eps block 'x.eps.eps' does not follow its series block"),
+    ("series", "level=3 weight=? prec=1 label=x.eps\n0 1 0\n", 1,
+     "eps block 'x.eps' does not follow its series block"),
     ("series", _H3.format(1) + "0 1 0\nlevel=3 weight=? prec=1 label=y\n0 1 0\n", None,
      "expected a single series block, found 2"),
     ("basis", "level=5 weight=? prec=1 label=1\n0 1 0 0 0\n", None,
@@ -398,7 +469,8 @@ _H3 = "level=3 weight=? prec={} label=x\n"
     ("basis", None, None, "basis entry 'Ghat1^2' carries an eps part"),
 ], ids=["coordinates", "before_header", "bad_index", "out_of_order", "no_blocks",
         "header_field", "header", "unknown_key", "repeated_key", "bounds", "truncated_last",
-        "truncated_first", "eps_mismatch", "eps_weight", "two_blocks", "basis_weight",
+        "truncated_first", "eps_mismatch", "eps_weight", "eps_stacked", "eps_orphan",
+        "two_blocks", "basis_weight",
         "basis_levels", "basis_eps"])
 def test_reader_errors_exit_three(tmp_path, capsys, role, text, line, message):
     prec = 12

@@ -13,13 +13,13 @@ from finvariant import divcong
 from finvariant.divcong import (DIM_TARGETS, BasisEntry, BasisError, ModularBasis,
                                 PrecisionError, _solve_mod, build_basis,
                                 default_generators, hnf, is_equivalent,
-                                is_integral_series, make_lattice, policy_prec,
-                                relative_integrality_check, series_to_vector,
-                                sturm_bound, vector_to_series)
+                                make_lattice, policy_prec, sturm_bound)
 from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError, _coprime_part, eps,
                                  euler_phi, prime_factors)
 from finvariant.genus import g_hat, g_tilde
-from finvariant.qseries import EpsPartError, QSeries, divisors, eps_split, series_row
+from finvariant.qseries import (EpsPartError, QSeries, divisors, eps_split,
+                                is_integral_series, relative_integrality_check, series_row,
+                                series_to_vector, vector_to_series)
 
 
 def test_sturm_bound_values():

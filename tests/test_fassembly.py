@@ -254,7 +254,7 @@ def test_assembly_linear_in_table():
 
 
 def test_integer_shift_changes_output_by_integral_series():
-    from finvariant.divcong import relative_integrality_check
+    from finvariant.qseries import relative_integrality_check
     prec = 9
     base = {d: EpsPoly.rational(3, Fraction(1, 5)) for d in range(1, prec)}
     shifted = dict(base)

@@ -8,7 +8,7 @@ import pytest
 
 from finvariant.exactnum import CycNum, EpsPoly, bernoulli
 from finvariant.genus import (DivergenceError, PoleError, eisenstein_level1,
-                              ell_expansion, ell_function, ell_numeric, ell_quaternionic,
+                              ell_expansion, ell_function, ell_quaternionic,
                               g2, g_hat,
                               g_tilde, g_tilde_level1, numeric_taylor,
                               phi_numeric, psi_numeric, series_value,
@@ -161,73 +161,78 @@ def test_phi_is_odd():
 
 
 def test_ell_numeric_normalization():
+    ell = ell_function(3, TAU)
     for x in (1e-5, 1e-5j):
-        assert abs(ell_numeric(3, TAU, x) - 1.0) < 1e-3
+        assert abs(ell(x) - 1.0) < 1e-3
 
 
 def test_ell_numeric_pole_detection():
+    ell = ell_function(3, TAU)
     with pytest.raises(PoleError):
-        ell_numeric(3, TAU, 2j * cmath.pi)
+        ell(2j * cmath.pi)
     with pytest.raises(PoleError):
-        ell_numeric(3, TAU, 2j * cmath.pi * (1 + TAU))
+        ell(2j * cmath.pi * (1 + TAU))
 
 
-def _reference_phi(tau, x, terms):
-    # the triple product as one loop that rebuilds q^n and (1-q^n)^2 per call
+def _reference_phi(tau, x):
+    # the triple product as one loop that rebuilds q^n and (1-q^n)^2 per call,
+    # run to the proven tail: the first n with |q^n| max(|e^x|, |e^-x|) < 2^-60
     q = cmath.exp(2j * cmath.pi * tau)
     acc = cmath.exp(x / 2) - cmath.exp(-x / 2)
     ex, emx = cmath.exp(x), cmath.exp(-x)
+    tail = 2.0 ** -60 / max(abs(ex), abs(emx))
     qn = 1 + 0j
-    for _ in range(terms):
+    while True:
         qn *= q
+        if abs(qn) < tail:
+            return acc
         acc *= (1 - qn * ex) * (1 - qn * emx) / (1 - qn) ** 2
-    return acc
 
 
-def _reference_ell(level, tau, x, terms):
+def _reference_ell(level, tau, x):
     shift = 2j * cmath.pi / level
-    return (x * _reference_phi(tau, x - shift, terms)
-            / (_reference_phi(tau, x, terms) * _reference_phi(tau, -shift, terms)))
-
-
-def test_numeric_genus_bit_identical_to_direct_loop():
-    # hoisting the x-independent factors must not move a single bit, so the
-    # comparison is ==, against a direct evaluation rather than stored values
-    points = [0.4 * cmath.exp(2j * cmath.pi * j / 64) for j in range(64)]
-    for tau in (0.31j, 0.05 + 0.4j, 0.2 + 0.25j):
-        for terms in (1, 7, 200):
-            for x in points:
-                assert phi_numeric(tau, x, terms) == _reference_phi(tau, x, terms)
-            for level in (2, 3, 5, 7):
-                ell = ell_function(level, tau, terms)
-                for x in points:
-                    want = _reference_ell(level, tau, x, terms)
-                    assert ell(x) == want
-                    assert ell_numeric(level, tau, x, terms) == want
+    return (x * _reference_phi(tau, x - shift)
+            / (_reference_phi(tau, x) * _reference_phi(tau, -shift)))
 
 
 _TAYLOR_POINTS = [0.4 * cmath.exp(2j * cmath.pi * j / 64) for j in range(64)]
 
 
-def test_tail_rule_matches_a_longer_cap():
-    # at the oracle's tau values the product ends at its proven tail well
-    # before 200 factors, so a cap of 4,000 changes no bit
-    for tau in (0.31j, 0.05 + 0.4j):
-        for level in range(2, 13):
-            short, long = ell_function(level, tau, 200), ell_function(level, tau, 4000)
+def test_numeric_genus_bit_identical_to_direct_loop():
+    # sharing the x-independent factors must not move a single bit, so the
+    # comparison is ==, against a direct evaluation rather than stored values
+    for tau in (0.31j, 0.05 + 0.4j, 0.2 + 0.25j):
+        for x in _TAYLOR_POINTS:
+            assert phi_numeric(tau, x) == _reference_phi(tau, x)
+        for level in (2, 3, 5, 7):
+            ell = ell_function(level, tau)
             for x in _TAYLOR_POINTS:
-                assert short(x) == long(x)
-    for x in _TAYLOR_POINTS:
-        assert phi_numeric(TAU, x, 30) == phi_numeric(TAU, x, 200) == phi_numeric(TAU, x, 4000)
+                assert ell(x) == _reference_ell(level, tau, x)
 
 
-def test_cap_truncates_before_the_tail():
-    # at Im tau = 0.01 (|q| ~ 0.94) the tail lies far past 200 factors: the
-    # cap truncates the product exactly as the direct 200-factor loop does
-    tau = 0.01j
-    for x in _TAYLOR_POINTS[::8]:
-        assert phi_numeric(tau, x, 200) == _reference_phi(tau, x, 200)
-        assert phi_numeric(tau, x, 200) != phi_numeric(tau, x, 4000)
+def test_far_tail_matches_direct_loop():
+    # at Im tau = 0.01 and 0.002 (|q| ~ 0.94 and 0.987) the proven tail lies
+    # about 670 and 3,300 factors out; no count stops the product before it
+    for tau in (0.01j, 0.002j):
+        for x in _TAYLOR_POINTS[::8]:
+            assert phi_numeric(tau, x) == _reference_phi(tau, x)
+        for level in (2, 3, 5):
+            ell = ell_function(level, tau)
+            for x in _TAYLOR_POINTS[::8]:
+                assert ell(x) == _reference_ell(level, tau, x)
+
+
+def test_shared_factors_grow_without_moving_a_bit():
+    # one closure serves every x: taken by growing |Re x| each point extends
+    # the shared factors, taken the other way each reads a prefix of them
+    points = sorted(_TAYLOR_POINTS[::4] + [0.9, -1.3 + 0.2j, 1.6j],
+                    key=lambda x: abs(x.real))
+    for tau in (0.31j, 0.01j):
+        for level in (2, 5):
+            want = [_reference_ell(level, tau, x) for x in points]
+            grow, shrink = ell_function(level, tau), ell_function(level, tau)
+            assert [grow(x) for x in points] == want
+            assert [shrink(x) for x in reversed(points)] == want[::-1]
 
 
 def _reference_series_value(f, tau):
@@ -256,20 +261,14 @@ def test_level1_series_refuse_weight_below_one(series, k):
 
 
 def test_numeric_genus_errors_and_origin():
-    for bad in (0, -1):
-        with pytest.raises(ValueError):
-            phi_numeric(TAU, 0.3, bad)
-        with pytest.raises(ValueError):
-            ell_numeric(3, TAU, 0.3, bad)
-        with pytest.raises(ValueError):
-            ell_function(3, TAU, bad)
+    with pytest.raises(ValueError):
+        ell_function(3, -TAU)
     ell = ell_function(3, TAU)
     for x in (2j * cmath.pi, 2j * cmath.pi * (1 + TAU), -2j * cmath.pi * TAU):
         with pytest.raises(PoleError):
             ell(x)
     for x in (0j, 1e-13, -1e-13j):
         assert ell(x) == 1 + 0j
-        assert ell_numeric(3, TAU, x) == 1 + 0j
 
 
 def test_psi_is_odd_level2():
@@ -318,9 +317,20 @@ def test_psi_plus_constant_matches_genus():
             if abs(x) < 0.05:
                 continue
             lhs = psi_numeric(level, TAU, x) + c1
-            rhs = ell_numeric(level, TAU, x) / x
+            rhs = ell_function(level, TAU)(x) / x
             assert abs(lhs - rhs) < 1e-8
             checked += 1
+
+
+def test_psi_plus_constant_matches_genus_far_down():
+    # near the real axis both the psi sum and the product run thousands of
+    # terms to their tails; the identity then holds to rounding
+    for tau in (0.01j, 0.002j):
+        for level in (2, 3):
+            c1 = weight_constant(level, 1).to_complex()
+            ell = ell_function(level, tau)
+            for x in (0.1j, 0.3j, 0.005 + 0.2j, -0.004 + 0.45j):
+                assert abs(psi_numeric(level, tau, x) + c1 - ell(x) / x) < 1e-12
 
 
 def test_taylor_oracle_matches_exact_series():
@@ -328,8 +338,7 @@ def test_taylor_oracle_matches_exact_series():
     # the full sweep is the acceptance criterion)
     for level in (2, 3):
         exp = ell_expansion(level, 4, 50)
-        coeffs = numeric_taylor(lambda x: ell_numeric(level, TAU, x), 4,
-                                radius=0.4, samples=64)
+        coeffs = numeric_taylor(ell_function(level, TAU), 4)
         for k in range(1, 5):
             exact = series_value(exp.x_coefficient(k), TAU)
             assert abs(coeffs[k] - exact) < 1e-8

@@ -27,6 +27,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -42,7 +43,7 @@ from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLE_LATTICES,
                         run_example)
 from .genus import (ell_expansion, ell_function, ell_quaternionic, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
-from .qseries import (EpsPartError, QSeries, eps_split, is_integral_series, series_to_vector,
+from .qseries import (EpsPartError, QSeries, eps_split, is_integral_series, series_row,
                       vector_to_series)
 
 ORACLE_TOLERANCE = 1e-8
@@ -66,9 +67,15 @@ def write_series(fh: TextIO, series: QSeries, weight: Optional[int],
     deg = euler_phi(series.level)
     for part, name in zip(parts, (label, label + ".eps")):
         fh.write(f"level={part.level} weight={w} prec={part.prec} label={name}\n")
-        vec = series_to_vector(part, part.prec)
+        row, den = series_row(part, part.prec)
         for n in range(part.prec):
-            fh.write(f"{n} {' '.join(map(str, vec[n * deg:(n + 1) * deg]))}\n")
+            fh.write(f"{n} {' '.join(_ratio(c, den) for c in row[n * deg:(n + 1) * deg])}\n")
+
+
+def _ratio(c: int, den: int) -> str:
+    """c/den in lowest terms, as str(Fraction(c, den)) prints it."""
+    g = gcd(c, den)
+    return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
 def _parse_fraction(tok: str, where: str) -> Fraction:

@@ -64,6 +64,10 @@ class XiTable:
         except KeyError:
             raise MissingTwistError(f"twist {d} missing from {self.kind} table") from None
 
+    def series(self, prec: int, sign: int = 1) -> QSeries:
+        """sum_{d=1}^{prec-1} xi[sign*d] q^d, the row a divisor sum reads."""
+        return QSeries(self.level, prec, [0] + [self.value(sign * d) for d in range(1, prec)])
+
     @classmethod
     def constant(cls, kind: str, level: int, l: int, dmax: int,
                  value: Scalar, both_signs: bool = False) -> "XiTable":
@@ -100,8 +104,7 @@ def assemble_complex(xi: XiTable, prec: int) -> FRepresentative:
     if xi.kind != COMPLEX_FULL:
         raise ValueError("assemble_complex needs a complex_full table")
     _require_support(xi, prec)
-    series = (divisor_sum(xi.level, prec, xi.value, minus=1)
-              - divisor_sum(xi.level, prec, lambda d: xi.value(-d), plus=1))
+    series = divisor_sum(xi.series(prec), minus=1) - divisor_sum(xi.series(prec, -1), plus=1)
     return FRepresentative(series, xi.l + 1, xi.level, "complex transfer, all twists")
 
 
@@ -114,7 +117,7 @@ def assemble_complex_reduced(xi: XiTable, prec: int) -> FRepresentative:
         raise ValueError("assemble_complex_reduced needs a complex_positive table")
     _require_support(xi, prec)
     sign = 1 if (xi.l + 1) % 2 == 0 else -1
-    series = divisor_sum(xi.level, prec, xi.value, minus=1, plus=sign)
+    series = divisor_sum(xi.series(prec), minus=1, plus=sign)
     return FRepresentative(series, xi.l + 1, xi.level, "complex transfer, positive twists")
 
 
@@ -123,7 +126,7 @@ def assemble_quaternionic(xi: XiTable, prec: int) -> FRepresentative:
     if xi.kind != QUATERNIONIC:
         raise ValueError("assemble_quaternionic needs a quaternionic table")
     _require_support(xi, prec)
-    series = divisor_sum(xi.level, prec, xi.value)
+    series = divisor_sum(xi.series(prec))
     return FRepresentative(series, xi.l + 1, xi.level, "quaternionic transfer")
 
 
@@ -143,7 +146,8 @@ def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentati
         return FRepresentative(series, parities.l + 1, level,
                                "quaternionic transfer, torsion-zero branch")
     _require_support(parities, prec)
-    series = divisor_sum(level, prec, lambda d: parities.value(d) if d % 2 else 0) * Fraction(1, 2)
+    odd = QSeries(level, prec, [0] + [parities.value(d) if d % 2 else 0 for d in range(1, prec)])
+    series = divisor_sum(odd) * Fraction(1, 2)
     return FRepresentative(series, parities.l + 1, level,
                            "quaternionic transfer, kernel parities")
 

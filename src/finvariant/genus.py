@@ -21,7 +21,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import CycNum, bernoulli, eisenstein_weight_one_constant
+from .exactnum import CycNum, bernoulli, eisenstein_weight_one_constant, euler_phi
 from .qseries import QSeries, divisor_sum, series_row
 
 
@@ -49,7 +49,7 @@ def g_tilde(level: int, k: int, prec: int) -> QSeries:
     if k < 1:
         raise ValueError("weight must be >= 1")
     sign = 1 if k % 2 == 0 else -1
-    return divisor_sum(level, prec, lambda d: d ** (k - 1), minus=-1, plus=-sign)
+    return divisor_sum(_power_series(level, k - 1, prec), minus=-1, plus=-sign)
 
 
 def g_tilde_level1(level: int, k: int, prec: int) -> QSeries:
@@ -60,7 +60,15 @@ def g_tilde_level1(level: int, k: int, prec: int) -> QSeries:
     """
     if k < 1:
         raise ValueError("weight must be >= 1")
-    return divisor_sum(level, prec, lambda d: d ** (k - 1))
+    return divisor_sum(_power_series(level, k - 1, prec))
+
+
+def _power_series(level: int, e: int, prec: int) -> QSeries:
+    """sum_{d>=1} d^e q^d: one slice of rational coordinates in the integer row."""
+    deg = euler_phi(level)
+    row = [0] * (prec * deg)
+    row[deg::deg] = [d ** e for d in range(1, prec)]
+    return QSeries._of(level, prec, 1, [row])
 
 
 def eisenstein_level1(level: int, k: int, prec: int) -> QSeries:

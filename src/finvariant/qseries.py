@@ -11,14 +11,16 @@ requires equal levels and truncates to the smaller precision.
 
 Every operation runs on the rows: the product by Kronecker substitution (one
 big-int product of the packed (q, zeta) polynomials, see Harvey, JSC 2009),
-`divisor_sum` as a residue-class sieve (integer column sums per class of
-j mod N, each class twisted once), and +, -, rational multiples and
-certificate replay as one integer row sum, `_row_sum`; `_linear_combination`
-is that sum as a series. A lattice decision reads F - G from it as rows and
-checks its replay as an integer identity, so neither is made canonical. A
-CycNum already holds integers over one denominator, so `_int_parts` only
-rescales each input coefficient's (den, ints) to the row's denominator, and
-`coefficient(n)` slices the row back.
+`divisor_sum` as a residue-class sieve on the integer rows of the series
+sum c(d) q^d (column sums per class of j mod N in O(sqrt(N*P)) slice steps,
+each class twisted once), and +, -, rational multiples and certificate
+replay as one integer row sum, `_row_sum`; `_linear_combination` is that
+sum as a series. A lattice decision reads F - G from it as rows and checks
+its replay as an integer identity, so neither is made canonical. A CycNum
+already holds integers over one denominator, so `_int_parts` only rescales
+each given coefficient's (den, ints) to the row's denominator (the
+constructor pads the rows with zeros after it, so a scalar costs O(phi(N))
+Python steps), and `coefficient(n)` slices the row back.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import gcd, lcm
+from itertools import chain, islice
+from math import gcd, isqrt, lcm
 from operator import add
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .exactnum import (_ZERO, CycNum, EpsPoly, LevelMismatchError, Scalar, _coprime_part,
                        _zeta_powers, euler_phi)
@@ -62,8 +64,10 @@ class QSeries:
     __slots__ = ("level", "prec", "den", "parts")
 
     def __init__(self, level: int, prec: int, coeffs: Sequence[Coefficient]):
-        values = list(coeffs)[:prec]
-        self._store(level, prec, *_int_parts(level, values + [0] * (prec - len(values))))
+        values = list(islice(coeffs, prec))
+        den, parts = _int_parts(level, values)
+        pad = [0] * ((prec - len(values)) * euler_phi(level))
+        self._store(level, prec, den, [p + pad for p in parts])
 
     @classmethod
     def _of(cls, level: int, prec: int, den: int, parts: Sequence[Sequence[int]]) -> "QSeries":
@@ -426,28 +430,39 @@ def _twist_matrices(level: int, minus: int,
     return tuple(matrices)
 
 
-def divisor_sum(level: int, prec: int, coeff: Callable[[int], Coefficient],
-                minus: int = 0, plus: int = 0) -> QSeries:
-    """The sieve sum_{n>=1} sum_{d*j=n} coeff(d) (minus*zeta^(-j) + plus*zeta^j) q^n.
+def divisor_sum(coeffs: QSeries, minus: int = 0, plus: int = 0) -> QSeries:
+    """The sieve sum_{n>=1} sum_{d*j=n} c(d) (minus*zeta^(-j) + plus*zeta^j) q^n.
 
-    coeff(d) is a rational, CycNum or EpsPoly; the weight is 1 when minus =
-    plus = 0. The one divisor-sum kernel: g_tilde, g_tilde_level1 and the four
-    assembly formulas are calls of it. coeff is evaluated once per d. Each
-    nonzero coordinate column of the coeff row is sieved unweighted into one
-    accumulator per class of j mod level, one slice addition per (j, column);
-    each class's twist (`_twist_matrices`) is applied once, after the sieve.
+    coeffs is sum_d c(d) q^d (its q^0 term unread) and fixes the level and
+    precision P; the weight is 1 when minus = plus = 0. The one divisor-sum
+    kernel, behind g_tilde, g_tilde_level1 and the four assembly formulas.
+    Each nonzero coordinate column c of a row is summed, unweighted, into one
+    accumulator per class of j mod K (K = level, or 1 unweighted), split at
+    s = isqrt(K*P) as in Dirichlet's hyperbola method: for j <= s, c is added
+    along the multiples of j; for j > s, so d <= (P-1)//(s+1), c(d) is added
+    along d*j for the j of each class from its first one past s, in steps of
+    K. That is O(sqrt(K*P)) exact integer slice steps per column. Each
+    class's twist (`_twist_matrices`) is applied once, after the sieve.
     """
+    level, prec = coeffs.level, coeffs.prec
     deg = euler_phi(level)
     classes = level if minus or plus else 1
-    den, parts = _int_parts(level, [0] + [coeff(d) for d in range(1, prec)])
+    split = isqrt(classes * prec)
     sums = []
-    for flat in parts:
+    for flat in coeffs.parts:
         cols = {i: c for i in range(deg) if any(c := flat[i::deg])}
         acc = [{i: [0] * prec for i in cols} for _ in range(classes)]
-        for j in range(1, prec):
+        for j in range(1, min(split + 1, prec)):
             rows = acc[j % classes]
             for i, c in cols.items():
                 rows[i][j::j] = map(add, rows[i][j::j], c[1:(prec - 1) // j + 1])
+        for d in range(1, (prec - 1) // (split + 1) + 1):
+            for i, c in cols.items():
+                if v := c[d]:
+                    for r, rows in enumerate(acc):
+                        start, step = d * (split + 1 + (r - split - 1) % classes), d * classes
+                        row = rows[i]
+                        row[start::step] = [x + v for x in row[start::step]]
         out = acc[0]
         if classes > 1:
             out = {}
@@ -460,4 +475,4 @@ def divisor_sum(level: int, prec: int, coeff: Callable[[int], Coefficient],
         for t, row in out.items():
             total[t::deg] = row
         sums.append(total)
-    return QSeries._of(level, prec, den, sums)
+    return QSeries._of(level, prec, coeffs.den, sums)

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -94,6 +95,24 @@ def test_series_round_trip(tmp_path):
     assert read_series(path) == f
     blocks = read_blocks(path)
     assert blocks[0][0] == 2 and blocks[0][1] == "gt2"
+
+
+def test_written_coordinates_print_as_fractions(tmp_path):
+    # each coordinate is c//g or c//g/den//g with g = gcd(c, den), as str(Fraction) prints it
+    rng = random.Random(31)
+    values = [Fraction(0), Fraction(-7), Fraction(3, 4), Fraction(-2 ** 70 + 1, 3 ** 40)]
+    values += [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 360)) for _ in range(40)]
+    f = QSeries(5, len(values) // 4, [CycNum(5, values[i:i + 4]) for i in range(0, len(values), 4)])
+    f = f + eps(5) * f * Fraction(1, 7)
+    path = tmp_path / "series.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_series(fh, f, None, "F")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    want = [[Fraction(x) for x in values[i:i + 4]] for i in range(0, len(values), 4)]
+    for block, scale in ((lines[1:12], 1), (lines[13:], Fraction(1, 7))):
+        assert [line.split()[1:] for line in block] == \
+            [[str(x * scale) for x in row] for row in want]
+    assert read_series(path) == f
 
 
 def _write_basis_file(path, basis):

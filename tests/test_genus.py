@@ -13,7 +13,7 @@ from finvariant.genus import (DivergenceError, PoleError, eisenstein_level1,
                               g_tilde, g_tilde_level1, numeric_taylor,
                               phi_numeric, psi_numeric, series_value,
                               weight_constant)
-from finvariant.qseries import (divisor_sum, divisors, is_integral_series,
+from finvariant.qseries import (QSeries, divisor_sum, divisors, is_integral_series,
                                 sigma)
 
 
@@ -140,7 +140,8 @@ def test_conjugation_symmetry_of_divisor_sums():
     for level in (3, 5):
         for k in (1, 2, 3):
             sign = 1 if k % 2 == 0 else -1
-            f = divisor_sum(level, 15, lambda d: d ** (k - 1), minus=1, plus=sign)
+            powers = QSeries.from_rationals(level, 15, [0] + [d ** (k - 1) for d in range(1, 15)])
+            f = divisor_sum(powers, minus=1, plus=sign)
             for n in range(15):
                 value = f.coefficient(n).constant_part()
                 assert value.galois(-1) == value * sign

@@ -1,19 +1,22 @@
 """Differential tests of the integer series kernels against direct CycNum oracles.
 
 The series product is checked against a per-coefficient CycNum convolution,
-the divisor sieve against direct enumeration of divisors(n) with
-CycNum.zeta, and sums, differences and rational multiples against
-coefficientwise CycNum arithmetic. No oracle calls a QSeries operation.
+the divisor sieve against direct enumeration of divisors(n) with CycNum.zeta
+and, on both sides of its split, against integer zeta-power slot sums folded
+by a test-local cyclotomic polynomial, and sums, differences and rational
+multiples against coefficientwise CycNum arithmetic. No oracle calls a
+QSeries operation.
 """
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from finvariant import divcong
 from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
-from finvariant.genus import g_tilde
+from finvariant.genus import g_hat, g_tilde, weight_constant
 from finvariant.qseries import QSeries, divisor_sum, divisors
 
 LEVELS = (2, 3, 5, 7, 8, 12, 15)
@@ -71,6 +74,11 @@ def _divisor_enumeration(level, prec, coeff, minus, plus) -> list[EpsPoly]:
             acc = acc + EpsPoly.constant(weight) * coeff(d)
         out.append(acc)
     return out
+
+
+def _coefficient_series(level, prec, coeff) -> QSeries:
+    """The divisor-sum input sum_{d=1}^{prec-1} coeff(d) q^d."""
+    return QSeries(level, prec, [0] + [coeff(d) for d in range(1, prec)])
 
 
 def _assert_product(a: QSeries, b: QSeries) -> None:
@@ -151,7 +159,7 @@ def test_divisor_sum_matches_enumeration(level, minus, plus):
     }
     for make in kinds.values():
         table = {d: make() for d in range(1, prec)}
-        got = divisor_sum(level, prec, table.__getitem__, minus, plus)
+        got = divisor_sum(_coefficient_series(level, prec, table.__getitem__), minus, plus)
         assert list(got.coeffs) == _divisor_enumeration(level, prec, table.__getitem__,
                                                         minus, plus)
 
@@ -161,9 +169,9 @@ def test_divisor_sum_sparse_and_tiny_precision(level):
     rng = random.Random(6000 + level)
     table = {d: (_cyc(rng, level) if d % 3 == 1 else 0) for d in range(1, 30)}
     for prec in (1, 2, 3, 30):
-        got = divisor_sum(level, prec, table.__getitem__, 1, -1)
+        got = divisor_sum(_coefficient_series(level, prec, table.__getitem__), 1, -1)
         assert list(got.coeffs) == _divisor_enumeration(level, prec, table.__getitem__, 1, -1)
-    assert divisor_sum(level, 10, lambda d: 0, 1, 1).is_zero()
+    assert divisor_sum(QSeries.zero(level, 10), 1, 1).is_zero()
 
 
 def _linear_row(rng, level, d):
@@ -184,9 +192,169 @@ def test_divisor_sum_traffic_shapes(level, minus, plus):
                   {d: _linear_row(rng, level, d) if d % 2 else 0 for d in range(1, prec)}]
         tables += [{d: d ** (k - 1) for d in range(1, prec)} for k in range(1, 9)]
         for table in tables:
-            got = divisor_sum(level, prec, table.__getitem__, minus, plus)
+            got = divisor_sum(_coefficient_series(level, prec, table.__getitem__), minus, plus)
             assert list(got.coeffs) == _divisor_enumeration(level, prec, table.__getitem__,
                                                             minus, plus)
+
+
+# ---------------------------------------------------------------------------
+# The divisor sieve on both sides of its split, against integer slot sums
+
+
+def _cyclotomic(n: int) -> list[int]:
+    """Coefficients of the n-th cyclotomic polynomial, lowest first."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            divisor, quotient = _cyclotomic(d), []
+            while len(poly) >= len(divisor):
+                lead = poly[-1]
+                quotient.append(lead)
+                shift = len(poly) - len(divisor)
+                for i, c in enumerate(divisor):
+                    poly[shift + i] -= lead * c
+                poly.pop()
+            poly = quotient[::-1]
+    return poly
+
+
+def _fold(slots: list[int], modulus: list[int]) -> list[int]:
+    """Integer ζ-power slots 0 .. N-1 reduced modulo the monic cyclotomic polynomial."""
+    deg = len(modulus) - 1
+    v = list(slots)
+    for s in range(len(v) - 1, deg - 1, -1):
+        if a := v[s]:
+            for i, c in enumerate(modulus):
+                v[s - deg + i] -= a * c
+    return v[:deg]
+
+
+def _slot_enumeration(level: int, prec: int, parts: list[list[int]]):
+    """Per eps part: the unweighted sum and the ζ^(-j) and ζ^j weighted sums.
+
+    Each is an integer row (prec * phi coordinates) over the input rows'
+    denominator, built from every pair d*j = n < prec by placing coordinate t
+    of c(d) in slot t, t - j or t + j of an N-slot vector and folding the
+    vector with the cyclotomic polynomial.
+    """
+    modulus = _cyclotomic(level)
+    deg = len(modulus) - 1
+    out = []
+    for part in parts:
+        plain, minus, plus = [0] * (prec * deg), [0] * (prec * deg), [0] * (prec * deg)
+        for n in range(1, prec):
+            down, up = [0] * level, [0] * level
+            for d in range(1, n + 1):
+                if n % d:
+                    continue
+                j = n // d
+                for t, c in enumerate(part[d * deg:(d + 1) * deg]):
+                    if c:
+                        plain[n * deg + t] += c
+                        down[(t - j) % level] += c
+                        up[(t + j) % level] += c
+            minus[n * deg:(n + 1) * deg] = _fold(down, modulus)
+            plus[n * deg:(n + 1) * deg] = _fold(up, modulus)
+        out.append((plain, minus, plus))
+    return out
+
+
+def _split_rows(rng, level: int, prec: int) -> dict:
+    """Integer coefficient rows (den, parts) of the shapes the callers pass."""
+    deg = euler_phi(level)
+
+    def rows(den, parts, coordinate):
+        out = [[0] * (prec * deg) for _ in range(parts)]
+        for d in range(1, prec):
+            for e in range(parts):
+                for t in range(deg):
+                    out[e][d * deg + t] = coordinate(d, e, t)
+        return den, out
+
+    rows_of = {"int": rows(1, 1, lambda d, e, t: d ** 3 if t == 0 else 0)}
+    rows_of["rational"] = rows(12, 1, lambda d, e, t: rng.randint(-30, 30) if t == 0 else 0)
+    rows_of["eps_linear"] = rows(35, 2, lambda d, e, t: rng.randint(-9, 9) if t == 0 else 0)
+    rows_of["dense_cyc"] = rows(rng.randint(1, 2 ** 40), 1,
+                                lambda d, e, t: rng.randint(-2 ** 60, 2 ** 60))
+    rows_of["odd_only"] = rows(6, 2, lambda d, e, t: rng.randint(-20, 20) if d % 2 else 0)
+    return rows_of
+
+
+def _split_precisions(classes: int) -> list[int]:
+    """Precisions on both sides of the points where s = isqrt(classes * P) steps up."""
+    out = {97, 150, 300}
+    for target in (30, 120):
+        m = isqrt(classes * target) + 1
+        first = -(-m * m // classes)  # the least P with isqrt(classes * P) = m
+        out.update((first - 1, first, first + 1))
+    return sorted(out)
+
+
+SPLIT_MAX = 300
+
+
+@pytest.mark.parametrize("level", range(2, 14))
+def test_divisor_sum_across_the_split(level):
+    # every (minus, plus) weight, at precisions where the j <= s slices and the
+    # d <= (P-1)//(s+1) class slices both run and where s steps, compared
+    # with integer slot sums folded by the cyclotomic polynomial
+    rng = random.Random(8000 + level)
+    deg = euler_phi(level)
+    for name, (den, parts) in _split_rows(rng, level, SPLIT_MAX).items():
+        sums = _slot_enumeration(level, SPLIT_MAX, parts)
+        for minus, plus in [(0, 0), (1, 0), (0, 1), (1, 1), (1, -1), (-2, 3)]:
+            classes = level if minus or plus else 1
+            for prec in _split_precisions(classes):
+                assert (prec - 1) // (isqrt(classes * prec) + 1) >= 1
+                size = prec * deg
+                got = divisor_sum(QSeries._of(level, prec, den, [p[:size] for p in parts]),
+                                  minus, plus)
+                for e, (plain, down, up) in enumerate(sums):
+                    want = (plain[:size] if classes == 1 else
+                            [minus * x + plus * y for x, y in zip(down[:size], up[:size])])
+                    row = got.parts[e] if e < len(got.parts) else (0,) * size
+                    assert [x * den for x in row] == [x * got.den for x in want], \
+                        (name, minus, plus, prec, e)
+
+
+# ---------------------------------------------------------------------------
+# Scalars and short coefficient lists joining a series
+
+
+def _as_eps_poly(level: int, c) -> EpsPoly:
+    if isinstance(c, EpsPoly):
+        return c
+    return EpsPoly.constant(c if isinstance(c, CycNum) else CycNum.from_rational(level, c))
+
+
+@pytest.mark.parametrize("level", (2, 3, 7, 12))
+def test_short_coefficient_lists_pad_with_zeros(level):
+    # 0, 1, fewer than, exactly and more than prec coefficients, eps parts too
+    rng = random.Random(9000 + level)
+    for prec in (1, 2, 9):
+        for count in (0, 1, prec - 1, prec, prec + 3):
+            coeffs = [rng.choice((_fraction(rng, False), _cyc(rng, level),
+                                  _eps_poly(rng, level, 1))) for _ in range(count)]
+            padded = coeffs[:prec] + [0] * (prec - min(count, prec))
+            got, want = QSeries(level, prec, coeffs), QSeries(level, prec, padded)
+            assert (got.den, got.parts) == (want.den, want.parts)
+            assert list(got.coeffs) == [_as_eps_poly(level, c) for c in padded]
+            base = _series(rng, level, prec, eps_degree=1, density=0.5)
+            for c in coeffs[:2]:
+                total = base + c
+                assert total.coefficient(0) == base.coefficient(0) + _as_eps_poly(level, c)
+                assert total.coeffs[1:] == base.coeffs[1:]
+
+
+@pytest.mark.parametrize("level", (2, 3, 5, 12))
+@pytest.mark.parametrize("k", (1, 2, 3, 4))
+def test_g_hat_is_g_tilde_plus_its_constant(level, k):
+    prec = 30
+    hat, tilde = g_hat(level, k, prec), g_tilde(level, k, prec)
+    assert hat.coefficient(0) == EpsPoly.constant(weight_constant(level, k))
+    assert tilde.coefficient(0) == EpsPoly.zero(level)
+    for n in range(1, prec):
+        assert hat.coefficient(n) == tilde.coefficient(n)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +487,8 @@ def test_kernels_match_oracles_hypothesis():
         a, b = pair
         _assert_product(a, b)
         coeff = lambda d: a.coefficient(d % a.prec)
-        assert list(divisor_sum(a.level, b.prec + 3, coeff, *weights).coeffs) == \
+        row = _coefficient_series(a.level, b.prec + 3, coeff)
+        assert list(divisor_sum(row, *weights).coeffs) == \
             _divisor_enumeration(a.level, b.prec + 3, coeff, *weights)
 
     check()

@@ -65,7 +65,7 @@ def test_level_mismatch_rejected():
     lambda level: QSeries.one(level, 3),
     lambda level: QSeries.from_rationals(level, 3, [1, Fraction(1, 2)]),
     lambda level: vector_to_series(level, 3, [Fraction(1)]),
-    lambda level: divisor_sum(level, 4, lambda d: 1),
+    lambda level: divisor_sum(QSeries(level, 4, [0, 1, 1, 1])),
     lambda level: g_tilde_level1(level, 2, 5),
 ], ids=["init", "zero", "one", "from_rationals", "vector_to_series", "divisor_sum",
         "g_tilde_level1"])
@@ -116,9 +116,14 @@ def test_eps_split_eps_free_and_pure():
     assert parts[1] == f
 
 
+def _powers(level, prec, e):
+    """The divisor-sum input sum_{d>=1} d^e q^d."""
+    return QSeries.from_rationals(level, prec, [0] + [d ** e for d in range(1, prec)])
+
+
 def test_divisor_weighted_first_coefficient():
     # n = 1 has the single divisor d = 1: zeta^-1 - zeta
-    f = divisor_sum(3, 4, lambda d: d ** 0, minus=1, plus=-1)
+    f = divisor_sum(_powers(3, 4, 0), minus=1, plus=-1)
     expected = CycNum.zeta(3, -1) - CycNum.zeta(3)
     assert f.coefficient(1) == EpsPoly.constant(expected)
     assert f.coefficient(0) == EpsPoly.zero(3)
@@ -126,17 +131,17 @@ def test_divisor_weighted_first_coefficient():
 
 def test_divisor_weighted_level2_odd_weight_vanishes():
     # zeta = -1 makes zeta^-j - zeta^j vanish identically
-    assert divisor_sum(2, 30, lambda d: d ** 0, minus=1, plus=-1).is_zero()
+    assert divisor_sum(_powers(2, 30, 0), minus=1, plus=-1).is_zero()
 
 
 def test_divisor_weighted_weight2_value():
     # n = 2: (zeta^-2+zeta^2)*1 + (zeta^-1+zeta)*2 = -3 at level 3
-    f = divisor_sum(3, 4, lambda d: d ** 1, minus=1, plus=1)
+    f = divisor_sum(_powers(3, 4, 1), minus=1, plus=1)
     assert f.coefficient(2) == EpsPoly.rational(3, -3)
 
 
 def test_divisor_weighted_real_at_level2():
-    f = divisor_sum(2, 20, lambda d: d ** 2, minus=1, plus=1)
+    f = divisor_sum(_powers(2, 20, 2), minus=1, plus=1)
     for n in range(20):
         value = f.coefficient(n).constant_part()
         assert value.rational_part() is not None
@@ -145,7 +150,7 @@ def test_divisor_weighted_real_at_level2():
 def test_divisor_weighted_even_weight_rational_coefficients():
     # for even k the summands zeta^-j + zeta^j are conjugation-fixed, so
     # every coordinate outside the rational line vanishes
-    f = divisor_sum(3, 25, lambda d: d ** 1, minus=1, plus=1)
+    f = divisor_sum(_powers(3, 25, 1), minus=1, plus=1)
     for n in range(25):
         assert f.coefficient(n).constant_part().rational_part() is not None
 

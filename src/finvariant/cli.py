@@ -35,11 +35,10 @@ from .divcong import (BasisEntry, BasisError, EquivResult, ModularBasis,
                       PrecisionError, build_basis, default_generators,
                       dependent_entry, is_equivalent, make_lattice, policy_prec)
 from .exactnum import EpsPoly, LevelMismatchError, eps, euler_phi
-from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLE_LATTICES,
-                        EXAMPLES, QUATERNIONIC, QUATERNIONIC_KERNEL_PARITY,
-                        MissingTwistError, XiTable, assemble_complex,
-                        assemble_complex_reduced, assemble_quaternionic,
-                        assemble_quaternionic_reduced, example_lattice,
+from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES, QUATERNIONIC,
+                        QUATERNIONIC_KERNEL_PARITY, MissingTwistError, XiTable,
+                        assemble_complex, assemble_complex_reduced,
+                        assemble_quaternionic, assemble_quaternionic_reduced,
                         run_example)
 from .genus import (ell_expansion, ell_function, ell_quaternionic, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
@@ -382,30 +381,25 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_example(args) -> int:
-    name = EXAMPLES[args.name]
-    lattice = None
-    if name in EXAMPLE_LATTICES:
-        basis = _load_or_build_basis(args.level, EXAMPLE_LATTICES[name][0], args.prec,
-                                     Path(args.basis))
-        lattice = example_lattice(name, args.level, args.prec, basis)
-    report = run_example(name, args.level, args.prec,
-                         e_invariant=args.e_invariant,
-                         lattice=lattice)
+    spec = EXAMPLES[args.name]
+    basis = None
+    if spec:
+        basis = _load_or_build_basis(args.level, spec[0], args.prec, Path(args.basis))
+    report = run_example(args.name, args.level, args.prec,
+                         e_invariant=args.e_invariant, basis=basis)
     if args.machine:
         print(f"example={args.name} level={args.level} prec={args.prec}")
         print(f"verdict={'true' if report.verdict else 'false'}")
         if report.equivalence is not None:
             print(f"false_is_proof={'yes' if report.equivalence.false_is_proof else 'no'}")
         write_series(sys.stdout, report.assembled.series, None, "assembled")
-        if report.reference is not None:
-            write_series(sys.stdout, report.reference.series, None, "reference")
+        write_series(sys.stdout, report.reference.series, None, "reference")
     else:
         print(f"example {args.name} at level {args.level}, precision {args.prec}")
         for key, value in report.details.items():
             print(f"  {key}: {value}")
         _print_series(report.assembled.series, "assembled", None, False)
-        if report.reference is not None:
-            _print_series(report.reference.series, "reference", None, False)
+        _print_series(report.reference.series, "reference", None, False)
         if report.equivalence is not None:
             _print_verdict(report.equivalence, False)
         print(f"verdict: {report.verdict}")

@@ -3,7 +3,9 @@
 The four assembly formulas take exact xi-values per twist power and produce
 q-series starting at q^1.  Known representatives of the three nontrivial
 examples are provided for comparison, and run_example wires table -> assembly
--> lattice verdict for each worked example.
+-> lattice verdict for each worked example.  EXAMPLES is the one example
+table: keyed by the command-line names, it gives each example's lattice, which
+run_example builds once per run.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from . import geometry
-from .divcong import (EquivResult, IndeterminacyLattice, ModularBasis,
-                      is_equivalent, make_lattice)
+from .divcong import EquivResult, ModularBasis, is_equivalent, make_lattice
 from .exactnum import EpsPoly, Scalar
 from .genus import g_tilde, g_tilde_level1
 from .qseries import QSeries, divisor_sum, relative_integrality_check
@@ -88,7 +89,6 @@ class FRepresentative:
 
     series: QSeries
     weight_bound: int
-    level: int
     note: str = ""
 
     def __post_init__(self):
@@ -105,7 +105,7 @@ def assemble_complex(xi: XiTable, prec: int) -> FRepresentative:
         raise ValueError("assemble_complex needs a complex_full table")
     _require_support(xi, prec)
     series = divisor_sum(xi.series(prec), minus=1) - divisor_sum(xi.series(prec, -1), plus=1)
-    return FRepresentative(series, xi.l + 1, xi.level, "complex transfer, all twists")
+    return FRepresentative(series, xi.l + 1, "complex transfer, all twists")
 
 
 def assemble_complex_reduced(xi: XiTable, prec: int) -> FRepresentative:
@@ -118,7 +118,7 @@ def assemble_complex_reduced(xi: XiTable, prec: int) -> FRepresentative:
     _require_support(xi, prec)
     sign = 1 if (xi.l + 1) % 2 == 0 else -1
     series = divisor_sum(xi.series(prec), minus=1, plus=sign)
-    return FRepresentative(series, xi.l + 1, xi.level, "complex transfer, positive twists")
+    return FRepresentative(series, xi.l + 1, "complex transfer, positive twists")
 
 
 def assemble_quaternionic(xi: XiTable, prec: int) -> FRepresentative:
@@ -127,7 +127,7 @@ def assemble_quaternionic(xi: XiTable, prec: int) -> FRepresentative:
         raise ValueError("assemble_quaternionic needs a quaternionic table")
     _require_support(xi, prec)
     series = divisor_sum(xi.series(prec))
-    return FRepresentative(series, xi.l + 1, xi.level, "quaternionic transfer")
+    return FRepresentative(series, xi.l + 1, "quaternionic transfer")
 
 
 def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentative:
@@ -142,14 +142,12 @@ def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentati
         raise ValueError("kernel-parity reduction needs even l")
     level = parities.level
     if parities.l % 4 == 2:
-        series = QSeries.zero(level, prec)
-        return FRepresentative(series, parities.l + 1, level,
+        return FRepresentative(QSeries.zero(level, prec), parities.l + 1,
                                "quaternionic transfer, torsion-zero branch")
     _require_support(parities, prec)
     odd = QSeries(level, prec, [0] + [parities.value(d) if d % 2 else 0 for d in range(1, prec)])
     series = divisor_sum(odd) * Fraction(1, 2)
-    return FRepresentative(series, parities.l + 1, level,
-                           "quaternionic transfer, kernel parities")
+    return FRepresentative(series, parities.l + 1, "quaternionic transfer, kernel parities")
 
 
 def _require_support(xi: XiTable, prec: int) -> None:
@@ -176,57 +174,39 @@ def known_representative(name: str, level: int, prec: int) -> FRepresentative:
     """
     if name == "eta2":
         series = g_tilde(level, 1, prec) * Fraction(1, 2)
-        return FRepresentative(series, 2, level, "half the weight-one series")
+        return FRepresentative(series, 2, "half the weight-one series")
     if name == "nu2":
         _require_odd(level, name)
         gt2 = g_tilde(level, 2, prec)
-        return FRepresentative(gt2 * gt2 * Fraction(1, 2), 4, level,
+        return FRepresentative(gt2 * gt2 * Fraction(1, 2), 4,
                                "half the squared weight-two series")
     if name == "etasigma":
         _require_odd(level, name)
         series = g_tilde_level1(level, 4, prec) * Fraction(1, 2)
-        return FRepresentative(series, 5, level, "half the classical weight-four series")
+        return FRepresentative(series, 5, "half the classical weight-four series")
     raise ValueError(f"unknown representative {name!r}")
 
 
 def _require_odd(level: int, name: str) -> None:
     if level % 2 == 0:
-        raise ValueError(f"{name} is a representative at odd levels only")
+        raise ValueError(f"{name} is defined at odd levels only")
 
 
 # ---------------------------------------------------------------------------
 # Example pipelines
 
 
-# command-line name -> library name of each worked example
-EXAMPLES = {"trivial": "trivial", "eta2": "eta2_circle", "nu2": "nu2_homogeneous",
-            "etasigma": "etasigma_product", "su3": "su3_appendix"}
-
-# weight bound of each example's indeterminacy lattice, and whether the
-# lattice carries the Gtilde direction of that weight
-EXAMPLE_LATTICES = {
-    "eta2_circle": (2, True),
-    "nu2_homogeneous": (4, True),
-    "etasigma_product": (5, False),
-    "su3_appendix": (5, False),
-}
-
-
-def example_lattice(name: str, level: int, prec: int,
-                    basis: Optional[ModularBasis] = None) -> IndeterminacyLattice:
-    """The indeterminacy lattice of an example, from EXAMPLE_LATTICES."""
-    weight, with_gtilde = EXAMPLE_LATTICES[name]
-    gtilde = g_tilde(level, weight, prec) if with_gtilde else None
-    return make_lattice(level, weight, prec, gtilde=gtilde, basis=basis)
+# each worked example by its command-line name: the weight bound of its
+# indeterminacy lattice and whether that lattice carries the Gtilde direction
+# of that weight, or None for an example decided without a lattice
+EXAMPLES = {"trivial": None, "eta2": (2, True), "nu2": (4, True),
+            "etasigma": (5, False), "su3": (5, False)}
 
 
 @dataclass(frozen=True)
 class ExampleReport:
-    name: str
-    level: int
-    prec: int
     assembled: FRepresentative
-    reference: Optional[FRepresentative]
+    reference: FRepresentative
     verdict: bool
     equivalence: Optional[EquivResult]
     details: dict
@@ -234,61 +214,60 @@ class ExampleReport:
 
 def run_example(name: str, level: int, prec: int,
                 e_invariant: Scalar = Fraction(1),
-                lattice: Optional[IndeterminacyLattice] = None) -> ExampleReport:
-    """Build the example's xi-table, assemble, and compare against the reference."""
+                basis: Optional[ModularBasis] = None) -> ExampleReport:
+    """Build the example's xi-table, assemble, and compare against the reference.
+
+    `basis` is the modular basis of the example's lattice, built when omitted.
+    """
+    if name not in EXAMPLES:
+        raise ValueError(f"unknown example {name!r}; choose from {tuple(EXAMPLES)}")
+    if name in ("nu2", "etasigma", "su3"):
+        _require_odd(level, name)
+
     if name == "trivial":
         xi = XiTable.constant(COMPLEX_FULL, level, 1, prec - 1,
                               e_invariant, both_signs=True)
         assembled = assemble_complex(xi, prec)
         expected = g_tilde(level, 1, prec) * (-Fraction(e_invariant))
         verdict = assembled.series == expected
-        return ExampleReport(name, level, prec, assembled,
-                             FRepresentative(expected, 2, level, "-e * Gtilde_1"),
-                             verdict, None,
-                             {"e_invariant": Fraction(e_invariant)})
+        return ExampleReport(assembled, FRepresentative(expected, 2, "-e * Gtilde_1"),
+                             verdict, None, {"e_invariant": Fraction(e_invariant)})
 
-    if name == "eta2_circle":
+    weight, with_gtilde = EXAMPLES[name]
+    gtilde = g_tilde(level, weight, prec) if with_gtilde else None
+    lattice = make_lattice(level, weight, prec, gtilde=gtilde, basis=basis)
+
+    if name == "eta2":
         entries = {d: geometry.circle_xi(level, d) for d in range(1, prec)}
         xi = XiTable(COMPLEX_POSITIVE, level, 1, entries)
         assembled = assemble_complex_reduced(xi, prec)
         reference = known_representative("eta2", level, prec)
-        lat = lattice or example_lattice(name, level, prec)
-        eq = is_equivalent(assembled.series, reference.series, lat)
-        return ExampleReport(name, level, prec, assembled, reference,
-                             eq.equivalent, eq, {"xi": "1/2 - d*eps"})
+        eq = is_equivalent(assembled.series, reference.series, lattice)
+        return ExampleReport(assembled, reference, eq.equivalent, eq, {"xi": "1/2 - d*eps"})
 
-    if name == "nu2_homogeneous":
-        _require_odd(level, name)
+    if name == "nu2":
         entries = geometry.nu2_xi_values(level, prec - 1)
         xi = XiTable(COMPLEX_POSITIVE, level, 3, entries)
         assembled = assemble_complex_reduced(xi, prec)
         exact_form = g_tilde(level, 2, prec) * Fraction(1, 12)
         reference = known_representative("nu2", level, prec)
-        lat = lattice or example_lattice(name, level, prec)
-        eq = is_equivalent(assembled.series, reference.series, lat)
+        eq = is_equivalent(assembled.series, reference.series, lattice)
         verdict = eq.equivalent and assembled.series == exact_form
-        return ExampleReport(name, level, prec, assembled, reference, verdict, eq,
+        return ExampleReport(assembled, reference, verdict, eq,
                              {"xi": "-d/12",
                               "collapses_to_twelfth_gtilde2": assembled.series == exact_form})
 
-    if name in ("etasigma_product", "su3_appendix"):
-        _require_odd(level, name)
-        if name == "etasigma_product":
-            entries = geometry.etasigma_parity_values(level, prec - 1)
-            detail = {"parity": "d^2 mod 2 from the plane index"}
-        else:
-            entries = geometry.su3_parity_values(level, prec - 1)
-            detail = {"parity": "enumerated kernel parities",
-                      "parity_table": {k: geometry.su3_kernel_parity(k)
-                                       for k in range(11)}}
-        table = XiTable(QUATERNIONIC_KERNEL_PARITY, level, 4, entries)
-        assembled = assemble_quaternionic_reduced(table, prec)
-        reference = known_representative("etasigma", level, prec)
-        integral = relative_integrality_check(reference.series - assembled.series)
-        lat = lattice or example_lattice(name, level, prec)
-        eq = is_equivalent(assembled.series, reference.series, lat)
-        detail["difference_integral"] = integral.integral
-        return ExampleReport(name, level, prec, assembled, reference,
-                             eq.equivalent and integral.integral, eq, detail)
-
-    raise ValueError(f"unknown example {name!r}; choose from {tuple(EXAMPLES.values())}")
+    if name == "etasigma":
+        entries = geometry.etasigma_parity_values(level, prec - 1)
+        detail = {"parity": "d^2 mod 2 from the plane index"}
+    else:
+        entries = geometry.su3_parity_values(level, prec - 1)
+        detail = {"parity": "enumerated kernel parities",
+                  "parity_table": {k: geometry.su3_kernel_parity(k) for k in range(11)}}
+    table = XiTable(QUATERNIONIC_KERNEL_PARITY, level, 4, entries)
+    assembled = assemble_quaternionic_reduced(table, prec)
+    reference = known_representative("etasigma", level, prec)
+    integral = relative_integrality_check(reference.series - assembled.series)
+    eq = is_equivalent(assembled.series, reference.series, lattice)
+    detail["difference_integral"] = integral.integral
+    return ExampleReport(assembled, reference, eq.equivalent and integral.integral, eq, detail)

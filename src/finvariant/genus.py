@@ -44,12 +44,8 @@ def g_hat(level: int, k: int, prec: int) -> QSeries:
 
 def g_tilde(level: int, k: int, prec: int) -> QSeries:
     """G_hat_k with its constant term removed (starts at q^1)."""
-    if level < 2:
-        raise ValueError("level must be >= 2")
-    if k < 1:
-        raise ValueError("weight must be >= 1")
     sign = 1 if k % 2 == 0 else -1
-    return divisor_sum(_power_series(level, k - 1, prec), minus=-1, plus=-sign)
+    return divisor_sum(_power_series(level, k, prec), minus=-1, plus=-sign)
 
 
 def g_tilde_level1(level: int, k: int, prec: int) -> QSeries:
@@ -58,23 +54,27 @@ def g_tilde_level1(level: int, k: int, prec: int) -> QSeries:
     Normalization: G_k = -B_k/(2k) + sum sigma_(k-1)(n) q^n, constant removed.
     Represented at the given cyclotomic level so it can join level-N arithmetic.
     """
+    return divisor_sum(_power_series(level, k, prec))
+
+
+def _power_series(level: int, k: int, prec: int) -> QSeries:
+    """sum_{d>=1} d^(k-1) q^d: one slice of rational coordinates in the integer row.
+
+    The level and weight checks of every Eisenstein series built on it.
+    """
+    if level < 2:
+        raise ValueError("level must be >= 2")
     if k < 1:
         raise ValueError("weight must be >= 1")
-    return divisor_sum(_power_series(level, k - 1, prec))
-
-
-def _power_series(level: int, e: int, prec: int) -> QSeries:
-    """sum_{d>=1} d^e q^d: one slice of rational coordinates in the integer row."""
     deg = euler_phi(level)
     row = [0] * (prec * deg)
-    row[deg::deg] = [d ** e for d in range(1, prec)]
+    row[deg::deg] = [d ** (k - 1) for d in range(1, prec)]
     return QSeries._of(level, prec, 1, [row])
 
 
 def eisenstein_level1(level: int, k: int, prec: int) -> QSeries:
     """Classical weight-k Eisenstein series G_k = -B_k/(2k) + sum sigma_(k-1)(n) q^n."""
-    f = g_tilde_level1(level, k, prec)
-    return f + QSeries.from_rationals(level, prec, (-bernoulli(k) / (2 * k),))
+    return g_tilde_level1(level, k, prec) - bernoulli(k) / (2 * k)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ per eps degree e, one flat tuple whose entry n*phi(N) + t is den times
 coordinate t (power basis) of the eps^e part of the q^n coefficient. The form
 is canonical (gcd(den, entries) = 1, last part nonzero) and only this module
 reads it; `coefficient(n)` builds one EpsPoly on demand, `series_row` is
-the flat integer view of an eps-free series and
-`series_to_vector`/`vector_to_series` the flat rational one. Arithmetic
-requires equal levels and truncates to the smaller precision.
+the flat integer view of an eps-free series and `vector_to_series` builds one
+from flat rationals. Arithmetic requires equal levels and truncates to the
+smaller precision.
 
 Every operation runs on the rows: the product by Kronecker substitution (one
 big-int product of the packed (q, zeta) polynomials, see Harvey, JSC 2009),
@@ -33,7 +33,7 @@ from math import gcd, isqrt, lcm
 from operator import add
 from typing import Optional, Sequence, Union
 
-from .exactnum import (_ZERO, CycNum, EpsPoly, LevelMismatchError, Scalar, _coprime_part,
+from .exactnum import (CycNum, EpsPoly, LevelMismatchError, Scalar, _coprime_part,
                        _zeta_powers, euler_phi)
 
 Coefficient = Union[Scalar, CycNum, EpsPoly]
@@ -100,11 +100,6 @@ class QSeries:
     @classmethod
     def one(cls, level: int, prec: int) -> "QSeries":
         return cls(level, prec, (1,))
-
-    @classmethod
-    def from_rationals(cls, level: int, prec: int,
-                       values: Sequence[Scalar]) -> "QSeries":
-        return cls(level, prec, values)
 
     # -- structure ---------------------------------------------------------
 
@@ -198,15 +193,6 @@ class QSeries:
             acc = acc * self
         return acc
 
-    def shift(self, offset: int) -> "QSeries":
-        """Multiply by q^offset, truncating at the same precision."""
-        if offset < 0:
-            raise ValueError("negative shifts not supported")
-        deg = euler_phi(self.level)
-        size, gap = self.prec * deg, min(offset, self.prec) * deg
-        return QSeries._of(self.level, self.prec, self.den,
-                           [(0,) * gap + p[:size - gap] for p in self.parts])
-
     def __repr__(self) -> str:
         return f"QSeries(level={self.level}, prec={self.prec})"
 
@@ -228,12 +214,6 @@ def series_row(f: QSeries, prec: int) -> tuple[Sequence[int], int]:
     if prec > f.prec:
         raise IndexError(f"coefficient q^{f.prec} beyond precision {f.prec}")
     return (f.parts or [(0,) * size])[0][:size], f.den
-
-
-def series_to_vector(f: QSeries, prec: int) -> list[Fraction]:
-    """`series_row` as phi(N)*prec rationals."""
-    row, den = series_row(f, prec)
-    return [Fraction(v, den) if v else _ZERO for v in row]
 
 
 def vector_to_series(level: int, prec: int, vec: Sequence[Scalar]) -> QSeries:

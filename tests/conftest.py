@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from finvariant.divcong import ModularBasis, build_basis
 from finvariant.exactnum import CycNum, EpsPoly, euler_phi
+from finvariant.genus import g_hat
 from finvariant.qseries import QSeries
 
 
@@ -38,3 +40,9 @@ def random_integral_series(rng: random.Random, level: int, prec: int,
                   for _ in range(deg)]
         coeffs.append(EpsPoly.constant(CycNum(level, coords)))
     return QSeries(level, prec, tuple(coeffs))
+
+
+def level5_user_basis(prec: int) -> ModularBasis:
+    """A weight-2 basis at level 5, which has no built-in generators."""
+    gens = [(1, "Ghat1", g_hat(5, 1, prec)), (2, "Ghat2", g_hat(5, 2, prec))]
+    return build_basis(5, 2, prec, generators=gens, check_dims=False)

@@ -12,13 +12,14 @@ from pathlib import Path
 
 import pytest
 
+from conftest import level5_user_basis
 import finvariant
 from finvariant import cli
 from finvariant.cli import (DataError, main, read_basis, read_blocks,
                             read_series, write_series)
 from finvariant.divcong import BasisEntry, ModularBasis, build_basis
 from finvariant.exactnum import CycNum, EpsPoly, eps
-from finvariant.genus import g_hat, g_tilde
+from finvariant.genus import g_tilde
 from finvariant.qseries import QSeries
 
 
@@ -185,8 +186,8 @@ def test_header_keys_in_any_order_start_a_block(tmp_path, eps_header):
     path = tmp_path / "R.txt"
     path.write_text(f"weight=? prec=2 level=3 label=x\n0 1 0\n1 2 0\n"
                     f"{eps_header}\n0 0 0\n1 1/7 0\n", encoding="utf-8")
-    const = QSeries.from_rationals(3, 2, [1, 2])
-    assert read_series(path) == const + QSeries.from_rationals(3, 2, [0, Fraction(1, 7)]) * eps(3)
+    const = QSeries(3, 2, [1, 2])
+    assert read_series(path) == const + QSeries(3, 2, [0, Fraction(1, 7)]) * eps(3)
 
 
 def _block_text(level, prec, label, rows, weight="?"):
@@ -199,12 +200,12 @@ def test_orphan_eps_block_in_a_basis_refused(tmp_path, capsys):
     # an 'X.eps' block after another entry's block is no plain entry: read as
     # one, q/7 would join the level-5 lattice and q/7 vs 0 would read true
     prec = 12
-    pf = _write_series_file(tmp_path, "F.txt", QSeries.from_rationals(5, prec, [0, Fraction(1, 7)]))
+    pf = _write_series_file(tmp_path, "F.txt", QSeries(5, prec, [0, Fraction(1, 7)]))
     pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(5, prec))
     bases = tmp_path / "bases"
     bases.mkdir()
     path = bases / f"basis_N5_W2_P{prec}.txt"
-    _write_basis_file(path, _level5_user_basis(prec))
+    _write_basis_file(path, level5_user_basis(prec))
     line = len(path.read_text(encoding="utf-8").splitlines()) + 1
     q7 = [[0] * 4, [Fraction(1, 7), 0, 0, 0]] + [[0] * 4] * (prec - 2)
     with open(path, "a", encoding="utf-8") as fh:
@@ -275,7 +276,7 @@ def test_divcong_equal_files_true(tmp_path, capsys):
 
 
 def test_divcong_false_exit_one(tmp_path, capsys):
-    half_q = QSeries.from_rationals(3, 8, [0, Fraction(1, 2)])
+    half_q = QSeries(3, 8, [0, Fraction(1, 2)])
     pf = _write_series_file(tmp_path, "F.txt", half_q)
     pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(3, 8))
     code, out, _ = run_cli(capsys, "divcong", str(pf), str(pg), "-N", "3",
@@ -381,7 +382,7 @@ def test_tampered_basis_file_refused(tmp_path, capsys):
     # (1/2)q is not in the weight-2 lattice at level 3; a basis file that
     # swaps it in for Ghat1^2 would make it a member, so it must be refused
     prec = 12
-    half_q = QSeries.from_rationals(3, prec, [0, Fraction(1, 2)])
+    half_q = QSeries(3, prec, [0, Fraction(1, 2)])
     pf = _write_series_file(tmp_path, "F.txt", half_q)
     pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(3, prec))
     bases = tmp_path / "bases"
@@ -401,25 +402,20 @@ def test_tampered_basis_file_refused(tmp_path, capsys):
     assert err.startswith(f"error: {path}: differs from the basis built")
 
 
-def _level5_user_basis(prec):
-    gens = [(1, "Ghat1", g_hat(5, 1, prec)), (2, "Ghat2", g_hat(5, 2, prec))]
-    return build_basis(5, 2, prec, generators=gens, check_dims=False)
-
-
 @pytest.mark.parametrize("constants", ["missing", "twice", "not_one"])
 def test_user_basis_needs_the_constant_one(tmp_path, capsys, constants):
     # without its weight-0 block a level-5 basis drops the constants from the
     # lattice, and the constant 1/7 would read as a proved non-member
     prec = 12
     pf = _write_series_file(tmp_path, "F.txt",
-                            QSeries.from_rationals(5, prec, [Fraction(1, 7)]))
+                            QSeries(5, prec, [Fraction(1, 7)]))
     pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(5, prec))
     bases = tmp_path / "bases"
     bases.mkdir()
     path = bases / f"basis_N5_W2_P{prec}.txt"
     argv = ["divcong", str(pf), str(pg), "-N", "5", "-w", "2", "--no-gtilde",
             "--machine", "--basis", str(bases)]
-    basis = _level5_user_basis(prec)
+    basis = level5_user_basis(prec)
     _write_basis_file(path, basis)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out.startswith("verdict=true\n")
@@ -437,7 +433,7 @@ def test_dependent_user_basis_entry_refused(tmp_path, capsys):
     bases = tmp_path / "bases"
     bases.mkdir()
     path = bases / f"basis_N5_W2_P{prec}.txt"
-    basis = _level5_user_basis(prec)
+    basis = level5_user_basis(prec)
     series = {e.label: e.series for e in basis.entries}
     extra = BasisEntry(2, series["Ghat2"] * Fraction(3, 2) - series["Ghat1^2"], "mix")
     _write_basis_file(path, ModularBasis(5, 2, prec, basis.entries + (extra,)))
@@ -500,14 +496,14 @@ def test_reader_errors_exit_three(tmp_path, capsys, role, text, line, message):
         argv = ["divcong", str(path), str(path), "-N", "3", "-w", "2"]
     else:
         path = bases / f"basis_N5_W2_P{prec}.txt"
-        q7 = QSeries.from_rationals(5, prec, [0, Fraction(1, 7)])
+        q7 = QSeries(5, prec, [0, Fraction(1, 7)])
         pf = _write_series_file(tmp_path, "F.txt", q7)
         pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(5, prec))
         argv = ["divcong", str(pf), str(pg), "-N", "5", "-w", "2", "--no-gtilde"]
     if text is None:
         entries = tuple(BasisEntry(e.weight, e.series + q7 * eps(5), e.label)
                         if e.label == "Ghat1^2" else e
-                        for e in _level5_user_basis(prec).entries)
+                        for e in level5_user_basis(prec).entries)
         _write_basis_file(path, ModularBasis(5, 2, prec, entries))
     else:
         path.write_text(text, encoding="utf-8")
@@ -714,7 +710,7 @@ def test_example_exit_codes(tmp_path, capsys):
     code, _, err = run_cli(capsys, "example", "nu2", "-N", "2", "-p", "8",
                            "--basis", bases)
     assert code == 2  # parity-of-level violation is reported as usage
-    assert "odd level" in err
+    assert err == "error: nu2 is defined at odd levels only\n"
 
 
 @pytest.mark.parametrize("value", ["1/0", "abc"])

@@ -19,7 +19,7 @@ from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError, _coprime_p
 from finvariant.genus import g_hat, g_tilde
 from finvariant.qseries import (EpsPartError, QSeries, divisors, eps_split,
                                 is_integral_series, relative_integrality_check, series_row,
-                                series_to_vector, vector_to_series)
+                                vector_to_series)
 
 
 def test_sturm_bound_values():
@@ -38,6 +38,11 @@ def test_sturm_bound_integer_index_matches_fraction_formula():
         assert mu.denominator == 1
         for k in range(0, 9):
             assert sturm_bound(level, k) == math.ceil(k * mu / 12)
+
+
+def _vector(f, prec):
+    row, den = series_row(f, prec)
+    return [Fraction(v, den) for v in row]
 
 
 def _rank(vectors):
@@ -65,9 +70,9 @@ def test_sturm_bound_saturates_generator_rank(level):
     for w in range(1, 7):
         monomials = [g1 ** a * g2 ** ((w - a * w1) // w2)
                      for a in range(w // w1 + 1) if (w - a * w1) % w2 == 0]
-        full = _rank([series_to_vector(m, prec) for m in monomials])
+        full = _rank([_vector(m, prec) for m in monomials])
         short = sturm_bound(level, w) + 1
-        assert _rank([series_to_vector(m, short) for m in monomials]) == full
+        assert _rank([_vector(m, short) for m in monomials]) == full
         assert full == DIM_TARGETS[level][w]
 
 
@@ -383,7 +388,7 @@ def test_make_lattice_rejects_mismatched_basis():
 def test_series_vector_round_trip():
     rng = random.Random(13)
     f = random_integral_series(rng, 3, 6)
-    vec = series_to_vector(f, 6)
+    vec = _vector(f, 6)
     assert vector_to_series(3, 6, vec) == f
 
 
@@ -474,7 +479,7 @@ def test_lattice_membership_level4():
         res = is_equivalent(member, zero, lattice)
         assert res.equivalent
         assert res.certificate.replay(lattice) == member
-    bad = QSeries.from_rationals(4, prec, [0, Fraction(1, 3)])
+    bad = QSeries(4, prec, [0, Fraction(1, 3)])
     assert not is_equivalent(bad, zero, lattice).equivalent
 
 
@@ -534,7 +539,7 @@ def test_eps_degree_two_rejected(lattice_k2):
 
 
 def test_false_verdict_with_proof_flag(lattice_k2):
-    F = QSeries.from_rationals(3, 12, [0, Fraction(1, 2)])
+    F = QSeries(3, 12, [0, Fraction(1, 2)])
     res = is_equivalent(F, QSeries.zero(3, 12), lattice_k2)
     assert not res.equivalent
     assert res.false_is_proof  # prec 12 >= policy 7
@@ -542,7 +547,7 @@ def test_false_verdict_with_proof_flag(lattice_k2):
 
 def test_low_precision_false_not_a_proof():
     lattice = make_lattice(3, 2, 5, gtilde=None)
-    F = QSeries.from_rationals(3, 5, [0, Fraction(1, 5)])
+    F = QSeries(3, 5, [0, Fraction(1, 5)])
     res = is_equivalent(F, QSeries.zero(3, 5), lattice)
     assert not res.equivalent
     assert not res.false_is_proof
@@ -560,9 +565,9 @@ def test_certificate_spans_weight_zero_and_top_only(lattice_k4):
 
 
 def test_relative_integrality_check():
-    ok = relative_integrality_check(QSeries.from_rationals(3, 6, [0, Fraction(1, 3)]))
+    ok = relative_integrality_check(QSeries(3, 6, [0, Fraction(1, 3)]))
     assert ok.integral and ok.first_failure is None
-    bad = relative_integrality_check(QSeries.from_rationals(3, 6, [0, 0, Fraction(1, 4)]))
+    bad = relative_integrality_check(QSeries(3, 6, [0, 0, Fraction(1, 4)]))
     assert not bad.integral
     assert bad.first_failure == 2
 
@@ -687,7 +692,7 @@ def test_member_needs_two_span_directions(lattice_25, monkeypatch):
     assert res.certificate.replay(lattice) == F
     assert is_integral_series(res.certificate.residual)
     # 1/5 on a row no direction reaches is no member
-    bumped = F + QSeries.from_rationals(3, 6, [0, 0, Fraction(1, 5)])
+    bumped = F + QSeries(3, 6, [0, 0, Fraction(1, 5)])
     assert not is_equivalent(bumped, QSeries.zero(3, 6), lattice).equivalent
 
 
@@ -740,7 +745,7 @@ def test_member_below_lattice_precision_modular(lattice_k4):
         assert res.equivalent and res.certificate.gtilde_eps_coeff == Fraction(2, 5)
         # an eps-part off the Gtilde direction, and 1/7 at q^1 off the span
         for bump in (QSeries(3, prec, [0, eps(3)]),
-                     QSeries.from_rationals(3, prec, [0, Fraction(1, 7)])):
+                     QSeries(3, prec, [0, Fraction(1, 7)])):
             res = _assert_as_lattice_at_prec(F + bump, G, lattice_k4, prec)
             assert not res.equivalent
             assert res.false_is_proof == (prec >= policy_prec(3, 4))
@@ -809,10 +814,10 @@ def _fraction_spaces(lattice):
     span = [lattice.basis.entries[i].series for i in lattice.span_indices]
     space = _FractionSpace(len(span) + (lattice.gtilde is not None))
     for j, series in enumerate(span):
-        space.insert(j, series_to_vector(series, prec))
+        space.insert(j, _vector(series, prec))
     if lattice.gtilde is None:
         return space, None
-    gvec = series_to_vector(lattice.gtilde, prec)
+    gvec = _vector(lattice.gtilde, prec)
     space.insert(len(span), gvec)
     gspace = _FractionSpace(1)
     gspace.insert(0, gvec)
@@ -827,11 +832,11 @@ def _fraction_decide(diff, lattice, spaces):
     if len(parts) == 2:
         if gspace is None:
             return None
-        r, comb = gspace.reduce(series_to_vector(parts[1], diff.prec))
+        r, comb = gspace.reduce(_vector(parts[1], diff.prec))
         if any(r):
             return None
         c1 = comb[0]
-    solved = _fraction_span_solve(series_to_vector(parts[0], diff.prec), space, lattice.level)
+    solved = _fraction_span_solve(_vector(parts[0], diff.prec), space, lattice.level)
     if solved is None:
         return None
     a, w = solved
@@ -869,7 +874,7 @@ def _assert_matches_reference(lattice, pairs):
         assert res.equivalent
         assert cert.basis_coeffs == want[0]
         assert (cert.gtilde_coeff, cert.gtilde_eps_coeff) == want[1:3]
-        assert series_to_vector(cert.residual, lattice.prec) == want[3]
+        assert _vector(cert.residual, lattice.prec) == want[3]
     return verdicts
 
 
@@ -892,11 +897,11 @@ def _random_pairs(lattice, rng, count):
         if kind == 1:
             coeffs = [0] * prec
             coeffs[rng.randrange(prec)] = Fraction(rng.randint(1, 6), rng.choice([5, 7, 11, 13]))
-            diff = diff + QSeries.from_rationals(level, prec, coeffs)
+            diff = diff + QSeries(level, prec, coeffs)
         elif kind == 2:
             coeffs = [0] * prec
             coeffs[rng.randrange(1, prec)] = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-            diff = diff + QSeries.from_rationals(level, prec, coeffs) * eps(level)
+            diff = diff + QSeries(level, prec, coeffs) * eps(level)
         G = random_integral_series(rng, level, prec) + random_series(rng, level, prec)
         pairs.append((G + diff, G))
     return pairs
@@ -1093,7 +1098,7 @@ def test_integrality_check_fires_on_a_non_integral_residual(lattice_k2, monkeypa
     # every span coefficient 0 and all of F - G as residual: the replay holds
     monkeypatch.setattr(divcong, "_integral_span_solve",
                         lambda num, den, space, level: ([0] * space.ncols, list(num), den))
-    F = QSeries.from_rationals(3, 12, [0, Fraction(1, 7)])
+    F = QSeries(3, 12, [0, Fraction(1, 7)])
     with pytest.raises(AssertionError, match="non-integral certificate residual"):
         is_equivalent(F, QSeries.zero(3, 12), lattice_k2)
 
@@ -1117,7 +1122,7 @@ def test_decision_builds_only_the_residual_series(lattice_k2, monkeypatch):
     rng = random.Random(17)
     G = random_series(rng, 3, 12)
     member = G + lattice_k2.gtilde * (eps(3) * Fraction(2, 3)) + random_integral_series(rng, 3, 12)
-    outsider = G + QSeries.from_rationals(3, 12, [0, Fraction(1, 7)])
+    outsider = G + QSeries(3, 12, [0, Fraction(1, 7)])
     built = []
     store = QSeries._store
     monkeypatch.setattr(QSeries, "_store", lambda self, *args: built.append(args) or store(self, *args))

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from finvariant.cli import main
 from finvariant.divcong import is_equivalent, make_lattice
 from finvariant.exactnum import CycNum, EpsPoly
-from finvariant.fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE,
+from finvariant.fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES,
                                   QUATERNIONIC, QUATERNIONIC_KERNEL_PARITY,
                                   FRepresentative, MissingTwistError, XiTable,
                                   assemble_complex, assemble_complex_reduced,
@@ -18,7 +19,7 @@ from finvariant.genus import g_tilde, g_tilde_level1
 from finvariant.geometry import circle_xi, nu2_xi_values
 from finvariant.qseries import QSeries, divisors, sigma
 
-from conftest import random_cyc
+from conftest import level5_user_basis, random_cyc
 
 
 def _table(kind, level, l, entries):
@@ -283,7 +284,7 @@ def test_full_and_reduced_assemblies_agree_for_odd_l():
 
 def test_representative_constant_term_enforced():
     with pytest.raises(ValueError):
-        FRepresentative(QSeries.one(3, 4), 2, 3)
+        FRepresentative(QSeries.one(3, 4), 2)
 
 
 def test_assemblers_reject_wrong_kind():
@@ -351,29 +352,29 @@ def test_run_example_trivial_various_scalars():
 
 
 def test_run_example_eta2():
-    report = run_example("eta2_circle", 3, 12)
+    report = run_example("eta2", 3, 12)
     assert report.verdict
     assert report.equivalence.certificate.gtilde_eps_coeff == 1
 
 
 def test_run_example_eta2_even_level_allowed():
-    assert run_example("eta2_circle", 4, 12).verdict
+    assert run_example("eta2", 4, 12).verdict
     # at level 2 the weight-one reference vanishes identically and the
     # assembled series itself must be absorbed by the lattice
-    report = run_example("eta2_circle", 2, 12)
+    report = run_example("eta2", 2, 12)
     assert report.verdict
     assert report.reference.series.is_zero()
 
 
 def test_run_example_nu2():
-    report = run_example("nu2_homogeneous", 3, 10)
+    report = run_example("nu2", 3, 10)
     assert report.verdict
     assert report.details["collapses_to_twelfth_gtilde2"]
 
 
 def test_run_example_quaternionic_pair_identical():
-    a = run_example("etasigma_product", 3, 14)
-    b = run_example("su3_appendix", 3, 14)
+    a = run_example("etasigma", 3, 14)
+    b = run_example("su3", 3, 14)
     assert a.verdict and b.verdict
     assert a.assembled.series == b.assembled.series
     assert b.details["parity_table"] == {k: (k + 1) % 2 for k in range(11)}
@@ -381,12 +382,37 @@ def test_run_example_quaternionic_pair_identical():
 
 def test_run_example_parity_guard():
     with pytest.raises(ValueError):
-        run_example("nu2_homogeneous", 2, 10)
+        run_example("nu2", 2, 10)
     with pytest.raises(ValueError):
-        run_example("etasigma_product", 4, 10)
+        run_example("etasigma", 4, 10)
 
 
 def test_run_example_unsupported_level_needs_user_basis():
     from finvariant.divcong import BasisError
     with pytest.raises(BasisError):
-        run_example("eta2_circle", 5, 12)
+        run_example("eta2", 5, 12)
+
+
+def test_run_example_with_a_user_basis():
+    # level 5 has no built-in generators; the caller's basis makes its lattice
+    assert run_example("eta2", 5, 12, basis=level5_user_basis(12)).verdict
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_run_example_gives_the_verdict_the_cli_prints(tmp_path, capsys, name):
+    report = run_example(name, 3, 12)
+    code = main(["example", name, "-N", "3", "-p", "12", "--basis", str(tmp_path)])
+    assert report.verdict and code == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"verdict: {report.verdict}"
+
+
+@pytest.mark.parametrize("name", ["nu2", "etasigma", "su3"])
+def test_run_example_even_level_names_the_example(name):
+    with pytest.raises(ValueError, match=f"^{name} is defined at odd levels only$"):
+        run_example(name, 2, 8)
+
+
+def test_run_example_unknown_name_lists_the_cli_names():
+    with pytest.raises(ValueError, match="unknown example 'eta2_circle'") as exc:
+        run_example("eta2_circle", 3, 8)
+    assert all(repr(name) in str(exc.value) for name in EXAMPLES)

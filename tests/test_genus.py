@@ -140,7 +140,7 @@ def test_conjugation_symmetry_of_divisor_sums():
     for level in (3, 5):
         for k in (1, 2, 3):
             sign = 1 if k % 2 == 0 else -1
-            powers = QSeries.from_rationals(level, 15, [0] + [d ** (k - 1) for d in range(1, 15)])
+            powers = QSeries(level, 15, [0] + [d ** (k - 1) for d in range(1, 15)])
             f = divisor_sum(powers, minus=1, plus=sign)
             for n in range(15):
                 value = f.coefficient(n).constant_part()
@@ -259,6 +259,16 @@ def test_series_value_bit_identical_to_fraction_sum(level):
 def test_level1_series_refuse_weight_below_one(series, k):
     with pytest.raises(ValueError, match="weight must be >= 1"):
         series(3, k, 5)
+
+
+@pytest.mark.parametrize("series", [g_hat, g_tilde, g_tilde_level1])
+@pytest.mark.parametrize("level, k, message", [
+    (0, 2, "level must be >= 2"), (1, 2, "level must be >= 2"), (-3, 2, "level must be >= 2"),
+    (3, 0, "weight must be >= 1"), (3, -1, "weight must be >= 1"),
+])
+def test_eisenstein_series_refuse_level_and_weight(series, level, k, message):
+    with pytest.raises(ValueError, match=message):
+        series(level, k, 5)
 
 
 def test_numeric_genus_errors_and_origin():

@@ -14,9 +14,9 @@ from finvariant.qseries import (EpsPartError, QSeries, divisor_sum, divisors,
 
 
 def test_difference_of_squares():
-    one_plus_q = QSeries.from_rationals(3, 3, [1, 1])
-    one_minus_q = QSeries.from_rationals(3, 3, [1, -1])
-    assert one_plus_q * one_minus_q == QSeries.from_rationals(3, 3, [1, 0, -1])
+    one_plus_q = QSeries(3, 3, [1, 1])
+    one_minus_q = QSeries(3, 3, [1, -1])
+    assert one_plus_q * one_minus_q == QSeries(3, 3, [1, 0, -1])
 
 
 def test_multiplicative_identity():
@@ -41,7 +41,7 @@ def test_geometric_square_coefficient():
     ones = [1] * 8
     expected = _brute_convolution(ones, ones, 8)
     assert expected[5] == 6
-    f = QSeries.from_rationals(3, 8, ones)
+    f = QSeries(3, 8, ones)
     square = f * f
     for n in range(8):
         assert square.coefficient(n) == EpsPoly.rational(3, expected[n])
@@ -63,12 +63,10 @@ def test_level_mismatch_rejected():
     lambda level: QSeries(level, 3, [1]),
     lambda level: QSeries.zero(level, 3),
     lambda level: QSeries.one(level, 3),
-    lambda level: QSeries.from_rationals(level, 3, [1, Fraction(1, 2)]),
     lambda level: vector_to_series(level, 3, [Fraction(1)]),
     lambda level: divisor_sum(QSeries(level, 4, [0, 1, 1, 1])),
     lambda level: g_tilde_level1(level, 2, 5),
-], ids=["init", "zero", "one", "from_rationals", "vector_to_series", "divisor_sum",
-        "g_tilde_level1"])
+], ids=["init", "zero", "one", "vector_to_series", "divisor_sum", "g_tilde_level1"])
 def test_level_below_two_rejected_on_every_route(build):
     with pytest.raises(ValueError):
         build(1)
@@ -85,9 +83,9 @@ def test_associativity_random():
 
 
 def test_is_integral_series_examples():
-    sigma3 = QSeries.from_rationals(3, 50, [0] + [sigma(n, 3) for n in range(1, 50)])
+    sigma3 = QSeries(3, 50, [0] + [sigma(n, 3) for n in range(1, 50)])
     assert is_integral_series(sigma3)
-    half_plus_q = QSeries.from_rationals(3, 4, [Fraction(1, 2), 1])
+    half_plus_q = QSeries(3, 4, [Fraction(1, 2), 1])
     assert not is_integral_series(half_plus_q)
     assert is_integral_series(g2(3, 30) - Fraction(1, 12))
 
@@ -103,12 +101,12 @@ def test_eps_split_definition():
     one_minus_2eps = EpsPoly.linear(3, 1, -2)
     f = QSeries(3, 2, (half_minus_eps, one_minus_2eps))
     parts = eps_split(f)
-    assert parts[0] == QSeries.from_rationals(3, 2, [Fraction(1, 2), 1])
-    assert parts[1] == QSeries.from_rationals(3, 2, [-1, -2])
+    assert parts[0] == QSeries(3, 2, [Fraction(1, 2), 1])
+    assert parts[1] == QSeries(3, 2, [-1, -2])
 
 
 def test_eps_split_eps_free_and_pure():
-    f = QSeries.from_rationals(3, 3, [1, 2, 3])
+    f = QSeries(3, 3, [1, 2, 3])
     assert eps_split(f) == [f]
     pure = f * eps(3)
     parts = eps_split(pure)
@@ -118,7 +116,7 @@ def test_eps_split_eps_free_and_pure():
 
 def _powers(level, prec, e):
     """The divisor-sum input sum_{d>=1} d^e q^d."""
-    return QSeries.from_rationals(level, prec, [0] + [d ** e for d in range(1, prec)])
+    return QSeries(level, prec, [0] + [d ** e for d in range(1, prec)])
 
 
 def test_divisor_weighted_first_coefficient():
@@ -170,17 +168,12 @@ def test_divisors_sorted_complete():
     assert divisors(1) == (1,)
 
 
-def test_shift():
-    f = QSeries.from_rationals(3, 4, [1, 2, 3, 4])
-    assert f.shift(2) == QSeries.from_rationals(3, 4, [0, 0, 1, 2])
-
-
 def test_equality_up_to_shared_precision():
-    f = QSeries.from_rationals(3, 6, [1, 2, 3, 4, 5, 6])
-    g = QSeries.from_rationals(3, 3, [1, 2, 3])
+    f = QSeries(3, 6, [1, 2, 3, 4, 5, 6])
+    g = QSeries(3, 3, [1, 2, 3])
     assert f == g
     assert g == f
-    h = QSeries.from_rationals(3, 3, [1, 2, 4])
+    h = QSeries(3, 3, [1, 2, 4])
     assert f != h
 
 
@@ -210,21 +203,19 @@ def test_storage_canonical_after_every_operation(level):
         a = _eps_series(rng, level, rng.randint(1, 8), rng.randint(0, 2))
         b = _eps_series(rng, level, rng.randint(1, 8), rng.randint(0, 1))
         results = [a, a + b, a - b, a * b, a * Fraction(3, 4), a * 0, -a,
-                   a.truncate(rng.randint(1, a.prec)), a.shift(rng.randint(0, a.prec + 1)),
-                   *eps_split(a)]
+                   a.truncate(rng.randint(1, a.prec)), *eps_split(a)]
         for f in results:
             _assert_canonical(f)
 
 
 def test_truncation_that_shrinks_the_denominator():
     # the only entry with denominator 7 is cut off, so den drops from 14 to 2
-    f = QSeries.from_rationals(3, 4, [Fraction(1, 2), 1, 3, Fraction(1, 7)])
+    f = QSeries(3, 4, [Fraction(1, 2), 1, 3, Fraction(1, 7)])
     assert f.den == 14
     cut = f.truncate(3)
-    direct = QSeries.from_rationals(3, 3, [Fraction(1, 2), 1, 3])
+    direct = QSeries(3, 3, [Fraction(1, 2), 1, 3])
     assert cut.den == direct.den == 2 and cut.parts == direct.parts
     assert cut == direct
-    _assert_canonical(f.shift(1).truncate(3))
 
 
 def test_scaling_round_trip_and_cancellation():

@@ -2,9 +2,10 @@
 
 Subpackage layout:
 
-- exactnum:  cyclotomic/rational scalars, Bernoulli numbers, integer polynomials
-- qseries:   truncated q-series over Q(zeta_N)[eps], stored as integer rows over
-             one denominator
+- exactnum:  cyclotomic/rational scalars, Bernoulli numbers, integer polynomials,
+             the value c0 + c1*eps of a coefficient
+- qseries:   truncated q-series c0 + c1*eps over Q(zeta_N), stored as integer
+             rows over one denominator
 - genus:     level-N Eisenstein-type series, genus expansion, numeric oracles
 - divcong:   modular bases, lattice equivalence decisions, Hermite normal form
 - geometry:  circle/homogeneous-space spectra, SU(2)/SU(3) data, Chern-Simons
@@ -12,7 +13,7 @@ Subpackage layout:
 - cli:       batch command-line front end and series/basis file formats
 """
 
-from .exactnum import CycNum, EpsPoly, IntPoly, bernoulli, cyclotomic_poly, eps
+from .exactnum import CycNum, EpsPoly, IntPoly, bernoulli, cyclotomic_poly
 from .qseries import QSeries, eps_split, is_integral_series, relative_integrality_check
 from .genus import ell_expansion, g2, g_hat, g_tilde, g_tilde_level1
 from .divcong import build_basis, hnf, is_equivalent, make_lattice, sturm_bound
@@ -27,8 +28,8 @@ __all__ = [
     "CycNum", "EpsPoly", "FRepresentative", "IntPoly", "QSeries", "XiTable",
     "assemble_complex", "assemble_complex_reduced", "assemble_quaternionic",
     "assemble_quaternionic_reduced", "bernoulli", "build_basis",
-    "cyclotomic_poly", "ell_expansion", "eps",
-    "eps_split", "g2", "g_hat", "g_tilde", "g_tilde_level1", "hnf",
+    "cyclotomic_poly", "ell_expansion", "eps_split", "g2", "g_hat", "g_tilde",
+    "g_tilde_level1", "hnf",
     "is_equivalent", "is_integral_series", "known_representative",
     "make_lattice", "relative_integrality_check", "run_example",
     "sturm_bound",

@@ -34,16 +34,16 @@ from typing import Iterator, Optional, Sequence, TextIO
 from .divcong import (BasisEntry, BasisError, EquivResult, ModularBasis,
                       PrecisionError, build_basis, default_generators,
                       dependent_entry, is_equivalent, make_lattice, policy_prec)
-from .exactnum import EpsPoly, LevelMismatchError, eps, euler_phi
+from .exactnum import EpsPoly, LevelMismatchError, euler_phi
 from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES, QUATERNIONIC,
                         QUATERNIONIC_KERNEL_PARITY, MissingTwistError, XiTable,
                         assemble_complex, assemble_complex_reduced,
                         assemble_quaternionic, assemble_quaternionic_reduced,
-                        run_example)
+                        check_example, run_example)
 from .genus import (ell_expansion, ell_function, ell_quaternionic, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
-from .qseries import (EpsPartError, QSeries, eps_split, is_integral_series, series_row,
-                      vector_to_series)
+from .qseries import (EpsPartError, QSeries, _linear_combination, eps_split,
+                      is_integral_series, series_row, vector_to_series)
 
 ORACLE_TOLERANCE = 1e-8
 
@@ -60,8 +60,6 @@ def write_series(fh: TextIO, series: QSeries, weight: Optional[int],
                  label: str) -> None:
     """Write a series block, followed by a '<label>.eps' block for its eps^1 part."""
     parts = eps_split(series)
-    if len(parts) > 2:
-        raise DataError("series files carry at most an eps^1 part")
     w = "?" if weight is None else str(weight)
     deg = euler_phi(series.level)
     for part, name in zip(parts, (label, label + ".eps")):
@@ -126,7 +124,8 @@ def read_blocks(path: Path) -> list[tuple[Optional[int], str, QSeries]]:
         const_weight, const_label, const = blocks[-1]
         if (const_weight, const.level, const.prec) != (weight, series.level, series.prec):
             raise DataError(f"{where}: eps block does not match its series block")
-        blocks[-1] = (weight, const_label, const + series * eps(const.level))
+        blocks[-1] = (weight, const_label, _linear_combination(
+            const.level, const.prec, (((1,), const), ((0, 1), series))))
         open_label = None
     return blocks
 
@@ -381,6 +380,7 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_example(args) -> int:
+    check_example(args.name, args.level)  # before a basis is loaded or built
     spec = EXAMPLES[args.name]
     basis = None
     if spec:

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from .exactnum import LevelMismatchError, _coprime_part, prime_factors
 from .genus import g_hat
-from .qseries import EpsPartError, QSeries, _row_sum, is_integral_series, series_row
+from .qseries import QSeries, _row_sum, is_integral_series, series_row
 
 _ZERO = Fraction(0)
 
@@ -451,8 +451,6 @@ def is_equivalent(F: QSeries, G: QSeries,
     sound = prec >= policy_prec(lattice.level, lattice.weight)
     modulus = lattice.describe
     den, rows = _row_sum(lattice.level, prec, (((1,), F), ((-1,), G)))
-    if len(rows) > 2:
-        raise EpsPartError("eps-degree >= 2 unsupported by the lattice")
 
     def negative() -> EquivResult:
         return EquivResult(False, None, sound, prec, modulus)

@@ -3,9 +3,10 @@
 Everything here is immutable and exact. A rational scalar is an `int` or a
 `fractions.Fraction`; `CycNum` is an element of Q(zeta_N) stored as integer
 coordinates in the power basis 1, zeta, ..., zeta^(phi(N)-1) over one
-denominator, the form a q-coefficient has inside a `QSeries`; `EpsPoly` is a
-polynomial in a formal real parameter eps with CycNum coefficients (eps is
-never given a numeric value); `IntPoly` is a dense integer polynomial.
+denominator, the form a q-coefficient has inside a `QSeries`; `EpsPoly` is
+the value c0 + c1*eps of a q-coefficient or xi-entry in a formal real
+parameter eps, with CycNum parts and no arithmetic (eps is never given a
+numeric value); `IntPoly` is a dense integer polynomial.
 """
 
 from __future__ import annotations
@@ -437,14 +438,15 @@ def eisenstein_weight_one_constant(level: int) -> CycNum:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials in the formal parameter eps
+# Values linear in the formal parameter eps
 
 
 class EpsPoly:
-    """Polynomial in a formal real parameter eps over CycNum coefficients.
+    """The value c0 + c1*eps of a q-coefficient or xi-entry, CycNum parts c_j.
 
-    eps stands for an arbitrary real in (0,1); it is never evaluated, so all
-    identities must hold degree by degree.
+    eps stands for an arbitrary real in (0,1); it is never evaluated, and a
+    value is only built, compared and printed: all arithmetic runs on the
+    integer rows of a QSeries, which holds at most an eps^1 part.
     """
 
     __slots__ = ("level", "coeffs")
@@ -460,14 +462,6 @@ class EpsPoly:
         self.coeffs: tuple[CycNum, ...] = tuple(cs)
 
     @classmethod
-    def zero(cls, level: int) -> "EpsPoly":
-        return cls(level, ())
-
-    @classmethod
-    def constant(cls, value: CycNum) -> "EpsPoly":
-        return cls(value.level, (value,))
-
-    @classmethod
     def rational(cls, level: int, value: Scalar) -> "EpsPoly":
         return cls(level, (CycNum.from_rational(level, value),))
 
@@ -477,21 +471,10 @@ class EpsPoly:
         return cls(level, (CycNum.from_rational(level, const),
                            CycNum.from_rational(level, eps_coeff)))
 
-    @property
-    def eps_degree(self) -> int:
-        """Degree in eps, with degree(0) = -1."""
-        return len(self.coeffs) - 1
-
     def coefficient(self, j: int) -> CycNum:
         if 0 <= j < len(self.coeffs):
             return self.coeffs[j]
         return CycNum.zero(self.level)
-
-    def constant_part(self) -> CycNum:
-        return self.coefficient(0)
-
-    def is_eps_free(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -501,77 +484,10 @@ class EpsPoly:
             return NotImplemented
         return self.level == other.level and self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash((self.level, self.coeffs))
-
-    def _coerce(self, other) -> "EpsPoly":
-        """other as an EpsPoly, or NotImplemented for a type it cannot take."""
-        if isinstance(other, EpsPoly):
-            if other.level != self.level:
-                raise LevelMismatchError("eps polynomial level mismatch")
-            return other
-        if isinstance(other, CycNum):
-            return EpsPoly.constant(other)
-        if isinstance(other, (int, Fraction)):
-            return EpsPoly.rational(self.level, other)
-        return NotImplemented
-
-    def __add__(self, other) -> "EpsPoly":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        n = max(len(self.coeffs), len(o.coeffs))
-        return EpsPoly(self.level,
-                       tuple(self.coefficient(i) + o.coefficient(i) for i in range(n)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "EpsPoly":
-        o = self._coerce(other)
-        return o if o is NotImplemented else self + (-o)
-
-    def __rsub__(self, other) -> "EpsPoly":
-        o = self._coerce(other)
-        return o if o is NotImplemented else o - self
-
-    def __neg__(self) -> "EpsPoly":
-        return EpsPoly(self.level, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other) -> "EpsPoly":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        if not self.coeffs or not o.coeffs:
-            return EpsPoly.zero(self.level)
-        out = [CycNum.zero(self.level)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(o.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return EpsPoly(self.level, tuple(out))
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"EpsPoly({self.level}, {[str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            body = str(c)
-            if j == 0:
-                parts.append(body)
-            else:
-                suffix = "eps" if j == 1 else f"eps^{j}"
-                parts.append(f"({body})*{suffix}")
-        return " + ".join(parts) if parts else "0"
-
-
-def eps(level: int) -> EpsPoly:
-    """The formal parameter itself, as a degree-one polynomial."""
-    return EpsPoly(level, (CycNum.zero(level), CycNum.one(level)))
+        parts = [str(c) if j == 0 else f"({c})*eps" + (f"^{j}" if j > 1 else "")
+                 for j, c in enumerate(self.coeffs) if c]
+        return " + ".join(parts) or "0"

@@ -212,6 +212,14 @@ class ExampleReport:
     details: dict
 
 
+def check_example(name: str, level: int) -> None:
+    """Refuse an unknown example name, and an even level for an example defined at odd levels."""
+    if name not in EXAMPLES:
+        raise ValueError(f"unknown example {name!r}; choose from {tuple(EXAMPLES)}")
+    if name in ("nu2", "etasigma", "su3"):
+        _require_odd(level, name)
+
+
 def run_example(name: str, level: int, prec: int,
                 e_invariant: Scalar = Fraction(1),
                 basis: Optional[ModularBasis] = None) -> ExampleReport:
@@ -219,10 +227,7 @@ def run_example(name: str, level: int, prec: int,
 
     `basis` is the modular basis of the example's lattice, built when omitted.
     """
-    if name not in EXAMPLES:
-        raise ValueError(f"unknown example {name!r}; choose from {tuple(EXAMPLES)}")
-    if name in ("nu2", "etasigma", "su3"):
-        _require_odd(level, name)
+    check_example(name, level)
 
     if name == "trivial":
         xi = XiTable.constant(COMPLEX_FULL, level, 1, prec - 1,

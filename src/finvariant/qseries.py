@@ -1,12 +1,14 @@
-"""Truncated q-power series over Q(zeta_N)[eps], stored as integer rows over one denominator.
+"""Truncated q-series c0 + c1*eps over Q(zeta_N), stored as integer rows over one denominator.
 
 A QSeries holds q^0 .. q^(prec-1) exactly as a positive `den` and `parts`:
-per eps degree e, one flat tuple whose entry n*phi(N) + t is den times
-coordinate t (power basis) of the eps^e part of the q^n coefficient. The form
-is canonical (gcd(den, entries) = 1, last part nonzero) and only this module
-reads it; `coefficient(n)` builds one EpsPoly on demand, `series_row` is
-the flat integer view of an eps-free series and `vector_to_series` builds one
-from flat rationals. Arithmetic requires equal levels and truncates to the
+per eps degree e (0 or 1), one flat tuple whose entry n*phi(N) + t is den
+times coordinate t (power basis) of the eps^e part of the q^n coefficient.
+The form is canonical (gcd(den, entries) = 1, last part nonzero) and only
+this module reads it. Every series is stored through `_store`, the one place
+that refuses an eps^2 part (EpsPartError), whichever operation made it.
+`coefficient(n)` builds one EpsPoly on demand, `series_row` is the flat
+integer view of an eps-free series and `vector_to_series` builds one from
+flat rationals. Arithmetic requires equal levels and truncates to the
 smaller precision.
 
 Every operation runs on the rows: the product by Kronecker substitution (one
@@ -58,8 +60,12 @@ def sigma(n: int, k: int) -> int:
     return sum(d ** k for d in divisors(n))
 
 
+class EpsPartError(ValueError):
+    """Raised when an operation requires an eps-free series, or would leave an eps^2 part."""
+
+
 class QSeries:
-    """Truncated q-expansion over Q(zeta_level)[eps]: integer rows over one denominator."""
+    """Truncated q-expansion c0 + c1*eps over Q(zeta_level): integer rows over one denominator."""
 
     __slots__ = ("level", "prec", "den", "parts")
 
@@ -77,7 +83,10 @@ class QSeries:
         return f
 
     def _store(self, level: int, prec: int, den: int, parts: Sequence[Sequence[int]]) -> None:
-        """Set the canonical form: trailing zero parts dropped, gcd(den, entries) = 1."""
+        """Set the canonical form: trailing zero parts dropped, gcd(den, entries) = 1.
+
+        The one refusal of an eps-degree above 1, for every way a series is made.
+        """
         if level < 2:
             raise ValueError("QSeries level must be >= 2")
         if prec < 1:
@@ -85,6 +94,8 @@ class QSeries:
         parts = list(parts)
         while parts and not any(parts[-1]):
             parts.pop()
+        if len(parts) > 2:
+            raise EpsPartError("a series holds at most an eps^1 part")
         g = gcd(den, *chain.from_iterable(parts))
         self.level = level
         self.prec = prec
@@ -124,10 +135,6 @@ class QSeries:
 
     def is_zero(self) -> bool:
         return not self.parts
-
-    def eps_degree(self) -> int:
-        """Largest eps-degree over all coefficients (-1 for the zero series)."""
-        return len(self.parts) - 1
 
     def is_eps_free(self) -> bool:
         return len(self.parts) <= 1
@@ -197,10 +204,6 @@ class QSeries:
         return f"QSeries(level={self.level}, prec={self.prec})"
 
 
-class EpsPartError(ValueError):
-    """Raised when an operation requires an eps-free series."""
-
-
 def series_row(f: QSeries, prec: int) -> tuple[Sequence[int], int]:
     """(row, den): the coordinates of q^0 .. q^(prec-1) of an eps-free series
     are row[i]/den, phi(N)*prec integers over f's denominator.
@@ -252,9 +255,9 @@ def is_integral_series(f: QSeries) -> bool:
 
 
 def eps_split(f: QSeries) -> list[QSeries]:
-    """Write f = sum_j eps^j * result[j] with eps-free results.
+    """Write f = result[0] + eps * result[1] with eps-free results.
 
-    The list has length eps_degree + 1 (a single entry for eps-free input).
+    The list has one entry for an eps-free series (also for zero), else two.
     """
     return [QSeries._of(f.level, f.prec, f.den, (part,)) for part in f.parts] or [f]
 

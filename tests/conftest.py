@@ -26,7 +26,7 @@ def random_cyc(rng: random.Random, level: int, max_num: int = 20,
 def random_series(rng: random.Random, level: int, prec: int,
                   max_num: int = 9, max_den: int = 4) -> QSeries:
     return QSeries(level, prec,
-                   tuple(EpsPoly.constant(random_cyc(rng, level, max_num, max_den))
+                   tuple(EpsPoly(level, (random_cyc(rng, level, max_num, max_den),))
                          for _ in range(prec)))
 
 
@@ -38,7 +38,7 @@ def random_integral_series(rng: random.Random, level: int, prec: int,
     for _ in range(prec):
         coords = [Fraction(rng.randint(-9, 9), level ** rng.randint(0, max_exp))
                   for _ in range(deg)]
-        coeffs.append(EpsPoly.constant(CycNum(level, coords)))
+        coeffs.append(EpsPoly(level, (CycNum(level, coords),)))
     return QSeries(level, prec, tuple(coeffs))
 
 

@@ -18,9 +18,9 @@ from finvariant import cli
 from finvariant.cli import (DataError, main, read_basis, read_blocks,
                             read_series, write_series)
 from finvariant.divcong import BasisEntry, ModularBasis, build_basis
-from finvariant.exactnum import CycNum, EpsPoly, eps
+from finvariant.exactnum import CycNum, EpsPoly
 from finvariant.genus import g_tilde
-from finvariant.qseries import QSeries
+from finvariant.qseries import EpsPartError, QSeries
 
 
 def run_cli(capsys, *argv):
@@ -104,7 +104,7 @@ def test_written_coordinates_print_as_fractions(tmp_path):
     values = [Fraction(0), Fraction(-7), Fraction(3, 4), Fraction(-2 ** 70 + 1, 3 ** 40)]
     values += [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 360)) for _ in range(40)]
     f = QSeries(5, len(values) // 4, [CycNum(5, values[i:i + 4]) for i in range(0, len(values), 4)])
-    f = f + eps(5) * f * Fraction(1, 7)
+    f = f + f * EpsPoly.linear(5, 0, Fraction(1, 7))
     path = tmp_path / "series.txt"
     with open(path, "w", encoding="utf-8") as fh:
         write_series(fh, f, None, "F")
@@ -172,7 +172,7 @@ def test_comments_and_blank_lines_ignored(tmp_path):
         "# leading comment\nlevel=3 weight=? prec=2 label=f\n\n"
         "0 1/2 0  # constant\n1 0 1\n", encoding="utf-8")
     f = read_series(path)
-    assert f.coefficient(0).constant_part().coords[0] == Fraction(1, 2)
+    assert f.coefficient(0).coefficient(0).coords[0] == Fraction(1, 2)
 
 
 @pytest.mark.parametrize("eps_header", [
@@ -187,7 +187,8 @@ def test_header_keys_in_any_order_start_a_block(tmp_path, eps_header):
     path.write_text(f"weight=? prec=2 level=3 label=x\n0 1 0\n1 2 0\n"
                     f"{eps_header}\n0 0 0\n1 1/7 0\n", encoding="utf-8")
     const = QSeries(3, 2, [1, 2])
-    assert read_series(path) == const + QSeries(3, 2, [0, Fraction(1, 7)]) * eps(3)
+    eps_part = QSeries(3, 2, [0, Fraction(1, 7)]) * EpsPoly.linear(3, 0, 1)
+    assert read_series(path) == const + eps_part
 
 
 def _block_text(level, prec, label, rows, weight="?"):
@@ -245,9 +246,9 @@ def test_eps_blocks_fold_only_after_their_series_block(tmp_path):
         well_formed = names[0] in ("F", "G") and names[1:] in ([], [names[0] + ".eps"])
         assert code == (0 if well_formed else 3), err.getvalue()
         if well_formed:
-            parts = [QSeries(3, prec, tuple(EpsPoly.constant(CycNum(3, row)) for row in r))
+            parts = [QSeries(3, prec, tuple(EpsPoly(3, (CycNum(3, row),)) for row in r))
                      for _, r in blocks]
-            want = parts[0] + parts[1] * eps(3) if len(parts) == 2 else parts[0]
+            want = parts[0] + parts[1] * EpsPoly.linear(3, 0, 1) if len(parts) == 2 else parts[0]
             assert read_series(path) == want
 
     check()
@@ -501,7 +502,7 @@ def test_reader_errors_exit_three(tmp_path, capsys, role, text, line, message):
         pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(5, prec))
         argv = ["divcong", str(pf), str(pg), "-N", "5", "-w", "2", "--no-gtilde"]
     if text is None:
-        entries = tuple(BasisEntry(e.weight, e.series + q7 * eps(5), e.label)
+        entries = tuple(BasisEntry(e.weight, e.series + q7 * EpsPoly.linear(5, 0, 1), e.label)
                         if e.label == "Ghat1^2" else e
                         for e in level5_user_basis(prec).entries)
         _write_basis_file(path, ModularBasis(5, 2, prec, entries))
@@ -561,7 +562,7 @@ def test_eps_output_composes_with_divcong(tmp_path, capsys):
     assert code == 0
     pf = tmp_path / "F.txt"
     pf.write_text(out, encoding="utf-8")
-    assert read_series(pf).eps_degree() == 1
+    assert not read_series(pf).is_eps_free()
     pg = _write_series_file(tmp_path, "G.txt", g_tilde(3, 1, 12) * Fraction(1, 2))
     code, out, _ = run_cli(capsys, "divcong", str(pf), str(pg), "-N", "3",
                            "-w", "2", "--basis", str(tmp_path / "bases"),
@@ -571,11 +572,12 @@ def test_eps_output_composes_with_divcong(tmp_path, capsys):
 
 
 def test_eps_degree_two_not_written(tmp_path):
-    f = g_tilde(3, 1, 4) * eps(3) * eps(3)
+    # an eps*eps series is refused when it is built, before write_series sees it
+    f = g_tilde(3, 1, 4) * EpsPoly.linear(3, 0, 1)
     path = tmp_path / "f.txt"
     with open(path, "w", encoding="utf-8") as fh:
-        with pytest.raises(DataError):
-            write_series(fh, f, None, "f")
+        with pytest.raises(EpsPartError):
+            write_series(fh, f * EpsPoly.linear(3, 0, 1), None, "f")
     assert path.read_text(encoding="utf-8") == ""
 
 
@@ -711,6 +713,18 @@ def test_example_exit_codes(tmp_path, capsys):
                            "--basis", bases)
     assert code == 2  # parity-of-level violation is reported as usage
     assert err == "error: nu2 is defined at odd levels only\n"
+
+
+@pytest.mark.parametrize("level", ["2", "6", "8"])
+def test_example_even_level_refused_before_any_basis(tmp_path, capsys, monkeypatch, level):
+    # the odd-level check runs before a basis is loaded or built: at 6 and 8,
+    # which have no built-in generators, no basis file could help either
+    loads = []
+    monkeypatch.setattr(cli, "_load_or_build_basis", lambda *args: loads.append(args))
+    code, out, err = run_cli(capsys, "example", "nu2", "-N", level, "-p", "8",
+                             "--basis", str(tmp_path / "bases"))
+    assert (code, out, err) == (2, "", "error: nu2 is defined at odd levels only\n")
+    assert loads == []
 
 
 @pytest.mark.parametrize("value", ["1/0", "abc"])

@@ -10,8 +10,7 @@ import pytest
 from conftest import random_cyc
 from finvariant.exactnum import (CycNum, EpsPoly, IntPoly, LevelMismatchError,
                                  bernoulli, cyclotomic_poly,
-                                 eisenstein_weight_one_constant, eps,
-                                 euler_phi)
+                                 eisenstein_weight_one_constant, euler_phi)
 from finvariant.qseries import QSeries
 
 
@@ -187,22 +186,32 @@ def test_galois_requires_coprime_exponent():
         CycNum.zeta(6).galois(2)
 
 
-def test_eps_poly_arithmetic():
-    e = eps(3)
-    half = EpsPoly.rational(3, Fraction(1, 2))
-    xi = half - 2 * e  # 1/2 - 2*eps
-    assert xi.eps_degree == 1
-    assert xi.coefficient(0) == CycNum.from_rational(3, Fraction(1, 2))
-    assert xi.coefficient(1) == CycNum.from_rational(3, -2)
-    square = e * e
-    assert square.eps_degree == 2
-    assert (e - e).eps_degree == -1
-
-
 def test_eps_poly_trims_trailing_zeros():
     p = EpsPoly(3, (CycNum.one(3), CycNum.zero(3)))
-    assert p.eps_degree == 0
-    assert p.is_eps_free()
+    assert p.coeffs == (CycNum.one(3),) and p == EpsPoly.rational(3, 1)
+    assert p.coefficient(1) == CycNum.zero(3)
+    assert not EpsPoly(3, (CycNum.zero(3), CycNum.zero(3)))
+    assert EpsPoly(3, (CycNum.zero(3), CycNum.zero(3))) == EpsPoly(3, ())
+
+
+def test_eps_poly_is_a_value_without_arithmetic():
+    xi = EpsPoly.linear(3, Fraction(1, 2), -2)  # 1/2 - 2*eps
+    assert xi.coefficient(0) == CycNum.from_rational(3, Fraction(1, 2))
+    assert xi.coefficient(1) == CycNum.from_rational(3, -2)
+    assert xi.coefficient(2) == CycNum.zero(3) and xi.coefficient(-1) == CycNum.zero(3)
+    z = CycNum.zeta(3)
+    for op in (lambda: xi + xi, lambda: xi - 1, lambda: 2 * xi, lambda: xi * z,
+               lambda: z * xi, lambda: z + xi, lambda: -xi, lambda: hash(xi)):
+        with pytest.raises(TypeError):
+            op()
+    # the text the human-readable series output prints
+    assert str(EpsPoly(3, ())) == "0"
+    assert str(xi) == "1/2 + (-2)*eps"
+    pure = EpsPoly(3, (CycNum.zero(3), CycNum(3, [1, Fraction(-2, 3)])))
+    assert str(pure) == "(1 + -2/3*z)*eps"
+    assert str(EpsPoly(5, (CycNum(5, [0, 0, 0, 7]), CycNum.zero(5),
+                           CycNum(5, [Fraction(1, 3)])))) == "7*z^3 + (1/3)*eps^2"
+    assert repr(xi) == "EpsPoly(3, ['1/2', '-2'])"
 
 
 def test_int_poly_divexact_rejects_inexact():

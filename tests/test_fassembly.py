@@ -26,6 +26,10 @@ def _table(kind, level, l, entries):
     return XiTable(kind, level, l, entries)
 
 
+def _rational_table(kind, level, l, values):
+    return XiTable(kind, level, l, {d: EpsPoly.rational(level, v) for d, v in values.items()})
+
+
 def _constant_full_table(level, l, dmax, value):
     return XiTable.constant(COMPLEX_FULL, level, l, dmax, value, both_signs=True)
 
@@ -55,7 +59,7 @@ def test_single_twist_coefficient():
         entries[-d] = EpsPoly.rational(3, 0)
     xi = _table(COMPLEX_FULL, 3, 1, entries)
     rep = assemble_complex(xi, 8)
-    assert rep.series.coefficient(2) == EpsPoly.constant(CycNum.zeta(3, -2))
+    assert rep.series.coefficient(2) == EpsPoly(3, (CycNum.zeta(3, -2),))
 
 
 def test_assembly_matches_twist_table_pairing():
@@ -63,54 +67,57 @@ def test_assembly_matches_twist_table_pairing():
     # -zeta^(n/d), checked by direct divisor enumeration
     rng = random.Random(92)
     prec = 8
-    entries = {}
+    values = {}
     for d in range(1, prec):
-        entries[d] = EpsPoly.rational(3, Fraction(rng.randint(-9, 9),
-                                                  rng.randint(1, 6)))
-        entries[-d] = EpsPoly.rational(3, Fraction(rng.randint(-9, 9),
-                                                   rng.randint(1, 6)))
+        values[d] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        values[-d] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    entries = {d: EpsPoly.rational(3, v) for d, v in values.items()}
     rep = assemble_complex(_table(COMPLEX_FULL, 3, 2, entries), prec)
     for n in range(1, prec):
-        acc = EpsPoly.zero(3)
+        acc = CycNum.zero(3)
         for d in divisors(n):
             j = n // d
-            acc = acc + entries[d] * CycNum.zeta(3, -j) - entries[-d] * CycNum.zeta(3, j)
-        assert rep.series.coefficient(n) == acc
+            acc = acc + CycNum.zeta(3, -j) * values[d] - CycNum.zeta(3, j) * values[-d]
+        assert rep.series.coefficient(n) == EpsPoly(3, (acc,))
 
 
 def test_assemblers_match_direct_enumeration_with_cyclotomic_xi():
-    # xi-values with non-rational CycNum coefficients in both eps-degrees
+    # xi-values with non-rational CycNum coefficients in both eps-degrees,
+    # each a pair (eps^0 part, eps^1 part) summed part by part
     rng = random.Random(57)
     prec = 13
     for level in (2, 5, 12):
         def value():
-            return EpsPoly(level, (random_cyc(rng, level, 9, 4),
-                                   random_cyc(rng, level, 9, 4)))
+            return random_cyc(rng, level, 9, 4), random_cyc(rng, level, 9, 4)
+
+        def table(kind, l, values):
+            return _table(kind, level, l, {d: EpsPoly(level, v) for d, v in values.items()})
 
         ds = range(1, prec)
         full = {s * d: value() for d in ds for s in (1, -1)}
         positive = {d: value() for d in ds}
         zeta = {j: CycNum.zeta(level, j) for j in range(-prec, prec)}
+        # per assembly: the (xi-value, weight) terms of each divisor d of n
         cases = (
-            (assemble_complex(_table(COMPLEX_FULL, level, 1, full), prec),
-             lambda n, d: full[d] * zeta[-(n // d)] - full[-d] * zeta[n // d]),
-            (assemble_complex_reduced(_table(COMPLEX_POSITIVE, level, 2, positive), prec),
-             lambda n, d: positive[d] * (zeta[-(n // d)] - zeta[n // d])),
-            (assemble_complex_reduced(_table(COMPLEX_POSITIVE, level, 3, positive), prec),
-             lambda n, d: positive[d] * (zeta[-(n // d)] + zeta[n // d])),
-            (assemble_quaternionic(_table(QUATERNIONIC, level, 3, positive), prec),
-             lambda n, d: positive[d]),
-            (assemble_quaternionic_reduced(
-                _table(QUATERNIONIC_KERNEL_PARITY, level, 4, positive), prec),
-             lambda n, d: positive[d] * Fraction(d % 2, 2)),
+            (assemble_complex(table(COMPLEX_FULL, 1, full), prec),
+             lambda n, d: [(full[d], zeta[-(n // d)]), (full[-d], -zeta[n // d])]),
+            (assemble_complex_reduced(table(COMPLEX_POSITIVE, 2, positive), prec),
+             lambda n, d: [(positive[d], zeta[-(n // d)] - zeta[n // d])]),
+            (assemble_complex_reduced(table(COMPLEX_POSITIVE, 3, positive), prec),
+             lambda n, d: [(positive[d], zeta[-(n // d)] + zeta[n // d])]),
+            (assemble_quaternionic(table(QUATERNIONIC, 3, positive), prec),
+             lambda n, d: [(positive[d], 1)]),
+            (assemble_quaternionic_reduced(table(QUATERNIONIC_KERNEL_PARITY, 4, positive), prec),
+             lambda n, d: [(positive[d], Fraction(d % 2, 2))]),
         )
-        for rep, term in cases:
+        for rep, terms in cases:
             assert not rep.series.coefficient(0)
             for n in range(1, prec):
-                acc = EpsPoly.zero(level)
+                acc = [CycNum.zero(level)] * 2
                 for d in divisors(n):
-                    acc = acc + term(n, d)
-                assert rep.series.coefficient(n) == acc, (level, rep.note, n)
+                    for parts, weight in terms(n, d):
+                        acc = [x + weight * y for x, y in zip(acc, parts)]
+                assert rep.series.coefficient(n) == EpsPoly(level, acc), (level, rep.note, n)
 
 
 def test_missing_twist_refused():
@@ -144,10 +151,10 @@ def test_circle_table_splits_into_weight1_and_eps_weight2():
     assert len(parts) == 2
     assert parts[1] == g_tilde(3, 2, prec)  # the eps-part is exactly Gtilde_2
     half_sum = QSeries(3, prec, tuple(
-        [EpsPoly.zero(3)] + [
-            EpsPoly.constant(sum(
+        [EpsPoly(3, ())] + [
+            EpsPoly(3, (sum(
                 (CycNum.zeta(3, -(n // d)) + CycNum.zeta(3, n // d)
-                 for d in divisors(n)), CycNum.zero(3)) * Fraction(1, 2))
+                 for d in divisors(n)), CycNum.zero(3)) * Fraction(1, 2),))
             for n in range(1, prec)]))
     assert parts[0] == half_sum
 
@@ -212,7 +219,7 @@ def test_parity_assembly_matches_halved_sigma3_mod_integers():
     reference = g_tilde_level1(3, 4, prec) * Fraction(1, 2)
     diff = reference - rep.series
     for n in range(1, prec):
-        value = diff.coefficient(n).constant_part().rational_part()
+        value = diff.coefficient(n).coefficient(0).rational_part()
         assert value is not None and value.denominator == 1
 
 
@@ -242,26 +249,24 @@ def test_parity_assembly_rejects_odd_l():
 def test_assembly_linear_in_table():
     rng = random.Random(33)
     prec = 9
-    def rand_entries():
-        return {d: EpsPoly.rational(3, Fraction(rng.randint(-8, 8),
-                                                rng.randint(1, 5)))
-                for d in range(1, prec)}
-    e1, e2 = rand_entries(), rand_entries()
-    summed = {d: e1[d] + e2[d] for d in e1}
-    rep1 = assemble_complex_reduced(_table(COMPLEX_POSITIVE, 3, 2, e1), prec)
-    rep2 = assemble_complex_reduced(_table(COMPLEX_POSITIVE, 3, 2, e2), prec)
-    rep12 = assemble_complex_reduced(_table(COMPLEX_POSITIVE, 3, 2, summed), prec)
+    def rand_values():
+        return {d: Fraction(rng.randint(-8, 8), rng.randint(1, 5)) for d in range(1, prec)}
+    v1, v2 = rand_values(), rand_values()
+    summed = {d: v1[d] + v2[d] for d in v1}
+    rep1 = assemble_complex_reduced(_rational_table(COMPLEX_POSITIVE, 3, 2, v1), prec)
+    rep2 = assemble_complex_reduced(_rational_table(COMPLEX_POSITIVE, 3, 2, v2), prec)
+    rep12 = assemble_complex_reduced(_rational_table(COMPLEX_POSITIVE, 3, 2, summed), prec)
     assert rep12.series == rep1.series + rep2.series
 
 
 def test_integer_shift_changes_output_by_integral_series():
     from finvariant.qseries import relative_integrality_check
     prec = 9
-    base = {d: EpsPoly.rational(3, Fraction(1, 5)) for d in range(1, prec)}
+    base = {d: Fraction(1, 5) for d in range(1, prec)}
     shifted = dict(base)
     shifted[2] = shifted[2] + 3  # integer shift of a single entry
-    rep_a = assemble_complex_reduced(_table(COMPLEX_POSITIVE, 3, 1, base), prec)
-    rep_b = assemble_complex_reduced(_table(COMPLEX_POSITIVE, 3, 1, shifted), prec)
+    rep_a = assemble_complex_reduced(_rational_table(COMPLEX_POSITIVE, 3, 1, base), prec)
+    rep_b = assemble_complex_reduced(_rational_table(COMPLEX_POSITIVE, 3, 1, shifted), prec)
     assert relative_integrality_check(rep_b.series - rep_a.series).integral
 
 
@@ -271,13 +276,12 @@ def test_full_and_reduced_assemblies_agree_for_odd_l():
     rng = random.Random(44)
     prec = 10
     lattice = make_lattice(3, 2, prec, gtilde=g_tilde(3, 2, prec))
-    pos = {d: EpsPoly.rational(3, Fraction(rng.randint(-6, 6), 3))
-           for d in range(1, prec)}
-    entries = dict(pos)
+    pos = {d: Fraction(rng.randint(-6, 6), 3) for d in range(1, prec)}
+    values = dict(pos)
     for d in range(1, prec):
-        entries[-d] = -pos[d] + rng.randint(-2, 2)
-    full = assemble_complex(_table(COMPLEX_FULL, 3, 1, entries), prec)
-    reduced = assemble_complex_reduced(_table(COMPLEX_POSITIVE, 3, 1, pos), prec)
+        values[-d] = -pos[d] + rng.randint(-2, 2)
+    full = assemble_complex(_rational_table(COMPLEX_FULL, 3, 1, values), prec)
+    reduced = assemble_complex_reduced(_rational_table(COMPLEX_POSITIVE, 3, 1, pos), prec)
     res = is_equivalent(full.series, reduced.series, lattice)
     assert res.equivalent
 
@@ -316,7 +320,7 @@ def test_xitable_validation():
 def test_known_representative_eta2():
     rep = known_representative("eta2", 3, 6)
     expected = (CycNum.zeta(3) - CycNum.zeta(3, 2)) * Fraction(1, 2)
-    assert rep.series.coefficient(1) == EpsPoly.constant(expected)
+    assert rep.series.coefficient(1) == EpsPoly(3, (expected,))
     assert rep.weight_bound == 2
 
 
@@ -416,3 +420,37 @@ def test_run_example_unknown_name_lists_the_cli_names():
     with pytest.raises(ValueError, match="unknown example 'eta2_circle'") as exc:
         run_example("eta2_circle", 3, 8)
     assert all(repr(name) in str(exc.value) for name in EXAMPLES)
+
+
+def test_the_library_surface_a_benchmark_harness_reads():
+    # built and read as an outside harness does, through the package namespace:
+    # a series from per-coefficient CycNum parts, an xi-table of EpsPoly.linear
+    # entries, and coefficient(n).coefficient(j).coords read back
+    import finvariant as fv
+    rng = random.Random(44)
+    level, prec = 5, 7
+
+    def rows():
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4)]
+                for _ in range(prec)]
+
+    const, eps = rows(), rows()
+    with_eps = fv.QSeries(level, prec, [fv.EpsPoly(level, [fv.CycNum(level, c0),
+                                                           fv.CycNum(level, c1)])
+                                        for c0, c1 in zip(const, eps)])
+    eps_free = fv.QSeries(level, prec, [fv.EpsPoly(level, [fv.CycNum(level, c0)])
+                                        for c0 in const])
+    for n in range(prec):
+        for series, want in ((with_eps, eps[n]), (eps_free, [0] * 4)):
+            c = series.coefficient(n)
+            assert (tuple(c.coefficient(0).coords), tuple(c.coefficient(1).coords)) == \
+                (tuple(const[n]), tuple(want))
+    xi = {d: (Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+              Fraction(rng.randint(-9, 9), rng.randint(1, 4))) for d in range(1, prec)}
+    table = fv.XiTable(QUATERNIONIC, level, 3,
+                       {d: fv.EpsPoly.linear(level, c, e) for d, (c, e) in xi.items()})
+    out = getattr(fv, "assemble_quaternionic")(table, prec)
+    for n in range(1, prec):
+        c = out.series.coefficient(n)
+        for j in (0, 1):
+            assert tuple(c.coefficient(j).coords) == (sum(xi[d][j] for d in divisors(n)), 0, 0, 0)

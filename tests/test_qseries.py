@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from conftest import random_series
-from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, eps, euler_phi
+from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
 from finvariant.genus import g2, g_tilde_level1
 from finvariant.qseries import (EpsPartError, QSeries, divisor_sum, divisors,
                                 eps_split, is_integral_series, sigma, vector_to_series)
@@ -91,7 +91,7 @@ def test_is_integral_series_examples():
 
 
 def test_is_integral_rejects_eps_part():
-    f = QSeries(3, 3, (eps(3),))
+    f = QSeries(3, 3, (EpsPoly.linear(3, 0, 1),))
     with pytest.raises(EpsPartError):
         is_integral_series(f)
 
@@ -108,7 +108,7 @@ def test_eps_split_definition():
 def test_eps_split_eps_free_and_pure():
     f = QSeries(3, 3, [1, 2, 3])
     assert eps_split(f) == [f]
-    pure = f * eps(3)
+    pure = f * EpsPoly.linear(3, 0, 1)
     parts = eps_split(pure)
     assert parts[0].is_zero()
     assert parts[1] == f
@@ -123,8 +123,8 @@ def test_divisor_weighted_first_coefficient():
     # n = 1 has the single divisor d = 1: zeta^-1 - zeta
     f = divisor_sum(_powers(3, 4, 0), minus=1, plus=-1)
     expected = CycNum.zeta(3, -1) - CycNum.zeta(3)
-    assert f.coefficient(1) == EpsPoly.constant(expected)
-    assert f.coefficient(0) == EpsPoly.zero(3)
+    assert f.coefficient(1) == EpsPoly(3, (expected,))
+    assert f.coefficient(0) == EpsPoly(3, ())
 
 
 def test_divisor_weighted_level2_odd_weight_vanishes():
@@ -141,7 +141,7 @@ def test_divisor_weighted_weight2_value():
 def test_divisor_weighted_real_at_level2():
     f = divisor_sum(_powers(2, 20, 2), minus=1, plus=1)
     for n in range(20):
-        value = f.coefficient(n).constant_part()
+        value = f.coefficient(n).coefficient(0)
         assert value.rational_part() is not None
 
 
@@ -150,7 +150,7 @@ def test_divisor_weighted_even_weight_rational_coefficients():
     # every coordinate outside the rational line vanishes
     f = divisor_sum(_powers(3, 25, 1), minus=1, plus=1)
     for n in range(25):
-        assert f.coefficient(n).constant_part().rational_part() is not None
+        assert f.coefficient(n).coefficient(0).rational_part() is not None
 
 
 def test_sigma_multiplicative_on_coprime_pairs():
@@ -186,6 +186,7 @@ def _assert_canonical(f: QSeries) -> None:
     assert gcd(f.den, *(x for part in f.parts for x in part)) == 1
     assert all(len(part) == f.prec * euler_phi(f.level) for part in f.parts)
     assert not f.parts or any(f.parts[-1])
+    assert len(f.parts) <= 2
 
 
 def _eps_series(rng, level, prec, eps_degree):
@@ -200,10 +201,11 @@ def _eps_series(rng, level, prec, eps_degree):
 def test_storage_canonical_after_every_operation(level):
     rng = random.Random(400 + level)
     for _ in range(6):
-        a = _eps_series(rng, level, rng.randint(1, 8), rng.randint(0, 2))
+        a = _eps_series(rng, level, rng.randint(1, 8), rng.randint(0, 1))
         b = _eps_series(rng, level, rng.randint(1, 8), rng.randint(0, 1))
-        results = [a, a + b, a - b, a * b, a * Fraction(3, 4), a * 0, -a,
-                   a.truncate(rng.randint(1, a.prec)), *eps_split(a)]
+        results = [a, a + b, a - b, a * eps_split(b)[0], eps_split(a)[0] * b,
+                   a * Fraction(3, 4), a * 0, -a, a.truncate(rng.randint(1, a.prec)),
+                   *eps_split(a)]
         for f in results:
             _assert_canonical(f)
 
@@ -220,32 +222,45 @@ def test_truncation_that_shrinks_the_denominator():
 
 def test_scaling_round_trip_and_cancellation():
     rng = random.Random(41)
-    f = _eps_series(rng, 5, 7, 2)
+    f = _eps_series(rng, 5, 7, 1)
     assert (f * 3) * Fraction(1, 3) == f
     assert ((f * 3) * Fraction(1, 3)).parts == f.parts
-    assert (f - f).eps_degree() == -1
     assert (f - f).parts == () and (f - f).den == 1
 
 
 @pytest.mark.parametrize("level", (3, 5))
 def test_scalar_on_the_left_defers_to_the_series(level):
-    # CycNum and EpsPoly operators return NotImplemented for a series, so
-    # Python falls back to the series' reflected operators
+    # CycNum operators return NotImplemented for a series and EpsPoly has
+    # none, so Python falls back to the series' reflected operators; an eps
+    # value multiplies the eps-free part, as two eps parts would leave eps^2
     rng = random.Random(90 + level)
     f = _eps_series(rng, level, 6, 1)
     for c in (CycNum.zeta(level), CycNum.zeta(level, 2) * Fraction(-2, 3),
-              eps(level), eps(level) * CycNum.zeta(level) + 1):
-        assert c * f == f * c
+              EpsPoly.linear(level, 0, 1),
+              EpsPoly(level, (CycNum.one(level), CycNum.zeta(level)))):
+        g = f if isinstance(c, CycNum) else eps_split(f)[0]
+        assert c * g == g * c
         assert c + f == f + c
         assert c - f == -(f - c)
-        assert (c * f).parts == (f * c).parts and (c + f).parts == (f + c).parts
+        assert (c * g).parts == (g * c).parts and (c + f).parts == (f + c).parts
+
+
+@pytest.mark.parametrize("make", [
+    lambda e: QSeries(5, 6, [e, 1]) * QSeries(5, 6, [2, e]),
+    lambda e: QSeries(5, 6, [0, EpsPoly(5, [CycNum.one(5), e.coefficient(1), CycNum.zeta(5)])]),
+], ids=["product", "construction"])
+def test_eps_degree_two_rejected(make):
+    # QSeries._store refuses an eps^2 part, whichever way the series is made:
+    # the product of two eps-series, or an eps^2 coefficient given directly
+    with pytest.raises(EpsPartError, match=r"^a series holds at most an eps\^1 part$"):
+        make(EpsPoly.linear(5, Fraction(1, 2), -1))
 
 
 def test_cyclotomic_scalar_times_eps_polynomial():
-    z, e = CycNum.zeta(3), eps(3)
-    assert z * e == e * z == EpsPoly(3, (CycNum.zero(3), z))
-    assert z + e == e + z == EpsPoly(3, (z, CycNum.one(3)))
-    assert z - e == -(e - z)
+    # an eps value meets a scalar only inside a series: EpsPoly has no arithmetic
+    z, e = CycNum.zeta(3), EpsPoly.linear(3, 0, 1)
+    assert QSeries(3, 1, [e]) * z == QSeries(3, 1, [EpsPoly(3, (CycNum.zero(3), z))])
+    assert z + QSeries(3, 1, [e]) == QSeries(3, 1, [EpsPoly(3, (z, CycNum.one(3)))])
     with pytest.raises(TypeError):
         z + "1/2"
     with pytest.raises(TypeError):

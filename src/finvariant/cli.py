@@ -5,36 +5,39 @@ Exit codes: 0 success / true verdict, 1 false verdict, 2 usage, 3 data error,
 4 internal error or output closed early (never a verdict).
 
 Series and basis files share one line-oriented UTF-8 format: a header
-``level=<N> weight=<k> prec=<P> label=<text>`` (each key once, in any
-order, ``label`` optional, no other key; ``weight=?`` permitted for plain
-series), then one
-line per q-coefficient holding the index followed by phi(N) rationals ``p/q``
-separated by single spaces. ``#`` starts a comment.
-A series with an eps-part is written as its eps^0 block followed by a block
+``level=<N> weight=<k> prec=<P> label=<text>`` (each key once, in any order,
+``label`` optional, no other key; ``weight=?`` permitted for plain series),
+then one line per q-coefficient holding the index followed by phi(N) rationals
+(any token ``fractions.Fraction`` reads, written as an integer or ``p/q`` with
+an unsigned ``q``) separated by single spaces. ``#`` starts a comment. A
+series with an eps-part is written as its eps^0 block followed by a block
 labelled ``<label>.eps`` holding the eps^1 coefficients; in every file the
 reader folds such a block into the block right before it, which must be the
 ``<label>`` block with no eps block yet (any other ``.eps`` block, stacked or
-orphaned, is a data error). A series file holds
-one folded block; a basis file is a sequence of eps-free blocks. Reader errors
-name ``file:line``. Machine-readable output (``--machine``) emits exactly this
-format, so commands compose.
+orphaned, is a data error). A series file holds one folded block; a basis
+file is a sequence of eps-free blocks. Reader errors name ``file:line``.
+Machine-readable output (``--machine``) emits exactly this format, so
+commands compose.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import cycle
+from math import gcd, lcm
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
 from .divcong import (BasisEntry, BasisError, EquivResult, ModularBasis,
                       PrecisionError, build_basis, default_generators,
                       dependent_entry, is_equivalent, make_lattice, policy_prec)
-from .exactnum import EpsPoly, LevelMismatchError, euler_phi
+from .exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
 from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES, QUATERNIONIC,
                         QUATERNIONIC_KERNEL_PARITY, MissingTwistError, XiTable,
                         assemble_complex, assemble_complex_reduced,
@@ -43,7 +46,7 @@ from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES, QUATERNIONIC,
 from .genus import (ell_expansion, ell_function, ell_quaternionic, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
 from .qseries import (EpsPartError, QSeries, _linear_combination, eps_split,
-                      is_integral_series, series_row, vector_to_series)
+                      is_integral_series, series_row)
 
 ORACLE_TOLERANCE = 1e-8
 
@@ -75,9 +78,17 @@ def _ratio(c: int, den: int) -> str:
     return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
-def _parse_fraction(tok: str, where: str) -> Fraction:
+# coordinates as written: integers or p/q with an unsigned q, single-spaced
+_WRITTEN = re.compile(r"[-+]?\d+(?:/\d+)?(?: [-+]?\d+(?:/\d+)?)*")
+
+
+def _rational(tok: str, where: str) -> tuple[int, int]:
+    """(num, den), den > 0, of Fraction(tok); no Fraction is made for an integer or p/q."""
+    p, _, q = tok.partition("/")
     try:
-        return Fraction(tok)
+        if _WRITTEN.fullmatch(tok) and int(q or 1):
+            return int(p), int(q or 1)
+        return Fraction(tok).as_integer_ratio()
     except (ValueError, ZeroDivisionError) as exc:
         raise DataError(f"{where}: bad rational {tok!r}") from exc
 
@@ -139,10 +150,19 @@ def _parse_block(path: Path, header: tuple[int, str],
         raise DataError(f"{path}:{header_no}: block '{label}' has {len(rows)} "
                         f"coefficient lines, expected {prec}")
     deg = euler_phi(level)
-    vec: list[Fraction] = []
-    for n, (line_no, row) in enumerate(rows):
+    lines = [row.split() for _, row in rows]
+    coords = [tok for toks in lines for tok in toks[1:]]
+    # lines 'n c_1 .. c_deg' in order, all written, in one pass; else line by line
+    with suppress(ValueError, ZeroDivisionError):  # a q = 0; int() past its digit limit
+        if (_WRITTEN.fullmatch(text := " ".join(coords)) and all(len(t) == deg + 1 for t in lines)
+                and [toks[0] for toks in lines] == list(map(str, range(prec)))):
+            den = lcm(*map(int, re.findall(r"/(\d+)", text)))
+            row = list(map(int, coords)) if den == 1 else [
+                int(p) * (den // int(q or 1)) for p, _, q in (t.partition("/") for t in coords)]
+            return weight, label, QSeries._of(level, prec, den, [row])
+    pairs: list[tuple[int, int]] = []
+    for n, ((line_no, _), toks) in enumerate(zip(rows, lines)):
         where = f"{path}:{line_no}"
-        toks = row.split()
         try:
             index = int(toks[0])
         except ValueError as exc:
@@ -152,8 +172,9 @@ def _parse_block(path: Path, header: tuple[int, str],
         if len(toks) - 1 != deg:
             raise DataError(f"{where}: block '{label}' index {n}: "
                             f"{len(toks) - 1} coordinates, expected {deg}")
-        vec.extend(_parse_fraction(t, where) for t in toks[1:])
-    return weight, label, vector_to_series(level, prec, vec)
+        pairs += (_rational(t, where) for t in toks[1:])
+    den = lcm(*{d for _, d in pairs})
+    return weight, label, QSeries._of(level, prec, den, [[x * (den // d) for x, d in pairs]])
 
 
 def _parse_header(line: str, path: Path, line_no: int) -> tuple[int, int, Optional[int], str]:
@@ -250,8 +271,14 @@ def _print_series(series: QSeries, label: str, weight: Optional[int],
         write_series(sys.stdout, series, weight, label)
         return
     print(f"{label} (level {series.level}, precision {series.prec}):")
+    deg = euler_phi(series.level)
+    zs = ["" if t == 0 else "*z" if t == 1 else f"*z^{t}" for t in range(deg)]
+    cells = [[_ratio(c, den) + z if c else "" for c, z in zip(row, cycle(zs))]
+             for row, den in (series_row(part, part.prec) for part in eps_split(series))]
     for n in range(series.prec):
-        print(f"  q^{n}: {series.coefficient(n)}")
+        terms = [" + ".join(filter(None, part[n * deg:(n + 1) * deg])) for part in cells]
+        terms = [f"({t})*eps" if e else t for e, t in enumerate(terms) if t]
+        print(f"  q^{n}: {' + '.join(terms) or '0'}")
 
 
 def _print_verdict(res: EquivResult, machine: bool) -> None:
@@ -283,7 +310,8 @@ def _print_certificate(res: EquivResult, lattice, machine: bool) -> None:
             print(f"  {coeff} * {entry.label} (weight {entry.weight})")
     if cert.gtilde_coeff or cert.gtilde_eps_coeff:
         print(f"  ({cert.gtilde_coeff} + {cert.gtilde_eps_coeff}*eps) * Gtilde")
-    nonzero = sum(1 for c in cert.residual.coeffs if c)
+    (row, _), deg = series_row(cert.residual, cert.residual.prec), euler_phi(cert.residual.level)
+    nonzero = sum(any(row[i:i + deg]) for i in range(0, len(row), deg))
     print(f"  + integral residual ({nonzero} nonzero coefficients)")
 
 
@@ -337,7 +365,8 @@ def _cmd_divcong(args) -> int:
     return 0 if res.equivalent else 1
 
 
-def _read_xi_table(path: Path, kind: str, level: int, l: int) -> XiTable:
+def _read_xi_table(path: Path, name: str, level: int, l: int) -> XiTable:
+    kind, pad = _ASSEMBLERS[name][0], (0,) * (euler_phi(level) - 1)
     entries = {}
     for line_no, line in _data_lines(path):
         toks = line.split()
@@ -349,9 +378,10 @@ def _read_xi_table(path: Path, kind: str, level: int, l: int) -> XiTable:
             raise DataError(f"{path}:{line_no}: bad twist index {toks[0]!r}") from exc
         if d in entries:
             raise DataError(f"{path}:{line_no}: repeated twist index {d}")
-        const = _parse_fraction(toks[1], f"{path}:{line_no}")
-        eps_c = _parse_fraction(toks[2], f"{path}:{line_no}") if len(toks) == 3 else Fraction(0)
-        entries[d] = EpsPoly.linear(level, const, eps_c)
+        entries[d] = EpsPoly(level, [CycNum._of(level, den, (num,) + pad) for num, den in
+                                     (_rational(t, f"{path}:{line_no}") for t in toks[1:])])
+        if d < 0 and kind != COMPLEX_FULL:
+            raise DataError(f"{path}: --kind {name} takes positive twist indices only")
     if not entries:
         raise DataError(f"{path}: empty xi table")
     try:
@@ -370,9 +400,8 @@ _ASSEMBLERS = {
 
 
 def _cmd_assemble(args) -> int:
-    kind, assembler = _ASSEMBLERS[args.kind]
-    table = _read_xi_table(Path(args.xi), kind, args.level, args.l)
-    rep = assembler(table, args.prec)
+    table = _read_xi_table(Path(args.xi), args.kind, args.level, args.l)
+    rep = _ASSEMBLERS[args.kind][1](table, args.prec)
     _print_series(rep.series, f"assembled[{args.kind}]", None, args.machine)
     if not args.machine:
         print(f"weight bound: {rep.weight_bound}")

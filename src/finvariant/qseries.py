@@ -6,10 +6,9 @@ times coordinate t (power basis) of the eps^e part of the q^n coefficient.
 The form is canonical (gcd(den, entries) = 1, last part nonzero) and only
 this module reads it. Every series is stored through `_store`, the one place
 that refuses an eps^2 part (EpsPartError), whichever operation made it.
-`coefficient(n)` builds one EpsPoly on demand, `series_row` is the flat
-integer view of an eps-free series and `vector_to_series` builds one from
-flat rationals. Arithmetic requires equal levels and truncates to the
-smaller precision.
+`coefficient(n)` builds one EpsPoly on demand, and `series_row` is the
+flat integer view of an eps-free series. Arithmetic requires equal levels
+and truncates to the smaller precision.
 
 Every operation runs on the rows: the product by Kronecker substitution (one
 big-int product of the packed (q, zeta) polynomials, see Harvey, JSC 2009),
@@ -121,11 +120,6 @@ class QSeries:
         return EpsPoly(self.level, tuple(CycNum._of(self.level, self.den, p[n * deg:(n + 1) * deg])
                                          for p in self.parts))
 
-    @property
-    def coeffs(self) -> tuple[EpsPoly, ...]:
-        """Every coefficient as an EpsPoly, built on demand."""
-        return tuple(self.coefficient(n) for n in range(self.prec))
-
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise ValueError("cannot extend precision by truncation")
@@ -217,15 +211,6 @@ def series_row(f: QSeries, prec: int) -> tuple[Sequence[int], int]:
     if prec > f.prec:
         raise IndexError(f"coefficient q^{f.prec} beyond precision {f.prec}")
     return (f.parts or [(0,) * size])[0][:size], f.den
-
-
-def vector_to_series(level: int, prec: int, vec: Sequence[Scalar]) -> QSeries:
-    """The eps-free series whose flattened coordinates are vec (zero past its end)."""
-    size = prec * euler_phi(level)
-    vec = vec[:size]
-    den = lcm(*(x.denominator for x in vec))
-    return QSeries._of(level, prec, den, [[x.numerator * (den // x.denominator) for x in vec]
-                                          + [0] * (size - len(vec))])
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import level5_user_basis
+from conftest import level5_user_basis, random_series
 import finvariant
 from finvariant import cli
 from finvariant.cli import (DataError, main, read_basis, read_blocks,
                             read_series, write_series)
 from finvariant.divcong import BasisEntry, ModularBasis, build_basis
-from finvariant.exactnum import CycNum, EpsPoly
+from finvariant.exactnum import CycNum, EpsPoly, euler_phi
 from finvariant.genus import g_tilde
 from finvariant.qseries import EpsPartError, QSeries
 
@@ -116,6 +116,25 @@ def test_written_coordinates_print_as_fractions(tmp_path):
     assert read_series(path) == f
 
 
+@pytest.mark.parametrize("level", range(2, 13))
+def test_human_series_text_is_the_coefficient_text(capsys, level):
+    # the row printer against EpsPoly.__str__, one q-power a line
+    rng = random.Random(4100 + level)
+    deg = euler_phi(level)
+    plain = random_series(rng, level, 6)  # negative entries, several denominators
+    eps = EpsPoly.linear(level, 0, 1)
+    only_eps = QSeries(level, 3, [0, EpsPoly(level, (CycNum.zero(level),
+                                                     CycNum(level, [Fraction(-1, 3)])))])
+    # den 6 is neither coordinate's own denominator, and zero coordinates are skipped
+    mixed = QSeries(level, 3, [Fraction(1, 2), CycNum(level, [0] * (deg - 1) + [Fraction(-1, 3)])])
+    for f in (plain, plain + random_series(rng, level, 6) * eps, only_eps, mixed,
+              mixed + mixed * eps, QSeries.zero(level, 4)):
+        cli._print_series(f, "F", None, False)
+        assert capsys.readouterr().out.splitlines() == \
+            [f"F (level {level}, precision {f.prec}):"] + \
+            [f"  q^{n}: " + str(f.coefficient(n)) for n in range(f.prec)]
+
+
 def _write_basis_file(path, basis):
     with open(path, "w", encoding="utf-8") as fh:
         for entry in basis.entries:
@@ -164,6 +183,88 @@ def test_malformed_rational_names_line(tmp_path):
     with pytest.raises(DataError) as exc:
         read_series(path)
     assert ":2" in str(exc.value)
+
+
+def _reads_as_fraction_does(path, level, rows):
+    """A level-N block of the token rows reads to Fraction(t) for every token t,
+    or exits 3 naming the line and the first token that Fraction refuses."""
+    path.write_text(f"level={level} weight=? prec={len(rows)} label=T\n"
+                    + "".join(f"{n} {' '.join(row)}\n" for n, row in enumerate(rows)),
+                    encoding="utf-8")
+    values = []
+    for n, row in enumerate(rows):
+        for tok in row:
+            try:
+                values.append(Fraction(tok))
+            except (ValueError, ZeroDivisionError):
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(["divcong", str(path), str(path), "-N", str(level), "-w", "0"])
+                assert (code, err.getvalue()) == \
+                    (3, f"error: {path}:{n + 2}: bad rational {tok!r}\n")
+                return
+    deg = euler_phi(level)
+    assert read_series(path) == QSeries(level, len(rows), [
+        CycNum(level, values[i:i + deg]) for i in range(0, len(values), deg)])
+
+
+@pytest.mark.parametrize("tok", [
+    "0", "-0", "+3", "-7", "2/14", "-2/14", "007/010", "0.5", "-0.5", ".5", "5.", "1e-3",
+    "-1.5E2", "1_000", "1/2_0", "\u0663", "-\u0661\u0662/\u0663", "3/+4", "3/-4", "1/0",
+    "1/00", "3/4/5", "1/", "/2", "+-1", "1__0", "_1", "e3", "1.2.3", "abc", "1/q", "0x10",
+    pytest.param("1" * 5000, id="5000-digit-integer"),
+    pytest.param("1/" + "1" * 5000, id="5000-digit-denominator")])
+def test_coordinate_tokens_read_as_fraction_reads_them(tmp_path, tok):
+    # the oracle is fractions.Fraction, on this Python: the reader's token
+    # language and values are Fraction's, written integers and p/q or not
+    _reads_as_fraction_does(tmp_path / "T.txt", 2, [[tok]])
+
+
+def test_coordinate_tokens_read_as_fraction_reads_them_hypothesis(tmp_path):
+    # blocks that mix written tokens with any others, two to a level-3 line
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    written = st.from_regex(r"[-+]?[0-9]{1,3}(/[0-9]{1,3})?", fullmatch=True)
+    other = st.text(alphabet="0123456789+-/._e\u0663", min_size=1, max_size=8)
+    tokens = st.one_of(written, other)
+    rows = st.lists(st.lists(tokens, min_size=2, max_size=2), min_size=1, max_size=3)
+    path = tmp_path / "T.txt"
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(rows)
+    def check(token_rows):
+        _reads_as_fraction_does(path, 3, token_rows)
+
+    check()
+
+
+def test_reading_written_tokens_makes_no_fraction(tmp_path, monkeypatch):
+    # integer and p/q tokens read straight into integer rows, in series files
+    # (an eps block too) and xi tables alike
+    g = g_tilde(7, 2, 30)
+    f = g * Fraction(1, 7) + g * EpsPoly.linear(7, 0, Fraction(2, 5))
+    path, xi_path = tmp_path / "F.txt", tmp_path / "xi.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        write_series(fh, f, 2, "F")
+    xi_path.write_text("1 1/3 -2\n2 5 7/4\n3 -1/2\n", encoding="utf-8")
+    calls = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    got = read_series(path)
+    table = cli._read_xi_table(xi_path, "complex-reduced", 3, 1)
+    assert calls == []
+    Fraction(1, 3)  # the counter counts
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got == f
+    assert table.entries == {1: EpsPoly.linear(3, Fraction(1, 3), -2),
+                             2: EpsPoly.linear(3, 5, Fraction(7, 4)),
+                             3: EpsPoly.rational(3, Fraction(-1, 2))}
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -602,7 +703,7 @@ def test_assemble_short_xi_table_exit_three(tmp_path, capsys):
 
 @pytest.mark.parametrize("line, message", [
     ("0 1/2", "twist index 0 is not allowed"),
-    ("-1 1/2", "complex_positive tables take positive indices only"),
+    ("-1 1/2", "--kind complex-reduced takes positive twist indices only"),
 ])
 def test_assemble_bad_twist_index_exit_three(tmp_path, capsys, line, message):
     # an index the table kind forbids is bad data, not a usage error
@@ -613,6 +714,18 @@ def test_assemble_bad_twist_index_exit_three(tmp_path, capsys, line, message):
     assert code == 3
     assert not out
     assert err == f"error: {xi_path}: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["quaternionic", "quaternionic-reduced"])
+def test_assemble_negative_twist_index_names_the_kind_typed(tmp_path, capsys, kind):
+    # the error names the --kind value given, not the library's table kind
+    # (complex-reduced: test_assemble_bad_twist_index_exit_three)
+    xi_path = tmp_path / "xi.txt"
+    xi_path.write_text("1 1\n-1 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "assemble", "--kind", kind,
+                             "--xi", str(xi_path), "-l", "1", "-N", "3", "-p", "3")
+    assert (code, out) == (3, "")
+    assert err == f"error: {xi_path}: --kind {kind} takes positive twist indices only\n"
 
 
 def test_assemble_repeated_twist_index_exit_three(tmp_path, capsys):

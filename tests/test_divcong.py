@@ -18,8 +18,7 @@ from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError, _coprime_p
                                  prime_factors)
 from finvariant.genus import g_hat, g_tilde
 from finvariant.qseries import (QSeries, divisors, eps_split,
-                                is_integral_series, relative_integrality_check, series_row,
-                                vector_to_series)
+                                is_integral_series, relative_integrality_check, series_row)
 
 
 def test_sturm_bound_values():
@@ -388,8 +387,10 @@ def test_make_lattice_rejects_mismatched_basis():
 def test_series_vector_round_trip():
     rng = random.Random(13)
     f = random_integral_series(rng, 3, 6)
-    vec = _vector(f, 6)
-    assert vector_to_series(3, 6, vec) == f
+    row, den = series_row(f, 6)
+    assert QSeries._of(3, 6, den, [row]) == f
+    # rows over a multiple of the denominator are put back in lowest terms
+    assert QSeries._of(3, 6, 7 * den, [[7 * x for x in row]]) == f
 
 
 # ---------------------------------------------------------------------------

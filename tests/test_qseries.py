@@ -10,7 +10,7 @@ from conftest import random_series
 from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
 from finvariant.genus import g2, g_tilde_level1
 from finvariant.qseries import (EpsPartError, QSeries, divisor_sum, divisors,
-                                eps_split, is_integral_series, sigma, vector_to_series)
+                                eps_split, is_integral_series, sigma)
 
 
 def test_difference_of_squares():
@@ -63,10 +63,10 @@ def test_level_mismatch_rejected():
     lambda level: QSeries(level, 3, [1]),
     lambda level: QSeries.zero(level, 3),
     lambda level: QSeries.one(level, 3),
-    lambda level: vector_to_series(level, 3, [Fraction(1)]),
+    lambda level: QSeries._of(level, 3, 1, [[1]]),
     lambda level: divisor_sum(QSeries(level, 4, [0, 1, 1, 1])),
     lambda level: g_tilde_level1(level, 2, 5),
-], ids=["init", "zero", "one", "vector_to_series", "divisor_sum", "g_tilde_level1"])
+], ids=["init", "zero", "one", "_of", "divisor_sum", "g_tilde_level1"])
 def test_level_below_two_rejected_on_every_route(build):
     with pytest.raises(ValueError):
         build(1)

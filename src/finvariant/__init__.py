@@ -2,8 +2,8 @@
 
 Subpackage layout:
 
-- exactnum:  cyclotomic/rational scalars, Bernoulli numbers, integer polynomials,
-             the value c0 + c1*eps of a coefficient
+- exactnum:  cyclotomic/rational scalars, Bernoulli numbers, cyclotomic
+             polynomials, the value c0 + c1*eps of a coefficient
 - qseries:   truncated q-series c0 + c1*eps over Q(zeta_N), stored as integer
              rows over one denominator
 - genus:     level-N Eisenstein-type series, genus expansion, numeric oracles
@@ -13,7 +13,7 @@ Subpackage layout:
 - cli:       batch command-line front end and series/basis file formats
 """
 
-from .exactnum import CycNum, EpsPoly, IntPoly, bernoulli, cyclotomic_poly
+from .exactnum import CycNum, EpsPoly, bernoulli, cyclotomic_poly
 from .qseries import QSeries, eps_split, is_integral_series, relative_integrality_check
 from .genus import ell_expansion, g2, g_hat, g_tilde, g_tilde_level1
 from .divcong import build_basis, hnf, is_equivalent, make_lattice, sturm_bound
@@ -25,7 +25,7 @@ from .fassembly import (FRepresentative, XiTable, assemble_complex,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CycNum", "EpsPoly", "FRepresentative", "IntPoly", "QSeries", "XiTable",
+    "CycNum", "EpsPoly", "FRepresentative", "QSeries", "XiTable",
     "assemble_complex", "assemble_complex_reduced", "assemble_quaternionic",
     "assemble_quaternionic_reduced", "bernoulli", "build_basis",
     "cyclotomic_poly", "ell_expansion", "eps_split", "g2", "g_hat", "g_tilde",

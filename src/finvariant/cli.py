@@ -380,8 +380,10 @@ def _read_xi_table(path: Path, name: str, level: int, l: int) -> XiTable:
             raise DataError(f"{path}:{line_no}: repeated twist index {d}")
         entries[d] = EpsPoly(level, [CycNum._of(level, den, (num,) + pad) for num, den in
                                      (_rational(t, f"{path}:{line_no}") for t in toks[1:])])
+        if d == 0:
+            raise DataError(f"{path}:{line_no}: twist index 0 is not allowed")
         if d < 0 and kind != COMPLEX_FULL:
-            raise DataError(f"{path}: --kind {name} takes positive twist indices only")
+            raise DataError(f"{path}:{line_no}: --kind {name} takes positive twist indices only")
     if not entries:
         raise DataError(f"{path}: empty xi table")
     try:

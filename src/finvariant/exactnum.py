@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: cyclotomic numbers, Bernoulli numbers, integer polynomials.
+"""Exact scalar arithmetic: cyclotomic numbers, Bernoulli numbers, cyclotomic polynomials.
 
 Everything here is immutable and exact. A rational scalar is an `int` or a
 `fractions.Fraction`; `CycNum` is an element of Q(zeta_N) stored as integer
@@ -6,7 +6,8 @@ coordinates in the power basis 1, zeta, ..., zeta^(phi(N)-1) over one
 denominator, the form a q-coefficient has inside a `QSeries`; `EpsPoly` is
 the value c0 + c1*eps of a q-coefficient or xi-entry in a formal real
 parameter eps, with CycNum parts and no arithmetic (eps is never given a
-numeric value); `IntPoly` is a dense integer polynomial.
+numeric value). `cyclotomic_poly` gives Phi_N as an integer coefficient
+tuple, lowest degree first.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -86,122 +87,34 @@ def bernoulli(k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Integer polynomials
+# Cyclotomic polynomials
 
 
-class IntPoly:
-    """Dense integer polynomial, lowest degree first, no trailing zeros."""
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial: integer coefficients, lowest degree first.
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int]):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "IntPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "IntPoly":
-        return cls((1,))
-
-    @classmethod
-    def x(cls) -> "IntPoly":
-        return cls((0, 1))
-
-    @property
-    def degree(self) -> int:
-        """Degree, with degree(0) = -1."""
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IntPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: Union["IntPoly", int]) -> "IntPoly":
-        if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
-        if not self.coeffs or not other.coeffs:
-            return IntPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        """Evaluate by Horner's rule; works for any ring element."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divexact(self, other: "IntPoly") -> "IntPoly":
-        """Exact division; raises if the remainder is nonzero or division leaves Z."""
-        if not other:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        out = [0] * max(len(rem) - len(den) + 1, 0)
-        for i in range(len(rem) - len(den), -1, -1):
-            if rem[i + len(den) - 1] == 0:
-                continue
-            q, r = divmod(rem[i + len(den) - 1], den[-1])
-            if r:
-                raise ValueError("inexact polynomial division")
-            out[i] = q
-            for j, c in enumerate(den):
-                rem[i + j] -= q * c
-        if any(rem):
-            raise ValueError("inexact polynomial division: nonzero remainder")
-        return IntPoly(out)
-
-    def __repr__(self) -> str:
-        return f"IntPoly({list(self.coeffs)})"
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> IntPoly:
-    """The n-th cyclotomic polynomial, monic with integer coefficients.
-
-    Computed as (x^n - 1) / prod(cyclotomic_poly(d)) over proper divisors d of n.
+    For n > 1, Phi_n = prod over d | n of (1 - x^d)^mu(n/d). The product is
+    taken modulo x^(phi(n)+1), where Phi_n fits whole: a factor 1 - x^d
+    subtracts the row shifted up by d, its inverse adds the running row
+    shifted by d.
     """
     if n < 1:
         raise ValueError("cyclotomic_poly requires n >= 1")
-    num = IntPoly([-1] + [0] * (n - 1) + [1])
-    den = IntPoly.one()
-    for d in range(1, n):
-        if n % d == 0:
-            den = den * cyclotomic_poly(d)
-    return num.divexact(den)
+    if n == 1:
+        return (-1, 1)
+    size = euler_phi(n) + 1
+    row = [1] + [0] * (size - 1)
+    factors = [(n, 1)]  # (d, mu(n/d)) over the d with n/d squarefree
+    for p in prime_factors(n):
+        factors += [(d // p, -mu) for d, mu in factors]
+    for d, mu in factors:
+        if mu > 0:
+            for i in range(size - 1, d - 1, -1):
+                row[i] -= row[i - d]
+        else:
+            for i in range(d, size):
+                row[i] += row[i - d]
+    return tuple(row)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +124,7 @@ def cyclotomic_poly(n: int) -> IntPoly:
 @lru_cache(maxsize=None)
 def _zeta_powers(level: int) -> tuple[tuple[int, ...], ...]:
     """Row j: the integer power-basis coordinates of zeta^j, j = 0 .. level-1."""
-    poly = cyclotomic_poly(level).coeffs
+    poly = cyclotomic_poly(level)
     rows = [(1,) + (0,) * (len(poly) - 2)]
     for _ in range(level - 1):
         # x * row: shift up one degree, then fold x^deg = -(lower terms) back in (monic)

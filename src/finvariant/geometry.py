@@ -1,9 +1,11 @@
 """Spectral and geometric inputs for the worked examples.
 
-Circle spectra (exact eps-linear xi-values), Chebyshev polynomials and the
-induced operations on the representation ring of SU(2), the SU(3)/SU(2)
-kernel-parity enumeration, the quaternionic-plane index, and the symbolic Chern-Simons computation on the five-dimensional
-homogeneous space with global coframe (L1*, L2*, w1*, w2*, w3*).
+Circle spectra (exact eps-linear xi-values), the Chebyshev and Adams
+polynomials (integer coefficient tuples from one three-term recurrence) and
+the induced operations on the representation ring of SU(2), the SU(3)/SU(2)
+kernel-parity enumeration, the quaternionic-plane index, and the symbolic
+Chern-Simons computation on the five-dimensional homogeneous space with
+global coframe (L1*, L2*, w1*, w2*, w3*).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Iterator, Mapping
 
-from .exactnum import EpsPoly, IntPoly
+from .exactnum import EpsPoly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -44,9 +46,18 @@ def circle_xi(level: int, d: int) -> EpsPoly:
 # Chebyshev polynomials and SU(2) operations
 
 
-@lru_cache(maxsize=None)
-def chebyshev(kind: str, d: int) -> IntPoly:
-    """Chebyshev polynomial of the first (T) or second (U) kind.
+def _three_term(scale: int, p0: tuple[int, ...], p1: tuple[int, ...],
+                d: int) -> tuple[int, ...]:
+    """p_d of p_{n+1} = scale*x*p_n - p_{n-1}, integer coefficients lowest degree first."""
+    prev, cur = p0, p1
+    for _ in range(d):
+        # deg p_{n-1} = deg p_n - 1, so p_{n-1} pads by two to the length of x*p_n
+        prev, cur = cur, tuple(scale * a - b for a, b in zip((0,) + cur, prev + (0, 0)))
+    return prev
+
+
+def chebyshev(kind: str, d: int) -> tuple[int, ...]:
+    """Chebyshev polynomial of the first (T) or second (U) kind, lowest degree first.
 
     T_0 = 1, T_1 = x, T_{n+1} = 2x T_n - T_{n-1}; U likewise with U_1 = 2x.
     """
@@ -54,18 +65,11 @@ def chebyshev(kind: str, d: int) -> IntPoly:
         raise ValueError("degree must be >= 0")
     if kind not in ("T", "U"):
         raise ValueError("kind must be 'T' or 'U'")
-    if d == 0:
-        return IntPoly.one()
-    if d == 1:
-        return IntPoly.x() if kind == "T" else IntPoly.x() * 2
-    two_x = IntPoly.x() * 2
-    prev, cur = chebyshev(kind, d - 2), chebyshev(kind, d - 1)
-    return two_x * cur - prev
+    return _three_term(2, (1,), (0, 1) if kind == "T" else (0, 2), d)
 
 
-@lru_cache(maxsize=None)
-def adams_psi_poly(d: int) -> IntPoly:
-    """2*T_d(x/2) expanded with integer coefficients.
+def adams_psi_poly(d: int) -> tuple[int, ...]:
+    """2*T_d(x/2) expanded with integer coefficients, lowest degree first.
 
     Expresses the d-th Adams operation on a quaternionic line bundle in terms
     of complex tensor powers. Integer recurrence: A_0 = 2, A_1 = x,
@@ -73,11 +77,7 @@ def adams_psi_poly(d: int) -> IntPoly:
     """
     if d < 0:
         raise ValueError("degree must be >= 0")
-    if d == 0:
-        return IntPoly((2,))
-    if d == 1:
-        return IntPoly.x()
-    return IntPoly.x() * adams_psi_poly(d - 1) - adams_psi_poly(d - 2)
+    return _three_term(1, (2,), (0, 1), d)
 
 
 def su2_tensor(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:

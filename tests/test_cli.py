@@ -713,7 +713,7 @@ def test_assemble_bad_twist_index_exit_three(tmp_path, capsys, line, message):
                              "--xi", str(xi_path), "-l", "1", "-N", "3", "-p", "4")
     assert code == 3
     assert not out
-    assert err == f"error: {xi_path}: {message}\n"
+    assert err == f"error: {xi_path}:1: {message}\n"
 
 
 @pytest.mark.parametrize("kind", ["quaternionic", "quaternionic-reduced"])
@@ -725,7 +725,7 @@ def test_assemble_negative_twist_index_names_the_kind_typed(tmp_path, capsys, ki
     code, out, err = run_cli(capsys, "assemble", "--kind", kind,
                              "--xi", str(xi_path), "-l", "1", "-N", "3", "-p", "3")
     assert (code, out) == (3, "")
-    assert err == f"error: {xi_path}: --kind {kind} takes positive twist indices only\n"
+    assert err == f"error: {xi_path}:2: --kind {kind} takes positive twist indices only\n"
 
 
 def test_assemble_repeated_twist_index_exit_three(tmp_path, capsys):

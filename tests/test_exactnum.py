@@ -1,14 +1,15 @@
-"""Exact scalar arithmetic: cyclotomic field, Bernoulli numbers, polynomials."""
+"""Exact scalar arithmetic: cyclotomic field, Bernoulli numbers, cyclotomic polynomials."""
 
 import cmath
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
 
 from conftest import random_cyc
-from finvariant.exactnum import (CycNum, EpsPoly, IntPoly, LevelMismatchError,
+from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError,
                                  bernoulli, cyclotomic_poly,
                                  eisenstein_weight_one_constant, euler_phi)
 from finvariant.qseries import QSeries
@@ -112,9 +113,10 @@ def test_bernoulli_defining_recurrence():
 
 
 def test_cyclotomic_small():
-    assert cyclotomic_poly(2) == IntPoly((1, 1))
-    assert cyclotomic_poly(3) == IntPoly((1, 1, 1))
-    assert cyclotomic_poly(12) == IntPoly((1, 0, -1, 0, 1))
+    assert cyclotomic_poly(1) == (-1, 1)
+    assert cyclotomic_poly(2) == (1, 1)
+    assert cyclotomic_poly(3) == (1, 1, 1)
+    assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
 
 
 def test_euler_phi_counts_units():
@@ -127,22 +129,24 @@ def test_euler_phi_counts_units():
 
 def test_cyclotomic_level12_numeric_roots():
     poly = cyclotomic_poly(12)
-    assert poly.degree == euler_phi(12)
-    from math import gcd
+    assert len(poly) - 1 == euler_phi(12)
     for j in range(12):
         root = cmath.exp(2j * cmath.pi * j / 12)
-        value = abs(poly(root))
+        value = abs(sum(c * root ** i for i, c in enumerate(poly)))
         if gcd(j, 12) == 1:
             assert value < 1e-12
         else:
             assert value > 1e-3
 
 
-def test_cyclotomic_divides_power_minus_one():
-    for n in range(2, 31):
-        x_n_minus_1 = IntPoly([-1] + [0] * (n - 1) + [1])
-        quotient = x_n_minus_1.divexact(cyclotomic_poly(n))
-        assert quotient * cyclotomic_poly(n) == x_n_minus_1
+def test_cyclotomic_product_over_divisors_is_power_minus_one():
+    # prod_{d | n} Phi_d = x^n - 1; n = 105 is the first Phi_n with a coefficient -2
+    for n in range(1, 121):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = _conv(prod, cyclotomic_poly(d))
+        assert prod == [-1] + [0] * (n - 1) + [1]
 
 
 def test_field_axioms_random():
@@ -214,11 +218,6 @@ def test_eps_poly_is_a_value_without_arithmetic():
     assert repr(xi) == "EpsPoly(3, ['1/2', '-2'])"
 
 
-def test_int_poly_divexact_rejects_inexact():
-    with pytest.raises(ValueError):
-        IntPoly((1, 1)).divexact(IntPoly((0, 2)))
-
-
 def test_rational_part():
     assert CycNum.from_rational(3, Fraction(7, 2)).rational_part() == Fraction(7, 2)
     assert CycNum.zeta(3).rational_part() is None
@@ -244,17 +243,44 @@ def test_inverse_matches_sympy_invert():
 def test_cyclotomic_poly_matches_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    for n in range(1, 41):
+    for n in range(1, 121):
         expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
-        assert cyclotomic_poly(n).coeffs == tuple(int(c) for c in expected)
+        assert cyclotomic_poly(n) == tuple(int(c) for c in expected)
+    assert min(cyclotomic_poly(105)) == -2
 
 
 # Reference arithmetic on Fraction coordinates, independent of CycNum's
-# integer table: a product is the schoolbook product reduced by long
-# division by the cyclotomic polynomial, and zeta^m is x^m reduced the same way.
+# integer table and of cyclotomic_poly: a product is the schoolbook product
+# reduced by long division by the cyclotomic polynomial, and zeta^m is x^m
+# reduced the same way. Phi_n itself comes from long division of x^n - 1 by
+# the Phi_d of its proper divisors.
+
+def _conv(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@lru_cache(maxsize=None)
+def _ref_cyclotomic(n):
+    den = [1]
+    for d in range(1, n):
+        if n % d == 0:
+            den = _conv(den, _ref_cyclotomic(d))
+    rem = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    quot = [Fraction(0)] * (len(rem) - len(den) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = rem[k + len(den) - 1] / den[-1]
+        for i, c in enumerate(den):
+            rem[k + i] -= quot[k] * c
+    assert not any(rem) and all(c.denominator == 1 for c in quot)
+    return tuple(int(c) for c in quot)
+
 
 def _ref_reduce(level, poly):
-    phi = cyclotomic_poly(level).coeffs
+    phi = _ref_cyclotomic(level)
     deg = len(phi) - 1
     poly = list(poly) + [Fraction(0)] * max(0, deg - len(poly))
     for k in range(len(poly) - 1, deg - 1, -1):
@@ -266,11 +292,7 @@ def _ref_reduce(level, poly):
 
 
 def _ref_mul(level, a, b):
-    prod = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    return _ref_reduce(level, prod)
+    return _ref_reduce(level, _conv(a, b))
 
 
 def _ref_galois(level, a, j):

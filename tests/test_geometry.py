@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from finvariant.exactnum import EpsPoly, IntPoly
+from finvariant.exactnum import EpsPoly
 from finvariant.geometry import (ExtForm, adams_psi_poly,
                                  chebyshev, chern_simons_traces,
                                  chern_simons_volume_coefficients, circle_xi,
@@ -38,17 +38,27 @@ def test_circle_xi_rejects_untwisted():
 # Chebyshev / Adams
 
 
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def test_chebyshev_small_values():
-    assert chebyshev("T", 2) == IntPoly((-1, 0, 2))
-    assert adams_psi_poly(2) == IntPoly((-2, 0, 1))
-    assert chebyshev("U", 1) == IntPoly((0, 2))
+    assert chebyshev("T", 0) == chebyshev("U", 0) == (1,)
+    assert chebyshev("T", 2) == (-1, 0, 2)
+    assert adams_psi_poly(0) == (2,)
+    assert adams_psi_poly(2) == (-2, 0, 1)
+    assert chebyshev("U", 1) == (0, 2)
 
 
 def test_second_kind_difference_identity():
     # U_d - U_{d-2} = 2 T_d
     for d in range(2, 51):
-        lhs = chebyshev("U", d) - chebyshev("U", d - 2)
-        assert lhs == chebyshev("T", d) * 2
+        u, u2 = chebyshev("U", d), chebyshev("U", d - 2)
+        lhs = tuple(a - b for a, b in zip(u, u2 + (0, 0)))
+        assert lhs == tuple(2 * c for c in chebyshev("T", d))
 
 
 def test_multiple_angle_numeric():
@@ -56,7 +66,7 @@ def test_multiple_angle_numeric():
     t5 = chebyshev("T", 5)
     for _ in range(50):
         t = rng.uniform(0, 2 * math.pi)
-        assert abs(2 * math.cos(5 * t) - 2 * t5(math.cos(t))) < 1e-12
+        assert abs(2 * math.cos(5 * t) - 2 * _horner(t5, math.cos(t))) < 1e-12
 
 
 def test_adams_poly_integer_and_character():
@@ -65,10 +75,10 @@ def test_adams_poly_integer_and_character():
     rng = random.Random(8)
     for d in range(0, 21):
         poly = adams_psi_poly(d)
-        assert all(isinstance(c, int) for c in poly.coeffs)
+        assert all(isinstance(c, int) for c in poly)
         for _ in range(5):
             t = rng.uniform(0, 2 * math.pi)
-            value = poly(Fraction(2 * math.cos(t)))
+            value = _horner(poly, Fraction(2 * math.cos(t)))
             assert abs(float(value) - 2 * math.cos(d * t)) < 1e-12
 
 
@@ -92,7 +102,7 @@ def test_adams_poly_realizes_power_operation_on_characters():
     ch = [x + y for x, y in zip(_taylor_exp(1, order), _taylor_exp(-1, order))]
     for d in (2, 3, 5, 7):
         acc = [Fraction(0)] * (order + 1)
-        for c in reversed(adams_psi_poly(d).coeffs):
+        for c in reversed(adams_psi_poly(d)):
             acc = _taylor_mul(acc, ch, order)
             acc[0] += c
         expected = [x + y for x, y in zip(_taylor_exp(d, order),

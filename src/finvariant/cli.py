@@ -43,7 +43,7 @@ from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES, QUATERNIONIC,
                         assemble_complex, assemble_complex_reduced,
                         assemble_quaternionic, assemble_quaternionic_reduced,
                         check_example, run_example)
-from .genus import (ell_expansion, ell_function, ell_quaternionic, g2, g_hat,
+from .genus import (_quaternionic_entries, ell_expansion, ell_function, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
 from .qseries import (EpsPartError, QSeries, _linear_combination, eps_split,
                       is_integral_series, series_row)
@@ -327,12 +327,13 @@ def _cmd_eis(args) -> int:
 
 
 def _cmd_ell(args) -> int:
-    exp = ell_expansion(args.level, args.order, args.prec)
+    c2_order = args.quaternionic
+    x_order = args.order if c2_order is None else max(args.order, 2 * c2_order + 2)
+    exp = ell_expansion(args.level, x_order, args.prec)
     for k in range(1, args.order + 1):
         _print_series(exp.x_coefficient(k), f"x^{k}", k, args.machine)
-    if args.quaternionic is not None:
-        for j, entry in enumerate(ell_quaternionic(args.level, args.quaternionic,
-                                                   args.prec)):
+    if c2_order is not None:
+        for j, entry in enumerate(_quaternionic_entries(exp, c2_order)):
             _print_series(entry, f"quaternionic_entry_{j}", 2 * j + 2, args.machine)
     return 0
 

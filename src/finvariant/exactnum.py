@@ -345,9 +345,14 @@ class CycNum:
 
 
 def eisenstein_weight_one_constant(level: int) -> CycNum:
-    """The constant 1/2 + zeta/(1 - zeta), the weight-one constant term."""
-    z = CycNum.zeta(level)
-    return CycNum.from_rational(level, Fraction(1, 2)) + z / (CycNum.one(level) - z)
+    """The constant 1/2 + zeta/(1 - zeta), the weight-one constant term.
+
+    (zeta - 1) * sum_{j<N} j zeta^j = N, so it is 1/2 - sum_{j<N} j zeta^(j+1) / N:
+    one fold of the powers zeta^1 .. zeta^N, over the denominator 2N.
+    """
+    ints = [-2 * c for c in _fold(level, [0] + list(range(level)))]
+    ints[0] += level
+    return CycNum._of(level, 2 * level, ints)
 
 
 # ---------------------------------------------------------------------------

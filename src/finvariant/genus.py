@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import CycNum, bernoulli, eisenstein_weight_one_constant, euler_phi
-from .qseries import QSeries, divisor_sum, series_row
+from .qseries import QSeries, _linear_combination, divisor_sum, series_row
 
 
 def weight_constant(level: int, k: int) -> CycNum:
@@ -111,20 +111,27 @@ def ell_quaternionic(level: int, c2_order: int, prec: int) -> list[QSeries]:
     """
     if c2_order < 0:
         raise ValueError("c2_order must be >= 0")
-    x_order = 2 * c2_order + 2
-    exp = ell_expansion(level, x_order, prec)
-    plus = [QSeries.one(level, prec)] + [exp.x_coefficient(k)
-                                         for k in range(1, x_order + 1)]
-    # Ell(-x) has the coefficients of Ell(x) with the odd powers negated
-    minus = [-c if k % 2 else c for k, c in enumerate(plus)]
+    return _quaternionic_entries(ell_expansion(level, 2 * c2_order + 2, prec), c2_order)
+
+
+def _quaternionic_entries(exp: EllExpansion, c2_order: int) -> list[QSeries]:
+    """Entries 0 .. c2_order of `ell_quaternionic`, read from exp (x_order >= 2*c2_order + 2).
+
+    Ell(x)Ell(-x) is even: with p_k the x^k coefficient, its x^D coefficient
+    (D even) is 2 p_D + 2 sum_{0<i<D/2} (-1)^i p_i p_{D-i} + (-1)^(D/2) p_{D/2}^2,
+    formed from the products of the G_hat_k, the middle one a square, and
+    the factorials of p_k = G_hat_k/(k-1)! in one linear combination.
+    """
+    g, fact = exp.g_hat, math.factorial
     entries = []
     for j in range(c2_order + 1):
-        deg = 2 * j + 2
-        acc = QSeries.zero(level, prec)
-        for i in range(deg + 1):
-            if plus[i] and minus[deg - i]:
-                acc = acc + plus[i] * minus[deg - i]
-        entries.append(-acc)
+        d = 2 * j + 2
+        terms = [((Fraction(-2, fact(d - 1)),), g[d - 1])]
+        for i in range(1, d // 2 + 1):
+            twice = 1 if 2 * i == d else 2
+            terms.append(((Fraction(-twice * (-1) ** i, fact(i - 1) * fact(d - i - 1)),),
+                          g[i - 1] * g[d - i - 1]))
+        entries.append(_linear_combination(exp.level, exp.prec, terms))
     return entries
 
 

@@ -11,21 +11,27 @@ flat integer view of an eps-free series. Arithmetic requires equal levels
 and truncates to the smaller precision.
 
 Every operation runs on the rows: the product by Kronecker substitution (one
-big-int product of the packed (q, zeta) polynomials, see Harvey, JSC 2009),
-`divisor_sum` as a residue-class sieve on the integer rows of the series
-sum c(d) q^d (column sums per class of j mod N in O(sqrt(N*P)) slice steps,
-each class twisted once), and +, -, rational multiples and certificate
-replay as one integer row sum, `_row_sum`; `_linear_combination` is that
-sum as a series. A lattice decision reads F - G from it as rows and checks
-its replay as an integer identity, so neither is made canonical. A CycNum
-already holds integers over one denominator, so `_int_parts` only rescales
-each given coefficient's (den, ints) to the row's denominator (the
-constructor pads the rows with zeros after it, so a scalar costs O(phi(N))
-Python steps), and `coefficient(n)` slices the row back.
+big-int product of the packed (q, zeta) polynomials, see Harvey, JSC 2009;
+a row moves to and from its packed int through one array of 64-bit words,
+one extended-slice copy per slot byte, and a square packs once and
+multiplies by itself), `divisor_sum` as a residue-class sieve on the
+integer rows of the series sum c(d) q^d (column sums per class of j mod N
+in O(sqrt(N*P)) slice steps, each class twisted once), and +, -, rational
+multiples and certificate replay as one integer row sum, `_row_sum`;
+`_linear_combination` is that sum as a series. A lattice decision reads
+F - G from it as rows and checks its replay as an integer identity, so
+neither is made canonical. A CycNum already holds integers over one
+denominator, so `_int_parts` only rescales each given coefficient's
+(den, ints) to the row's denominator, one comprehension per eps part; the
+rows are then in lowest terms, so the constructor pads them with zeros and
+stores them without a gcd (a scalar costs O(phi(N)) Python steps), and
+`coefficient(n)` slices the row back.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,6 +44,11 @@ from .exactnum import (CycNum, EpsPoly, LevelMismatchError, Scalar, _coprime_par
                        _zeta_powers, euler_phi)
 
 Coefficient = Union[Scalar, CycNum, EpsPoly]
+
+# the machine words that carry packed slots: _WORD bytes each, in host byte order
+_WORD = array("Q").itemsize
+_WORD_BITS, _WORD_MASK = 8 * _WORD, (1 << 8 * _WORD) - 1
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 @lru_cache(maxsize=None)
@@ -70,7 +81,7 @@ class QSeries:
 
     def __init__(self, level: int, prec: int, coeffs: Sequence[Coefficient]):
         values = list(islice(coeffs, prec))
-        den, parts = _int_parts(level, values)
+        den, parts = _int_parts(level, values)  # in lowest terms
         pad = [0] * ((prec - len(values)) * euler_phi(level))
         self._store(level, prec, den, [p + pad for p in parts])
 
@@ -78,11 +89,12 @@ class QSeries:
     def _of(cls, level: int, prec: int, den: int, parts: Sequence[Sequence[int]]) -> "QSeries":
         """The series sum_e eps^e * parts[e] / den, each part prec*phi(level) ints."""
         f = object.__new__(cls)
-        f._store(level, prec, den, parts)
+        g = gcd(den, *chain.from_iterable(parts))
+        f._store(level, prec, den // g, parts if g == 1 else [[x // g for x in p] for p in parts])
         return f
 
     def _store(self, level: int, prec: int, den: int, parts: Sequence[Sequence[int]]) -> None:
-        """Set the canonical form: trailing zero parts dropped, gcd(den, entries) = 1.
+        """Set the canonical form of rows in lowest terms over den: trailing zero parts dropped.
 
         The one refusal of an eps-degree above 1, for every way a series is made.
         """
@@ -95,11 +107,10 @@ class QSeries:
             parts.pop()
         if len(parts) > 2:
             raise EpsPartError("a series holds at most an eps^1 part")
-        g = gcd(den, *chain.from_iterable(parts))
         self.level = level
         self.prec = prec
-        self.den = den // g
-        self.parts = tuple(tuple(p) if g == 1 else tuple(x // g for x in p) for p in parts)
+        self.den = den
+        self.parts = tuple(map(tuple, parts))
 
     # -- constructors ------------------------------------------------------
 
@@ -123,6 +134,8 @@ class QSeries:
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise ValueError("cannot extend precision by truncation")
+        if prec == self.prec:
+            return self  # a series is never mutated
         size = prec * euler_phi(self.level)
         # dropped entries may have held the only factor not shared with den
         return QSeries._of(self.level, prec, self.den, [p[:size] for p in self.parts])
@@ -256,30 +269,28 @@ def _int_parts(level: int, values: Sequence[Coefficient]) -> tuple[int, list[lis
 
     Returns (den, parts): parts[e][n*phi(level) + t] is den times coordinate t
     of the eps^e part of values[n], and den is the least common denominator
-    of all coordinates.
+    of all coordinates. Each value is in lowest terms, so the rows are too:
+    for p^a exactly dividing den, a value of denominator divisible by p^a
+    keeps a coordinate prime to p.
     """
     deg = euler_phi(level)
-    rows = []  # per value, one (den, ints) per eps degree
+    rest = (0,) * (deg - 1)
+    blank = (1, (0,) + rest)
+    rows = []  # per value, one (den, ints) per eps degree, ints phi(level) long
     for c in values:
         if isinstance(c, (CycNum, EpsPoly)):
             if c.level != level:
                 raise LevelMismatchError("series coefficient level mismatch")
-            rows.append([(x.den, x.ints) for x in ((c,) if isinstance(c, CycNum) else c.coeffs)])
+            rows.append(((c.den, c.ints),) if isinstance(c, CycNum) else
+                        [(x.den, x.ints) for x in c.coeffs])
         elif isinstance(c, (int, Fraction)):
-            rows.append([(c.denominator, (c.numerator,))] if c else [])
+            rows.append(((c.denominator, (c.numerator,) + rest),) if c else ())
         else:
             raise TypeError(f"series coefficient must be exact, not {type(c)!r}")
     den = lcm(*(d for cs in rows for d, _ in cs))
-    zero = [0] * deg
-    parts = []
-    for e in range(max(map(len, rows), default=0)):
-        flat: list[int] = []
-        for cs in rows:
-            d, ints = cs[e] if e < len(cs) else (1, ())
-            flat += [x * (den // d) for x in ints]
-            flat += zero[len(ints):]
-        parts.append(flat)
-    return den, parts
+    return den, [[x * m for cs in rows for d, ints in (cs[e] if e < len(cs) else blank,)
+                  for m in (den // d,) for x in ints]
+                 for e in range(max(map(len, rows), default=0))]
 
 
 def _row_sum(level: int, prec: int,
@@ -318,21 +329,58 @@ def _linear_combination(level: int, prec: int,
 
 
 def _pack(flat: Sequence[int], deg: int, stride: int, width: int) -> int:
-    """Signed rows of deg entries as one int: entry n*deg + t in slot n*stride + t, width bytes each."""
-    half = 1 << (8 * width - 1)
-    pad = half.to_bytes(width, "little") * (stride - deg)
-    cells = [(v + half).to_bytes(width, "little") for v in flat]
-    packed = b"".join(b"".join(cells[i:i + deg]) + pad for i in range(0, len(cells), deg))
-    return int.from_bytes(packed, "little") - _slot_offset(width, len(flat) // deg * stride)
+    """Signed rows of deg entries as one int: entry n*deg + t in slot n*stride + t, width bytes each.
+
+    Each slot is lifted to unsigned (plus half its range) and goes through
+    ceil(width/8) machine words of one array; the pad slots hold the lift alone.
+    """
+    words, half = -(-width // _WORD), 1 << (8 * width - 1)
+    count = len(flat) // deg * stride
+    wide = array("Q", [(half >> (_WORD_BITS * j)) & _WORD_MASK for j in range(words)]) * count
+    lifted = [v + half for v in flat]
+    for j in range(words):
+        lane = array("Q", lifted if words == 1 else
+                     [(v >> (_WORD_BITS * j)) & _WORD_MASK for v in lifted])
+        for t in range(deg):
+            wide[t * words + j::stride * words] = lane[t::deg]
+    if _BIG_ENDIAN:
+        wide.byteswap()
+    raw = _restride(wide.tobytes(), _WORD * words, width)
+    return int.from_bytes(raw, "little") - _slot_offset(width, count)
 
 
 def _unpack(z: int, count: int, width: int) -> list[int]:
-    """The low count slots of z as balanced (signed) digits, width bytes a slot."""
-    half = 1 << (8 * width - 1)
+    """The low count slots of z as balanced (signed) digits, width bytes a slot.
+
+    Byte k of every slot is copied into the words of one array in one
+    extended-slice assignment; a slot of more than 8 bytes joins its words.
+    """
+    words, half = -(-width // _WORD), 1 << (8 * width - 1)
     shifted = (z + _slot_offset(width, count)) & ((1 << (8 * width * count)) - 1)
     raw = shifted.to_bytes(width * count, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, width * count, width)]
+    wide = array("Q", _restride(raw, width, _WORD * words))
+    if _BIG_ENDIAN:
+        wide.byteswap()
+    if words == 1:
+        return [x - half for x in wide]
+    digits = wide[words - 1::words].tolist()
+    for j in range(words - 2, -1, -1):
+        digits = [(d << _WORD_BITS) | x for d, x in zip(digits, wide[j::words])]
+    return [d - half for d in digits]
+
+
+def _restride(src: bytes, src_span: int, dst_span: int) -> bytes:
+    """Slots of src_span bytes respaced to dst_span bytes a slot.
+
+    The low min(src_span, dst_span) bytes of each slot are copied, one
+    extended-slice assignment per byte lane; the rest of a wider slot is zero.
+    """
+    if src_span == dst_span:
+        return src
+    dst = bytearray(dst_span * (len(src) // src_span))
+    for k in range(min(src_span, dst_span)):
+        dst[k::dst_span] = src[k::src_span]
+    return dst
 
 
 def _slot_offset(width: int, count: int) -> int:
@@ -345,22 +393,24 @@ def _series_product(level: int, prec: int, a: QSeries, b: QSeries) -> QSeries:
 
     Each eps part of a factor is packed into one int with 2*deg-1 slots per
     q-power, so the zeta-degree of a product term stays inside its q-power;
-    eps part k of the product is the sum of the big-int products of parts i
-    and k-i. Its slots are unpacked and reduced modulo the cyclotomic
-    polynomial column by column.
+    a slot is width bytes, enough for any product coordinate, and moves to
+    and from the int through 64-bit words (`_pack`, `_unpack`). A square
+    (b is a) packs once and multiplies each packed int by itself, which
+    CPython squares. Eps part k of the product is the sum of the big-int
+    products of parts i and k-i. Its slots are unpacked and reduced modulo
+    the cyclotomic polynomial column by column.
     """
     deg = euler_phi(level)
     if not a.parts or not b.parts:
         return QSeries.zero(level, prec)
     stride, size, table = 2 * deg - 1, prec * deg, _zeta_powers(level)
     parts_a = [p[:size] for p in a.parts]
-    parts_b = [p[:size] for p in b.parts]
-    big_a = max(max(map(abs, p)) for p in parts_a)
-    big_b = max(max(map(abs, p)) for p in parts_b)
+    parts_b = parts_a if b is a else [p[:size] for p in b.parts]
+    big_a, big_b = (max(max(map(abs, p)) for p in parts) for parts in (parts_a, parts_b))
     terms = min(len(parts_a), len(parts_b)) * size
     width = (big_a.bit_length() + big_b.bit_length() + terms.bit_length() + 2 + 7) // 8
     packed_a = [_pack(p, deg, stride, width) for p in parts_a]
-    packed_b = [_pack(p, deg, stride, width) for p in parts_b]
+    packed_b = packed_a if b is a else [_pack(p, deg, stride, width) for p in parts_b]
     out = []
     for k in range(len(parts_a) + len(parts_b) - 1):
         z = sum(packed_a[i] * packed_b[k - i]

@@ -69,6 +69,25 @@ def test_ell_quaternionic_order_zero_is_valid(capsys):
     assert "label=quaternionic_entry_0" in out
 
 
+@pytest.mark.parametrize("order, c2_order, x_order", [(2, None, 2), (2, 0, 2), (2, 1, 4),
+                                                      (7, 2, 7), (3, 3, 8)])
+def test_ell_builds_one_expansion(monkeypatch, capsys, order, c2_order, x_order):
+    # the x-coefficients and the quaternionic entries read one expansion,
+    # as long as the longer of the two needs
+    built = []
+    expand = cli.ell_expansion
+    monkeypatch.setattr(cli, "ell_expansion",
+                        lambda *args: built.append(args) or expand(*args))
+    argv = ["ell", "-N", "5", "-k", str(order), "-p", "6", "--machine"]
+    if c2_order is not None:
+        argv += ["--quaternionic", str(c2_order)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and built == [(5, x_order, 6)]
+    labels = [line.split("label=")[1] for line in out.splitlines() if "label=" in line]
+    entries = [] if c2_order is None else [f"quaternionic_entry_{j}" for j in range(c2_order + 1)]
+    assert labels == [f"x^{k}" for k in range(1, order + 1)] + entries
+
+
 def test_machine_mode_deterministic(capsys):
     _, first, _ = run_cli(capsys, "ell", "-N", "3", "-k", "3", "-p", "6",
                           "--quaternionic", "1", "--machine")
@@ -928,6 +947,28 @@ def test_readme_tour_golden(tmp_path, capsys, name):
     # constant and eps values, so the output has an eps block
     xi.write_text("".join(f"{d} -{d}/12 1/{d + 1}\n" for d in range(1, 12)), encoding="utf-8")
     argv = [a.format(xi=xi, bases=tmp_path / "bases") for a in argv]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode()).hexdigest() == want_sha
+
+
+# --machine output of larger shapes: exit code and sha256 of stdout, generated
+# with the byte-per-slot series product; the ell entry's p_4^2 needs slots of
+# more than 8 bytes
+_MACHINE_GOLDENS = {
+    "g2": (["g2", "-N", "7", "-p", "200", "--machine"],
+           0, "715219b75ec0fb06991a1e9cda1abe082d36ea55aa3e7f3441c69000ded325c8"),
+    "ell": (["ell", "-N", "7", "-k", "8", "-p", "200", "--quaternionic", "3", "--machine"],
+            0, "1f0a48328132afdcfec539509cc76a65243d78786c0edccf3c1ef59ca549f4ea"),
+    "nu2": (["example", "nu2", "-N", "3", "-p", "16", "--machine"],
+            0, "c1b41b64d593e571eb01c2ca3673868dc458d0e7305aac8923e9c8acd524c7b7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MACHINE_GOLDENS))
+def test_machine_output_golden(tmp_path, capsys, monkeypatch, name):
+    argv, want_code, want_sha = _MACHINE_GOLDENS[name]
+    monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(capsys, *argv)
     assert code == want_code
     assert hashlib.sha256(out.encode()).hexdigest() == want_sha

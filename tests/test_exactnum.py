@@ -36,6 +36,15 @@ def test_weight_one_constant_level2_vanishes():
     assert not eisenstein_weight_one_constant(2)
 
 
+@pytest.mark.parametrize("level", range(2, 61))
+def test_weight_one_constant_matches_field_inverse(level):
+    # the closed form without an inverse against 1/2 + z/(1 - z) from CycNum division
+    z, one = CycNum.zeta(level), CycNum.one(level)
+    expected = CycNum.from_rational(level, Fraction(1, 2)) + z / (one - z)
+    value = eisenstein_weight_one_constant(level)
+    assert (value.den, value.ints) == (expected.den, expected.ints)
+
+
 def test_division_matches_float_oracle():
     rng = random.Random(11)
     for level in (3, 5, 8):

@@ -117,6 +117,31 @@ def test_quaternionic_higher_entries_match_classical_series():
             assert entries[j] == classical * Fraction(-2, _math.factorial(2 * j))
 
 
+def _quaternionic_cauchy(level, c2_order, prec):
+    """-(x^(2j+2) coefficient of Ell(x)Ell(-x)) for j <= c2_order, as the full
+    Cauchy product of the x-coefficients with their odd powers negated."""
+    exp = ell_expansion(level, 2 * c2_order + 2, prec)
+    plus = [QSeries.one(level, prec)] + [exp.x_coefficient(k)
+                                         for k in range(1, 2 * c2_order + 3)]
+    minus = [-c if k % 2 else c for k, c in enumerate(plus)]
+    entries = []
+    for j in range(c2_order + 1):
+        deg = 2 * j + 2
+        acc = QSeries.zero(level, prec)
+        for i in range(deg + 1):
+            acc = acc + plus[i] * minus[deg - i]
+        entries.append(-acc)
+    return entries
+
+
+@pytest.mark.parametrize("level", range(2, 13))
+def test_quaternionic_entries_match_full_cauchy_product(level):
+    for c2_order in range(4):
+        got = ell_quaternionic(level, c2_order, 10)
+        want = _quaternionic_cauchy(level, c2_order, 10)
+        assert [(f.den, f.parts) for f in got] == [(f.den, f.parts) for f in want]
+
+
 def test_g2_congruence_all_supported_levels():
     for level in (2, 3, 4, 5, 6):
         assert is_integral_series(g2(level, 30) - Fraction(1, 12))

@@ -14,7 +14,7 @@ from math import isqrt
 
 import pytest
 
-from finvariant import divcong
+from finvariant import divcong, qseries
 from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
 from finvariant.genus import g_hat, g_tilde, weight_constant
 from finvariant.qseries import EpsPartError, QSeries, divisor_sum, divisors
@@ -165,6 +165,67 @@ def test_product_big_numerators_and_denominators(level):
     mixed = _series(rng, level, 9)
     _assert_product(a, mixed)
     _assert_product(mixed, -mixed)
+
+
+# slot widths in bytes on both sides of the 8-byte machine-word boundaries,
+# and (level, prec, eps part on the first factor) shapes the product runs at
+SLOT_WIDTHS = (1, 7, 8, 9, 15, 16, 17)
+WIDTH_SHAPES = ((2, 5, True), (3, 4, False), (5, 3, True), (7, 2, False), (105, 1, False))
+
+
+def _width_cases():
+    """(width, shape, bits): factors with entries of at most `bits` bits give
+    slots of `width` bytes, as the product sizes them: 2*bits plus the bit
+    length of the term count plus 2 sign and carry bits, rounded up to bytes."""
+    cases = []
+    for width in SLOT_WIDTHS:
+        for level, prec, eps in WIDTH_SHAPES:
+            terms = prec * euler_phi(level)
+            bits = (8 * width - 2 - terms.bit_length()) // 2
+            if bits >= 1:
+                cases.append((width, (level, prec, eps), bits))
+    return cases
+
+
+def _bounded_series(rng, level, prec, bits, eps):
+    """Integer coefficients of at most `bits` bits, the first entry of each part at the bound."""
+    top, deg = (1 << bits) - 1, euler_phi(level)
+    parts = []
+    for _ in range(2 if eps else 1):
+        row = [rng.randint(-top, top) for _ in range(prec * deg)]
+        row[0] = rng.choice((top, -top))
+        parts.append(row)
+    return QSeries(level, prec, [
+        EpsPoly(level, [CycNum(level, row[n * deg:(n + 1) * deg]) for row in parts])
+        for n in range(prec)])
+
+
+def test_slot_widths_cover_every_word_boundary():
+    assert {width for width, _, _ in _width_cases()} == set(SLOT_WIDTHS)
+    assert {shape for _, shape, _ in _width_cases()} == set(WIDTH_SHAPES)
+
+
+@pytest.mark.parametrize("width, shape, bits", _width_cases(),
+                         ids=[f"{w}B-N{n}P{p}{'-eps' if e else ''}"
+                              for w, (n, p, e), _ in _width_cases()])
+def test_product_across_slot_widths(monkeypatch, width, shape, bits):
+    level, prec, eps = shape
+    rng = random.Random(width * 1000 + level)
+    a = _bounded_series(rng, level, prec, bits, eps)
+    b = _bounded_series(rng, level, prec, bits, False)
+    widths = []
+    pack = qseries._pack
+    monkeypatch.setattr(qseries, "_pack", lambda *args: widths.append(args[-1]) or pack(*args))
+    _assert_product(a, b)
+    assert set(widths) == {width}
+    if not eps:
+        # a square packs its factor once and equals the product by an equal copy
+        copy = QSeries(level, prec, _coeffs(a))
+        widths.clear()
+        square = a * a
+        assert widths == [width]
+        assert square == a * copy
+        assert _coeffs(square) == _convolution(a, copy)
 
 
 @pytest.mark.parametrize("level", LEVELS)

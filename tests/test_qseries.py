@@ -210,6 +210,32 @@ def test_storage_canonical_after_every_operation(level):
             _assert_canonical(f)
 
 
+@pytest.mark.parametrize("level", (2, 3, 5, 12))
+def test_constructed_rows_are_canonical_without_reduction(level):
+    # the constructor stores its rows with no gcd: over the lcm of the values'
+    # own denominators they are already in lowest terms, for every value kind
+    rng = random.Random(700 + level)
+    deg = euler_phi(level)
+    kinds = [lambda: rng.randint(-12, 12),
+             lambda: Fraction(rng.choice((2, 4, 6, 9)), rng.choice((3, 9, 12))),
+             lambda: CycNum(level, [Fraction(rng.randint(-4, 4) * 3, rng.choice((3, 9)))
+                                    for _ in range(deg)]),
+             lambda: EpsPoly.linear(level, Fraction(rng.randint(-4, 4), 6),
+                                    Fraction(rng.randint(-4, 4), 4)),
+             lambda: EpsPoly(level, (CycNum.zero(level), CycNum.zeta(level) * Fraction(2, 5)))]
+    for _ in range(20):
+        prec = rng.randint(1, 9)
+        values = [rng.choice(kinds)() for _ in range(rng.randint(0, prec))]
+        _assert_canonical(QSeries(level, prec, values))
+    for scalar in (0, 3, Fraction(6, 4), Fraction(-1, 12), CycNum.zeta(level) * Fraction(4, 6)):
+        _assert_canonical(QSeries(level, 5, (scalar,)))
+
+
+def test_truncation_to_the_same_precision_is_the_series():
+    f = QSeries(3, 4, [Fraction(1, 2), 1, 3, Fraction(1, 7)])
+    assert f.truncate(4) is f
+
+
 def test_truncation_that_shrinks_the_denominator():
     # the only entry with denominator 7 is cut off, so den drops from 14 to 2
     f = QSeries(3, 4, [Fraction(1, 2), 1, 3, Fraction(1, 7)])

@@ -16,8 +16,10 @@ a row moves to and from its packed int through one array of 64-bit words,
 one extended-slice copy per slot byte, and a square packs once and
 multiplies by itself), `divisor_sum` as a residue-class sieve on the
 integer rows of the series sum c(d) q^d (column sums per class of j mod N
-in O(sqrt(N*P)) slice steps, each class twisted once), and +, -, rational
-multiples and certificate replay as one integer row sum, `_row_sum`;
+in O(sqrt(N*P)) slice steps, then twisted in groups of classes with one
+matrix up to sign, j and -j, +-1 entries as row adds), a scalar added at
+the q^0 slots alone, and +, -, rational multiples and certificate replay
+as one integer row sum, `_row_sum`;
 `_linear_combination` is that sum as a series. A lattice decision reads
 F - G from it as rows and checks its replay as an integer identity, so
 neither is made canonical. A CycNum already holds integers over one
@@ -37,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
 from math import gcd, isqrt, lcm
-from operator import add
+from operator import add, sub
 from typing import Optional, Sequence, Union
 
 from .exactnum import (CycNum, EpsPoly, LevelMismatchError, Scalar, _coprime_part,
@@ -89,7 +91,10 @@ class QSeries:
     def _of(cls, level: int, prec: int, den: int, parts: Sequence[Sequence[int]]) -> "QSeries":
         """The series sum_e eps^e * parts[e] / den, each part prec*phi(level) ints."""
         f = object.__new__(cls)
-        g = gcd(den, *chain.from_iterable(parts))
+        deg = euler_phi(level)  # the gcd reads q^0 first, the rest only while it exceeds 1
+        g = gcd(den, *(x for p in parts for x in p[:deg]))
+        if g > 1:
+            g = gcd(g, *chain.from_iterable(parts))
         f._store(level, prec, den // g, parts if g == 1 else [[x // g for x in p] for p in parts])
         return f
 
@@ -178,14 +183,28 @@ class QSeries:
     def __sub__(self, other) -> "QSeries":
         return self._combine(other, -1)
 
-    def _combine(self, other, sign: int) -> "QSeries":
-        """self + sign*other through the integer sum kernel."""
-        o = self._coerce(other)
-        return _linear_combination(self.level, min(self.prec, o.prec),
-                                   (((1,), self), ((sign,), o)))
+    def _combine(self, other, sign: int, self_sign: int = 1) -> "QSeries":
+        """self_sign*self + sign*other: a series through the integer sum kernel.
+
+        A scalar changes only the q^0 slots, with the rows put over
+        lcm(den, its denominator) in one pass when that differs from den.
+        """
+        if not isinstance(other, (int, Fraction, CycNum, EpsPoly)):
+            o = self._coerce(other)  # a series of this level, else TypeError
+            return _linear_combination(self.level, min(self.prec, o.prec),
+                                       (((self_sign,), self), ((sign,), o)))
+        deg = euler_phi(self.level)
+        c_den, c_parts = _int_parts(self.level, (other,))
+        den = lcm(self.den, c_den)
+        m, k = self_sign * (den // self.den), sign * (den // c_den)
+        parts = [list(p) if m == 1 else [m * x for x in p] for p in self.parts]
+        parts += [[0] * (self.prec * deg) for _ in c_parts[len(parts):]]
+        for p, q0 in zip(parts, c_parts):
+            p[:deg] = [x + k * y for x, y in zip(p, q0)]
+        return QSeries._of(self.level, self.prec, den, parts)
 
     def __rsub__(self, other) -> "QSeries":
-        return self._coerce(other) - self
+        return self._combine(other, 1, -1)
 
     def __neg__(self) -> "QSeries":
         return QSeries._of(self.level, self.prec, self.den,
@@ -430,22 +449,28 @@ def _series_product(level: int, prec: int, a: QSeries, b: QSeries) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def _twist_matrices(level: int, minus: int,
-                    plus: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Multiplication by minus*zeta^(-j) + plus*zeta^j for j = 0 .. level-1, in integers.
+def _twist_groups(level: int, minus: int, plus: int) -> tuple:
+    """The classes j mod level grouped by their twist minus*zeta^(-j) + plus*zeta^j.
 
-    Entry j holds one column per output coordinate t: column t, row i is
-    coordinate t of minus*zeta^(i-j) + plus*zeta^(i+j).
+    A group is (members, matrix): members (j, op), j ascending, the first op
+    `add`, and the op-signed sum of their rows times matrix is their twisted
+    sum; matrix[i] lists (t, m), m != 0 coordinate t of minus*zeta^(i-j) +
+    plus*zeta^(i+j), j the first member. Class -j joins class j with `add`
+    for minus = plus and with `sub` for minus = -plus.
     """
     deg = euler_phi(level)
     table = _zeta_powers(level)
-    matrices = []
+    groups: dict = {}
     for j in range(level):
-        rows = [[minus * x + plus * y for x, y in zip(table[(i - j) % level],
-                                                      table[(i + j) % level])]
-                for i in range(deg)]
-        matrices.append(tuple(zip(*rows)))
-    return tuple(matrices)
+        matrix = tuple(tuple((t, m) for t, (x, y) in enumerate(zip(table[(i - j) % level],
+                                                                  table[(i + j) % level]))
+                             if (m := minus * x + plus * y)) for i in range(deg))
+        negated = tuple(tuple((t, -m) for t, m in col) for col in matrix)
+        if negated in groups and matrix not in groups:
+            groups[negated].append((j, sub))
+        else:
+            groups.setdefault(matrix, []).append((j, add))
+    return tuple((tuple(members), matrix) for matrix, members in groups.items())
 
 
 def divisor_sum(coeffs: QSeries, minus: int = 0, plus: int = 0) -> QSeries:
@@ -459,8 +484,10 @@ def divisor_sum(coeffs: QSeries, minus: int = 0, plus: int = 0) -> QSeries:
     s = isqrt(K*P) as in Dirichlet's hyperbola method: for j <= s, c is added
     along the multiples of j; for j > s, so d <= (P-1)//(s+1), c(d) is added
     along d*j for the j of each class from its first one past s, in steps of
-    K. That is O(sqrt(K*P)) exact integer slice steps per column. Each
-    class's twist (`_twist_matrices`) is applied once, after the sieve.
+    K. That is O(sqrt(K*P)) exact integer slice steps per column. The
+    twist follows in groups (`_twist_groups`): classes whose matrices agree
+    up to sign, j and -j when minus = +-plus, are summed first, and each
+    group's matrix is applied once, its +-1 entries as row adds.
     """
     level, prec = coeffs.level, coeffs.prec
     deg = euler_phi(level)
@@ -484,11 +511,19 @@ def divisor_sum(coeffs: QSeries, minus: int = 0, plus: int = 0) -> QSeries:
         out = acc[0]
         if classes > 1:
             out = {}
-            for twist, rows in zip(_twist_matrices(level, minus, plus), acc):
+            for members, matrix in _twist_groups(level, minus, plus):
+                live = [(j, op) for j, op in members if j < prec]  # classes j >= P are zero
+                rows = acc[live[0][0]] if live else {}
+                for j, op in live[1:]:
+                    rows = {i: list(map(op, row, acc[j][i])) for i, row in rows.items()}
                 for i, row in rows.items():
-                    for t, m in enumerate(col[i] for col in twist):
-                        if m:
-                            out[t] = [x + m * y for x, y in zip(out.get(t, [0] * prec), row)]
+                    for t, m in matrix[i]:
+                        if (have := out.get(t)) is None:
+                            out[t] = row if m == 1 else [m * x for x in row]
+                        elif m == 1 or m == -1:
+                            out[t] = list(map(add if m == 1 else sub, have, row))
+                        else:
+                            out[t] = [x + m * y for x, y in zip(have, row)]
         total = [0] * (prec * deg)
         for t, row in out.items():
             total[t::deg] = row

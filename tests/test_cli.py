@@ -962,6 +962,12 @@ _MACHINE_GOLDENS = {
             0, "1f0a48328132afdcfec539509cc76a65243d78786c0edccf3c1ef59ca549f4ea"),
     "nu2": (["example", "nu2", "-N", "3", "-p", "16", "--machine"],
             0, "c1b41b64d593e571eb01c2ca3673868dc458d0e7305aac8923e9c8acd524c7b7"),
+    "eis_tilde_12": (["eis", "-N", "12", "-k", "1", "-p", "200", "--tilde", "--machine"],
+                     0, "4d3df2c0944d6761270fb588138190a09117510c001ce08cf1fac1db0e192b9b"),
+    "eis_7": (["eis", "-N", "7", "-k", "3", "-p", "150", "--machine"],
+              0, "036908a4b66a38138617aade5555d3ba61c5c4ca21e770a12e8ba0dcbc3a30ce"),
+    "trivial_eps": (["example", "trivial", "-N", "3", "-p", "40", "-e", "2/7", "--machine"],
+                    0, "8eac1228b67efc907663fb17950db436408668fde0eec687f5e61d204e387493"),
 }
 
 

@@ -271,6 +271,59 @@ def test_scalar_on_the_left_defers_to_the_series(level):
         assert (c * g).parts == (g * c).parts and (c + f).parts == (f + c).parts
 
 
+def _scalar_part(level, c, e) -> CycNum:
+    """The eps^e part of a rational, a CycNum or an EpsPoly."""
+    if isinstance(c, EpsPoly):
+        return c.coefficient(e)
+    if e:
+        return CycNum.zero(level)
+    return c if isinstance(c, CycNum) else CycNum.from_rational(level, c)
+
+
+def _scalars(rng, level):
+    """One of each scalar kind a series adds: ints, Fractions, CycNums, EpsPolys."""
+    deg = euler_phi(level)
+    cyc = CycNum(level, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 7))) for _ in range(deg)])
+    return [0, rng.randint(1, 9), -rng.randint(1, 9), Fraction(rng.randint(-9, 9), 6),
+            Fraction(-1, 12), cyc, CycNum.zeta(level, rng.randrange(level)) * Fraction(2, 5),
+            EpsPoly(level, (cyc,)), EpsPoly.linear(level, Fraction(1, 3), Fraction(-3, 4)),
+            EpsPoly(level, (CycNum.zero(level), cyc)), EpsPoly(level, ())]
+
+
+@pytest.mark.parametrize("level", (2, 3, 5, 12))
+def test_scalar_joins_at_q0_as_the_full_series_does(level):
+    # f + c, c + f, f - c and c - f change only the q^0 slots; each equals,
+    # den and parts, the sum with c padded into a full series, for every
+    # scalar kind, eps parts on either side, results whose gcd exceeds 1
+    # (read past q^0 or not) and results that cancel to zero
+    rng = random.Random(1300 + level)
+    series = [_eps_series(rng, level, rng.randint(1, 7), rng.randint(0, 1)) for _ in range(4)]
+    series += [QSeries.zero(level, 3), QSeries(level, 4, [Fraction(1, 6), 2, Fraction(4, 3)]),
+               QSeries(level, 2, [Fraction(1, 6), Fraction(1, 6)]),
+               QSeries(level, 3, [EpsPoly.linear(level, Fraction(1, 2), Fraction(1, 4)), 3])]
+    scalars = _scalars(rng, level) + [Fraction(1, 6), Fraction(-1, 6), Fraction(5, 6)]
+    for f in series:
+        for c in scalars:
+            full = QSeries(level, f.prec, (c,))
+            for got, want, s_f, s_c in ((f + c, f + full, 1, 1), (c + f, full + f, 1, 1),
+                                        (f - c, f - full, 1, -1), (c - f, full - f, -1, 1)):
+                assert (got.prec, got.den, got.parts) == (want.prec, want.den, want.parts), (f, c)
+                _assert_canonical(got)
+                # the value, in CycNum arithmetic, apart from the series kernels
+                for n in range(f.prec):
+                    for e in (0, 1):
+                        value = f.coefficient(n).coefficient(e) * s_f
+                        if n == 0:
+                            value = value + _scalar_part(level, c, e) * s_c
+                        assert got.coefficient(n).coefficient(e) == value
+    assert (QSeries(level, 3, [Fraction(1, 6), 2, Fraction(4, 3)]) + Fraction(1, 6)).den == 3
+    for c in scalars:
+        full = QSeries(level, 5, (c,))
+        assert (full - c).is_zero() and (c - full).is_zero() and (full - c).den == 1
+    with pytest.raises(LevelMismatchError):
+        QSeries.one(level, 3) + CycNum.zeta(level + 1)
+
+
 @pytest.mark.parametrize("make", [
     lambda e: QSeries(5, 6, [e, 1]) * QSeries(5, 6, [2, e]),
     lambda e: QSeries(5, 6, [0, EpsPoly(5, [CycNum.one(5), e.coefficient(1), CycNum.zeta(5)])]),

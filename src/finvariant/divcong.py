@@ -16,14 +16,17 @@ Membership is decided exactly and in integers, in one pass over rows: F - G is
 read as integer rows per eps degree over one denominator, the rational span is
 eliminated by fraction-free column reduction over one denominator, built once
 per lattice (Bareiss, Math. Comp. 1968; Cohen, GTM 138 sec. 2.2), and what
-remains is a congruence system in s <= dim(span) unknowns, settled by a local
-solve over Z/p^e for the primes p not dividing N in the denominators; the
-solve runs modulo their product, which is the same system by the Chinese
-remainder theorem and needs no factoring (Storjohann-Mulders, ESA 1998;
-Cohen, GTM 138 sec. 2.4).  A positive verdict always carries a replayable
-certificate; its s+1 coefficients are the only rationals the decision forms,
-its residual the only series, and its replay is checked against the rows of
-F - G as an integer identity.
+remains is a congruence system in s <= dim(span) unknowns, settled prime by
+prime for the primes p not dividing N.  A span combination has p-valuation at
+least -v_p(vden), vden the span vectors' common denominator, so a residual
+holding a higher power of p in its denominator than vden does is no member,
+and no system is built; otherwise a local solve over Z/p^e runs for the
+primes p not dividing N in vden, modulo their product, which is the same
+system by the Chinese remainder theorem and needs no factoring
+(Storjohann-Mulders, ESA 1998; Cohen, GTM 138 sec. 2.4).  A positive verdict
+always carries a replayable certificate; its s+1 coefficients are the only
+rationals the decision forms, its residual the only series, and its replay is
+checked against the rows of F - G as an integer identity.
 """
 
 from __future__ import annotations
@@ -498,13 +501,19 @@ def _integral_span_solve(num: Sequence[int], den: int, space: _ColumnSpace,
     The reduction v = sum c_k*vecs_k + r_v leaves r_v zero on every pivot
     row, where vecs_k is 1 at its own pivot and 0 at the others; so v is a
     member exactly when some t in Z^s makes w = r_v + sum t_k*vecs_k integral
-    on the free rows. Scaled by the common denominator D of vecs and r_v,
-    that is a linear system over Z/M, M the part of D prime to N
-    (`_solve_mod`). Then a = c - sum t_k*combs_k.
+    on the free rows. At a prime p not dividing N, sum t_k*vecs_k has
+    p-valuation at least -v_p(vden), so a free-row entry of r_v of lower
+    valuation stays non-integral for every t: if the part of
+    D = lcm(vden, den(r_v)) prime to N exceeds that of vden, v is no member.
+    Otherwise, scaled by D, membership is a linear system over Z/M, M the
+    part of D (and of vden) prime to N (`_solve_mod`). Then
+    a = c - sum t_k*combs_k.
     """
     w, a, d = space.reduce(num, den)
     lcd = math.lcm(space.vden, d // math.gcd(d, *w))
     modulus = _coprime_part(lcd, level)
+    if modulus != _coprime_part(space.vden, level):
+        return None
     if modulus > 1:
         pivots = set(space.pivots)
         rows = [i for i in range(len(w)) if i not in pivots]

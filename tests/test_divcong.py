@@ -666,6 +666,15 @@ def lattice_25():
     return make_lattice(level, 2, prec, basis=basis), e1, e2
 
 
+@pytest.fixture()
+def lattice_75(lattice_25):
+    """lattice_25 with e1's 7/25 at q^5 made 7/75: vden = 75 holds a power of N."""
+    lattice, e1, e2 = lattice_25
+    e1 = e1 + _cyc_series(3, 6, [(0, 0)] * 5 + [(0, Fraction(-14, 75))])
+    entries = (lattice.basis.entries[0], BasisEntry(2, e1, "e1"), lattice.basis.entries[2])
+    return make_lattice(3, 2, 6, basis=ModularBasis(3, 2, 6, entries)), e1, e2
+
+
 def test_member_needs_two_span_directions(lattice_25, monkeypatch):
     lattice, e1, e2 = lattice_25
     calls = []
@@ -688,6 +697,50 @@ def test_member_needs_two_span_directions(lattice_25, monkeypatch):
     # 1/5 on a row no direction reaches is no member
     bumped = F + QSeries(3, 6, [0, 0, Fraction(1, 5)])
     assert not is_equivalent(bumped, QSeries.zero(3, 6), lattice).equivalent
+
+
+@pytest.mark.parametrize("name, vden", [("lattice_25", 25), ("lattice_75", 75)])
+def test_valuation_gate_boundary(name, vden, request, monkeypatch):
+    # the span vectors carry 1/25 on free rows: a residual whose denominator's
+    # part prime to N divides 25 reaches the local solve, one holding 5^3 or
+    # 11 is no member before any system is built
+    lattice, e1, e2 = request.getfixturevalue(name)
+    space = lattice._spaces[0]
+    assert space.vden == vden
+    solves = []
+
+    def spy(matrix, rhs, modulus):
+        t = _solve_mod(matrix, rhs, modulus)
+        solves.append(t)
+        return t
+
+    monkeypatch.setattr(divcong, "_solve_mod", spy)
+    q = QSeries(3, 6, [0, 1])
+    q3 = QSeries(3, 6, [0, 0, 0, 1])
+    integral = _cyc_series(3, 6, [(1, 2), (3, 0), (0, 1), (-2, 0), (0, 0), (5, Fraction(1, 3))])
+    member = integral + e1 * Fraction(3, 7) - e2 * Fraction(2, 11)
+
+    def at_q2(c):  # q^2 holds free rows only
+        return QSeries(3, 6, [0, 0, Fraction(c)])
+
+    # (F, part of the residual's denominator prime to N, verdict, solved)
+    cases = [(at_q2(Fraction(1, 5)), 5, False, True),
+             (at_q2(Fraction(1, 25)), 25, False, True),
+             (e1 - q, 25, True, True),
+             (e2 - q3, 25, True, True),
+             (member, 25, True, True),
+             (at_q2(Fraction(1, 125)), 125, False, False),
+             (at_q2(Fraction(1, 11)), 11, False, False),
+             (member + at_q2(Fraction(1, 125)), 125, False, False)]
+    for F, rden, verdict, solved in cases:
+        w, _, d = space.reduce(*series_row(F, 6))
+        assert _coprime_part(d // math.gcd(d, *w), 3) == rden
+        solves.clear()
+        assert _assert_matches_reference(lattice, [(F, QSeries.zero(3, 6))]) == {verdict}
+        assert len(solves) == solved
+        if verdict:
+            # the members need t != 0
+            assert any(solves[0])
 
 
 def _assert_as_lattice_at_prec(F, G, lattice, prec):
@@ -903,6 +956,23 @@ def _random_pairs(lattice, rng, count):
     return pairs
 
 
+def _free_row_bumps(lattice, members, rng):
+    """Each member plus 1/p at a random free row, for each prime p of the
+    span vectors' denominator prime to N: the residual's denominator gains no
+    prime the span lacks, so these reach the local solve."""
+    level, prec = lattice.level, lattice.prec
+    space, phi = lattice._spaces[0], euler_phi(level)
+    free = [i for i in range(prec * phi) if i not in space.pivots]
+    pairs = []
+    for F, G in members:
+        for p in prime_factors(_coprime_part(space.vden, level)):
+            n, j = divmod(rng.choice(free), phi)
+            coords = [(0,) * phi] * prec
+            coords[n] = tuple(Fraction(int(i == j), p) for i in range(phi))
+            pairs.append((F + _cyc_series(level, prec, coords), G))
+    return pairs
+
+
 @pytest.mark.parametrize("level, weight, prec", [
     (2, 6, 20), (3, 4, 12), (3, 4, 20), (4, 4, 20), (3, 4, 30)])
 def test_integer_column_space_matches_fraction_reference(level, weight, prec):
@@ -1051,7 +1121,10 @@ def test_one_pass_matches_two_pass_with_unknowns(lattice_35, lattice_25, with_gt
                 replace(lattice_25[0], gtilde=g_tilde(3, 2, 6) if with_gtilde else None)]
     verdicts, reached = set(), 0
     for lattice in lattices:
-        for F, G in _random_pairs(lattice, random.Random(lattice.prec + with_gtilde), 12):
+        pairs = _random_pairs(lattice, random.Random(lattice.prec + with_gtilde), 12)
+        # pairs 0 and 3 are members; their bumps pass the valuation gate
+        pairs += _free_row_bumps(lattice, pairs[:6:3], random.Random(lattice.prec))
+        for F, G in pairs:
             solves.clear()
             verdict = is_equivalent(F, G, lattice).equivalent
             reached += any(modulus > 1 and s >= 1 for modulus, s in solves)

@@ -197,6 +197,8 @@ def _parse_header(line: str, path: Path, line_no: int) -> tuple[int, int, Option
         raise DataError(f"{path}:{line_no}: malformed header {line!r}") from exc
     if level < 2 or prec < 1:
         raise DataError(f"{path}:{line_no}: level must be >= 2 and prec >= 1")
+    if weight is not None and weight < 0:
+        raise DataError(f"{path}:{line_no}: weight must be >= 0")
     return level, prec, weight, fields.get("label", "")
 
 

@@ -7,12 +7,12 @@ denominator, the form a q-coefficient has inside a `QSeries`; `EpsPoly` is
 the value c0 + c1*eps of a q-coefficient or xi-entry in a formal real
 parameter eps, with CycNum parts and no arithmetic (eps is never given a
 numeric value). `cyclotomic_poly` gives Phi_N as an integer coefficient
-tuple, lowest degree first.
+tuple, lowest degree first. Nothing here is floating point: the tests'
+numeric oracles read a CycNum's (level, den, ints) themselves.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -287,17 +287,6 @@ class CycNum:
             return NotImplemented
         return CycNum.from_rational(self.level, other) / self
 
-    def __pow__(self, exponent: int) -> "CycNum":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        acc, base, e = CycNum.one(self.level), self, exponent
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
     def galois(self, j: int) -> "CycNum":
         """Apply the Galois automorphism zeta -> zeta^j (requires gcd(j, level) = 1)."""
         if gcd(j, self.level) != 1:
@@ -312,20 +301,6 @@ class CycNum:
         if any(self.ints[1:]):
             return None
         return Fraction(self.ints[0], self.den)
-
-    def is_n_integral(self) -> bool:
-        """True iff the value lies in Z[zeta, 1/level]."""
-        return _coprime_part(self.den, self.level) == 1
-
-    def to_complex(self) -> complex:
-        """Floating-point value with zeta = exp(2*pi*i/level); for oracles only."""
-        z = cmath.exp(2j * cmath.pi / self.level)
-        acc = 0j
-        zpow = 1 + 0j
-        for v in self.ints:
-            acc += v / self.den * zpow
-            zpow *= z
-        return acc
 
     def __repr__(self) -> str:
         return f"CycNum({self.level}, {[str(c) for c in self.coords]})"

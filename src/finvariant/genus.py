@@ -5,12 +5,13 @@ expansion Ell(x) = 1 + sum_k G_hat_k x^k/(k-1)!, their constant-free parts
 G_tilde, the quaternionic expansion, and the weight-two combination g2.
 
 Numeric side: floating-point evaluation of the genus via the standard
-triple-product form of the Jacobi-type Phi function, and of the auxiliary
-coth-plus-lattice sum psi. These exist purely as oracles for the exact series.
-The product's x-independent factors (q^n, (1-q^n)^2 and Phi(tau, -2*pi*i/N))
-are built once per (level, tau) by `ell_function`, and extended when an x
-needs more of them. Every product and the psi sum stop at their proven tail,
-the first n with |q^n| max(|e^x|, |e^-x|) < 2^-60, and never at a count.
+triple-product form of the Jacobi-type Phi function, a circle-DFT Taylor
+extraction and the value of an exact series at a point; `finv oracle`
+compares the exact series against them. The product's x-independent factors
+(q^n, (1-q^n)^2 and Phi(tau, -2*pi*i/N)) are built once per (level, tau) by
+`ell_function`, and extended when an x needs more of them. Every product
+stops at its proven tail, the first n with |q^n| max(|e^x|, |e^-x|) < 2^-60,
+and never at a count.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ def _power_series(level: int, k: int, prec: int) -> QSeries:
     row = [0] * (prec * deg)
     row[deg::deg] = [d ** (k - 1) for d in range(1, prec)]
     return QSeries._of(level, prec, 1, [row])
-
-
-def eisenstein_level1(level: int, k: int, prec: int) -> QSeries:
-    """Classical weight-k Eisenstein series G_k = -B_k/(2k) + sum sigma_(k-1)(n) q^n."""
-    return g_tilde_level1(level, k, prec) - bernoulli(k) / (2 * k)
 
 
 @dataclass(frozen=True)
@@ -152,10 +148,6 @@ class PoleError(ArithmeticError):
     """Evaluation point lies on the pole lattice 2*pi*i*(Z + tau*Z)."""
 
 
-class DivergenceError(ArithmeticError):
-    """Evaluation point outside the absolute-convergence region."""
-
-
 def _check_tau(tau: complex) -> complex:
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
@@ -199,16 +191,6 @@ def _phi(q: complex, factors: tuple, x: complex) -> tuple[complex, tuple]:
     return acc, factors
 
 
-def phi_numeric(tau: complex, x: complex) -> complex:
-    """Triple-product evaluation of the odd Jacobi-type function Phi(tau, x).
-
-    Phi = (e^(x/2) - e^(-x/2)) * prod_{n>=1} (1-q^n e^x)(1-q^n e^-x)/(1-q^n)^2,
-    stopped at the proven tail of `_phi`, about 42/(2 pi Im tau) factors out.
-    Vanishes exactly on 2*pi*i*(Z + tau*Z).
-    """
-    return _phi(_check_tau(tau), (), x)[0]
-
-
 def ell_function(level: int, tau: complex) -> Callable[[complex], complex]:
     """The floating-point genus x -> x * Phi(tau, x - 2*pi*i/N) / (Phi(tau, x) Phi(tau, -2*pi*i/N)).
 
@@ -234,31 +216,6 @@ def ell_function(level: int, tau: complex) -> Callable[[complex], complex]:
         return x * num / (den * phi_shift)
 
     return ell
-
-
-def psi_numeric(level: int, tau: complex, x: complex) -> complex:
-    """Direct evaluation of the coth-plus-lattice sum.
-
-    psi(x) = coth(x/2)/2 + sum_{n>=1} [zeta^n q^n e^-x/(1-q^n e^-x)
-                                       - zeta^-n q^n e^x/(1-q^n e^x)],
-    absolutely convergent for |q| < min(|e^x|, |e^-x|). The sum stops at the
-    first n with |q^n| max(|e^x|, |e^-x|) < t, t = 2^-60: every later term
-    has both parts at most t |q|^(m-n) / (1-t), so the dropped terms sum to
-    at most 2^-59 / ((1-|q|)(1-2^-60)) in absolute value.
-    """
-    q = _check_tau(tau)
-    if abs(q) >= math.exp(-abs(x.real)):
-        raise DivergenceError("|q| >= min(|e^x|, |e^-x|): sum diverges")
-    z = cmath.exp(2j * cmath.pi / level)
-    ex, emx = cmath.exp(x), cmath.exp(-x)
-    tail = _TAIL / max(abs(ex), abs(emx))
-    acc = 0.5 / cmath.tanh(x / 2)
-    qn = zn = 1 + 0j
-    while abs(qn := qn * q) >= tail:
-        zn *= z
-        acc += zn * qn * emx / (1 - qn * emx)
-        acc -= qn * ex / ((1 - qn * ex) * zn)
-    return acc
 
 
 _TAYLOR_RADIUS, _TAYLOR_SAMPLES = 0.4, 64

@@ -5,7 +5,8 @@ polynomials (integer coefficient tuples from one three-term recurrence) and
 the induced operations on the representation ring of SU(2), the SU(3)/SU(2)
 kernel-parity enumeration, the quaternionic-plane index, and the symbolic
 Chern-Simons computation on the five-dimensional homogeneous space with
-global coframe (L1*, L2*, w1*, w2*, w3*).
+global coframe (L1*, L2*, w1*, w2*, w3*), in one form type, `ExtForm`, whose
+0-forms are the functions of the sphere coordinates y.
 """
 
 from __future__ import annotations
@@ -96,10 +97,6 @@ def su2_tensor(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
             for k in range(abs(m - n) + 1, m + n, 2):
                 out[k] = out.get(k, 0) + am * bn
     return {k: v for k, v in out.items() if v}
-
-
-def su2_dim(decomp: Mapping[int, int]) -> int:
-    return sum(k * v for k, v in decomp.items())
 
 
 SPINOR_MODULE: dict[int, int] = {1: 2, 2: 1}
@@ -216,12 +213,15 @@ def hp1_index(d: int) -> int:
 # ---------------------------------------------------------------------------
 # Exterior calculus on the 5-dimensional homogeneous space
 
-# Coefficients live in Q[y1, y2, y3] / (y1^2 + y2^2 + y3^2 - 1), normal form
-# with y3-degree <= 1 (substitute y3^2 = 1 - y1^2 - y2^2, in _normal_form
-# only); monomial keys are exponent triples.
+# A form is one flat dict {(indices, exponents): Fraction}: the term
+# c * y1^e1 y2^e2 y3^e3 * theta_i1 ^ ... ^ theta_ik over strictly increasing
+# coframe indices. A function of y is a 0-form (indices ()), so a function
+# times a form is their wedge. Functions live in
+# Q[y1, y2, y3] / (y1^2 + y2^2 + y3^2 - 1), normal form with y3-degree <= 1
+# (substitute y3^2 = 1 - y1^2 - y2^2, in _normal_form only).
 
 Mono = tuple[int, int, int]
-PolyY = dict[Mono, Fraction]
+_NO_Y: Mono = (0, 0, 0)
 
 
 def _accumulate(out: dict, key, value) -> None:
@@ -246,52 +246,33 @@ def _normal_form(exps: Mono) -> tuple[tuple[Mono, int], ...]:
     return tuple(out.items())
 
 
-def poly_const(c) -> PolyY:
-    c = Fraction(c)
-    return {(0, 0, 0): c} if c else {}
-
-
-def poly_y(i: int) -> PolyY:
-    e = [0, 0, 0]
-    e[i] = 1
-    return {tuple(e): _ONE}
-
-
-def poly_mul(a: PolyY, b: PolyY) -> PolyY:
-    """Product of two normal forms, each monomial product reduced by _normal_form."""
-    out: PolyY = {}
-    for (e1, e2, e3), va in a.items():
-        for (f1, f2, f3), vb in b.items():
-            for key, c in _normal_form((e1 + f1, e2 + f2, e3 + f3)):
-                _accumulate(out, key, c * va * vb)
-    return out
-
-
 class ExtForm:
-    """Exterior-algebra element over the 5-element coframe with PolyY coefficients.
+    """Exterior-algebra element over the 5-element coframe, functions of y as 0-forms.
 
-    Stored on strictly increasing index tuples; wedge products resort with the
-    permutation sign. Coefficients are normal forms (as built by poly_const,
-    poly_y and poly_mul); zero coefficients are dropped.
+    `terms` maps (indices, exponents) to a nonzero Fraction; the indices are
+    strictly increasing and the exponents in normal form. A wedge resorts the
+    indices with the permutation sign and multiplies the coefficients.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[int, ...], PolyY] | None = None):
-        self.terms: dict[tuple[int, ...], PolyY] = {
-            k: v for k, v in (terms or {}).items() if v}
+    def __init__(self, terms: Mapping[tuple[tuple[int, ...], Mono], Fraction] | None = None):
+        self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
-    def zero(cls) -> "ExtForm":
-        return cls()
+    def const(cls, c) -> "ExtForm":
+        """The constant function c."""
+        return cls({((), _NO_Y): Fraction(c)})
 
     @classmethod
-    def function(cls, coeff: PolyY) -> "ExtForm":
-        return cls({(): coeff})
+    def y(cls, i: int) -> "ExtForm":
+        """The coordinate function y_(i+1), i = 0, 1, 2."""
+        return cls({((), tuple(int(j == i) for j in range(3))): _ONE})
 
     @classmethod
-    def basis(cls, index: int, coeff: PolyY | None = None) -> "ExtForm":
-        return cls({(index,): coeff if coeff is not None else poly_const(1)})
+    def basis(cls, index: int) -> "ExtForm":
+        """The coframe element theta_index."""
+        return cls({((index,), _NO_Y): _ONE})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -305,11 +286,9 @@ class ExtForm:
         return self.terms == other.terms
 
     def __add__(self, other: "ExtForm") -> "ExtForm":
-        out = {k: dict(v) for k, v in self.terms.items()}
+        out = dict(self.terms)
         for k, v in other.terms.items():
-            coeff = out.setdefault(k, {})
-            for key, c in v.items():
-                _accumulate(coeff, key, c)
+            _accumulate(out, k, v)
         return ExtForm(out)
 
     def __sub__(self, other: "ExtForm") -> "ExtForm":
@@ -319,42 +298,26 @@ class ExtForm:
         return self.scale(-1)
 
     def scale(self, c) -> "ExtForm":
-        return self.mul_poly(poly_const(c))
-
-    def mul_poly(self, p: PolyY) -> "ExtForm":
-        return self.wedge(ExtForm.function(p))
+        c = Fraction(c)
+        return ExtForm({k: c * v for k, v in self.terms.items()})
 
     def wedge(self, other: "ExtForm") -> "ExtForm":
-        out: dict[tuple[int, ...], PolyY] = {}
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                if set(ka) & set(kb):
+        out: dict[tuple[tuple[int, ...], Mono], Fraction] = {}
+        for (ia, (e1, e2, e3)), va in self.terms.items():
+            for (ib, (f1, f2, f3)), vb in other.terms.items():
+                if set(ia) & set(ib):
                     continue
-                merged, sign = _merge_indices(ka, kb)
-                coeff = out.setdefault(merged, {})
-                for key, c in poly_mul(va, vb).items():
-                    _accumulate(coeff, key, sign * c)
+                # sorting ia + ib takes one transposition per pair i in ia, j in ib with i > j
+                v = va * vb if sum(i > j for i in ia for j in ib) % 2 == 0 else -va * vb
+                merged = tuple(sorted(ia + ib))
+                for exps, c in _normal_form((e1 + f1, e2 + f2, e3 + f3)):
+                    _accumulate(out, (merged, exps), c * v)
         return ExtForm(out)
-
-
-def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Merge two strictly increasing index tuples, tracking the shuffle sign."""
-    merged = list(a)
-    sign = 1
-    for idx in b:
-        pos = len(merged)
-        for i, m in enumerate(merged):
-            if idx < m:
-                pos = i
-                break
-        sign *= (-1) ** (len(merged) - pos)
-        merged.insert(pos, idx)
-    return tuple(merged), sign
 
 
 def _l3_star() -> ExtForm:
     """The dependent coframe element L3* = y1 w1* + y2 w2* + y3 w3*."""
-    return ExtForm({(2 + i,): poly_y(i) for i in range(3)})
+    return sum((ExtForm.y(i).wedge(ExtForm.basis(2 + i)) for i in range(3)), ExtForm())
 
 
 @lru_cache(maxsize=1)
@@ -364,12 +327,12 @@ def connection_matrix() -> tuple[tuple[ExtForm, ...], ...]:
     L2 = ExtForm.basis(1)
     w = [ExtForm.basis(2 + i) for i in range(3)]
     L3 = _l3_star()
-    y = [poly_y(i) for i in range(3)]
+    y = [ExtForm.y(i) for i in range(3)]
 
     def yw(i, form):  # y_i * form
-        return form.mul_poly(y[i])
+        return y[i].wedge(form)
 
-    zero = ExtForm.zero()
+    zero = ExtForm()
     row0 = (zero, -L3, yw(0, L2), yw(1, L2), yw(2, L2))
     row1 = (L3, zero, -yw(0, L1), -yw(1, L1), -yw(2, L1))
     row2 = (-yw(0, L2), yw(0, L1), zero,
@@ -391,11 +354,11 @@ def _dy_forms() -> tuple[ExtForm, ExtForm, ExtForm]:
     Derived from the right-invariant action on the sphere functions; locked
     in by d(y1^2+y2^2+y3^2) = 0 and nilpotency of d on the coframe.
     """
-    y = [poly_y(i) for i in range(3)]
+    y = [ExtForm.y(i) for i in range(3)]
     w = [ExtForm.basis(2 + i) for i in range(3)]
-    dy1 = (w[1].mul_poly(y[2]) - w[2].mul_poly(y[1])).scale(2)
-    dy2 = (w[2].mul_poly(y[0]) - w[0].mul_poly(y[2])).scale(2)
-    dy3 = (w[0].mul_poly(y[1]) - w[1].mul_poly(y[0])).scale(2)
+    dy1 = (y[2].wedge(w[1]) - y[1].wedge(w[2])).scale(2)
+    dy2 = (y[0].wedge(w[2]) - y[2].wedge(w[0])).scale(2)
+    dy3 = (y[1].wedge(w[0]) - y[0].wedge(w[1])).scale(2)
     return dy1, dy2, dy3
 
 
@@ -406,7 +369,7 @@ def _dtheta() -> tuple[ExtForm, ...]:
     theta = [ExtForm.basis(i) for i in range(5)]
     out = []
     for a in range(5):
-        acc = ExtForm.zero()
+        acc = ExtForm()
         for b in range(5):
             acc = acc + omega[a][b].wedge(theta[b])
         out.append(-acc)
@@ -417,16 +380,15 @@ def ext_d(form: ExtForm) -> ExtForm:
     """Exterior derivative: d(f theta_I) = df ^ theta_I + f * d(theta_I)."""
     dys = _dy_forms()
     dthetas = _dtheta()
-    acc = ExtForm.zero()
-    for indices, coeff in form.terms.items():
-        for exps, v in coeff.items():
-            for i, e in enumerate(exps):
-                if e:
-                    lower = exps[:i] + (e - 1,) + exps[i + 1:]
-                    acc = acc + dys[i].wedge(ExtForm({indices: {lower: v * e}}))
+    acc = ExtForm()
+    for (indices, exps), v in form.terms.items():
+        for i, e in enumerate(exps):
+            if e:
+                lower = exps[:i] + (e - 1,) + exps[i + 1:]
+                acc = acc + dys[i].wedge(ExtForm({(indices, lower): v * e}))
         for j, idx in enumerate(indices):
             rest = indices[:j] + indices[j + 1:]
-            acc = acc + dthetas[idx].wedge(ExtForm({rest: coeff})).scale((-1) ** j)
+            acc = acc + dthetas[idx].wedge(ExtForm({(rest, exps): v * (-1) ** j}))
     return acc
 
 
@@ -437,7 +399,7 @@ def volume3_multiple(form: ExtForm) -> Fraction:
     y1 there, and the whole form must then equal c times the volume form.
     """
     volume = ExtForm.basis(0).wedge(ExtForm.basis(1)).wedge(_l3_star())
-    c = form.terms.get((0, 1, 2), {}).get((1, 0, 0), _ZERO)
+    c = form.terms.get(((0, 1, 2), (1, 0, 0)), _ZERO)
     if form != volume.scale(c):
         raise ValueError("not a rational multiple of the volume form L1*^L2*^L3*")
     return c
@@ -452,7 +414,7 @@ def chern_simons_traces() -> tuple[ExtForm, ExtForm]:
 
 def _wedge_trace(*factors) -> ExtForm:
     """tr(M1 ^ ... ^ Mk) of 5x5 matrices of forms, summed over index cycles."""
-    acc = ExtForm.zero()
+    acc = ExtForm()
     for idx in itertools.product(range(5), repeat=len(factors)):
         entries = [m[a][b] for m, a, b in zip(factors, idx, idx[1:] + idx[:1])]
         if all(entries):

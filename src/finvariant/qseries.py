@@ -53,25 +53,6 @@ _WORD_BITS, _WORD_MASK = 8 * _WORD, (1 << 8 * _WORD) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-@lru_cache(maxsize=None)
-def divisors(n: int) -> tuple[int, ...]:
-    """Positive divisors of n >= 1, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
-
-
-def sigma(n: int, k: int) -> int:
-    """Divisor power sum sigma_k(n) = sum of d^k over d | n."""
-    return sum(d ** k for d in divisors(n))
-
-
 class EpsPartError(ValueError):
     """Raised when an operation requires an eps-free series, or would leave an eps^2 part."""
 
@@ -217,14 +198,6 @@ class QSeries:
         return _series_product(self.level, min(self.prec, o.prec), self, o)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "QSeries":
-        if exponent < 0:
-            raise ValueError("negative series powers not supported")
-        acc = QSeries.one(self.level, self.prec)
-        for _ in range(exponent):
-            acc = acc * self
-        return acc
 
     def __repr__(self) -> str:
         return f"QSeries(level={self.level}, prec={self.prec})"

@@ -601,13 +601,15 @@ _H3 = "level=3 weight=? prec={} label=x\n"
      "basis blocks need explicit weights"),
     ("basis", "level=5 weight=0 prec=1 label=1\n0 1 0 0 0\n"
      "level=3 weight=2 prec=1 label=g\n0 1 0\n", None, "mixed levels in basis file"),
+    # the level-5 user basis (four blocks of 13 lines) and a weight=-1 copy of Ghat1
+    ("basis", "negative_weight", 53, "weight must be >= 0"),
     # the level-5 user basis with q/7 as the eps part of Ghat1^2 (a '.eps' block)
     ("basis", None, None, "basis entry 'Ghat1^2' carries an eps part"),
 ], ids=["coordinates", "before_header", "bad_index", "out_of_order", "no_blocks",
         "header_field", "header", "unknown_key", "repeated_key", "bounds", "truncated_last",
         "truncated_first", "eps_mismatch", "eps_weight", "eps_stacked", "eps_orphan",
         "two_blocks", "basis_weight",
-        "basis_levels", "basis_eps"])
+        "basis_levels", "basis_negative_weight", "basis_eps"])
 def test_reader_errors_exit_three(tmp_path, capsys, role, text, line, message):
     prec = 12
     bases = tmp_path / "bases"
@@ -626,6 +628,11 @@ def test_reader_errors_exit_three(tmp_path, capsys, role, text, line, message):
                         if e.label == "Ghat1^2" else e
                         for e in level5_user_basis(prec).entries)
         _write_basis_file(path, ModularBasis(5, 2, prec, entries))
+    elif text == "negative_weight":
+        entries = level5_user_basis(prec).entries
+        ghat1 = next(e for e in entries if e.label == "Ghat1")
+        _write_basis_file(path, ModularBasis(5, 2, prec,
+                                             entries + (BasisEntry(-1, ghat1.series, "Ghat1"),)))
     else:
         path.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, *argv, "--basis", str(bases))
@@ -649,7 +656,7 @@ def test_assemble_pipeline_composes_with_divcong(tmp_path, capsys):
     assert read_series(assembled) == g_tilde(3, 2, 10) * Fraction(1, 12)
 
     ref = _write_series_file(tmp_path, "ref.txt",
-                             known_series := g_tilde(3, 2, 10) ** 2 * Fraction(1, 2))
+                             known_series := g_tilde(3, 2, 10) * g_tilde(3, 2, 10) * Fraction(1, 2))
     code, out, _ = run_cli(capsys, "divcong", str(assembled), str(ref),
                            "-N", "3", "-w", "4", "--basis", str(tmp_path / "bases"))
     assert code == 0

@@ -12,13 +12,26 @@ from conftest import random_cyc
 from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError,
                                  bernoulli, cyclotomic_poly,
                                  eisenstein_weight_one_constant, euler_phi)
-from finvariant.qseries import QSeries
+from finvariant.qseries import QSeries, is_integral_series
+from reference import is_n_integral, to_complex
+
+
+def _n_integral(c):
+    # membership in Z[zeta, 1/level] by the reference, which the library's
+    # series integrality check must match on the one-term series c
+    want = is_n_integral(c.level, c.den, c.ints)
+    assert is_integral_series(QSeries(c.level, 1, (c,))) == want
+    return want
+
+
+def _complex(c):
+    return to_complex(c.level, c.den, c.ints)
 
 
 def test_zeta_root_of_unity_order():
     z = CycNum.zeta(3)
     assert z * z * z == CycNum.one(3)
-    assert z ** 3 == 1
+    assert z * z * z == 1
 
 
 def test_weight_one_constant_level3():
@@ -29,7 +42,7 @@ def test_weight_one_constant_level3():
     # float oracle at z = exp(2 pi i/3)
     z = cmath.exp(2j * cmath.pi / 3)
     oracle = 0.5 + z / (1 - z)
-    assert abs(value.to_complex() - oracle) < 1e-12
+    assert abs(_complex(value) - oracle) < 1e-12
 
 
 def test_weight_one_constant_level2_vanishes():
@@ -53,23 +66,23 @@ def test_division_matches_float_oracle():
             b = random_cyc(rng, level)
             if not b:
                 continue
-            exact = (a / b).to_complex()
-            approx = a.to_complex() / b.to_complex()
+            exact = _complex(a / b)
+            approx = _complex(a) / _complex(b)
             assert abs(exact - approx) < 1e-9
 
 
 def test_is_n_integral_examples():
-    assert not eisenstein_weight_one_constant(3).is_n_integral()  # denominator 6
-    assert (CycNum.zeta(3) / 9).is_n_integral()                    # 9 = 3^2
-    assert CycNum.from_rational(2, Fraction(1, 2)).is_n_integral()  # 2 | 2
+    assert not _n_integral(eisenstein_weight_one_constant(3))  # denominator 6
+    assert _n_integral(CycNum.zeta(3) / 9)                    # 9 = 3^2
+    assert _n_integral(CycNum.from_rational(2, Fraction(1, 2)))  # 2 | 2
 
 
 def test_denominator_smoothness():
     # the check reads the denominator alone: is it level-smooth?
-    assert CycNum.from_rational(6, Fraction(1, 8)).is_n_integral()
-    assert CycNum.from_rational(6, Fraction(1, 12)).is_n_integral()
-    assert not CycNum.from_rational(6, Fraction(1, 10)).is_n_integral()
-    assert CycNum.from_rational(3, Fraction(1, 1)).is_n_integral()
+    assert _n_integral(CycNum.from_rational(6, Fraction(1, 8)))
+    assert _n_integral(CycNum.from_rational(6, Fraction(1, 12)))
+    assert not _n_integral(CycNum.from_rational(6, Fraction(1, 10)))
+    assert _n_integral(CycNum.from_rational(3, Fraction(1, 1)))
 
 
 def test_level_mismatch_rejected():
@@ -179,9 +192,9 @@ def test_integrality_closure_properties():
         coords = [Fraction(rng.randint(-9, 9), 3 ** rng.randint(0, 3)) for _ in range(2)]
         a = CycNum(3, coords)
         b = CycNum(3, [Fraction(rng.randint(-9, 9), 9) for _ in range(2)])
-        assert a.is_n_integral()
-        assert (a * z).is_n_integral()
-        assert (a + b).is_n_integral()
+        assert _n_integral(a)
+        assert _n_integral(a * z)
+        assert _n_integral(a + b)
 
 
 def test_galois_is_field_automorphism():
@@ -321,15 +334,6 @@ def _ref_inverse(level, a):
     return tuple(x / norm[0] for x in others)
 
 
-def _ref_pow(level, a, e):
-    if e < 0:
-        a, e = _ref_inverse(level, a), -e
-    acc = (Fraction(1),) + (Fraction(0),) * (len(a) - 1)
-    for _ in range(e):
-        acc = _ref_mul(level, acc, a)
-    return acc
-
-
 @pytest.mark.parametrize("level", [3, 4, 5, 7, 8, 9, 12])
 def test_integer_arithmetic_matches_fraction_reference(level):
     rng = random.Random(1000 + level)
@@ -344,8 +348,6 @@ def test_integer_arithmetic_matches_fraction_reference(level):
             assert a.galois(j).coords == _ref_galois(level, x, j)
         if a:
             assert a.inverse().coords == _ref_inverse(level, x)
-        e = rng.randint(-2 if a else 0, 4)
-        assert (a ** e).coords == _ref_pow(level, x, e)
 
 
 def _assert_canonical(z):
@@ -365,7 +367,7 @@ def test_canonical_form():
             a, b = random_cyc(rng, level), random_cyc(rng, level)
             zeros += [a - a, a * 0, (a + b) - b - a]
             for z in (a, a + b, a - b, a * b, -a, a * Fraction(6, 7), a.galois(-1),
-                      a ** 2, CycNum.zeta(level, rng.randint(-9, 9)) / 6):
+                      a * a, CycNum.zeta(level, rng.randint(-9, 9)) / 6):
                 _assert_canonical(z)
             if a:
                 _assert_canonical(a.inverse())

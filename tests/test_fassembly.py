@@ -17,7 +17,8 @@ from finvariant.fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES,
                                   known_representative, run_example)
 from finvariant.genus import g_tilde, g_tilde_level1
 from finvariant.geometry import circle_xi, nu2_xi_values
-from finvariant.qseries import QSeries, divisors, sigma
+from finvariant.qseries import QSeries
+from reference import divisors, sigma
 
 from conftest import level5_user_basis, random_cyc
 

@@ -12,8 +12,7 @@ from finvariant.geometry import (ExtForm, adams_psi_poly,
                                  chern_simons_volume_coefficients, circle_xi,
                                  connection_matrix, cs_integral,
                                  etasigma_parity_values, ext_d, hp1_index,
-                                 nu2_xi_values, poly_const, poly_mul, poly_y,
-                                 su2_dim, su2_tensor, su3_dim, su3_kernel_parity,
+                                 nu2_xi_values, su2_tensor, su3_dim, su3_kernel_parity,
                                  su3_psi_twist_kernel_parity,
                                  su3_restrict_su2, volume3_multiple,
                                  _dy_forms, _norm_shell)
@@ -110,6 +109,10 @@ def test_adams_poly_realizes_power_operation_on_characters():
         assert acc == expected
 
 
+def _su2_dim(decomp):
+    return sum(k * v for k, v in decomp.items())
+
+
 def test_su2_tensor_clebsch_gordan():
     assert su2_tensor({2: 1}, {4: 1}) == {3: 1, 5: 1}
     assert su2_tensor({1: 1}, {4: 2, 7: 1}) == {4: 2, 7: 1}  # unit
@@ -117,7 +120,7 @@ def test_su2_tensor_clebsch_gordan():
     for _ in range(30):
         a = {rng.randint(1, 6): rng.randint(1, 3) for _ in range(2)}
         b = {rng.randint(1, 6): rng.randint(1, 3) for _ in range(2)}
-        assert su2_dim(su2_tensor(a, b)) == su2_dim(a) * su2_dim(b)
+        assert _su2_dim(su2_tensor(a, b)) == _su2_dim(a) * _su2_dim(b)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +144,7 @@ def test_su3_branching_dimension_consistency():
     for m in range(5):
         for n in range(5):
             branch = su3_restrict_su2(m, n)
-            assert su2_dim(branch) == su3_dim(m, n)
+            assert _su2_dim(branch) == su3_dim(m, n)
 
 
 def test_norm_shell_contains_real_line():
@@ -210,10 +213,13 @@ def test_connection_matrix_skew():
 
 
 def test_sphere_constraint_closed():
+    # y1^2 + y2^2 + y3^2 = 1 as 0-forms, and its differential 2 sum y_i dy_i vanishes
+    y = [ExtForm.y(i) for i in range(3)]
+    assert sum((y[i].wedge(y[i]) for i in range(3)), ExtForm()) == ExtForm.const(1)
     dys = _dy_forms()
-    acc = ExtForm.zero()
+    acc = ExtForm()
     for i in range(3):
-        acc = acc + dys[i].mul_poly(poly_mul(poly_y(i), poly_const(2)))
+        acc = acc + dys[i].wedge(y[i].wedge(ExtForm.const(2)))
     assert acc.is_zero()
 
 
@@ -224,12 +230,12 @@ def test_d_squared_vanishes_on_coframe():
 
 def test_d_squared_vanishes_on_function_and_products():
     # one witness per degree 0..3 (degree >= 4 lands in zero spaces)
-    f = poly_mul(poly_y(0), poly_y(2))
-    assert ext_d(ext_d(ExtForm.function(f))).is_zero()
-    two_form = ExtForm.basis(0).wedge(ExtForm.basis(3)).mul_poly(poly_y(1))
+    f = ExtForm.y(0).wedge(ExtForm.y(2))
+    assert ext_d(ext_d(f)).is_zero()
+    two_form = ExtForm.basis(0).wedge(ExtForm.basis(3)).wedge(ExtForm.y(1))
     assert ext_d(ext_d(two_form)).is_zero()
     three_form = ExtForm.basis(1).wedge(ExtForm.basis(2)).wedge(
-        ExtForm.basis(4)).mul_poly(poly_y(0))
+        ExtForm.basis(4)).wedge(ExtForm.y(0))
     assert ext_d(ext_d(three_form)).is_zero()
 
 
@@ -238,12 +244,16 @@ def test_wedge_antisymmetry():
     b = ExtForm.basis(3)
     assert (a.wedge(b) + b.wedge(a)).is_zero()
     assert a.wedge(a).is_zero()
+    # a 0-form commutes with a 1-form, and a constant 0-form scales
+    f = ExtForm.y(2) + ExtForm.const(Fraction(1, 3))
+    assert f.wedge(b) == b.wedge(f) != ExtForm()
+    assert ExtForm.const(-2).wedge(a) == a.scale(-2)
 
 
 def test_wedge_associative():
-    a = ExtForm.basis(0).mul_poly(poly_y(0)) + ExtForm.basis(2)
-    b = ExtForm.basis(1) + ExtForm.basis(3).mul_poly(poly_y(2))
-    c = ExtForm.basis(4).mul_poly(poly_y(1)) + ExtForm.basis(1)
+    a = ExtForm.basis(0).wedge(ExtForm.y(0)) + ExtForm.basis(2)
+    b = ExtForm.basis(1) + ExtForm.basis(3).wedge(ExtForm.y(2))
+    c = ExtForm.basis(4).wedge(ExtForm.y(1)) + ExtForm.basis(1)
     assert a.wedge(b).wedge(c) == a.wedge(b.wedge(c))
 
 

@@ -17,7 +17,8 @@ import pytest
 from finvariant import divcong, qseries
 from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
 from finvariant.genus import g_hat, g_tilde, weight_constant
-from finvariant.qseries import EpsPartError, QSeries, divisor_sum, divisors
+from finvariant.qseries import EpsPartError, QSeries, divisor_sum
+from reference import divisors
 
 LEVELS = (2, 3, 5, 7, 8, 12, 15)
 # divisor-sum weights (minus, plus): one-sided, the g_tilde pairs (-1, -1) and

@@ -9,8 +9,8 @@ import pytest
 from conftest import random_series
 from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
 from finvariant.genus import g2, g_tilde_level1
-from finvariant.qseries import (EpsPartError, QSeries, divisor_sum, divisors,
-                                eps_split, is_integral_series, sigma)
+from finvariant.qseries import EpsPartError, QSeries, divisor_sum, eps_split, is_integral_series
+from reference import divisors, sigma
 
 
 def test_difference_of_squares():

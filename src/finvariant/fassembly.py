@@ -39,8 +39,8 @@ class XiTable:
     """Map from twist index to an exact xi-representative.
 
     Values are chosen representatives, not mod-Z classes; the lattice test
-    downstream supplies the quotient. The support must cover every divisor
-    of every exponent up to the assembly precision (prec - 1).
+    downstream supplies the quotient. The kind decides which twists an
+    assembly to precision P reads (see `series`); the rest are never read.
     """
 
     kind: str
@@ -59,15 +59,23 @@ class XiTable:
             if d < 0 and self.kind != COMPLEX_FULL:
                 raise ValueError(f"{self.kind} tables take positive indices only")
 
-    def value(self, d: int) -> EpsPoly:
-        try:
-            return self.entries[d]
-        except KeyError:
-            raise MissingTwistError(f"twist {d} missing from {self.kind} table") from None
-
     def series(self, prec: int, sign: int = 1) -> QSeries:
-        """sum_{d=1}^{prec-1} xi[sign*d] q^d, the row a divisor sum reads."""
-        return QSeries(self.level, prec, [0] + [self.value(sign * d) for d in range(1, prec)])
+        """sum_{d=1}^{prec-1} xi[sign*d] q^d, the row a divisor sum reads.
+
+        The one reader of a table: an assembly reads the twists 0 < d < prec,
+        with -d too for complex_full and odd d only for kernel parities (even
+        d read as 0). The first absent one, d before -d, is a MissingTwistError.
+        """
+        both_signs = self.kind == COMPLEX_FULL
+        step = 2 if self.kind == QUATERNIONIC_KERNEL_PARITY else 1
+        row = [0] * prec
+        for d in range(1, prec, step):
+            if d not in self.entries:
+                raise MissingTwistError(f"twist {d} missing (need support to {prec - 1})")
+            if both_signs and -d not in self.entries:
+                raise MissingTwistError(f"twist {-d} missing (need both signs)")
+            row[d] = self.entries[sign * d]
+        return QSeries(self.level, prec, row)
 
     @classmethod
     def constant(cls, kind: str, level: int, l: int, dmax: int,
@@ -103,7 +111,6 @@ def assemble_complex(xi: XiTable, prec: int) -> FRepresentative:
     """
     if xi.kind != COMPLEX_FULL:
         raise ValueError("assemble_complex needs a complex_full table")
-    _require_support(xi, prec)
     series = divisor_sum(xi.series(prec), minus=1) - divisor_sum(xi.series(prec, -1), plus=1)
     return FRepresentative(series, xi.l + 1, "complex transfer, all twists")
 
@@ -115,7 +122,6 @@ def assemble_complex_reduced(xi: XiTable, prec: int) -> FRepresentative:
     """
     if xi.kind != COMPLEX_POSITIVE:
         raise ValueError("assemble_complex_reduced needs a complex_positive table")
-    _require_support(xi, prec)
     sign = 1 if (xi.l + 1) % 2 == 0 else -1
     series = divisor_sum(xi.series(prec), minus=1, plus=sign)
     return FRepresentative(series, xi.l + 1, "complex transfer, positive twists")
@@ -125,7 +131,6 @@ def assemble_quaternionic(xi: XiTable, prec: int) -> FRepresentative:
     """Level-independent assembly coefficient(q^n) = sum_{d|n} xi[d]."""
     if xi.kind != QUATERNIONIC:
         raise ValueError("assemble_quaternionic needs a quaternionic table")
-    _require_support(xi, prec)
     series = divisor_sum(xi.series(prec))
     return FRepresentative(series, xi.l + 1, "quaternionic transfer")
 
@@ -140,25 +145,11 @@ def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentati
         raise ValueError("assemble_quaternionic_reduced needs a kernel-parity table")
     if parities.l % 2:
         raise ValueError("kernel-parity reduction needs even l")
-    level = parities.level
     if parities.l % 4 == 2:
-        return FRepresentative(QSeries.zero(level, prec), parities.l + 1,
+        return FRepresentative(QSeries.zero(parities.level, prec), parities.l + 1,
                                "quaternionic transfer, torsion-zero branch")
-    _require_support(parities, prec)
-    odd = QSeries(level, prec, [0] + [parities.value(d) if d % 2 else 0 for d in range(1, prec)])
-    series = divisor_sum(odd) * Fraction(1, 2)
+    series = divisor_sum(parities.series(prec)) * Fraction(1, 2)
     return FRepresentative(series, parities.l + 1, "quaternionic transfer, kernel parities")
-
-
-def _require_support(xi: XiTable, prec: int) -> None:
-    """Twists 1 .. prec-1 present: both signs if complex_full, odd d only if kernel-parity."""
-    both_signs = xi.kind == COMPLEX_FULL
-    step = 2 if xi.kind == QUATERNIONIC_KERNEL_PARITY else 1
-    for d in range(1, prec, step):
-        if d not in xi.entries:
-            raise MissingTwistError(f"twist {d} missing (need support to {prec - 1})")
-        if both_signs and -d not in xi.entries:
-            raise MissingTwistError(f"twist {-d} missing (need both signs)")
 
 
 # ---------------------------------------------------------------------------
@@ -175,21 +166,15 @@ def known_representative(name: str, level: int, prec: int) -> FRepresentative:
     if name == "eta2":
         series = g_tilde(level, 1, prec) * Fraction(1, 2)
         return FRepresentative(series, 2, "half the weight-one series")
+    if name not in ("nu2", "etasigma"):
+        raise ValueError(f"unknown representative {name!r}")
+    check_example(name, level)
     if name == "nu2":
-        _require_odd(level, name)
         gt2 = g_tilde(level, 2, prec)
         return FRepresentative(gt2 * gt2 * Fraction(1, 2), 4,
                                "half the squared weight-two series")
-    if name == "etasigma":
-        _require_odd(level, name)
-        series = g_tilde_level1(level, 4, prec) * Fraction(1, 2)
-        return FRepresentative(series, 5, "half the classical weight-four series")
-    raise ValueError(f"unknown representative {name!r}")
-
-
-def _require_odd(level: int, name: str) -> None:
-    if level % 2 == 0:
-        raise ValueError(f"{name} is defined at odd levels only")
+    series = g_tilde_level1(level, 4, prec) * Fraction(1, 2)
+    return FRepresentative(series, 5, "half the classical weight-four series")
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +201,8 @@ def check_example(name: str, level: int) -> None:
     """Refuse an unknown example name, and an even level for an example defined at odd levels."""
     if name not in EXAMPLES:
         raise ValueError(f"unknown example {name!r}; choose from {tuple(EXAMPLES)}")
-    if name in ("nu2", "etasigma", "su3"):
-        _require_odd(level, name)
+    if name in ("nu2", "etasigma", "su3") and level % 2 == 0:
+        raise ValueError(f"{name} is defined at odd levels only")
 
 
 def run_example(name: str, level: int, prec: int,
@@ -257,10 +242,9 @@ def run_example(name: str, level: int, prec: int,
         exact_form = g_tilde(level, 2, prec) * Fraction(1, 12)
         reference = known_representative("nu2", level, prec)
         eq = is_equivalent(assembled.series, reference.series, lattice)
-        verdict = eq.equivalent and assembled.series == exact_form
-        return ExampleReport(assembled, reference, verdict, eq,
-                             {"xi": "-d/12",
-                              "collapses_to_twelfth_gtilde2": assembled.series == exact_form})
+        collapses = assembled.series == exact_form
+        return ExampleReport(assembled, reference, eq.equivalent and collapses, eq,
+                             {"xi": "-d/12", "collapses_to_twelfth_gtilde2": collapses})
 
     if name == "etasigma":
         entries = geometry.etasigma_parity_values(level, prec - 1)

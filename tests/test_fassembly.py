@@ -136,6 +136,23 @@ def test_missing_twist_refused():
     assert assemble_quaternionic_reduced(parities, 5).series.prec == 5
     with pytest.raises(MissingTwistError, match=r"^twist 5 missing \(need support to 6\)$"):
         assemble_quaternionic_reduced(parities, 7)
+    # d is checked before -d, so a table {1, -2} fails on -1, not on 2
+    xi = _table(COMPLEX_FULL, 3, 1, {1: one, -2: one})
+    with pytest.raises(MissingTwistError, match=r"^twist -1 missing \(need both signs\)$"):
+        assemble_complex(xi, 7)
+
+
+def test_kernel_parity_even_twists_unread():
+    # the other values held at even twists, eps parts too, change nothing
+    rng = random.Random(5)
+    odd = {d: EpsPoly.rational(3, d % 4) for d in range(1, 12, 2)}
+    even = {d: EpsPoly(3, [random_cyc(rng, 3), random_cyc(rng, 3)]) for d in range(2, 12, 2)}
+    parities = _table(QUATERNIONIC_KERNEL_PARITY, 3, 4, odd)
+    padded = _table(QUATERNIONIC_KERNEL_PARITY, 3, 4, {**odd, **even})
+    for prec in (2, 7, 12):
+        series = assemble_quaternionic_reduced(parities, prec).series
+        assert not series.is_zero()
+        assert assemble_quaternionic_reduced(padded, prec).series == series
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +361,8 @@ def test_known_representative_level_parity():
     with pytest.raises(ValueError):
         known_representative("etasigma", 4, 6)
     known_representative("eta2", 4, 6)  # allowed at even level
+    with pytest.raises(ValueError, match=r"^unknown representative 'su3'$"):
+        known_representative("su3", 3, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -355,8 +355,9 @@ def _cmd_g2(args) -> int:
 def _cmd_divcong(args) -> int:
     F = read_series(Path(args.series_f))
     G = read_series(Path(args.series_g))
-    if F.level != args.level or G.level != args.level:
-        raise DataError("series level does not match -N")
+    for path, series in ((args.series_f, F), (args.series_g, G)):
+        if series.level != args.level:
+            raise DataError(f"{path}: series level {series.level} does not match -N {args.level}")
     prec = args.prec or min(F.prec, G.prec)
     basis = _load_or_build_basis(args.level, args.weight, prec, Path(args.basis))
     use_gtilde = not args.no_gtilde and args.weight >= 1

@@ -101,60 +101,36 @@ def hnf(matrix: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int
     rows = ([list(row) for row in matrix]
             + [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def col_swap(i, j):
+    def step(i, j, a, b, c, d):
+        # (col_i, col_j) <- (a*col_i + b*col_j, c*col_i + d*col_j)
         for row in rows:
-            row[i], row[j] = row[j], row[i]
-
-    def col_axpy(dst, src, q):
-        # column dst -= q * column src
-        if q:
-            for row in rows:
-                row[dst] -= q * row[src]
-
-    def col_negate(i):
-        for row in rows:
-            row[i] = -row[i]
-
-    def col_combine(i, j, r):
-        # act on columns (i, j) by a 2x2 unimodular matrix producing
-        # gcd at H[r][i] and zero at H[r][j]
-        a, b = rows[r][i], rows[r][j]
-        g = math.gcd(a, b)
-        x, y = _bezout(a, b)
-        ag, bg = a // g, b // g
-        for row in rows:
-            vi, vj = row[i], row[j]
-            row[i] = x * vi + y * vj
-            row[j] = -bg * vi + ag * vj
+            row[i], row[j] = a * row[i] + b * row[j], c * row[i] + d * row[j]
 
     col = 0
-    for row_idx in range(m):
-        if col >= n:
+    for h in rows[:m]:
+        if col == n:
             break
-        h = rows[row_idx]
-        pivot = next((j for j in range(col, n) if h[j]), None)
-        if pivot is None:
-            continue
-        if pivot != col:
-            col_swap(col, pivot)
+        # one Bezout step clears each nonzero entry; past a zero pivot it is
+        # a signed swap, so no pivot search is needed
         for j in range(col + 1, n):
             if h[j]:
-                if h[j] % h[col] == 0:
-                    col_axpy(j, col, h[j] // h[col])
-                else:
-                    col_combine(col, j, row_idx)
+                step(col, j, *_bezout(h[col], h[j]))
+        if not h[col]:
+            continue
         if h[col] < 0:
-            col_negate(col)
-        p = h[col]
+            for row in rows:
+                row[col] = -row[col]
         for j in range(col):
-            if h[j]:
-                col_axpy(j, col, h[j] // p)
+            step(j, col, 1, -(h[j] // h[col]), 0, 1)
         col += 1
     return rows[:m], rows[m:]
 
 
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """x, y with a*x + b*y = gcd(a, b)."""
+def _bezout(a: int, b: int) -> tuple[int, int, int, int]:
+    """The unimodular (x, y; -b/g, a/g) taking the pair (a, b), not both 0, to (g, 0).
+
+    a*x + b*y = g = +-gcd(a, b), so the determinant is exactly 1.
+    """
     old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
@@ -163,7 +139,7 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
         old_r, r = r, old_r - q * r
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
-    return old_s, old_t
+    return old_s, old_t, -b // old_r, a // old_r
 
 
 # ---------------------------------------------------------------------------
@@ -590,11 +566,7 @@ def _clearing_step(p: int, b: int, modulus: int) -> tuple[int, int, int, int]:
     whose p' = gcd(p, b) is a proper divisor of p.
     """
     f = _quotient(b, p, modulus)
-    if f is not None:
-        return 1, 0, -f, 1
-    x, y = _bezout(p, b)
-    d = math.gcd(p, b)
-    return x, y, -(b // d), p // d
+    return _bezout(p, b) if f is None else (1, 0, -f, 1)
 
 
 __all__ = [

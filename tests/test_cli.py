@@ -469,7 +469,17 @@ def test_divcong_level_mismatch_exit_three(tmp_path, capsys):
     code, _, err = run_cli(capsys, "divcong", str(pf), str(pg), "-N", "3",
                            "-w", "0", "--basis", str(tmp_path / "bases"))
     assert code == 3
-    assert "level" in err
+    assert err == f"error: {pf}: series level 2 does not match -N 3\n"  # F before G
+
+
+def test_divcong_level_mismatch_names_the_file_and_levels(tmp_path, capsys):
+    # F matches -N, so the error names G, with both levels
+    pf = _write_series_file(tmp_path, "F.txt", QSeries.zero(3, 8))
+    pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(5, 8))
+    code, _, err = run_cli(capsys, "divcong", str(pf), str(pg), "-N", "3",
+                           "-w", "0", "--basis", str(tmp_path / "bases"))
+    assert code == 3
+    assert err == f"error: {pg}: series level 5 does not match -N 3\n"
 
 
 def test_foreign_level_basis_refused(tmp_path, capsys):

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_integral_series, random_series
+from conftest import level5_user_basis, random_integral_series, random_series
 from finvariant import divcong
 from finvariant.divcong import (DIM_TARGETS, BasisEntry, BasisError, ModularBasis,
-                                PrecisionError, _solve_mod, build_basis,
+                                PrecisionError, _bezout, _solve_mod, build_basis,
                                 default_generators, hnf, is_equivalent,
                                 make_lattice, policy_prec, sturm_bound)
 from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError, _coprime_part, euler_phi,
@@ -179,6 +179,40 @@ def test_hnf_matches_sympy():
         expected = [[int(S[i, j]) for j in reversed(range(S.cols))]
                     for i in reversed(range(S.rows))]
         assert [[row[j] for j in nonzero] for row in H] == expected
+
+
+def _assert_hnf(A, H, U):
+    n = len(U)  # A*U with the width of U, so a 1x0 matrix has a product
+    assert [[sum(row[k] * U[k][j] for k in range(n)) for j in range(n)] for row in A] == H
+    assert abs(_det(U)) == 1
+    _assert_hnf_shape(H)
+
+
+@pytest.mark.parametrize("A, expected", [
+    ([], []),
+    ([[]], [[]]),
+    ([[0, 0, 0], [0, 0, 0]], [[0, 0, 0], [0, 0, 0]]),
+    ([[0, 3], [5, 0]], [[3, 0], [0, 5]]),  # a zero pivot: the Bezout step swaps
+    ([[-4]], [[4]]),
+    ([[2, 4, 6]], [[2, 0, 0]]),  # entries the pivot divides: the Bezout step subtracts
+    ([[0, 0, 6], [0, 4, 0]], [[6, 0, 0], [0, 4, 0]]),  # a zero column ahead of later pivots
+])
+def test_hnf_edge_shapes(A, expected):
+    H, U = hnf(A)
+    assert H == expected
+    _assert_hnf(A, H, U)
+    if not any(map(any, A)):
+        assert U == [[int(i == j) for j in range(len(U))] for i in range(len(U))]
+
+
+def test_bezout_step_is_unimodular():
+    for a, b in itertools.product(range(-12, 13), repeat=2):
+        if a or b:
+            x, y, u, v = _bezout(a, b)
+            g = a * x + b * y
+            assert abs(g) == math.gcd(a, b)
+            assert a * u + b * v == 0
+            assert x * v - y * u == 1
 
 
 # ---------------------------------------------------------------------------
@@ -928,22 +962,29 @@ def _assert_matches_reference(lattice, pairs):
     return verdicts
 
 
-def _random_pairs(lattice, rng, count):
-    """Members (a span combination, an integral series and an eps multiple of
-    Gtilde) and perturbed copies: 1/p at one coefficient, p prime to N, or an
-    eps-part off the Gtilde direction."""
+def _random_member(lattice, rng):
+    """A lattice member: an integral series, a rational combination of the
+    span series (Gtilde among them) and an eps multiple of Gtilde."""
     level, prec = lattice.level, lattice.prec
     span = [lattice.basis.entries[i].series for i in lattice.span_indices]
     if lattice.gtilde is not None:
         span.append(lattice.gtilde)
+    member = random_integral_series(rng, level, prec)
+    for series in span:
+        member = member + series * Fraction(rng.randint(-9, 9), rng.choice([1, 5, 7, 11, 12, 35]))
+    if lattice.gtilde is not None:
+        scalar = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        member = member + lattice.gtilde * EpsPoly.linear(level, 0, scalar)
+    return member
+
+
+def _random_pairs(lattice, rng, count):
+    """Members (`_random_member`) and perturbed copies: 1/p at one
+    coefficient, p prime to N, or an eps-part off the Gtilde direction."""
+    level, prec = lattice.level, lattice.prec
     pairs = []
     for n in range(count):
-        diff = random_integral_series(rng, level, prec)
-        for series in span:
-            diff = diff + series * Fraction(rng.randint(-9, 9), rng.choice([1, 5, 7, 11, 12, 35]))
-        if lattice.gtilde is not None:
-            scalar = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
-            diff = diff + lattice.gtilde * EpsPoly.linear(level, 0, scalar)
+        diff = _random_member(lattice, rng)
         kind = n % 3
         if kind == 1:
             coeffs = [0] * prec
@@ -1018,6 +1059,60 @@ def test_integer_span_solve_with_unknowns_matches_fraction_reference(
     # Gtilde, members need both weight-2 directions
     nonzero = [sum(x != 0 for x in t) for s, t in solves if s >= 2 and t]
     assert nonzero and max(nonzero) >= (1 if with_gtilde else 2)
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic checks: transformations that cannot change a verdict, so they
+# need no reference decider
+
+
+@pytest.fixture(scope="module", params=[(3, 2, True), (4, 3, True), (4, 2, False),
+                                        (5, 2, True), (5, 2, False)],
+                ids=lambda p: f"N{p[0]}-w{p[1]}-{'gtilde' if p[2] else 'plain'}")
+def metamorphic_lattice(request):
+    level, weight, with_gtilde = request.param
+    prec = 12
+    basis = level5_user_basis(prec) if level == 5 else None
+    gtilde = g_tilde(level, weight, prec) if with_gtilde else None
+    return make_lattice(level, weight, prec, gtilde=gtilde, basis=basis)
+
+
+def _galois(series, a):
+    """sigma_a: zeta -> zeta^a on every coefficient, eps part included."""
+    return QSeries(series.level, series.prec,
+                   [EpsPoly(series.level, [c.galois(a) for c in series.coefficient(n).coeffs])
+                    for n in range(series.prec)])
+
+
+def test_verdict_is_galois_invariant(metamorphic_lattice):
+    # sigma_a is a Q-linear field automorphism that keeps Z[zeta, 1/N], so
+    # it maps the lattice onto the lattice of the conjugated basis and Gtilde
+    lattice = metamorphic_lattice
+    level = lattice.level
+    pairs = _random_pairs(lattice, random.Random(9000 + level), 12)
+    verdicts = [is_equivalent(F, G, lattice).equivalent for F, G in pairs]
+    assert set(verdicts) == {True, False}
+    for a in range(2, level):
+        if math.gcd(a, level) != 1:
+            continue
+        entries = tuple(replace(e, series=_galois(e.series, a)) for e in lattice.basis.entries)
+        conjugate = make_lattice(
+            level, lattice.weight, lattice.prec,
+            gtilde=None if lattice.gtilde is None else _galois(lattice.gtilde, a),
+            basis=replace(lattice.basis, entries=entries))
+        assert [is_equivalent(_galois(F, a), _galois(G, a), conjugate).equivalent
+                for F, G in pairs] == verdicts
+
+
+def test_verdict_unchanged_by_adding_a_member(metamorphic_lattice):
+    lattice = metamorphic_lattice
+    rng = random.Random(9100 + lattice.level)
+    verdicts = set()
+    for F, G in _random_pairs(lattice, rng, 12):
+        verdict = is_equivalent(F, G, lattice).equivalent
+        verdicts.add(verdict)
+        assert is_equivalent(F + _random_member(lattice, rng), G, lattice).equivalent == verdict
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ Exit codes: 0 success / true verdict, 1 false verdict, 2 usage, 3 data error,
 
 Series and basis files share one line-oriented UTF-8 format: a header
 ``level=<N> weight=<k> prec=<P> label=<text>`` (each key once, in any order,
-``label`` optional, no other key; ``weight=?`` permitted for plain series),
-then one line per q-coefficient holding the index followed by phi(N) rationals
+``label`` optional and without whitespace, no other key; ``weight=?`` for
+plain series), then one line per q-coefficient: the index and phi(N) rationals
 (any token ``fractions.Fraction`` reads, written as an integer or ``p/q`` with
 an unsigned ``q``) separated by single spaces. ``#`` starts a comment. A
 series with an eps-part is written as its eps^0 block followed by a block
@@ -179,9 +179,10 @@ def _parse_block(path: Path, header: tuple[int, str],
 
 def _parse_header(line: str, path: Path, line_no: int) -> tuple[int, int, Optional[int], str]:
     """(level, prec, weight, label) of a header line holding level, weight and prec
-    once each and label at most once; weight None for 'weight=?'."""
+    once each and label at most once, every field 'key=value' (so a label holds
+    no whitespace); weight None for 'weight=?'."""
     fields: dict[str, str] = {}
-    for part in line.split(None, 3):
+    for part in line.split():
         if "=" not in part:
             raise DataError(f"{path}:{line_no}: malformed header field {part!r}")
         key, value = part.split("=", 1)

@@ -132,12 +132,11 @@ def _quaternionic_entries(exp: EllExpansion, c2_order: int) -> list[QSeries]:
 
 
 def g2(level: int, prec: int) -> QSeries:
-    """The weight-two modular combination G_hat_1^2 - 2 G_hat_2.
+    """The weight-two modular combination G_hat_1^2 - 2 G_hat_2, `ell_quaternionic` entry 0.
 
     Contract: g2 - 1/12 expands integrally over Z[zeta, 1/level].
     """
-    g1 = g_hat(level, 1, prec)
-    return g1 * g1 - g_hat(level, 2, prec) * 2
+    return ell_quaternionic(level, 0, prec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +163,11 @@ def _on_pole_lattice(tau: complex, x: complex) -> bool:
 _TAIL = 2.0 ** -60
 
 
-def _phi(q: complex, factors: tuple, x: complex) -> tuple[complex, tuple]:
-    """The triple product at x, stopped at its proven tail, and the factors it read.
+def _phi(q: complex, factors: list[tuple[complex, complex]], x: complex) -> complex:
+    """The triple product at x, stopped at its proven tail.
 
-    `factors` holds (q^n, (1-q^n)^2) for n = 1, 2, ...; a new, longer tuple
-    replaces it when x's tail lies past its end. The loop ends at the first n
+    `factors` holds (q^n, (1-q^n)^2) for n = 1, 2, ...; it is extended in
+    place when x's tail lies past its end. The loop ends at the first n
     with |q^n| < t / max(|e^x|, |e^-x|), t = 2^-60. |q^m| only shrinks, so
     every factor m >= n has |q^m e^(+-x)| <= t |q|^(m-n) and the dropped
     factors change Phi by a relative O(t/(1-|q|)), far below the 2^-53
@@ -177,18 +176,15 @@ def _phi(q: complex, factors: tuple, x: complex) -> tuple[complex, tuple]:
     ex, emx = cmath.exp(x), cmath.exp(-x)
     tail = _TAIL / max(abs(ex), abs(emx))
     qn = factors[-1][0] if factors else 1 + 0j
-    if abs(qn) >= tail:
-        grown = list(factors)
-        while abs(qn) >= tail:
-            qn *= q
-            grown.append((qn, (1 - qn) ** 2))
-        factors = tuple(grown)
+    while abs(qn) >= tail:
+        qn *= q
+        factors.append((qn, (1 - qn) ** 2))
     acc = cmath.exp(x / 2) - cmath.exp(-x / 2)
     for qn, d in factors:
         if abs(qn) < tail:
             break
         acc *= (1 - qn * ex) * (1 - qn * emx) / d
-    return acc, factors
+    return acc
 
 
 def ell_function(level: int, tau: complex) -> Callable[[complex], complex]:
@@ -196,24 +192,21 @@ def ell_function(level: int, tau: complex) -> Callable[[complex], complex]:
 
     The factors (q^n, (1-q^n)^2) and Phi(tau, -2*pi*i/N) are built once per
     (level, tau) and shared by every call of the returned function; a call
-    whose tail lies further out rebinds the factors to a longer tuple. Each
-    call evaluates the two x-dependent products to their proven tails, and
-    raises PoleError when x sits on the pole lattice (away from the
-    removable origin).
+    whose tail lies further out extends them. Each call evaluates the two
+    x-dependent products to their proven tails, and raises PoleError when x
+    sits on the pole lattice (away from the removable origin).
     """
     q = _check_tau(tau)
     shift = 2j * cmath.pi / level
-    phi_shift, factors = _phi(q, (), -shift)
+    factors: list[tuple[complex, complex]] = []
+    phi_shift = _phi(q, factors, -shift)
 
     def ell(x: complex) -> complex:
-        nonlocal factors
         if _on_pole_lattice(tau, x) and abs(x) > 1e-9:
             raise PoleError(f"x = {x} lies on the pole lattice")
         if abs(x) < 1e-12:
             return 1.0 + 0j
-        num, factors = _phi(q, factors, x - shift)
-        den, factors = _phi(q, factors, x)
-        return x * num / (den * phi_shift)
+        return x * _phi(q, factors, x - shift) / (_phi(q, factors, x) * phi_shift)
 
     return ell
 

@@ -590,6 +590,12 @@ _H3 = "level=3 weight=? prec={} label=x\n"
      "malformed header 'level=3 weight=? label=x'"),
     ("series", "level=3 weight=? prec=1 lable=x\n0 1 0\n", 1, "unknown header key 'lable'"),
     ("series", "level=3 weight=? prec=1 level=5\n0 1 0\n", 1, "repeated header key 'level'"),
+    # every field after label= is a field too: a label holds no whitespace
+    ("series", "level=3 weight=2 prec=1 label=Ghat_2 weight=7\n0 1 0\n", 1,
+     "repeated header key 'weight'"),
+    ("series", "level=3 weight=? prec=1 label=F level=5\n0 1 0\n", 1,
+     "repeated header key 'level'"),
+    ("series", "level=3 weight=? prec=1 label=a b\n0 1 0\n", 1, "malformed header field 'b'"),
     ("series", _H3.format(0), 1, "level must be >= 2 and prec >= 1"),
     ("series", "level=3 weight=2 prec=4 label=x\n0 1 0\n1 2 0\n", 1,
      "block 'x' has 2 coefficient lines, expected 4"),
@@ -616,7 +622,8 @@ _H3 = "level=3 weight=? prec={} label=x\n"
     # the level-5 user basis with q/7 as the eps part of Ghat1^2 (a '.eps' block)
     ("basis", None, None, "basis entry 'Ghat1^2' carries an eps part"),
 ], ids=["coordinates", "before_header", "bad_index", "out_of_order", "no_blocks",
-        "header_field", "header", "unknown_key", "repeated_key", "bounds", "truncated_last",
+        "header_field", "header", "unknown_key", "repeated_key", "label_then_weight",
+        "label_then_level", "label_with_space", "bounds", "truncated_last",
         "truncated_first", "eps_mismatch", "eps_weight", "eps_stacked", "eps_orphan",
         "two_blocks", "basis_weight",
         "basis_levels", "basis_negative_weight", "basis_eps"])

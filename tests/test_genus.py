@@ -182,7 +182,7 @@ TAU = 0.31j
 
 def _src_phi(tau, x):
     # Phi(tau, x) as ell_function evaluates it: genus._phi from no shared factors
-    return _phi(_check_tau(tau), (), x)[0]
+    return _phi(_check_tau(tau), [], x)
 
 
 def test_phi_is_odd():

@@ -23,13 +23,15 @@ commands compose.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
+from bisect import bisect_left
 from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
-from itertools import cycle
+from itertools import accumulate, cycle
 from math import gcd, lcm
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
@@ -43,12 +45,13 @@ from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES, QUATERNIONIC,
                         assemble_complex, assemble_complex_reduced,
                         assemble_quaternionic, assemble_quaternionic_reduced,
                         check_example, run_example)
-from .genus import (_quaternionic_entries, ell_expansion, ell_function, g2, g_hat,
+from .genus import (_ell, _Product, _quaternionic_entries, ell_expansion, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
 from .qseries import (EpsPartError, QSeries, _linear_combination, eps_split,
                       is_integral_series, series_row)
 
 ORACLE_TOLERANCE = 1e-8
+_ORACLE_TAUS = (0.31j, 0.05 + 0.4j)
 
 
 class DataError(ValueError):
@@ -443,16 +446,20 @@ def _cmd_example(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    p_min = _oracle_min_prec(args.max_weight)
+    if args.prec < p_min:
+        raise ValueError(f"oracle needs -p >= {p_min} at -k {args.max_weight}: a shorter "
+                         f"series drops a q-tail above the tolerance {ORACLE_TOLERANCE}")
     levels = [args.level] if args.level else [2, 3]
-    taus = [0.31j, 0.05 + 0.4j]
+    products = [_Product(tau) for tau in _ORACLE_TAUS]
     worst = 0.0
     for level in levels:
         exp = ell_expansion(level, args.max_weight, args.prec)
-        for tau in taus:
-            coeffs = numeric_taylor(ell_function(level, tau), args.max_weight)
-            for k in range(1, args.max_weight + 1):
-                exact = series_value(exp.x_coefficient(k), tau)
-                err = abs(coeffs[k] - exact)
+        series = [exp.x_coefficient(k) for k in range(1, args.max_weight + 1)]
+        for tau, phi in zip(_ORACLE_TAUS, products):
+            coeffs = numeric_taylor(_ell(level, phi), args.max_weight)
+            for k, f in enumerate(series, 1):
+                err = abs(coeffs[k] - series_value(f, tau))
                 worst = max(worst, err)
                 if args.machine:
                     print(f"oracle level={level} tau={tau} k={k} err={err:.3e}")
@@ -464,6 +471,28 @@ def _cmd_oracle(args) -> int:
         print(f"max |numeric - exact| over Taylor orders: {worst:.3e} "
               f"({'PASS' if ok else 'FAIL'} at {ORACLE_TOLERANCE})")
     return 0 if ok else 1
+
+
+def _oracle_min_prec(max_weight: int) -> int:
+    """Least P whose dropped q-tail stays below half the oracle's tolerance.
+
+    The q^n coefficient of x^k in Ell(x) is at most 2 sigma_(k-1)(n)/(k-1)!
+    <= 2 n^k/(k-1)! in absolute value, so P must give sum_{n>=P} 2 n^k |q|^n/(k-1)!
+    < ORACLE_TOLERANCE/2 for every k <= max_weight, at the largest |q| of the
+    oracle's tau values. Past n = 2k/log(1/|q|) the terms shrink by more than
+    half a step, so each sum stops there once a term is below 2^-40 of the bound.
+    """
+    log_q = max(-2 * math.pi * tau.imag for tau in _ORACLE_TAUS)
+    bound, p_min = ORACLE_TOLERANCE / 2, 1
+    for k in range(1, max_weight + 1):
+        log_fact, terms = math.lgamma(k), [0.0]
+        while len(terms) * -log_q <= 2 * k or terms[-1] >= bound * 2.0 ** -40:
+            n = len(terms)
+            terms.append(2 * math.exp(k * math.log(n) + n * log_q - log_fact))
+        # tails[i] sums the last i + 1 terms, the tail from n = len(terms) - 1 - i
+        tails = list(accumulate(reversed(terms)))
+        p_min = max(p_min, len(terms) - bisect_left(tails, bound))
+    return p_min
 
 
 # ---------------------------------------------------------------------------

@@ -7,20 +7,26 @@ G_tilde, the quaternionic expansion, and the weight-two combination g2.
 Numeric side: floating-point evaluation of the genus via the standard
 triple-product form of the Jacobi-type Phi function, a circle-DFT Taylor
 extraction and the value of an exact series at a point; `finv oracle`
-compares the exact series against them. The product's x-independent factors
-(q^n, (1-q^n)^2 and Phi(tau, -2*pi*i/N)) are built once per (level, tau) by
-`ell_function`, and extended when an x needs more of them. Every product
-stops at its proven tail, the first n with |q^n| max(|e^x|, |e^-x|) < 2^-60,
-and never at a count.
+compares the exact series against them with one product per tau per
+command, shared by its levels: the product owns the x-independent factors
+(q^n, (1-q^n)^2), extended when an x needs more of them, and memoises
+Phi(tau, x) by x off the real and imaginary axes, so the Taylor points that
+every level samples are evaluated once. Every product stops at its proven tail, the first n with
+|q^n| max(|e^x|, |e^-x|) < 2^-60, and never at a count; a running minimum
+of |q^n| kept beside the factors finds that n by one bisect. The DFT's
+sample points and twiddles are constant tables, built once per process.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
 
 from .exactnum import CycNum, bernoulli, eisenstein_weight_one_constant, euler_phi
 from .qseries import QSeries, _linear_combination, divisor_sum, series_row
@@ -163,55 +169,86 @@ def _on_pole_lattice(tau: complex, x: complex) -> bool:
 _TAIL = 2.0 ** -60
 
 
-def _phi(q: complex, factors: list[tuple[complex, complex]], x: complex) -> complex:
-    """The triple product at x, stopped at its proven tail.
+class _Product:
+    """The triple product Phi(tau, .) of one tau, memoised by x while it lives.
 
-    `factors` holds (q^n, (1-q^n)^2) for n = 1, 2, ...; it is extended in
-    place when x's tail lies past its end. The loop ends at the first n
-    with |q^n| < t / max(|e^x|, |e^-x|), t = 2^-60. |q^m| only shrinks, so
-    every factor m >= n has |q^m e^(+-x)| <= t |q|^(m-n) and the dropped
-    factors change Phi by a relative O(t/(1-|q|)), far below the 2^-53
-    relative spacing of doubles.
+    It owns q and the factors (q^n, (1-q^n)^2) for n = 1, 2, ..., extended
+    when an x's tail lies past their end, and beside them the running
+    minimum of |q^n|, negated so that it ascends. Phi(tau, x) stops at its
+    proven tail, the first n with |q^n| < t / max(|e^x|, |e^-x|), t = 2^-60:
+    it is the first n whose running minimum is below the bound, one bisect.
+    |q^m| only shrinks, so every factor m >= n has |q^m e^(+-x)| <= t |q|^(m-n)
+    and the dropped factors change Phi by a relative O(t/(1-|q|)), far below
+    the 2^-53 relative spacing of doubles.
     """
-    ex, emx = cmath.exp(x), cmath.exp(-x)
-    tail = _TAIL / max(abs(ex), abs(emx))
-    qn = factors[-1][0] if factors else 1 + 0j
-    while abs(qn) >= tail:
-        qn *= q
-        factors.append((qn, (1 - qn) ** 2))
-    acc = cmath.exp(x / 2) - cmath.exp(-x / 2)
-    for qn, d in factors:
-        if abs(qn) < tail:
-            break
-        acc *= (1 - qn * ex) * (1 - qn * emx) / d
-    return acc
+
+    def __init__(self, tau: complex):
+        self.tau = tau
+        self._q = _check_tau(tau)
+        self._factors: list[tuple[complex, complex]] = []
+        self._neg_min: list[float] = []
+        self._memo: dict[complex, complex] = {}
+
+    def __call__(self, x: complex) -> complex:
+        # x with a zero part is not memoised: +0.0 and -0.0 compare equal
+        # but may give values that differ in the sign of a zero part
+        keyed = bool(x.real and x.imag)
+        if keyed and x in self._memo:
+            return self._memo[x]
+        ex, emx = cmath.exp(x), cmath.exp(-x)
+        tail = _TAIL / max(abs(ex), abs(emx))
+        factors, neg_min, q = self._factors, self._neg_min, self._q
+        qn = factors[-1][0] if factors else 1 + 0j
+        while not neg_min or neg_min[-1] <= -tail:
+            qn *= q
+            factors.append((qn, (1 - qn) ** 2))
+            neg_min.append(max(neg_min[-1], -abs(qn)) if neg_min else -abs(qn))
+        acc = cmath.exp(x / 2) - cmath.exp(-x / 2)
+        for qn, d in islice(factors, bisect_right(neg_min, -tail)):
+            acc *= (1 - qn * ex) * (1 - qn * emx) / d
+        if keyed:
+            self._memo[x] = acc
+        return acc
 
 
-def ell_function(level: int, tau: complex) -> Callable[[complex], complex]:
-    """The floating-point genus x -> x * Phi(tau, x - 2*pi*i/N) / (Phi(tau, x) Phi(tau, -2*pi*i/N)).
-
-    The factors (q^n, (1-q^n)^2) and Phi(tau, -2*pi*i/N) are built once per
-    (level, tau) and shared by every call of the returned function; a call
-    whose tail lies further out extends them. Each call evaluates the two
-    x-dependent products to their proven tails, and raises PoleError when x
-    sits on the pole lattice (away from the removable origin).
-    """
-    q = _check_tau(tau)
-    shift = 2j * cmath.pi / level
-    factors: list[tuple[complex, complex]] = []
-    phi_shift = _phi(q, factors, -shift)
+def _ell(level: int, phi: _Product) -> Callable[[complex], complex]:
+    """The genus of `ell_function` at level N, read from the product phi of its tau."""
+    tau, shift = phi.tau, 2j * cmath.pi / level
+    phi_shift = phi(-shift)
 
     def ell(x: complex) -> complex:
         if _on_pole_lattice(tau, x) and abs(x) > 1e-9:
             raise PoleError(f"x = {x} lies on the pole lattice")
         if abs(x) < 1e-12:
             return 1.0 + 0j
-        return x * _phi(q, factors, x - shift) / (_phi(q, factors, x) * phi_shift)
+        return x * phi(x - shift) / (phi(x) * phi_shift)
 
     return ell
 
 
+def ell_function(level: int, tau: complex) -> Callable[[complex], complex]:
+    """The floating-point genus x -> x * Phi(tau, x - 2*pi*i/N) / (Phi(tau, x) Phi(tau, -2*pi*i/N)).
+
+    One product of tau, fresh per call, serves every call of the returned
+    function: Phi(tau, -2*pi*i/N) is evaluated once, and its factors are
+    extended when an x's tail lies further out. Each call evaluates the two
+    x-dependent products to their proven tails, and raises PoleError when x
+    sits on the pole lattice (away from the removable origin).
+    """
+    return _ell(level, _Product(tau))
+
+
 _TAYLOR_RADIUS, _TAYLOR_SAMPLES = 0.4, 64
+
+
+@lru_cache(maxsize=None)
+def _circle(m: int, r: float, order: int) -> tuple[
+        tuple[complex, ...], tuple[tuple[complex, ...], ...], tuple[float, ...]]:
+    """Sample points r e^(2 pi i j/m), twiddles e^(-2 pi i j k/m) for k <= order, and m r^k."""
+    points = tuple(r * cmath.exp(2j * cmath.pi * j / m) for j in range(m))
+    twiddles = tuple(tuple(cmath.exp(-2j * cmath.pi * j * k / m) for j in range(m))
+                     for k in range(order + 1))
+    return points, twiddles, tuple(m * r ** k for k in range(order + 1))
 
 
 def numeric_taylor(fn: Callable[[complex], complex], order: int) -> list[complex]:
@@ -219,18 +256,20 @@ def numeric_taylor(fn: Callable[[complex], complex], order: int) -> list[complex
 
     Independent finite-difference-style extraction used by the oracle:
     a_k = (1/m) sum_j fn(r e^(2 pi i j/m)) e^(-2 pi i j k/m) / r^k,
-    on m = 64 points of the circle of radius r = 0.4.
+    on m = 64 points of the circle of radius r = 0.4. The points, twiddles
+    and scales are built once per process and order.
     """
     r, m = _TAYLOR_RADIUS, _TAYLOR_SAMPLES
     if m <= order:
         raise ValueError("need more samples than the requested order")
-    values = [fn(r * cmath.exp(2j * cmath.pi * j / m)) for j in range(m)]
+    points, twiddles, scales = _circle(m, r, order)
+    values = [fn(x) for x in points]
     out = []
-    for k in range(order + 1):
+    for row, scale in zip(twiddles, scales):
         acc = 0j
-        for j, v in enumerate(values):
-            acc += v * cmath.exp(-2j * cmath.pi * j * k / m)
-        out.append(acc / (m * r ** k))
+        for v, w in zip(values, row):
+            acc += v * w
+        out.append(acc / scale)
     return out
 
 
@@ -238,10 +277,12 @@ def series_value(f: QSeries, tau: complex) -> complex:
     """Numeric value of an eps-free exact series at q = e^(2 pi i tau).
 
     Each coordinate is the integer quotient c / den, rounded once, as
-    float(Fraction(c, den)) is.
+    float(Fraction(c, den)) is; z^t and q^n are read from tables of powers.
     """
     q = _check_tau(tau)
     z = cmath.exp(2j * cmath.pi / f.level)
     row, den = series_row(f, f.prec)
     deg = len(row) // f.prec
-    return sum((c / den * z ** (i % deg) * q ** (i // deg) for i, c in enumerate(row) if c), 0j)
+    zt = [z ** t for t in range(deg)]
+    qn = [q ** n for n in range(f.prec)]
+    return sum((c / den * zt[i % deg] * qn[i // deg] for i, c in enumerate(row) if c), 0j)

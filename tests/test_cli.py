@@ -937,6 +937,20 @@ def test_oracle_passes(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("max_weight, p_min", [(4, 15), (6, 17), (8, 18)])
+def test_oracle_refuses_precision_below_its_tail_bound(capsys, max_weight, p_min):
+    # P_min: the least P with sum_{n>=P} 2 n^k |q|^n/(k-1)! < 1e-8/2 for all
+    # k <= -k at |q| = e^(-0.62 pi); -p 12 used to exit 1 with a 3.6e-7 error
+    k = str(max_weight)
+    for prec in (12, p_min - 1):
+        code, out, err = run_cli(capsys, "oracle", "-k", k, "-p", str(prec), "--machine")
+        assert (code, out) == (2, "")
+        assert f"oracle needs -p >= {p_min} at -k {k}" in err
+    code, out, _ = run_cli(capsys, "oracle", "-k", k, "-p", str(p_min), "--machine")
+    assert code == 0
+    assert out.endswith("oracle_pass=true\n")
+
+
 # The README command tour, minus `oracle` (floating-point output): exit code
 # and sha256 of stdout, generated before series moved to integer storage.
 _README_TOUR = {

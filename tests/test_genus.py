@@ -1,13 +1,15 @@
 """Genus expansion series, the weight-two combination, and the numeric oracles."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from finvariant import cli
 from finvariant.exactnum import CycNum, EpsPoly, bernoulli
-from finvariant.genus import (PoleError, _check_tau, _phi,
+from finvariant.genus import (PoleError, _Product,
                               ell_expansion, ell_function, ell_quaternionic,
                               g2, g_hat,
                               g_tilde, g_tilde_level1, numeric_taylor,
@@ -181,8 +183,8 @@ TAU = 0.31j
 
 
 def _src_phi(tau, x):
-    # Phi(tau, x) as ell_function evaluates it: genus._phi from no shared factors
-    return _phi(_check_tau(tau), [], x)
+    # Phi(tau, x) as ell_function evaluates it: a fresh genus._Product of tau
+    return _Product(tau)(x)
 
 
 def test_phi_is_odd():
@@ -267,6 +269,20 @@ def test_shared_factors_grow_without_moving_a_bit():
             assert [shrink(x) for x in reversed(points)] == want[::-1]
 
 
+def test_shared_product_keeps_signed_zeros():
+    # +0.0 and -0.0 compare equal, so a product remembered by x must not hand
+    # one point's value to the other: at tau = 50i no factor is applied and
+    # Phi(0.5 - 0i) keeps the -0.0 imaginary part of e^(x/2) - e^(-x/2)
+    def bits(z):
+        return z, math.copysign(1, z.real), math.copysign(1, z.imag)
+
+    for tau in (50j, 0.31j):
+        shared = _Product(tau)
+        for x in (complex(0.5, 0.0), complex(0.5, -0.0), complex(0.0, 0.3), complex(-0.0, 0.3)):
+            assert bits(shared(x)) == bits(_reference_phi(tau, x))
+    assert bits(_Product(50j)(complex(0.5, -0.0)))[2] == -1
+
+
 def _reference_series_value(f, tau):
     # the sum over float(Fraction) coordinates, in the same order
     q = cmath.exp(2j * cmath.pi * tau)
@@ -283,6 +299,45 @@ def test_series_value_bit_identical_to_fraction_sum(level):
         f = exp.x_coefficient(k)
         for tau in (0.31j, 0.05 + 0.4j):
             assert series_value(f, tau) == _reference_series_value(f, tau)
+
+
+def _direct_dft(fn, order):
+    # a_k = sum_j fn(0.4 e^(2 pi i j/64)) e^(-2 pi i j k/64) / (64 * 0.4^k), summed in j order
+    values = [fn(x) for x in _TAYLOR_POINTS]
+    out = []
+    for k in range(order + 1):
+        acc = 0j
+        for j, v in enumerate(values):
+            acc += v * cmath.exp(-2j * cmath.pi * j * k / 64)
+        out.append(acc / (64 * 0.4 ** k))
+    return out
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+def test_numeric_taylor_bit_identical_to_direct_dft(order):
+    for fn in (ell_function(3, TAU), ell_function(5, 0.05 + 0.4j), lambda x: 1 / (1 - x)):
+        assert numeric_taylor(fn, order) == _direct_dft(fn, order)
+
+
+@pytest.mark.parametrize("argv, levels, max_weight, prec", [
+    ([], (2, 3), 6, 60),
+    (["-N", "5", "-k", "8", "-p", "40"], (5,), 8, 40),
+])
+def test_oracle_output_bit_identical_to_direct_loops(capsys, argv, levels, max_weight, prec):
+    # the whole --machine stdout against text built from this file's loops:
+    # every product from fresh factors, a direct DFT and the Fraction-order sum
+    lines, worst = [], 0.0
+    for level in levels:
+        exp = ell_expansion(level, max_weight, prec)
+        for tau in (0.31j, 0.05 + 0.4j):
+            coeffs = _direct_dft(lambda x: _reference_ell(level, tau, x), max_weight)
+            for k in range(1, max_weight + 1):
+                err = abs(coeffs[k] - _reference_series_value(exp.x_coefficient(k), tau))
+                worst = max(worst, err)
+                lines.append(f"oracle level={level} tau={tau} k={k} err={err:.3e}")
+    lines += [f"oracle_max_err={worst:.3e}", "oracle_pass=true"]
+    assert cli.main(["oracle", "--machine", *argv]) == 0
+    assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
 
 @pytest.mark.parametrize("series", [g_tilde_level1])

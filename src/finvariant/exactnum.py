@@ -182,7 +182,14 @@ class CycNum:
 
     @classmethod
     def from_rational(cls, level: int, value: Scalar) -> "CycNum":
-        return cls(level, (value,))
+        """CycNum(level, (value,)), built in canonical form: a Scalar is in lowest terms."""
+        if level < 2:
+            raise ValueError("CycNum level must be >= 2")
+        z = object.__new__(cls)
+        z.level = level
+        z.den = value.denominator
+        z.ints = (value.numerator,) + (0,) * (euler_phi(level) - 1)
+        return z
 
     @classmethod
     def zeta(cls, level: int, power: int = 1) -> "CycNum":
@@ -355,14 +362,23 @@ class EpsPoly:
         self.coeffs: tuple[CycNum, ...] = tuple(cs)
 
     @classmethod
+    def _of(cls, level: int, coeffs: tuple[CycNum, ...]) -> "EpsPoly":
+        """The value of coeffs, CycNums of this level with a nonzero last entry."""
+        v = object.__new__(cls)
+        v.level = level
+        v.coeffs = coeffs
+        return v
+
+    @classmethod
     def rational(cls, level: int, value: Scalar) -> "EpsPoly":
-        return cls(level, (CycNum.from_rational(level, value),))
+        c = CycNum.from_rational(level, value)
+        return cls._of(level, (c,) if value else ())
 
     @classmethod
     def linear(cls, level: int, const: Scalar, eps_coeff: Scalar) -> "EpsPoly":
-        """const + eps_coeff * eps with rational inputs."""
-        return cls(level, (CycNum.from_rational(level, const),
-                           CycNum.from_rational(level, eps_coeff)))
+        """const + eps_coeff * eps with rational inputs, trailing zero parts dropped."""
+        c, e = CycNum.from_rational(level, const), CycNum.from_rational(level, eps_coeff)
+        return cls._of(level, (c, e) if eps_coeff else (c,) if const else ())
 
     def coefficient(self, j: int) -> CycNum:
         if 0 <= j < len(self.coeffs):

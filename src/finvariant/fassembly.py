@@ -18,7 +18,7 @@ from . import geometry
 from .divcong import EquivResult, ModularBasis, is_equivalent, make_lattice
 from .exactnum import EpsPoly, Scalar
 from .genus import g_tilde, g_tilde_level1
-from .qseries import QSeries, divisor_sum, relative_integrality_check
+from .qseries import QSeries, _divisor_sum, divisor_sum, relative_integrality_check
 
 COMPLEX_FULL = "complex_full"
 COMPLEX_POSITIVE = "complex_positive"
@@ -108,10 +108,13 @@ def assemble_complex(xi: XiTable, prec: int) -> FRepresentative:
     """Full two-sided assembly over all twist powers.
 
     coefficient(q^n) = sum_{d|n} (zeta^(-n/d) xi[d] - zeta^(n/d) xi[-d]).
+    Since -zeta^j = -zeta^(-(-j)), xi[-d] is sieved, negated, into the class
+    -j of xi[d]'s divisor sum, and the sum of both is twisted by zeta^(-j)
+    once: one series, with no difference of two.
     """
     if xi.kind != COMPLEX_FULL:
         raise ValueError("assemble_complex needs a complex_full table")
-    series = divisor_sum(xi.series(prec), minus=1) - divisor_sum(xi.series(prec, -1), plus=1)
+    series = _divisor_sum(xi.series(prec), xi.series(prec, -1), 1, 0)
     return FRepresentative(series, xi.l + 1, "complex transfer, all twists")
 
 

@@ -154,8 +154,14 @@ class PoleError(ArithmeticError):
 
 
 def _check_tau(tau: complex) -> complex:
+    """q of a finite tau with Im tau > 0 whose product reaches its tail at x = 0
+    within _MAX_FACTORS factors: Im tau >= 60 ln 2 / (2 pi _MAX_FACTORS), about 6.6e-5."""
+    if not cmath.isfinite(tau):
+        raise ValueError(f"tau = {tau} is not finite")
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half plane")
+    if 2 * math.pi * tau.imag < -math.log(_TAIL) / _MAX_FACTORS:
+        raise ValueError(f"tau = {tau}: its product needs over {_MAX_FACTORS} factors")
     return cmath.exp(2j * cmath.pi * tau)
 
 
@@ -166,7 +172,7 @@ def _on_pole_lattice(tau: complex, x: complex) -> bool:
     return abs(u - round(u)) < 1e-9 and abs(v - round(v)) < 1e-9
 
 
-_TAIL = 2.0 ** -60
+_TAIL, _MAX_FACTORS = 2.0 ** -60, 10 ** 5
 
 
 class _Product:

@@ -21,6 +21,7 @@ from .exactnum import EpsPoly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_HALF = Fraction(1, 2)
 
 
 class CalibrationError(ArithmeticError):
@@ -40,7 +41,7 @@ def circle_xi(level: int, d: int) -> EpsPoly:
     """
     if d == 0:
         raise ValueError("d = 0 is the e-invariant input, not a twist")
-    return EpsPoly.linear(level, Fraction(1, 2), -d)
+    return EpsPoly.linear(level, _HALF, -d)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ Every operation runs on the rows: the product by Kronecker substitution (one
 big-int product of the packed (q, zeta) polynomials, see Harvey, JSC 2009;
 a row moves to and from its packed int through one array of 64-bit words,
 one extended-slice copy per slot byte, and a square packs once and
-multiplies by itself), `divisor_sum` as a residue-class sieve on the
-integer rows of the series sum c(d) q^d (column sums per class of j mod N
-in O(sqrt(N*P)) slice steps, then twisted in groups of classes with one
-matrix up to sign, j and -j, +-1 entries as row adds), a scalar added at
-the q^0 slots alone, and +, -, rational multiples and certificate replay
-as one integer row sum, `_row_sum`;
+multiplies by itself; +-1 fold entries are row adds), `divisor_sum` as a
+residue-class sieve on the integer rows of the series sum c(d) q^d (column
+sums per class of j mod N in O(sqrt(N*P)) slice steps, then twisted in
+groups of classes with one matrix up to sign, j and -j, +-1 entries as row
+adds; a second, negated source may enter class -j, so both signs of a
+complex table take one twist), a scalar added at the q^0 slots alone, and
++, -, rational multiples and certificate replay as one integer row sum, `_row_sum`;
 `_linear_combination` is that sum as a series. A lattice decision reads
 F - G from it as rows and checks its replay as an integer identity, so
 neither is made canonical. A CycNum already holds integers over one
@@ -37,7 +38,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from math import gcd, isqrt, lcm
 from operator import add, sub
 from typing import Optional, Sequence, Union
@@ -390,7 +391,8 @@ def _series_product(level: int, prec: int, a: QSeries, b: QSeries) -> QSeries:
     (b is a) packs once and multiplies each packed int by itself, which
     CPython squares. Eps part k of the product is the sum of the big-int
     products of parts i and k-i. Its slots are unpacked and reduced modulo
-    the cyclotomic polynomial column by column.
+    the cyclotomic polynomial column by column, a +-1 entry (all but N = 105's
+    2, for N <= 120) as one row add or subtract.
     """
     deg = euler_phi(level)
     if not a.parts or not b.parts:
@@ -412,7 +414,9 @@ def _series_product(level: int, prec: int, a: QSeries, b: QSeries) -> QSeries:
         cols = [digits[s::stride] for s in range(stride)]
         for s in range(deg, stride):
             for t, r in enumerate(table[s % level]):
-                if r:
+                if r == 1 or r == -1:
+                    cols[t] = list(map(add if r == 1 else sub, cols[t], cols[s]))
+                elif r:
                     cols[t] = [x + r * y for x, y in zip(cols[t], cols[s])]
         flat = [0] * size
         for t in range(deg):
@@ -460,32 +464,57 @@ def divisor_sum(coeffs: QSeries, minus: int = 0, plus: int = 0) -> QSeries:
     K. That is O(sqrt(K*P)) exact integer slice steps per column. The
     twist follows in groups (`_twist_groups`): classes whose matrices agree
     up to sign, j and -j when minus = +-plus, are summed first, and each
-    group's matrix is applied once, its +-1 entries as row adds.
+    group's matrix is applied once, its +-1 entries as row adds. This call
+    runs the loop with no second, negated source (`_divisor_sum`).
+    """
+    return _divisor_sum(coeffs, None, minus, plus)
+
+
+def _divisor_sum(coeffs: QSeries, negated: Optional[QSeries], minus: int, plus: int) -> QSeries:
+    """divisor_sum(coeffs, minus, plus) - divisor_sum(negated, plus, minus), twisted once.
+
+    Over one denominator, negated's rows times -1 are sieved into class -j
+    where coeffs' go to class j, since minus*zeta^j + plus*zeta^(-j) is the
+    twist of class -j; so a class -j >= P of a j < P is not empty.
     """
     level, prec = coeffs.level, coeffs.prec
     deg = euler_phi(level)
     classes = level if minus or plus else 1
     split = isqrt(classes * prec)
+    den, parts, mirror = coeffs.den, coeffs.parts, None
+    if negated is not None:
+        den = lcm(den, negated.den)
+        a, b = den // coeffs.den, -(den // negated.den)
+        pairs = list(zip_longest(coeffs.parts, negated.parts, fillvalue=()))
+        parts = [[a * x for x in p] for p, _ in pairs]
+        mirror = [[b * x for x in p] for _, p in pairs]
     sums = []
-    for flat in coeffs.parts:
+    for e, flat in enumerate(parts):
         cols = {i: c for i in range(deg) if any(c := flat[i::deg])}
-        acc = [{i: [0] * prec for i in cols} for _ in range(classes)]
-        for j in range(1, min(split + 1, prec)):
-            rows = acc[j % classes]
-            for i, c in cols.items():
-                rows[i][j::j] = map(add, rows[i][j::j], c[1:(prec - 1) // j + 1])
-        for d in range(1, (prec - 1) // (split + 1) + 1):
-            for i, c in cols.items():
-                if v := c[d]:
-                    for r, rows in enumerate(acc):
-                        start, step = d * (split + 1 + (r - split - 1) % classes), d * classes
-                        row = rows[i]
-                        row[start::step] = [x + v for x in row[start::step]]
+        keys, feeds = cols, ((cols, False),)
+        if mirror:
+            neg = {i: c for i in range(deg) if any(c := mirror[e][i::deg])}
+            keys, feeds = cols | neg, ((cols, False), (neg, True))
+        acc = [{i: [0] * prec for i in keys} for _ in range(classes)]
+        for cols, mirrored in feeds:
+            view = acc[:1] + acc[:0:-1] if mirrored else acc  # view[j] is class -j
+            for j in range(1, min(split + 1, prec)):
+                rows = view[j % classes]
+                for i, c in cols.items():
+                    rows[i][j::j] = map(add, rows[i][j::j], c[1:(prec - 1) // j + 1])
+            for d in range(1, (prec - 1) // (split + 1) + 1):
+                step = d * classes
+                for i, c in cols.items():
+                    if v := c[d]:
+                        for first in range(split + 1, split + 1 + classes):  # j > s, per class
+                            start, row = d * first, view[first % classes][i]
+                            row[start::step] = [x + v for x in row[start::step]]
         out = acc[0]
         if classes > 1:
             out = {}
             for members, matrix in _twist_groups(level, minus, plus):
-                live = [(j, op) for j, op in members if j < prec]  # classes j >= P are zero
+                # a class j >= P is zero, unless negated's class -j < P filled it
+                live = [(j, op) for j, op in members if j < prec or negated is not None]
                 rows = acc[live[0][0]] if live else {}
                 for j, op in live[1:]:
                     rows = {i: list(map(op, row, acc[j][i])) for i, row in rows.items()}
@@ -501,4 +530,4 @@ def divisor_sum(coeffs: QSeries, minus: int = 0, plus: int = 0) -> QSeries:
         for t, row in out.items():
             total[t::deg] = row
         sums.append(total)
-    return QSeries._of(level, prec, coeffs.den, sums)
+    return QSeries._of(level, prec, den, sums)

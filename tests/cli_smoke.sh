@@ -73,6 +73,24 @@ for n in range(200):
             c[-(n // d) % 7] -= d * d
     print(n, *(x - c[6] for x in c[:6]))')" \
   finv eis -N 7 -k 3 -p 200 --tilde --machine
+# the two-sided assembly at level 7, at P = 5 < 7 (the class -j of a twist
+# j < P is past P but not empty) and at P = 12: q^n is
+# sum_{d|n} (zeta^(-n/d) xi[d] - zeta^(n/d) xi[-d]) with xi[d] = d and
+# xi[-d] = d^2 mod 5 - 2, summed here without finvariant
+for d in $(seq 1 11); do printf '%s %s\n-%s %s\n' "$d" "$d" "$d" "$((d * d % 5 - 2))"; done > C.txt
+for p in 5 12; do
+  expect 0 out whole "$(python3 -c 'import sys
+p = int(sys.argv[1])
+print(f"level=7 weight=? prec={p} label=assembled[complex]")
+for n in range(p):
+    c = [0] * 7
+    for d in range(1, n + 1):
+        if n % d == 0:
+            c[-(n // d) % 7] += d
+            c[n // d % 7] -= d * d % 5 - 2
+    print(n, *(x - c[6] for x in c[:6]))' "$p")" \
+    finv assemble --kind complex --xi C.txt -l 1 -N 7 -p "$p" --machine
+done
 # a false verdict: 1/7 at q^1 is no member of the level-3 lattice
 { printf 'level=3 weight=? prec=12 label=G\n0 0 0\n1 1/7 0\n'; printf '%s 0 0\n' $(seq 2 11); } > G.txt
 { printf 'level=3 weight=? prec=12 label=Z\n'; printf '%s 0 0\n' $(seq 0 11); } > Z.txt
@@ -136,4 +154,4 @@ expect 0 out last 'oracle_pass=true' finv oracle -N 105 -k 4 -p 60 --machine
 expect 0 out line 'level=7 weight=8 prec=200 label=quaternionic_entry_3' finv ell -N 7 -k 8 -p 200 --quaternionic 3 --machine
 # the weight-two congruence at the target shape, level 7 to q^1000
 expect 0 out line 'congruence_mod_integral=true' finv g2 -N 7 -p 1000 --machine
-expect 0 out whole "$(printf '%s\n' {B,E,F,G,H2,H4,K,O,P,Q,R,S,T,W,X,Z}.txt)" ls -A
+expect 0 out whole "$(printf '%s\n' {B,C,E,F,G,H2,H4,K,O,P,Q,R,S,T,W,X,Z}.txt)" ls -A

@@ -28,6 +28,28 @@ def _complex(c):
     return to_complex(c.level, c.den, c.ints)
 
 
+def test_rational_constructors_build_the_init_fields():
+    # from_rational, EpsPoly.rational and EpsPoly.linear build the canonical
+    # fields directly; they must be those of the general constructors
+    def fields(c):
+        return type(c.den), type(c.ints), c.level, c.den, c.ints
+
+    def eps_fields(p):
+        return type(p.coeffs), p.level, [fields(c) for c in p.coeffs]
+
+    values = (0, 1, -3, 12, Fraction(0), Fraction(-5, 6), Fraction(9, 4), Fraction(4, 2))
+    for level in (2, 3, 12):
+        for v in values:
+            assert fields(CycNum.from_rational(level, v)) == fields(CycNum(level, (v,)))
+            assert (eps_fields(EpsPoly.rational(level, v))
+                    == eps_fields(EpsPoly(level, [CycNum(level, (v,))])))
+            for e in values:
+                assert (eps_fields(EpsPoly.linear(level, v, e))
+                        == eps_fields(EpsPoly(level, [CycNum(level, (v,)), CycNum(level, (e,))])))
+    with pytest.raises(ValueError, match="level must be >= 2"):
+        CycNum.from_rational(1, 1)
+
+
 def test_zeta_root_of_unity_order():
     z = CycNum.zeta(3)
     assert z * z * z == CycNum.one(3)

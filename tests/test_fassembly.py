@@ -7,7 +7,7 @@ import pytest
 
 from finvariant.cli import main
 from finvariant.divcong import is_equivalent, make_lattice
-from finvariant.exactnum import CycNum, EpsPoly
+from finvariant.exactnum import CycNum, EpsPoly, euler_phi
 from finvariant.fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES,
                                   QUATERNIONIC, QUATERNIONIC_KERNEL_PARITY,
                                   FRepresentative, MissingTwistError, XiTable,
@@ -119,6 +119,34 @@ def test_assemblers_match_direct_enumeration_with_cyclotomic_xi():
                     for parts, weight in terms(n, d):
                         acc = [x + weight * y for x, y in zip(acc, parts)]
                 assert rep.series.coefficient(n) == EpsPoly(level, acc), (level, rep.note, n)
+
+
+def test_complex_assembly_at_every_precision_around_the_level():
+    # xi[-d] is sieved into the class -j of xi[d]'s sum, so at P < N the class
+    # -j >= P of a twist j < P is not empty; an eps part on xi[d] only, and
+    # denominators 4 on xi[d] against 9 on xi[-d]
+    rng = random.Random(61)
+    for level in (2, 3, 5, 7, 12):
+        deg = euler_phi(level)
+
+        def value(den):
+            return CycNum(level, [Fraction(rng.randint(-9, 9), den) for _ in range(deg)])
+
+        zeta = {j: CycNum.zeta(level, j) for j in range(-level - 2, level + 3)}
+        for prec in range(1, level + 3):
+            plus = {d: (value(4), value(4)) for d in range(1, prec)}
+            minus = {d: (value(9),) for d in range(1, prec)}
+            entries = {**{d: EpsPoly(level, v) for d, v in plus.items()},
+                       **{-d: EpsPoly(level, v) for d, v in minus.items()}}
+            rep = assemble_complex(_table(COMPLEX_FULL, level, 1, entries), prec)
+            assert rep.series.prec == prec and not rep.series.coefficient(0)
+            for n in range(1, prec):
+                acc = [CycNum.zero(level)] * 2
+                for d in divisors(n):
+                    j = n // d
+                    acc = [x + zeta[-j] * y for x, y in zip(acc, plus[d])]
+                    acc[0] = acc[0] - zeta[j] * minus[d][0]
+                assert rep.series.coefficient(n) == EpsPoly(level, acc), (level, prec, n)
 
 
 def test_missing_twist_refused():

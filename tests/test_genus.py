@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,17 @@ def test_far_tail_matches_direct_loop():
             ell = ell_function(level, tau)
             for x in _TAYLOR_POINTS[::8]:
                 assert ell(x) == _reference_ell(level, tau, x)
+
+
+@pytest.mark.parametrize("tau", [complex(math.nan, math.nan), 1e-300j, 1e-9j])
+def test_tau_refused_before_any_factor(tau):
+    # a non-finite tau, and one whose product reaches its tail at x = 0 only
+    # past 10^5 factors (|q| rounds to 1.0 at 1e-300i), is one ValueError
+    # naming tau, raised before any factor is formed
+    with pytest.raises(ValueError, match=re.escape(f"tau = {tau}")):
+        _Product(tau)
+    with pytest.raises(ValueError, match=re.escape(f"tau = {tau}")):
+        series_value(g_hat(3, 2, 8), tau)
 
 
 def test_shared_factors_grow_without_moving_a_bit():

@@ -16,17 +16,20 @@ Membership is decided exactly and in integers, in one pass over rows: F - G is
 read as integer rows per eps degree over one denominator, the rational span is
 eliminated by fraction-free column reduction over one denominator, built once
 per lattice (Bareiss, Math. Comp. 1968; Cohen, GTM 138 sec. 2.2), and what
-remains is a congruence system in s <= dim(span) unknowns, settled prime by
-prime for the primes p not dividing N.  A span combination has p-valuation at
-least -v_p(vden), vden the span vectors' common denominator, so a residual
-holding a higher power of p in its denominator than vden does is no member,
-and no system is built; otherwise a local solve over Z/p^e runs for the
-primes p not dividing N in vden, modulo their product, which is the same
-system by the Chinese remainder theorem and needs no factoring
-(Storjohann-Mulders, ESA 1998; Cohen, GTM 138 sec. 2.4).  A positive verdict
-always carries a replayable certificate; its s+1 coefficients are the only
-rationals the decision forms, its residual the only series, and its replay is
-checked against the rows of F - G as an integer identity.
+remains is a congruence system in s <= dim(span) unknowns at the primes p not
+dividing N.  A span combination has p-valuation at least -v_p(vden), vden the
+span vectors' common denominator, so a residual holding a higher power of p
+in its denominator than vden does is no member (the valuation gate).  Past
+the gate the system lives modulo M, the part of vden prime to N, which by the
+Chinese remainder theorem settles every such p at once with no factoring;
+its matrix depends on the lattice alone, up to a unit.  So when M > 1 the
+span's free rows are brought once per lattice to a lower-triangular echelon
+form modulo M (Howell's form: Storjohann-Mulders, ESA 1998; Cohen, GTM 138
+sec. 2.4), and each decision is one forward pass over its rows, one
+divisibility test per row.  A positive verdict always carries a replayable
+certificate; its s+1 coefficients are the only rationals the decision forms,
+its residual the only series, and its replay is checked against the rows of
+F - G as an integer identity.
 """
 
 from __future__ import annotations
@@ -188,8 +191,10 @@ class _ColumnSpace:
     Stored vector k is vecs[k]/den: it holds den at its pivot pivots[k] and 0
     at every other pivot, so reduction residuals vanish identically on all
     pivot rows. combs[k]/den writes it as a combination of the inserted
-    columns. The form is canonical: den > 0 and gcd(den, every entry) = 1.
-    vden is the least common denominator of the vectors alone.
+    columns. The rows are canonical: den > 0 and gcd(den, every entry) = 1.
+    vden is the least common denominator of the vectors alone. form holds the
+    free rows of the vectors times vden in echelon form modulo the part of
+    vden prime to N; the first decision that needs it builds it.
     """
 
     def __init__(self, ncols: int):
@@ -198,6 +203,7 @@ class _ColumnSpace:
         self.pivots: list[int] = []
         self.vecs: list[list[int]] = []
         self.combs: list[list[int]] = []
+        self.form: Optional[_EchelonForm] = None
 
     def reduce(self, num: Sequence[int], den: int) -> tuple[list[int], list[int], int]:
         """(r, comb, d) with num/den = sum_j comb[j]/d * column_j + r/d, d = den*self.den."""
@@ -481,9 +487,12 @@ def _integral_span_solve(num: Sequence[int], den: int, space: _ColumnSpace,
     p-valuation at least -v_p(vden), so a free-row entry of r_v of lower
     valuation stays non-integral for every t: if the part of
     D = lcm(vden, den(r_v)) prime to N exceeds that of vden, v is no member.
-    Otherwise, scaled by D, membership is a linear system over Z/M, M the
-    part of D (and of vden) prime to N (`_solve_mod`). Then
-    a = c - sum t_k*combs_k.
+    Otherwise, scaled by D, membership is the system A*(D/vden)*t == b over
+    Z/M, M the part of D (and of vden) prime to N, where A, the free rows of
+    the vectors times vden, depends on the lattice alone and D/vden is a unit
+    mod M. So A is brought to echelon form modulo M once per lattice
+    (`_EchelonForm`, when M > 1), and each decision is one pass over its
+    rows. Then a = c - sum t_k*combs_k.
     """
     w, a, d = space.reduce(num, den)
     lcd = math.lcm(space.vden, d // math.gcd(d, *w))
@@ -493,80 +502,68 @@ def _integral_span_solve(num: Sequence[int], den: int, space: _ColumnSpace,
     if modulus > 1:
         pivots = set(space.pivots)
         rows = [i for i in range(len(w)) if i not in pivots]
-        t = _solve_mod([[vec[i] * lcd // space.den for vec in space.vecs] for i in rows],
-                       [-(w[i] * lcd // d) for i in rows], modulus)
+        if space.form is None:
+            space.form = _EchelonForm(
+                [[vec[i] * space.vden // space.den for vec in space.vecs] for i in rows], modulus)
+        t = space.form.solve([-(w[i] * lcd // d) for i in rows])
         if t is None:
             return None
+        # the system's matrix is the form's times lcd/vden, a unit mod M
+        unit = pow(lcd // space.vden, -1, modulus)
         # a stored row over space.den is den times that row over d = den*space.den
-        for tk, vec, cb in zip(t, space.vecs, space.combs):
+        for tk, vec, cb in zip((x * unit % modulus for x in t), space.vecs, space.combs):
             if tk:
                 w = [x + tk * den * y for x, y in zip(w, vec)]
                 a = [x - tk * den * y for x, y in zip(a, cb)]
     return a, w, d
 
 
-def _solve_mod(matrix: list[list[int]], rhs: list[int],
-               modulus: int) -> Optional[list[int]]:
-    """A solution t of matrix*t == rhs (mod modulus), entries in [0, modulus), or None.
+class _EchelonForm:
+    """An integer m x s matrix A in lower echelon form modulo M, for solving A*t == b.
 
-    Diagonalises by invertible row and column operations over Z/modulus,
-    keeping the column operations in C so that t = C*y. Smith-style
-    pivoting: the pivot is an entry of least gcd with the modulus in the
-    whole remaining block, cleared along both its row and its column.
-    Modulo a prime power that gcd is p^valuation and the pivot divides the
-    whole block; otherwise a Bezout step replaces the pivot by a proper
-    divisor and its row and column are cleared again.
+    Column i of W is cols[i][:m]: 0 above row i and g_i at row i, where g_i
+    divides M (M itself on a row no column reaches). cols[i][m:] is its
+    combination of A's columns, mod M. For every i, the vectors of A's image
+    mod M that vanish above row i are the combinations of columns i.. of W
+    (Howell's property: Storjohann-Mulders, ESA 1998; Cohen, GTM 138
+    sec. 2.4), so one pass over the rows, one divisibility test each,
+    settles A*t == b.
     """
-    s = len(matrix[0]) if matrix else 0
-    rows = [[x % modulus for x in row] + [b % modulus] for row, b in zip(matrix, rhs)]
-    cols = [[int(i == j) for j in range(s)] for i in range(s)]
-    rank = 0
-    for k in range(min(s, len(rows))):
-        block = [(math.gcd(x, modulus), i, j) for i in range(k, len(rows))
-                 for j in range(k, s) if (x := rows[i][j])]
-        if not block:
-            break
-        _, i, j = min(block)
-        rows[k], rows[i] = rows[i], rows[k]
-        for row in rows + cols:
-            row[k], row[j] = row[j], row[k]
-        while True:
-            for i in range(k + 1, len(rows)):
-                if rows[i][k]:
-                    a, b, c, d = _clearing_step(rows[k][k], rows[i][k], modulus)
-                    u, v = rows[k], rows[i]
-                    rows[k] = [(a * x + b * y) % modulus for x, y in zip(u, v)]
-                    rows[i] = [(c * x + d * y) % modulus for x, y in zip(u, v)]
-            for j in range(k + 1, s):
-                if rows[k][j]:
-                    a, b, c, d = _clearing_step(rows[k][k], rows[k][j], modulus)
-                    for row in rows + cols:
-                        x, y = row[k], row[j]
-                        row[k], row[j] = (a * x + b * y) % modulus, (c * x + d * y) % modulus
-            if not any(row[k] for row in rows[k + 1:]):
-                break
-        rank = k + 1
-    y = [_quotient(row[s], row[k], modulus) for k, row in enumerate(rows[:rank])]
-    if None in y or any(row[s] for row in rows[rank:]):
-        return None
-    y += [0] * (s - rank)
-    return [sum(c * x for c, x in zip(row, y)) % modulus for row in cols]
 
+    def __init__(self, matrix: Sequence[Sequence[int]], modulus: int):
+        m, s = len(matrix), len(matrix[0])
+        self.modulus = modulus
+        self.cols: list[list[int]] = []
+        # the working columns: m entries, then s coefficients, all mod M
+        live = [[row[k] % modulus for row in matrix] + [int(j == k) for j in range(s)]
+                for k in range(s)]
+        for i in range(m):
+            # Bezout steps merge row i of every working column into the first
+            first = live[0]
+            for j in range(1, s):
+                if live[j][i]:
+                    a, b, c, d = _bezout(first[i], live[j][i])
+                    first, live[j] = ([(a * x + b * y) % modulus for x, y in zip(first, live[j])],
+                                      [(c * x + d * y) % modulus for x, y in zip(first, live[j])])
+            # x*entry == g (mod M) with gcd(x, M/g) = 1: x*first and the
+            # (M/g)-multiple, which vanishes at row i, span what first did
+            g = math.gcd(first[i], modulus)
+            x = _bezout(first[i], modulus)[0]
+            self.cols.append([x * y % modulus for y in first])
+            self.cols[-1][i] = g
+            live[0] = [modulus // g * y % modulus for y in first]
 
-def _quotient(b: int, p: int, modulus: int) -> Optional[int]:
-    """f with f*p == b (mod modulus), or None if gcd(p, modulus) does not divide b."""
-    g = math.gcd(p, modulus)
-    return None if b % g else b // g * pow(p // g, -1, modulus // g) % modulus
-
-
-def _clearing_step(p: int, b: int, modulus: int) -> tuple[int, int, int, int]:
-    """An invertible (a, b; c, d) over Z/modulus taking the pair (p, b) to (p', 0).
-
-    (1, 0; -f, 1) with f*p == b where that f exists, else the Bezout matrix,
-    whose p' = gcd(p, b) is a proper divisor of p.
-    """
-    f = _quotient(b, p, modulus)
-    return _bezout(p, b) if f is None else (1, 0, -f, 1)
+    def solve(self, rhs: Sequence[int]) -> Optional[list[int]]:
+        """A t with A*t == rhs (mod M), entries in [0, M), or None, in one pass:
+        row i's remainder must be a multiple y of g_i, and y*(column i) is taken off."""
+        res = [b % self.modulus for b in rhs] + [0] * (len(self.cols[0]) - len(rhs))
+        for i, col in enumerate(self.cols):
+            y, r = divmod(res[i] % self.modulus, col[i])
+            if r:
+                return None
+            if y:
+                res = [b - y * c for b, c in zip(res, col)]
+        return [-b % self.modulus for b in res[len(rhs):]]
 
 
 __all__ = [

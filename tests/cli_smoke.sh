@@ -106,6 +106,29 @@ for line in sys.stdin:
 expect 0 out line 'verdict: True' finv divcong W.txt Z.txt -N 3 -w 2
 { printf 'level=3 weight=? prec=12 label=Q\n0 0 0\n1 1/49 0\n'; printf '%s 0 0\n' $(seq 2 11); } > Q.txt
 expect 1 out line 'verdict: False' finv divcong Q.txt Z.txt -N 3 -w 2
+# a level-5 user basis (written over the installed package) whose Ghat2
+# carries q^3/7 puts 7, prime to N, in the span's denominators: without
+# Gtilde, q^3/7 (D.txt) is a member through that entry, decided in the local
+# case modulo 7, and q^3/7 + q^4/7 (N.txt) is not
+mkdir U
+python3 -c 'import sys
+from fractions import Fraction
+from finvariant.cli import write_series
+from finvariant.divcong import BasisEntry, build_basis
+from finvariant.genus import g_hat
+from finvariant.qseries import QSeries
+gens = [(1, "Ghat1", g_hat(5, 1, 12)), (2, "Ghat2", g_hat(5, 2, 12))]
+for e in build_basis(5, 2, 12, generators=gens, check_dims=False).entries:
+    if e.label == "Ghat2":
+        e = BasisEntry(2, e.series + QSeries(5, 12, [0, 0, 0, Fraction(1, 7)]), "Ghat2_q3")
+    write_series(sys.stdout, e.series, e.weight, e.label)' > U/basis_N5_W2_P12.txt
+{ printf 'level=5 weight=? prec=12 label=Y\n'; printf '%s 0 0 0 0\n' $(seq 0 11); } > Y.txt
+{ printf 'level=5 weight=? prec=12 label=D\n'; printf '%s 0 0 0 0\n' 0 1 2
+  printf '3 1/7 0 0 0\n'; printf '%s 0 0 0 0\n' $(seq 4 11); } > D.txt
+{ printf 'level=5 weight=? prec=12 label=N\n'; printf '%s 0 0 0 0\n' 0 1 2
+  printf '%s 1/7 0 0 0\n' 3 4; printf '%s 0 0 0 0\n' $(seq 5 11); } > N.txt
+expect 0 out line 'verdict: True' finv divcong D.txt Y.txt -N 5 -w 2 --no-gtilde --basis U
+expect 1 out line 'verdict: False' finv divcong N.txt Y.txt -N 5 -w 2 --no-gtilde --basis U
 # uncommon coordinate forms read as Fraction reads them: B is G's 1/7 at q^1
 # written 2/14, plus the constant 1/2 written 0.5 (a member through the
 # weight-0 entry); 3/+4 is refused, naming its line, after a -0.5
@@ -154,4 +177,4 @@ expect 0 out last 'oracle_pass=true' finv oracle -N 105 -k 4 -p 60 --machine
 expect 0 out line 'level=7 weight=8 prec=200 label=quaternionic_entry_3' finv ell -N 7 -k 8 -p 200 --quaternionic 3 --machine
 # the weight-two congruence at the target shape, level 7 to q^1000
 expect 0 out line 'congruence_mod_integral=true' finv g2 -N 7 -p 1000 --machine
-expect 0 out whole "$(printf '%s\n' {B,C,E,F,G,H2,H4,K,O,P,Q,R,S,T,W,X,Z}.txt)" ls -A
+expect 0 out whole "$(printf '%s\n' {B,C,D,E,F,G,H2,H4,K,N,O,P,Q,R,S,T}.txt U {W,X,Y,Z}.txt)" ls -A

@@ -14,13 +14,13 @@ import pytest
 
 from conftest import level5_user_basis, random_series
 import finvariant
-from finvariant import cli
+from finvariant import cli, divcong
 from finvariant.cli import (DataError, main, read_basis, read_blocks,
                             read_series, write_series)
 from finvariant.divcong import BasisEntry, ModularBasis, build_basis
 from finvariant.exactnum import CycNum, EpsPoly, euler_phi
 from finvariant.genus import g_tilde
-from finvariant.qseries import EpsPartError, QSeries
+from finvariant.qseries import EpsPartError, QSeries, is_integral_series
 
 
 def run_cli(capsys, *argv):
@@ -572,6 +572,48 @@ def test_dependent_user_basis_entry_refused(tmp_path, capsys):
                              "--basis", str(bases))
     assert code == 3 and not out
     assert err.startswith(f"error: {path}: basis entry 'mix' is a rational combination")
+
+
+def test_divcong_local_case_through_a_user_basis(tmp_path, capsys, monkeypatch):
+    # Ghat2 + q^3/7 puts 7, prime to N = 5, in the span's denominators, so
+    # without Gtilde a decision reaches the local case modulo 7: q^3/7 is a
+    # member through that entry, and q^3/7 + q^4/7 is not
+    prec = 12
+    q3, q4 = (QSeries(5, prec, [0] * n + [Fraction(1, 7)]) for n in (3, 4))
+    entries = tuple(BasisEntry(2, e.series + q3, "Ghat2_q3") if e.label == "Ghat2" else e
+                    for e in level5_user_basis(prec).entries)
+    bases = tmp_path / "bases"
+    bases.mkdir()
+    _write_basis_file(bases / f"basis_N5_W2_P{prec}.txt", ModularBasis(5, 2, prec, entries))
+    moduli = []
+    solve = divcong._EchelonForm.solve
+    monkeypatch.setattr(divcong._EchelonForm, "solve",
+                        lambda form, rhs: moduli.append(form.modulus) or solve(form, rhs))
+    G = random_series(random.Random(7), 5, prec)
+    F = G + q3 + next(e.series for e in entries if e.label == "Ghat1^2") * Fraction(2, 3)
+    pg = _write_series_file(tmp_path, "G.txt", G)
+    argv = ["-N", "5", "-w", "2", "--no-gtilde", "--machine", "--basis", str(bases)]
+    code, out, err = run_cli(capsys, "divcong", str(_write_series_file(tmp_path, "F.txt", F)),
+                             str(pg), *argv)
+    assert (code, err, moduli) == (0, "", [7])
+    lines = out.splitlines()
+    assert lines[0] == "verdict=true"
+    # the printed certificate, read back, rebuilds F - G with an integral residual
+    certs = [line.split() for line in lines if line.startswith("cert ")]
+    assert certs[-1] == ["cert", "gtilde", "0", "0"]
+    coeffs = {label: Fraction(c) for _, _, label, c in certs[:-1]}
+    start = lines.index(f"level=5 weight=? prec={prec} label=residual")
+    (tmp_path / "residual.txt").write_text("\n".join(lines[start:]) + "\n", encoding="utf-8")
+    residual = read_series(tmp_path / "residual.txt")
+    assert is_integral_series(residual)
+    replayed = residual
+    for e in entries:
+        replayed = replayed + e.series * coeffs.get(e.label, 0)
+    assert coeffs["Ghat2_q3"] and replayed == F - G
+    code, out, err = run_cli(capsys, "divcong", str(_write_series_file(tmp_path, "N.txt", F + q4)),
+                             str(pg), *argv)
+    assert (code, out, err, moduli) == (1, f"verdict=false\nfalse_is_proof=yes\n{lines[2]}\n", "",
+                                        [7, 7])
 
 
 _H3 = "level=3 weight=? prec={} label=x\n"

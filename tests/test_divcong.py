@@ -11,7 +11,7 @@ import pytest
 from conftest import level5_user_basis, random_integral_series, random_series
 from finvariant import divcong
 from finvariant.divcong import (DIM_TARGETS, BasisEntry, BasisError, ModularBasis,
-                                PrecisionError, _bezout, _solve_mod, build_basis,
+                                PrecisionError, _bezout, _EchelonForm, build_basis,
                                 default_generators, hnf, is_equivalent,
                                 make_lattice, policy_prec, sturm_bound)
 from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError, _coprime_part, euler_phi,
@@ -622,7 +622,25 @@ def test_mid_weights_do_not_enlarge_the_lattice(lattice_k2):
 
 
 # ---------------------------------------------------------------------------
-# The local solve over Z/p^e, against enumeration of every t
+# The local solve over Z/p^e, an echelon form and one pass, against
+# enumeration of every t
+
+# the pass as defined, for references that must not meet a spy on it
+_echelon_pass = _EchelonForm.solve
+
+
+@pytest.fixture()
+def passes(monkeypatch):
+    """(form, rhs, t) for every pass a decision makes over an echelon form."""
+    calls = []
+
+    def spy(form, rhs):
+        t = _echelon_pass(form, rhs)
+        calls.append((form, rhs, t))
+        return t
+
+    monkeypatch.setattr(_EchelonForm, "solve", spy)
+    return calls
 
 
 def _image(matrix, modulus):
@@ -632,9 +650,33 @@ def _image(matrix, modulus):
             for t in itertools.product(range(modulus), repeat=s)}
 
 
+def _assert_dual_rows(form, matrix, rhs, solvable):
+    """The rows y_i = M*(row i of W^-1), W the form's lower-triangular
+    columns inverted over Q, are integral and kill every column of the
+    matrix mod M; the system is solvable exactly when every y_i*rhs is 0 mod M."""
+    m, M = len(form.cols), form.modulus
+    W = [[col[j] for col in form.cols] for j in range(m)]
+    assert all(W[j][i] == 0 for i in range(m) for j in range(i))
+    assert all(M % W[i][i] == 0 for i in range(m))
+    ys = []
+    for i in range(m):
+        # x*W = e_i, solved from the last column back
+        x = [Fraction(0)] * m
+        for k in reversed(range(m)):
+            x[k] = (int(i == k) - sum(x[j] * W[j][k] for j in range(k + 1, m))) / Fraction(W[k][k])
+        assert all((M * v).denominator == 1 for v in x)
+        y = [int(M * v) for v in x]
+        for k in range(len(matrix[0])):
+            assert sum(a * row[k] for a, row in zip(y, matrix)) % M == 0
+        ys.append(y)
+    assert solvable == all(sum(a * b for a, b in zip(y, rhs)) % M == 0 for y in ys)
+
+
 def _assert_local_solve(matrix, rhs, modulus, image):
-    t = _solve_mod(matrix, rhs, modulus)
+    form = _EchelonForm(matrix, modulus)
+    t = form.solve(rhs)
     b = tuple(x % modulus for x in rhs)
+    _assert_dual_rows(form, matrix, rhs, b in image)
     if b not in image:
         assert t is None
         return
@@ -711,23 +753,15 @@ def lattice_75(lattice_25):
     return make_lattice(3, 2, 6, basis=ModularBasis(3, 2, 6, entries)), e1, e2
 
 
-def test_member_needs_two_span_directions(lattice_25, monkeypatch):
+def test_member_needs_two_span_directions(lattice_25, passes):
     lattice, e1, e2 = lattice_25
-    calls = []
-
-    def spy(matrix, rhs, modulus):
-        t = _solve_mod(matrix, rhs, modulus)
-        calls.append((modulus, t))
-        return t
-
-    monkeypatch.setattr(divcong, "_solve_mod", spy)
     integral = _cyc_series(3, 6, [(1, 2), (3, 0), (0, 1), (-2, 0), (0, 0), (5, Fraction(1, 3))])
     F = integral + e1 * Fraction(3, 7) - e2 * Fraction(2, 11)
     res = is_equivalent(F, QSeries.zero(3, 6), lattice)
     assert res.equivalent
     # the 1/25 entries of the reduced residual cancel only through both directions
-    [(modulus, t)] = calls
-    assert modulus == 25 and t[1] and t[2]
+    [(form, _, t)] = passes
+    assert form.modulus == 25 and t[1] and t[2]
     assert res.certificate.replay(lattice) == F
     assert is_integral_series(res.certificate.residual)
     # 1/5 on a row no direction reaches is no member
@@ -736,21 +770,13 @@ def test_member_needs_two_span_directions(lattice_25, monkeypatch):
 
 
 @pytest.mark.parametrize("name, vden", [("lattice_25", 25), ("lattice_75", 75)])
-def test_valuation_gate_boundary(name, vden, request, monkeypatch):
+def test_valuation_gate_boundary(name, vden, request, passes):
     # the span vectors carry 1/25 on free rows: a residual whose denominator's
     # part prime to N divides 25 reaches the local solve, one holding 5^3 or
     # 11 is no member before any system is built
     lattice, e1, e2 = request.getfixturevalue(name)
     space = lattice._spaces[0]
     assert space.vden == vden
-    solves = []
-
-    def spy(matrix, rhs, modulus):
-        t = _solve_mod(matrix, rhs, modulus)
-        solves.append(t)
-        return t
-
-    monkeypatch.setattr(divcong, "_solve_mod", spy)
     q = QSeries(3, 6, [0, 1])
     q3 = QSeries(3, 6, [0, 0, 0, 1])
     integral = _cyc_series(3, 6, [(1, 2), (3, 0), (0, 1), (-2, 0), (0, 0), (5, Fraction(1, 3))])
@@ -771,12 +797,37 @@ def test_valuation_gate_boundary(name, vden, request, monkeypatch):
     for F, rden, verdict, solved in cases:
         w, _, d = space.reduce(*series_row(F, 6))
         assert _coprime_part(d // math.gcd(d, *w), 3) == rden
-        solves.clear()
+        passes.clear()
         assert _assert_matches_reference(lattice, [(F, QSeries.zero(3, 6))]) == {verdict}
-        assert len(solves) == solved
+        assert len(passes) == solved
         if verdict:
             # the members need t != 0
-            assert any(solves[0])
+            assert any(passes[0][2])
+
+
+def test_echelon_form_built_once_per_lattice_and_only_when_needed(lattice_25, lattice_k2,
+                                                                 monkeypatch):
+    built = []
+    monkeypatch.setattr(divcong, "_EchelonForm",
+                        lambda *args: built.append(args) or _EchelonForm(*args))
+    lattice, e1, e2 = lattice_25
+    q, q3 = QSeries(3, 6, [0, 1]), QSeries(3, 6, [0, 0, 0, 1])
+    space = lattice._spaces[0]
+    assert space.form is None
+    assert is_equivalent(e1 - q, QSeries.zero(3, 6), lattice).equivalent
+    [(matrix, modulus)] = built
+    assert modulus == 25 and matrix == _free_matrix(space)
+    form = space.form
+    # a second local-case decision on the same lattice builds nothing
+    assert is_equivalent(e2 - q3, QSeries.zero(3, 6), lattice).equivalent
+    assert not is_equivalent(QSeries(3, 6, [0, 0, Fraction(1, 5)]), QSeries.zero(3, 6),
+                             lattice).equivalent
+    assert len(built) == 1 and space.form is form
+    # span vectors integral away from N: M = 1, and no decision builds a form
+    assert _coprime_part(lattice_k2._spaces[0].vden, 3) == 1
+    pairs = _random_pairs(lattice_k2, random.Random(25), 9)
+    assert {is_equivalent(F, G, lattice_k2).equivalent for F, G in pairs} == {True, False}
+    assert len(built) == 1 and lattice_k2._spaces[0].form is None
 
 
 def _assert_as_lattice_at_prec(F, G, lattice, prec):
@@ -880,12 +931,20 @@ def _fraction_span_solve(v, space, level):
     modulus = _coprime_part(den, level)
     t = [0] * len(space.vecs)
     if modulus > 1:
+        # den/vden is unit*z, unit N-smooth and z prime to N (z > 1 only for
+        # a residual the valuation gate refuses); the system's matrix, the
+        # vectors times den, is that of vden*z times the unit
+        vden = math.lcm(*(x.denominator for vec in space.vecs for x in vec))
+        z = _coprime_part(den // vden, level)
+        unit = den // vden // z
         pivots = set(space.pivots)
         rows = [i for i in range(len(v)) if i not in pivots]
-        t = _solve_mod([[int(vec[i] * den) for vec in space.vecs] for i in rows],
-                       [-int(r_v[i] * den) for i in rows], modulus)
+        form = _EchelonForm([[int(vec[i] * vden * z) for vec in space.vecs] for i in rows],
+                            modulus)
+        t = _echelon_pass(form, [-int(r_v[i] * den) for i in rows])
         if t is None:
             return None
+        t = [x * pow(unit, -1, modulus) % modulus for x in t]
     w, a = r_v, comb_v
     for tk, vec, cb in zip(t, space.vecs, space.combs):
         w = [x + tk * y for x, y in zip(w, vec)]
@@ -1024,9 +1083,24 @@ def test_integer_column_space_matches_fraction_reference(level, weight, prec):
     assert _assert_matches_reference(lattice, pairs) == {True, False}
 
 
-@pytest.fixture()
-def lattice_35():
-    """A level-3 lattice whose two weight-2 directions carry denominators
+def _free_matrix(space):
+    """The free rows of the span vectors times vden: the echelon form's matrix."""
+    pivots = set(space.pivots)
+    return [[vec[i] * space.vden // space.den for vec in space.vecs]
+            for i in range(len(space.vecs[0])) if i not in pivots]
+
+
+def _assert_passes_match_dual_rows(lattice, passes):
+    """Every pass ran on the lattice's cached form, and the form's dual rows
+    give its verdict: some y_i*rhs is nonzero mod M exactly for a non-member."""
+    space = lattice._spaces[0]
+    for form, rhs, t in passes:
+        assert form is space.form
+        _assert_dual_rows(form, _free_matrix(space), rhs, t is not None)
+
+
+def _basis_35():
+    """A level-3 basis whose two weight-2 directions carry denominators
     5 and 7 on rows that are not pivots, so members need t != 0."""
     level, prec = 3, 8
     f = Fraction
@@ -1039,26 +1113,24 @@ def lattice_35():
     return ModularBasis(level, 2, prec, entries)
 
 
+@pytest.fixture()
+def lattice_35():
+    return _basis_35()
+
+
 @pytest.mark.parametrize("with_gtilde", [False, True])
 def test_integer_span_solve_with_unknowns_matches_fraction_reference(
-        lattice_35, with_gtilde, monkeypatch):
+        lattice_35, with_gtilde, passes):
     level, prec = 3, 8
     gtilde = g_tilde(level, 2, prec) if with_gtilde else None
     lattice = make_lattice(level, 2, prec, gtilde=gtilde, basis=lattice_35)
-    solves = []
-
-    def spy(matrix, rhs, modulus):
-        t = _solve_mod(matrix, rhs, modulus)
-        solves.append((len(matrix[0]), t))
-        return t
-
-    monkeypatch.setattr(divcong, "_solve_mod", spy)
     pairs = _random_pairs(lattice, random.Random(35 + with_gtilde), 24)
     assert _assert_matches_reference(lattice, pairs) == {True, False}
     # the local solve ran with s >= 2 unknowns and found nonzero t; without
     # Gtilde, members need both weight-2 directions
-    nonzero = [sum(x != 0 for x in t) for s, t in solves if s >= 2 and t]
+    nonzero = [sum(x != 0 for x in t) for _, _, t in passes if t and len(t) >= 2]
     assert nonzero and max(nonzero) >= (1 if with_gtilde else 2)
+    _assert_passes_match_dual_rows(lattice, passes)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,15 +1138,30 @@ def test_integer_span_solve_with_unknowns_matches_fraction_reference(
 # need no reference decider
 
 
-@pytest.fixture(scope="module", params=[(3, 2, True), (4, 3, True), (4, 2, False),
-                                        (5, 2, True), (5, 2, False)],
-                ids=lambda p: f"N{p[0]}-w{p[1]}-{'gtilde' if p[2] else 'plain'}")
+# (level, weight, Gtilde, basis): built-in, level5_user_basis, or _basis_35,
+# whose span vectors carry 5 and 7 on free rows, so decisions reach the pass
+@pytest.fixture(scope="module", params=[(3, 2, True, ""), (4, 3, True, ""), (4, 2, False, ""),
+                                        (5, 2, True, ""), (5, 2, False, ""),
+                                        (3, 2, True, "35"), (3, 2, False, "35")],
+                ids=lambda p: f"N{p[0]}-w{p[1]}-{'gtilde' if p[2] else 'plain'}{p[3]}")
 def metamorphic_lattice(request):
-    level, weight, with_gtilde = request.param
+    level, weight, with_gtilde, name = request.param
     prec = 12
-    basis = level5_user_basis(prec) if level == 5 else None
+    basis = _basis_35() if name else level5_user_basis(prec) if level == 5 else None
     gtilde = g_tilde(level, weight, prec) if with_gtilde else None
     return make_lattice(level, weight, prec, gtilde=gtilde, basis=basis)
+
+
+def _metamorphic_pairs(lattice, rng):
+    """`_random_pairs`, and each of two members bumped at a free row (`_free_row_bumps`)."""
+    pairs = _random_pairs(lattice, rng, 12)
+    return pairs + _free_row_bumps(lattice, pairs[:6:3], rng)
+
+
+def _assert_pass_reached(lattice, passes):
+    """Decisions reach the pass exactly on lattices whose span carries a
+    denominator prime to N."""
+    assert bool(passes) == (_coprime_part(lattice._spaces[0].vden, lattice.level) > 1)
 
 
 def _galois(series, a):
@@ -1084,14 +1171,15 @@ def _galois(series, a):
                     for n in range(series.prec)])
 
 
-def test_verdict_is_galois_invariant(metamorphic_lattice):
+def test_verdict_is_galois_invariant(metamorphic_lattice, passes):
     # sigma_a is a Q-linear field automorphism that keeps Z[zeta, 1/N], so
     # it maps the lattice onto the lattice of the conjugated basis and Gtilde
     lattice = metamorphic_lattice
     level = lattice.level
-    pairs = _random_pairs(lattice, random.Random(9000 + level), 12)
+    pairs = _metamorphic_pairs(lattice, random.Random(9000 + level))
     verdicts = [is_equivalent(F, G, lattice).equivalent for F, G in pairs]
     assert set(verdicts) == {True, False}
+    _assert_pass_reached(lattice, passes)
     for a in range(2, level):
         if math.gcd(a, level) != 1:
             continue
@@ -1104,15 +1192,16 @@ def test_verdict_is_galois_invariant(metamorphic_lattice):
                 for F, G in pairs] == verdicts
 
 
-def test_verdict_unchanged_by_adding_a_member(metamorphic_lattice):
+def test_verdict_unchanged_by_adding_a_member(metamorphic_lattice, passes):
     lattice = metamorphic_lattice
     rng = random.Random(9100 + lattice.level)
     verdicts = set()
-    for F, G in _random_pairs(lattice, rng, 12):
+    for F, G in _metamorphic_pairs(lattice, rng):
         verdict = is_equivalent(F, G, lattice).equivalent
         verdicts.add(verdict)
         assert is_equivalent(F + _random_member(lattice, rng), G, lattice).equivalent == verdict
     assert verdicts == {True, False}
+    _assert_pass_reached(lattice, passes)
 
 
 # ---------------------------------------------------------------------------
@@ -1202,17 +1291,9 @@ def test_one_pass_matches_two_pass_on_eps_parts(lattice_k2):
 
 
 @pytest.mark.parametrize("with_gtilde", [False, True])
-def test_one_pass_matches_two_pass_with_unknowns(lattice_35, lattice_25, with_gtilde,
-                                                 monkeypatch):
+def test_one_pass_matches_two_pass_with_unknowns(lattice_35, lattice_25, with_gtilde, passes):
     # span vectors with denominators prime to N: the rows reach the local
     # solve with unknowns
-    solves = []
-
-    def spy(matrix, rhs, modulus):
-        solves.append((modulus, len(matrix[0])))
-        return _solve_mod(matrix, rhs, modulus)
-
-    monkeypatch.setattr(divcong, "_solve_mod", spy)
     lattices = [make_lattice(3, 2, 8, basis=lattice_35,
                              gtilde=g_tilde(3, 2, 8) if with_gtilde else None),
                 replace(lattice_25[0], gtilde=g_tilde(3, 2, 6) if with_gtilde else None)]
@@ -1222,11 +1303,13 @@ def test_one_pass_matches_two_pass_with_unknowns(lattice_35, lattice_25, with_gt
         # pairs 0 and 3 are members; their bumps pass the valuation gate
         pairs += _free_row_bumps(lattice, pairs[:6:3], random.Random(lattice.prec))
         for F, G in pairs:
-            solves.clear()
+            passes.clear()
             verdict = is_equivalent(F, G, lattice).equivalent
-            reached += any(modulus > 1 and s >= 1 for modulus, s in solves)
+            reached += any(form.modulus > 1 and len(form.cols[0]) > len(rhs)
+                           for form, rhs, _ in passes)
             assert _assert_matches_two_pass(F, G, lattice) is verdict
             verdicts.add(verdict)
+            _assert_passes_match_dual_rows(lattice, passes)
     assert verdicts == {True, False} and reached >= 12
 
 

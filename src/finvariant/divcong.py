@@ -165,11 +165,6 @@ class ModularBasis:
     prec: int
     entries: tuple[BasisEntry, ...]
 
-    @property
-    def dims(self) -> dict[int, int]:
-        """The number of entries of each weight 0..maxweight."""
-        return {w: len(self.of_weight(w)) for w in range(self.maxweight + 1)}
-
     def of_weight(self, w: int) -> list[BasisEntry]:
         return [e for e in self.entries if e.weight == w]
 

@@ -1,9 +1,9 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
-Every tolerance and runtime budget is pinned here. Independent oracles
-(brute-force convolution, direct divisor enumeration, numeric sampling,
-determinant checks) are implemented inline so the criteria never test the
-library against itself where a second route is required.
+Every tolerance and runtime budget is pinned here. Where a criterion needs a
+second route, its independent oracle (the determinant, the matrix product and
+the Hermite-form shape check) comes from reference.py, or is a numeric sample
+inline, so the criteria never test the library against itself.
 """
 
 import math
@@ -27,6 +27,7 @@ from finvariant.geometry import (adams_psi_poly, chebyshev,
                                  su3_kernel_parity,
                                  su3_psi_twist_kernel_parity)
 from finvariant.qseries import QSeries, is_integral_series, relative_integrality_check
+from reference import det, is_hnf, mat_mul
 
 
 def _report(name: str, passed: bool, elapsed: float, budget: float) -> None:
@@ -231,9 +232,9 @@ def test_a11_property_suites():
         m, n = rng.randint(2, 5), rng.randint(2, 6)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         H, U = hnf(A)
-        ok = ok and _mat_mul(A, U) == H
-        ok = ok and abs(_det_int(U)) == 1
-        ok = ok and _is_column_echelon(H)
+        ok = ok and mat_mul(A, U) == H
+        ok = ok and abs(det(U)) == 1
+        ok = ok and is_hnf(H)
 
     # certificate replay on random lattice members
     rng = random.Random(4001)
@@ -254,52 +255,3 @@ def test_a11_property_suites():
         ok = ok and res.certificate.replay(lattice) == member
 
     _report("A11", ok, time.perf_counter() - start, 30.0)
-
-
-def _mat_mul(A, B):
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B)))
-             for j in range(len(B[0]))] for i in range(len(A))]
-
-
-def _det_int(M):
-    n = len(M)
-    mat = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if mat[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for r in range(c + 1, n):
-            f = mat[r][c] * inv
-            if f:
-                for cc in range(c, n):
-                    mat[r][cc] -= f * mat[c][cc]
-    return det
-
-
-def _is_column_echelon(H):
-    m = len(H)
-    ncols = len(H[0]) if H else 0
-    last_pivot = -1
-    seen_zero = False
-    for j in range(ncols):
-        rows = [i for i in range(m) if H[i][j]]
-        if not rows:
-            seen_zero = True
-            continue
-        if seen_zero:
-            return False
-        r = rows[0]
-        if r <= last_pivot or H[r][j] <= 0:
-            return False
-        if any(H[r][jj] != 0 for jj in range(j + 1, ncols)):
-            return False
-        if any(not (0 <= H[r][jj] < H[r][j]) for jj in range(j)):
-            return False
-        last_pivot = r
-    return True

@@ -19,7 +19,8 @@ from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError, _coprime_p
 from finvariant.genus import g_hat, g_tilde
 from finvariant.qseries import (QSeries, eps_split,
                                 is_integral_series, relative_integrality_check, series_row)
-from reference import divisors
+from reference import (det, dims, divisors, is_hnf, mat_mul, row_sum, series_rows,
+                       twisted_divisor_sum)
 
 
 def test_sturm_bound_values():
@@ -81,54 +82,10 @@ def test_sturm_bound_saturates_generator_rank(level):
 # Hermite normal form
 
 
-def _det(matrix):
-    n = len(matrix)
-    m = [[Fraction(x) for x in row] for row in matrix]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                for cc in range(c, n):
-                    m[r][cc] -= f * m[c][cc]
-    return det
-
-
-def _mat_mul(A, B):
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B)))
-             for j in range(len(B[0]))] for i in range(len(A))]
-
-
-def _assert_hnf_shape(H):
-    pivot_rows = []
-    ncols = len(H[0]) if H else 0
-    m = len(H)
-    seen_zero = False
-    for j in range(ncols):
-        rows = [i for i in range(m) if H[i][j]]
-        if not rows:
-            seen_zero = True
-            continue
-        assert not seen_zero, "nonzero column after a zero column"
-        r = rows[0]
-        pivot = H[r][j]
-        assert pivot > 0
-        if pivot_rows:
-            assert r > pivot_rows[-1]
-        pivot_rows.append(r)
-        # zeros to the right of the pivot in its row, reduced entries left
-        for jj in range(j + 1, ncols):
-            assert H[r][jj] == 0
-        for jj in range(j):
-            assert 0 <= H[r][jj] < pivot
+def _assert_hnf(A, H, U):
+    assert mat_mul(A, U) == H
+    assert abs(det(U)) == 1
+    assert is_hnf(H)
 
 
 def test_hnf_identity():
@@ -141,10 +98,8 @@ def test_hnf_identity():
 def test_hnf_two_by_two():
     A = [[2, 1], [0, 1]]
     H, U = hnf(A)
-    assert _mat_mul(A, U) == H
-    assert abs(_det(U)) == 1
-    assert abs(_det(H)) == abs(_det(A))
-    _assert_hnf_shape(H)
+    _assert_hnf(A, H, U)
+    assert abs(det(H)) == abs(det(A))
 
 
 def test_hnf_random_shapes():
@@ -152,10 +107,7 @@ def test_hnf_random_shapes():
     for _ in range(30):
         m, n = rng.randint(2, 6), rng.randint(2, 8)
         A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        H, U = hnf(A)
-        assert _mat_mul(A, U) == H
-        assert abs(_det(U)) == 1
-        _assert_hnf_shape(H)
+        _assert_hnf(A, *hnf(A))
 
 
 def test_hnf_matches_sympy():
@@ -172,20 +124,12 @@ def test_hnf_matches_sympy():
         if trial % 4 == 0:   # rank-deficient
             A[-1] = [2 * x for x in A[0]]
         H, U = hnf(A)
-        assert _mat_mul(A, U) == H
-        assert abs(_det(U)) == 1
+        _assert_hnf(A, H, U)
         nonzero = [j for j in range(n) if any(row[j] for row in H)]
         S = hermite_normal_form(Matrix(A[::-1]))
         expected = [[int(S[i, j]) for j in reversed(range(S.cols))]
                     for i in reversed(range(S.rows))]
         assert [[row[j] for j in nonzero] for row in H] == expected
-
-
-def _assert_hnf(A, H, U):
-    n = len(U)  # A*U with the width of U, so a 1x0 matrix has a product
-    assert [[sum(row[k] * U[k][j] for k in range(n)) for j in range(n)] for row in A] == H
-    assert abs(_det(U)) == 1
-    _assert_hnf_shape(H)
 
 
 @pytest.mark.parametrize("A, expected", [
@@ -238,14 +182,14 @@ def test_default_generators_unsupported_level():
 
 def test_build_basis_dimensions_level3():
     basis = build_basis(3, 4, 12)
-    assert basis.dims == {0: 1, 1: 1, 2: 1, 3: 2, 4: 2}
+    assert dims(basis) == {0: 1, 1: 1, 2: 1, 3: 2, 4: 2}
     assert [e.label for e in basis.of_weight(0)] == ["1"]
     assert len(basis.of_weight(3)) == 2  # {Ghat1^3, Ghat3} independent
 
 
 def test_build_basis_dimensions_levels_2_and_4():
-    assert build_basis(2, 6, 12).dims == {0: 1, 1: 0, 2: 1, 3: 0, 4: 2, 5: 0, 6: 2}
-    assert build_basis(4, 6, 16).dims == {0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 5: 3, 6: 4}
+    assert dims(build_basis(2, 6, 12)) == {0: 1, 1: 0, 2: 1, 3: 0, 4: 2, 5: 0, 6: 2}
+    assert dims(build_basis(4, 6, 16)) == {0: 1, 1: 1, 2: 2, 3: 2, 4: 3, 5: 3, 6: 4}
 
 
 def test_build_basis_rank_check_refuses_short_generator_set():
@@ -257,10 +201,10 @@ def test_build_basis_rank_check_refuses_short_generator_set():
 
 
 def test_build_basis_dimensions_monotone_level3():
-    dims = build_basis(3, 6, 16).dims
+    counts = dims(build_basis(3, 6, 16))
     for w in range(1, 7):
-        assert dims[w] >= dims[w - 1] - (1 if w == 1 else 0)
-    assert dims == {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3}
+        assert counts[w] >= counts[w - 1] - (1 if w == 1 else 0)
+    assert counts == {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2, 6: 3}
 
 
 def test_build_basis_precision_policy():
@@ -310,7 +254,7 @@ def _assert_matches_recursive(monkeypatch, level, maxweight, prec, generators=No
         reference = build_basis(level, maxweight, prec, generators)
     assert [(e.weight, e.label, _series_key(e.series)) for e in basis.entries] == \
         [(e.weight, e.label, _series_key(e.series)) for e in reference.entries]
-    assert basis.dims == reference.dims
+    assert dims(basis) == dims(reference)
 
 
 @pytest.mark.parametrize("level", [2, 3, 4])
@@ -408,7 +352,7 @@ def test_dimension_oracle_pinned():
 def test_built_basis_dimensions_match_oracle(level):
     # DIM_TARGETS stops at weight 6, so above it only the oracle checks the dims
     basis = build_basis(level, 10, policy_prec(level, 10))
-    assert basis.dims == {k: _dim_modular_forms(level, k) for k in range(11)}
+    assert dims(basis) == {k: _dim_modular_forms(level, k) for k in range(11)}
 
 
 def test_make_lattice_rejects_mismatched_basis():
@@ -459,20 +403,12 @@ def test_eta2_reconciliation(lattice_k2):
     # constant-free weight-one series by a series with ring-integer coefficients
     prec = 12
     half = Fraction(1, 2)
-    coeffs = [EpsPoly(3, ())]
-    for n in range(1, prec):
-        acc = CycNum.zero(3)
-        for d in divisors(n):
-            j = n // d
-            acc = acc + CycNum.zeta(3, -j) + CycNum.zeta(3, j)
-        coeffs.append(EpsPoly(3, (acc * half,)))
-    F = QSeries(3, prec, tuple(coeffs))
+    ones = series_rows(3, prec, [0] + [1] * (prec - 1))
+    half_sum = row_sum(prec * euler_phi(3), [(half, twisted_divisor_sum(3, ones, 1, 1))])
+    F = QSeries._of(3, prec, *half_sum)
     G = g_tilde(3, 1, prec) * half
     diff = F - G
-    for n in range(1, prec):
-        expected = sum((CycNum.zeta(3, -(n // d)) for d in divisors(n)),
-                       CycNum.zero(3))
-        assert diff.coefficient(n) == EpsPoly(3, (expected,))
+    assert (diff.den, diff.parts) == twisted_divisor_sum(3, ones, 1, 0)
     assert relative_integrality_check(diff).integral
     res = is_equivalent(F, G, lattice_k2)
     assert res.equivalent

@@ -3,7 +3,6 @@
 import cmath
 import random
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -13,7 +12,7 @@ from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError,
                                  bernoulli, cyclotomic_poly,
                                  eisenstein_weight_one_constant, euler_phi)
 from finvariant.qseries import QSeries, is_integral_series
-from reference import is_n_integral, to_complex
+from reference import convolve, cyc_galois, cyc_inverse, cyc_mul, is_n_integral, to_complex
 
 
 def _n_integral(c):
@@ -189,7 +188,7 @@ def test_cyclotomic_product_over_divisors_is_power_minus_one():
         prod = [1]
         for d in range(1, n + 1):
             if n % d == 0:
-                prod = _conv(prod, cyclotomic_poly(d))
+                prod = convolve(prod, cyclotomic_poly(d))
         assert prod == [-1] + [0] * (n - 1) + [1]
 
 
@@ -293,69 +292,10 @@ def test_cyclotomic_poly_matches_sympy():
     assert min(cyclotomic_poly(105)) == -2
 
 
-# Reference arithmetic on Fraction coordinates, independent of CycNum's
+# reference.py's arithmetic on Fraction coordinates is independent of CycNum's
 # integer table and of cyclotomic_poly: a product is the schoolbook product
-# reduced by long division by the cyclotomic polynomial, and zeta^m is x^m
-# reduced the same way. Phi_n itself comes from long division of x^n - 1 by
-# the Phi_d of its proper divisors.
-
-def _conv(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-@lru_cache(maxsize=None)
-def _ref_cyclotomic(n):
-    den = [1]
-    for d in range(1, n):
-        if n % d == 0:
-            den = _conv(den, _ref_cyclotomic(d))
-    rem = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    quot = [Fraction(0)] * (len(rem) - len(den) + 1)
-    for k in range(len(quot) - 1, -1, -1):
-        quot[k] = rem[k + len(den) - 1] / den[-1]
-        for i, c in enumerate(den):
-            rem[k + i] -= quot[k] * c
-    assert not any(rem) and all(c.denominator == 1 for c in quot)
-    return tuple(int(c) for c in quot)
-
-
-def _ref_reduce(level, poly):
-    phi = _ref_cyclotomic(level)
-    deg = len(phi) - 1
-    poly = list(poly) + [Fraction(0)] * max(0, deg - len(poly))
-    for k in range(len(poly) - 1, deg - 1, -1):
-        c = poly[k]
-        if c:
-            for i in range(deg + 1):
-                poly[k - deg + i] -= c * phi[i]
-    return tuple(poly[:deg])
-
-
-def _ref_mul(level, a, b):
-    return _ref_reduce(level, _conv(a, b))
-
-
-def _ref_galois(level, a, j):
-    poly = [Fraction(0)] * level
-    for i, x in enumerate(a):
-        poly[i * j % level] += x
-    return _ref_reduce(level, poly)
-
-
-def _ref_inverse(level, a):
-    others = (Fraction(1),) + (Fraction(0),) * (len(a) - 1)
-    for j in range(2, level):
-        if gcd(j, level) == 1:
-            others = _ref_mul(level, others, _ref_galois(level, a, j))
-    norm = _ref_mul(level, a, others)
-    assert not any(norm[1:])
-    return tuple(x / norm[0] for x in others)
-
-
+# reduced by long division by the cyclotomic polynomial, and Phi_n itself
+# comes from long division of x^n - 1 by the Phi_d of its proper divisors.
 @pytest.mark.parametrize("level", [3, 4, 5, 7, 8, 9, 12])
 def test_integer_arithmetic_matches_fraction_reference(level):
     rng = random.Random(1000 + level)
@@ -365,11 +305,11 @@ def test_integer_arithmetic_matches_fraction_reference(level):
         x, y = a.coords, b.coords
         assert (a + b).coords == tuple(p + q for p, q in zip(x, y))
         assert (a - b).coords == tuple(p - q for p, q in zip(x, y))
-        assert (a * b).coords == _ref_mul(level, x, y)
+        assert (a * b).coords == cyc_mul(level, x, y)
         for j in units:
-            assert a.galois(j).coords == _ref_galois(level, x, j)
+            assert a.galois(j).coords == cyc_galois(level, x, j)
         if a:
-            assert a.inverse().coords == _ref_inverse(level, x)
+            assert a.inverse().coords == cyc_inverse(level, x)
 
 
 def _assert_canonical(z):

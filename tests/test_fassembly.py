@@ -18,7 +18,7 @@ from finvariant.fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES,
 from finvariant.genus import g_tilde, g_tilde_level1
 from finvariant.geometry import circle_xi, nu2_xi_values
 from finvariant.qseries import QSeries
-from reference import divisors, sigma
+from reference import divisors, row_sum, series_rows, sigma, twisted_divisor_sum
 
 from conftest import level5_user_basis, random_cyc
 
@@ -33,6 +33,25 @@ def _rational_table(kind, level, l, values):
 
 def _constant_full_table(level, l, dmax, value):
     return XiTable.constant(COMPLEX_FULL, level, l, dmax, value, both_signs=True)
+
+
+def _table_coords(values):
+    """Each value, a pair or 1-tuple of CycNums (eps^0, eps^1), as its parts' coordinates."""
+    return {d: [x.coords for x in v] for d, v in values.items()}
+
+
+def _twisted_sum(level, prec, terms):
+    """The rows of sum_n sum_{d | n} sum over terms of c(d) w(n/d) q^n.
+
+    A term (values, minus, plus, scale) takes c(d) = scale * values[d], a
+    rational or a list of eps parts of rational coordinates, with the weight
+    w(j) = minus*zeta^(-j) + plus*zeta^j (1 when both are 0).
+    """
+    sums = []
+    for values, minus, plus, scale in terms:
+        series = series_rows(level, prec, [0] + [values[d] for d in range(1, prec)])
+        sums.append((scale, twisted_divisor_sum(level, series, minus, plus)))
+    return row_sum(prec * euler_phi(level), sums)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +79,7 @@ def test_single_twist_coefficient():
         entries[-d] = EpsPoly.rational(3, 0)
     xi = _table(COMPLEX_FULL, 3, 1, entries)
     rep = assemble_complex(xi, 8)
-    assert rep.series.coefficient(2) == EpsPoly(3, (CycNum.zeta(3, -2),))
+    assert rep.series.coefficient(2) == EpsPoly(3, (CycNum(3, [0, 1]),))  # zeta^-2 = zeta
 
 
 def test_assembly_matches_twist_table_pairing():
@@ -74,12 +93,9 @@ def test_assembly_matches_twist_table_pairing():
         values[-d] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
     entries = {d: EpsPoly.rational(3, v) for d, v in values.items()}
     rep = assemble_complex(_table(COMPLEX_FULL, 3, 2, entries), prec)
-    for n in range(1, prec):
-        acc = CycNum.zero(3)
-        for d in divisors(n):
-            j = n // d
-            acc = acc + CycNum.zeta(3, -j) * values[d] - CycNum.zeta(3, j) * values[-d]
-        assert rep.series.coefficient(n) == EpsPoly(3, (acc,))
+    negative = {d: values[-d] for d in range(1, prec)}
+    want = _twisted_sum(3, prec, [(values, 1, 0, 1), (negative, 0, -1, 1)])
+    assert (rep.series.den, rep.series.parts) == want
 
 
 def test_assemblers_match_direct_enumeration_with_cyclotomic_xi():
@@ -97,28 +113,25 @@ def test_assemblers_match_direct_enumeration_with_cyclotomic_xi():
         ds = range(1, prec)
         full = {s * d: value() for d in ds for s in (1, -1)}
         positive = {d: value() for d in ds}
-        zeta = {j: CycNum.zeta(level, j) for j in range(-prec, prec)}
-        # per assembly: the (xi-value, weight) terms of each divisor d of n
+        full_coords, coords = _table_coords(full), _table_coords(positive)
+        negative = {d: full_coords[-d] for d in ds}
+        odd = {d: coords[d] if d % 2 else 0 for d in ds}
+        # per assembly: the (values, minus, plus, scale) terms of its twisted sum
         cases = (
             (assemble_complex(table(COMPLEX_FULL, 1, full), prec),
-             lambda n, d: [(full[d], zeta[-(n // d)]), (full[-d], -zeta[n // d])]),
+             [(full_coords, 1, 0, 1), (negative, 0, -1, 1)]),
             (assemble_complex_reduced(table(COMPLEX_POSITIVE, 2, positive), prec),
-             lambda n, d: [(positive[d], zeta[-(n // d)] - zeta[n // d])]),
+             [(coords, 1, -1, 1)]),
             (assemble_complex_reduced(table(COMPLEX_POSITIVE, 3, positive), prec),
-             lambda n, d: [(positive[d], zeta[-(n // d)] + zeta[n // d])]),
+             [(coords, 1, 1, 1)]),
             (assemble_quaternionic(table(QUATERNIONIC, 3, positive), prec),
-             lambda n, d: [(positive[d], 1)]),
+             [(coords, 0, 0, 1)]),
             (assemble_quaternionic_reduced(table(QUATERNIONIC_KERNEL_PARITY, 4, positive), prec),
-             lambda n, d: [(positive[d], Fraction(d % 2, 2))]),
+             [(odd, 0, 0, Fraction(1, 2))]),
         )
         for rep, terms in cases:
-            assert not rep.series.coefficient(0)
-            for n in range(1, prec):
-                acc = [CycNum.zero(level)] * 2
-                for d in divisors(n):
-                    for parts, weight in terms(n, d):
-                        acc = [x + weight * y for x, y in zip(acc, parts)]
-                assert rep.series.coefficient(n) == EpsPoly(level, acc), (level, rep.note, n)
+            want = _twisted_sum(level, prec, terms)
+            assert (rep.series.den, rep.series.parts) == want, (level, rep.note)
 
 
 def test_complex_assembly_at_every_precision_around_the_level():
@@ -132,21 +145,16 @@ def test_complex_assembly_at_every_precision_around_the_level():
         def value(den):
             return CycNum(level, [Fraction(rng.randint(-9, 9), den) for _ in range(deg)])
 
-        zeta = {j: CycNum.zeta(level, j) for j in range(-level - 2, level + 3)}
         for prec in range(1, level + 3):
             plus = {d: (value(4), value(4)) for d in range(1, prec)}
             minus = {d: (value(9),) for d in range(1, prec)}
             entries = {**{d: EpsPoly(level, v) for d, v in plus.items()},
                        **{-d: EpsPoly(level, v) for d, v in minus.items()}}
             rep = assemble_complex(_table(COMPLEX_FULL, level, 1, entries), prec)
-            assert rep.series.prec == prec and not rep.series.coefficient(0)
-            for n in range(1, prec):
-                acc = [CycNum.zero(level)] * 2
-                for d in divisors(n):
-                    j = n // d
-                    acc = [x + zeta[-j] * y for x, y in zip(acc, plus[d])]
-                    acc[0] = acc[0] - zeta[j] * minus[d][0]
-                assert rep.series.coefficient(n) == EpsPoly(level, acc), (level, prec, n)
+            assert rep.series.prec == prec
+            terms = [(_table_coords(plus), 1, 0, 1), (_table_coords(minus), 0, -1, 1)]
+            want = _twisted_sum(level, prec, terms)
+            assert (rep.series.den, rep.series.parts) == want, (level, prec)
 
 
 def test_missing_twist_refused():
@@ -196,13 +204,9 @@ def test_circle_table_splits_into_weight1_and_eps_weight2():
     parts = eps_split(rep.series)
     assert len(parts) == 2
     assert parts[1] == g_tilde(3, 2, prec)  # the eps-part is exactly Gtilde_2
-    half_sum = QSeries(3, prec, tuple(
-        [EpsPoly(3, ())] + [
-            EpsPoly(3, (sum(
-                (CycNum.zeta(3, -(n // d)) + CycNum.zeta(3, n // d)
-                 for d in divisors(n)), CycNum.zero(3)) * Fraction(1, 2),))
-            for n in range(1, prec)]))
-    assert parts[0] == half_sum
+    ones = dict.fromkeys(range(1, prec), 1)
+    half_sum = _twisted_sum(3, prec, [(ones, 1, 1, Fraction(1, 2))])
+    assert (parts[0].den, parts[0].parts) == half_sum
 
 
 def test_nu2_table_collapses_exactly():
@@ -365,8 +369,8 @@ def test_xitable_validation():
 
 def test_known_representative_eta2():
     rep = known_representative("eta2", 3, 6)
-    expected = (CycNum.zeta(3) - CycNum.zeta(3, 2)) * Fraction(1, 2)
-    assert rep.series.coefficient(1) == EpsPoly(3, (expected,))
+    # (zeta - zeta^2)/2 = (1 + 2*zeta)/2
+    assert rep.series.coefficient(1) == EpsPoly(3, (CycNum(3, [Fraction(1, 2), 1]),))
     assert rep.weight_bound == 2
 
 

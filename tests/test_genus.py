@@ -16,15 +16,15 @@ from finvariant.genus import (PoleError, _Product,
                               g_tilde, g_tilde_level1, numeric_taylor,
                               series_value, weight_constant)
 from finvariant.qseries import QSeries, divisor_sum, is_integral_series
-from reference import (DivergenceError, divisors, is_n_integral, psi_numeric, sigma,
-                       to_complex)
+from reference import (DivergenceError, cyc_galois, cyc_inverse, cyc_mul, is_n_integral,
+                       psi_numeric, series_rows, sigma, to_complex, twisted_divisor_sum)
 
 
 def test_g_hat_level3_weight1():
     f = g_hat(3, 1, 5)
     assert f.coefficient(0) == EpsPoly(3, (CycNum(3, [Fraction(1, 6), Fraction(1, 3)]),))
     # q^1: zeta - zeta^2 = 1 + 2*zeta
-    assert f.coefficient(1) == EpsPoly(3, (CycNum.zeta(3) - CycNum.zeta(3, 2),))
+    assert f.coefficient(1) == EpsPoly(3, (CycNum(3, [1, 2]),))
 
 
 def test_g_hat_level2_weight1_vanishes():
@@ -61,9 +61,9 @@ def test_level1_is_sigma_sum(level, k):
 
 def test_ell_expansion_structure():
     exp = ell_expansion(3, 5, 8)
-    # x^1 coefficient at q^1 equals zeta - zeta^2
+    # x^1 coefficient at q^1 equals zeta - zeta^2 = 1 + 2*zeta
     x1 = exp.x_coefficient(1)
-    assert x1.coefficient(1) == EpsPoly(3, (CycNum.zeta(3) - CycNum.zeta(3, 2),))
+    assert x1.coefficient(1) == EpsPoly(3, (CycNum(3, [1, 2]),))
     # x^2 coefficient has constant term 1/12 (weight-2 Bernoulli value)
     assert exp.x_coefficient(2).coefficient(0) == EpsPoly.rational(3, Fraction(1, 12))
     # odd weights >= 3 have vanishing constant term
@@ -76,11 +76,8 @@ def test_twist_table_collapses_to_weight_one():
     # summing the twist pair (-zeta^(-n/d), +zeta^(n/d)) at ch = 1 over d | n
     # reproduces the q^n-coefficient of the constant-free weight-one series
     gt1 = g_tilde(3, 1, 12)
-    for n in range(1, 12):
-        acc = CycNum.zero(3)
-        for d in divisors(n):
-            acc = acc - CycNum.zeta(3, -(n // d)) + CycNum.zeta(3, n // d)
-        assert EpsPoly(3, (acc,)) == gt1.coefficient(n)
+    ones = series_rows(3, 12, [0] + [1] * 11)
+    assert (gt1.den, gt1.parts) == twisted_divisor_sum(3, ones, -1, 1)
 
 
 def test_quaternionic_entry0_is_g2():
@@ -95,10 +92,10 @@ def test_quaternionic_entry0_constant_level3():
     # c1^2 - 2*c2 = zeta/(1-zeta)^2 + 1/12 = -1/4, and -1/4 - 1/12 is 3-integral
     value = g2(3, 3).coefficient(0).coefficient(0)
     assert value == CycNum.from_rational(3, Fraction(-1, 4))
-    z = CycNum.zeta(3)
-    assert value == z / ((CycNum.one(3) - z) * (CycNum.one(3) - z)) + Fraction(1, 12)
-    integral = value - Fraction(1, 12)
-    assert is_n_integral(3, integral.den, integral.ints)
+    z, one_minus_z = (0, 1), (1, -1)
+    ratio = cyc_mul(3, z, cyc_inverse(3, cyc_mul(3, one_minus_z, one_minus_z)))  # z/(1-z)^2
+    assert value.coords == (ratio[0] + Fraction(1, 12), ratio[1])
+    assert is_n_integral(3, 12 * value.den, [12 * value.ints[0] - value.den, 12 * value.ints[1]])
 
 
 def test_quaternionic_entry1_level_collapse():
@@ -171,9 +168,10 @@ def test_conjugation_symmetry_of_divisor_sums():
             sign = 1 if k % 2 == 0 else -1
             powers = QSeries(level, 15, [0] + [d ** (k - 1) for d in range(1, 15)])
             f = divisor_sum(powers, minus=1, plus=sign)
+            deg = len(f.parts[0]) // 15
             for n in range(15):
-                value = f.coefficient(n).coefficient(0)
-                assert value.galois(-1) == value * sign
+                ints = f.parts[0][n * deg:(n + 1) * deg]
+                assert cyc_galois(level, ints, -1) == tuple(sign * x for x in ints)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from conftest import random_series
 from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
 from finvariant.genus import g2, g_tilde_level1
 from finvariant.qseries import EpsPartError, QSeries, divisor_sum, eps_split, is_integral_series
-from reference import divisors, sigma
+from reference import convolve, divisors, sigma
 
 
 def test_difference_of_squares():
@@ -27,19 +27,10 @@ def test_multiplicative_identity():
         assert f * one == f
 
 
-def _brute_convolution(a: list[int], b: list[int], prec: int) -> list[int]:
-    out = [0] * prec
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            if i + j < prec:
-                out[i + j] += x * y
-    return out
-
-
 def test_geometric_square_coefficient():
     # (sum q^n)^2 has q^5-coefficient 6, frozen from the brute-force convolution
     ones = [1] * 8
-    expected = _brute_convolution(ones, ones, 8)
+    expected = convolve(ones, ones, 8)
     assert expected[5] == 6
     f = QSeries(3, 8, ones)
     square = f * f

@@ -14,7 +14,7 @@ Subpackage layout:
 """
 
 from .exactnum import CycNum, EpsPoly, bernoulli, cyclotomic_poly
-from .qseries import QSeries, eps_split, is_integral_series, relative_integrality_check
+from .qseries import QSeries, eps_split, is_integral_series
 from .genus import ell_expansion, g2, g_hat, g_tilde, g_tilde_level1
 from .divcong import build_basis, hnf, is_equivalent, make_lattice, sturm_bound
 from .fassembly import (FRepresentative, XiTable, assemble_complex,
@@ -31,6 +31,5 @@ __all__ = [
     "cyclotomic_poly", "ell_expansion", "eps_split", "g2", "g_hat", "g_tilde",
     "g_tilde_level1", "hnf",
     "is_equivalent", "is_integral_series", "known_representative",
-    "make_lattice", "relative_integrality_check", "run_example",
-    "sturm_bound",
+    "make_lattice", "run_example", "sturm_bound",
 ]

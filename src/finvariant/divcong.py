@@ -268,21 +268,17 @@ class IndeterminacyLattice:
                 f"(free weights 0,{self.weight}; integral series{g})")
 
     @cached_property
-    def _spaces(self) -> tuple[_ColumnSpace, Optional[_ColumnSpace]]:
-        """Reduced column spaces, to O(q^prec), of the span series (weights 0
-        and k, then Gtilde) and of Gtilde alone (None without Gtilde); built
-        once per lattice. A lower precision is a lattice at that precision."""
+    def _space(self) -> _ColumnSpace:
+        """The reduced column space, to O(q^prec), of the span series (weights
+        0 and k, then Gtilde); built once per lattice. A lower precision is a
+        lattice at that precision."""
         span = [self.basis.entries[i].series for i in self.span_indices]
-        space = _ColumnSpace(len(span) + (self.gtilde is not None))
+        if self.gtilde is not None:
+            span.append(self.gtilde)
+        space = _ColumnSpace(len(span))
         for j, series in enumerate(span):
             space.insert(j, *series_row(series, self.prec))
-        if self.gtilde is None:
-            return space, None
-        grow = series_row(self.gtilde, self.prec)
-        space.insert(len(span), *grow)
-        gspace = _ColumnSpace(1)
-        gspace.insert(0, *grow)
-        return space, gspace
+        return space
 
 
 def build_basis(level: int, maxweight: int, prec: int,
@@ -435,19 +431,20 @@ def is_equivalent(F: QSeries, G: QSeries,
     def negative() -> EquivResult:
         return EquivResult(False, None, sound, prec, modulus)
 
-    # pivots of a reduction at lattice.prec may lie beyond a lower precision
-    at_prec = lattice if prec == lattice.prec else replace(lattice, prec=prec)
-    space, gspace = at_prec._spaces
     c1 = _ZERO
     if len(rows) == 2:
-        if gspace is None:
+        # e/den = c1 * g/gden exactly when every cross product e*g[p] - g*e[p]
+        # vanishes, p the first nonzero entry of g (none for a zero Gtilde)
+        e = rows[1]
+        g, gden = series_row(lattice.gtilde, prec) if lattice.gtilde is not None else ((), 1)
+        p = next((i for i, x in enumerate(g) if x), None)
+        if p is None or any(x * g[p] != y * e[p] for x, y in zip(e, g)):
             return negative()
-        r, comb, d = gspace.reduce(rows[1], den)
-        if any(r):
-            return negative()
-        c1 = Fraction(comb[0], d)
+        c1 = Fraction(e[p] * gden, den * g[p])
 
-    solved = _integral_span_solve(rows[0], den, space, lattice.level)
+    # pivots of a reduction at lattice.prec may lie beyond a lower precision
+    at_prec = lattice if prec == lattice.prec else replace(lattice, prec=prec)
+    solved = _integral_span_solve(rows[0], den, at_prec._space, lattice.level)
     if solved is None:
         return negative()
     span_coeffs, residual_row, d = solved

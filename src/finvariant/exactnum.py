@@ -326,17 +326,6 @@ class CycNum:
         return " + ".join(terms) if terms else "0"
 
 
-def eisenstein_weight_one_constant(level: int) -> CycNum:
-    """The constant 1/2 + zeta/(1 - zeta), the weight-one constant term.
-
-    (zeta - 1) * sum_{j<N} j zeta^j = N, so it is 1/2 - sum_{j<N} j zeta^(j+1) / N:
-    one fold of the powers zeta^1 .. zeta^N, over the denominator 2N.
-    """
-    ints = [-2 * c for c in _fold(level, [0] + list(range(level)))]
-    ints[0] += level
-    return CycNum._of(level, 2 * level, ints)
-
-
 # ---------------------------------------------------------------------------
 # Values linear in the formal parameter eps
 

@@ -28,16 +28,22 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
-from .exactnum import CycNum, bernoulli, eisenstein_weight_one_constant, euler_phi
+from .exactnum import CycNum, _fold, bernoulli, euler_phi
 from .qseries import QSeries, _linear_combination, divisor_sum, series_row
 
 
 def weight_constant(level: int, k: int) -> CycNum:
-    """Constant term c_k of G_hat_k: 1/2 + zeta/(1-zeta) for k = 1, B_k/k above."""
+    """Constant term c_k of G_hat_k: 1/2 + zeta/(1-zeta) for k = 1, B_k/k above.
+
+    (zeta - 1) * sum_{j<N} j zeta^j = N, so c_1 = 1/2 - sum_{j<N} j zeta^(j+1) / N:
+    one fold of the powers zeta^1 .. zeta^N, over the denominator 2N.
+    """
     if k < 1:
         raise ValueError("weight must be >= 1")
     if k == 1:
-        return eisenstein_weight_one_constant(level)
+        ints = [-2 * c for c in _fold(level, [0] + list(range(level)))]
+        ints[0] += level
+        return CycNum._of(level, 2 * level, ints)
     return CycNum.from_rational(level, bernoulli(k) / k)
 
 

@@ -275,9 +275,6 @@ class ExtForm:
         """The coframe element theta_index."""
         return cls({((index,), _NO_Y): _ONE})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

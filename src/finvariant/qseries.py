@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, zip_longest
@@ -127,14 +126,11 @@ class QSeries:
         # dropped entries may have held the only factor not shared with den
         return QSeries._of(self.level, prec, self.den, [p[:size] for p in self.parts])
 
-    def is_zero(self) -> bool:
-        return not self.parts
-
     def is_eps_free(self) -> bool:
         return len(self.parts) <= 1
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.parts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QSeries):
@@ -219,30 +215,15 @@ def series_row(f: QSeries, prec: int) -> tuple[Sequence[int], int]:
     return (f.parts or [(0,) * size])[0][:size], f.den
 
 
-@dataclass(frozen=True)
-class IntegralityReport:
-    integral: bool
-    first_failure: Optional[int]
-
-
-def relative_integrality_check(f: QSeries) -> IntegralityReport:
-    """Coefficientwise Z[zeta,1/N]-integrality with the first failure reported.
+def is_integral_series(f: QSeries) -> bool:
+    """True iff every coefficient lies in Z[zeta, 1/level].
 
     An entry v/den is integral exactly when the part of den prime to N divides v.
     """
     if not f.is_eps_free():
         raise EpsPartError("integrality undefined for series with eps-part")
     d = _coprime_part(f.den, f.level)
-    if d > 1:
-        for i, v in enumerate(f.parts[0]):
-            if v % d:
-                return IntegralityReport(False, i // euler_phi(f.level))
-    return IntegralityReport(True, None)
-
-
-def is_integral_series(f: QSeries) -> bool:
-    """True iff every coefficient lies in Z[zeta, 1/level]."""
-    return relative_integrality_check(f).integral
+    return d == 1 or not any(v % d for v in f.parts[0])
 
 
 def eps_split(f: QSeries) -> list[QSeries]:

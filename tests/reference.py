@@ -277,24 +277,36 @@ def mat_mul(A, B) -> list[list]:
     return [[sum(row[k] * B[k][j] for k in range(len(B))) for j in range(width)] for row in A]
 
 
-def det(M) -> Fraction:
-    """The determinant of a square matrix, by Fraction elimination with row swaps."""
-    n = len(M)
+def _echelon(M) -> tuple[list[list[Fraction]], int]:
+    """(rows, sign): the nonzero rows of a row echelon form of M, by Fraction
+    elimination with row swaps, and the sign of those swaps."""
     m = [[Fraction(x) for x in row] for row in M]
-    value = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
+    rank, sign = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            value = -value
-        value *= m[c][c]
-        for r in range(c + 1, n):
-            if f := m[r][c] / m[c][c]:
-                for cc in range(c, n):
-                    m[r][cc] -= f * m[c][cc]
-    return value
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        for r in range(rank + 1, len(m)):
+            if f := m[r][c] / m[rank][c]:
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return m[:rank], sign
+
+
+def rank(M) -> int:
+    """The rank of a matrix given as rows."""
+    return len(_echelon(M)[0])
+
+
+def det(M) -> Fraction:
+    """The determinant of a square matrix: the signed product of its echelon pivots."""
+    rows, sign = _echelon(M)
+    if len(rows) < len(M):
+        return Fraction(0)
+    return sign * math.prod((row[i] for i, row in enumerate(rows)), start=Fraction(1))
 
 
 def is_hnf(H) -> bool:

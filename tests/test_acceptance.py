@@ -26,7 +26,7 @@ from finvariant.geometry import (adams_psi_poly, chebyshev,
                                  cs_integral, ext_d, ExtForm, su3_dim,
                                  su3_kernel_parity,
                                  su3_psi_twist_kernel_parity)
-from finvariant.qseries import QSeries, is_integral_series, relative_integrality_check
+from finvariant.qseries import QSeries, is_integral_series
 from reference import det, is_hnf, mat_mul
 
 
@@ -116,7 +116,7 @@ def test_a5_etasigma_example():
         XiTable(QUATERNIONIC_KERNEL_PARITY, 3, 4, entries), prec)
     reference = g_tilde_level1(3, 4, prec) * Fraction(1, 2)
     diff = reference - assembled.series
-    ok = relative_integrality_check(diff).integral
+    ok = is_integral_series(diff)
     # the halves of the even-divisor part are integers, coefficient by coefficient
     for n in range(1, prec):
         value = diff.coefficient(n).coefficient(0).rational_part()
@@ -161,7 +161,7 @@ def test_a8_chern_simons():
     start = time.perf_counter()
     c_wdw, c_www = chern_simons_volume_coefficients()
     ok = c_wdw == 12 and c_www == -6
-    ok = ok and all(ext_d(ext_d(ExtForm.basis(a))).is_zero() for a in range(5))
+    ok = ok and all(not ext_d(ext_d(ExtForm.basis(a))) for a in range(5))
     ok = ok and all(cs_integral(d) == Fraction(d, 12) for d in range(1, 13))
     _report("A8", ok, time.perf_counter() - start, 5.0)
 

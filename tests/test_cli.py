@@ -55,6 +55,14 @@ def test_eis_usage_error_on_bad_level(capsys):
     assert exc.value.code == 2
 
 
+def test_zero_precision_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["eis", "-N", "3", "-k", "2", "-p", "0"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "expected a positive integer" in captured.err
+
+
 def test_ell_negative_quaternionic_order_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ell", "-N", "3", "-k", "2", "-p", "3", "--quaternionic", "-1", "--machine"])
@@ -454,6 +462,29 @@ def test_divcong_machine_golden(tmp_path, capsys):
     assert out == _DIVCONG_NU2_MACHINE
 
 
+# the human certificate of an eps-member: the Gtilde line carries the eps
+# coefficient (the span already holds Gtilde_k itself, so its constant is 0)
+_DIVCONG_EPS_HUMAN = """\
+verdict: True
+modulus: weight<=2 lattice at level 3 (free weights 0,2; integral series+R*Gtilde)
+certificate:
+  -7/144 * 1 (weight 0)
+  -7/12 * Ghat1^2 (weight 2)
+  (0 + 2/3*eps) * Gtilde
+  + integral residual (8 nonzero coefficients)
+"""
+
+
+def test_divcong_human_certificate_prints_the_gtilde_line(tmp_path, capsys):
+    F = (g_tilde(3, 2, 10) * EpsPoly.linear(3, Fraction(1, 4), Fraction(2, 3))
+         + QSeries(3, 10, [0, Fraction(1, 3)]))
+    pf = _write_series_file(tmp_path, "F.txt", F)
+    pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(3, 10))
+    code, out, err = run_cli(capsys, "divcong", str(pf), str(pg), "-N", "3",
+                             "-w", "2", "--basis", str(tmp_path / "bases"))
+    assert (code, out, err) == (0, _DIVCONG_EPS_HUMAN, "")
+
+
 def test_divcong_missing_file_exit_three(tmp_path, capsys):
     pg = _write_series_file(tmp_path, "G.txt", QSeries.zero(3, 8))
     code, _, err = run_cli(capsys, "divcong", str(tmp_path / "missing.txt"),
@@ -799,6 +830,21 @@ def test_assemble_bad_twist_index_exit_three(tmp_path, capsys, line, message):
     assert code == 3
     assert not out
     assert err == f"error: {xi_path}:1: {message}\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("1\n", 1, "expected 'd value [eps-value]'"),
+    ("1 1/2\n2 1/3 1 1\n", 2, "expected 'd value [eps-value]'"),
+    ("1 1/2\nx 1/3\n", 2, "bad twist index 'x'"),
+    ("# no entries\n\n", None, "empty xi table"),
+], ids=["one_token", "four_tokens", "index_not_integer", "comments_only"])
+def test_assemble_malformed_xi_table_exit_three(tmp_path, capsys, text, line, message):
+    xi_path = tmp_path / "xi.txt"
+    xi_path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "assemble", "--kind", "complex-reduced",
+                             "--xi", str(xi_path), "-l", "1", "-N", "3", "-p", "4")
+    where = xi_path if line is None else f"{xi_path}:{line}"
+    assert (code, out, err) == (3, "", f"error: {where}: {message}\n")
 
 
 @pytest.mark.parametrize("kind", ["quaternionic", "quaternionic-reduced"])

@@ -9,8 +9,8 @@ import pytest
 
 from conftest import random_cyc
 from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError,
-                                 bernoulli, cyclotomic_poly,
-                                 eisenstein_weight_one_constant, euler_phi)
+                                 bernoulli, cyclotomic_poly, euler_phi)
+from finvariant.genus import weight_constant
 from finvariant.qseries import QSeries, is_integral_series
 from reference import convolve, cyc_galois, cyc_inverse, cyc_mul, is_n_integral, to_complex
 
@@ -57,7 +57,7 @@ def test_zeta_root_of_unity_order():
 
 def test_weight_one_constant_level3():
     # 1/2 + z/(1-z) at level 3 must come out as (1 + 2z)/6
-    value = eisenstein_weight_one_constant(3)
+    value = weight_constant(3, 1)
     expected = CycNum(3, [Fraction(1, 6), Fraction(1, 3)])
     assert value == expected
     # float oracle at z = exp(2 pi i/3)
@@ -67,7 +67,7 @@ def test_weight_one_constant_level3():
 
 
 def test_weight_one_constant_level2_vanishes():
-    assert not eisenstein_weight_one_constant(2)
+    assert not weight_constant(2, 1)
 
 
 @pytest.mark.parametrize("level", range(2, 61))
@@ -75,7 +75,7 @@ def test_weight_one_constant_matches_field_inverse(level):
     # the closed form without an inverse against 1/2 + z/(1 - z) from CycNum division
     z, one = CycNum.zeta(level), CycNum.one(level)
     expected = CycNum.from_rational(level, Fraction(1, 2)) + z / (one - z)
-    value = eisenstein_weight_one_constant(level)
+    value = weight_constant(level, 1)
     assert (value.den, value.ints) == (expected.den, expected.ints)
 
 
@@ -93,7 +93,7 @@ def test_division_matches_float_oracle():
 
 
 def test_is_n_integral_examples():
-    assert not _n_integral(eisenstein_weight_one_constant(3))  # denominator 6
+    assert not _n_integral(weight_constant(3, 1))  # denominator 6
     assert _n_integral(CycNum.zeta(3) / 9)                    # 9 = 3^2
     assert _n_integral(CycNum.from_rational(2, Fraction(1, 2)))  # 2 | 2
 

@@ -118,7 +118,7 @@ def test_product_sparse_zero_and_precision_one(level):
     zero = QSeries.zero(level, 7)
     dense = _series(rng, level, 11)
     sparse = _series(rng, level, 12, density=0.2)
-    assert (dense * zero).is_zero() and (zero * dense).prec == 7
+    assert not dense * zero and (zero * dense).prec == 7
     _assert_product(dense, sparse)
     _assert_product(sparse, sparse)
     _assert_product(_series(rng, level, 1), dense)
@@ -226,7 +226,7 @@ def test_divisor_sum_sparse_and_tiny_precision(level):
     table = {d: (_cyc(rng, level) if d % 3 == 1 else 0) for d in range(1, 30)}
     for prec in (1, 2, 3, 30):
         _assert_divisor_sum(_coefficient_series(level, prec, table.__getitem__), 1, -1)
-    assert divisor_sum(QSeries.zero(level, 10), 1, 1).is_zero()
+    assert not divisor_sum(QSeries.zero(level, 10), 1, 1)
 
 
 def _linear_row(rng, level, d):
@@ -390,8 +390,8 @@ def test_sum_kernel_eps_part_cancels(level):
     assert diff.is_eps_free()
     assert all(len(diff.coefficient(n).coeffs) <= 1 for n in range(10))
     _assert_sum_kernel(a, b, Fraction(-2, 3))
-    assert (a - a).is_zero() and all(not (a - a).coefficient(n).coeffs for n in range(10))
-    assert (a * Fraction(0)).is_zero()
+    assert not a - a and all(not (a - a).coefficient(n).coeffs for n in range(10))
+    assert not a * Fraction(0)
 
 
 @pytest.mark.parametrize("level", SUM_LEVELS)
@@ -462,8 +462,14 @@ def test_kernels_match_oracles_hypothesis():
         a = series(draw(st.integers(1, 6)), 2)
         return a, series(draw(st.integers(1, 6)), 2 if a.is_eps_free() else 1)
 
+    # the drawn examples follow a hash of this source, so a kill that must
+    # survive edits is pinned: minus = -plus at N >= 3 joins class -j to
+    # class j with a sign (a `sub` twist group)
+    pinned = (QSeries(5, 4, [1, CycNum(5, [0, 2, 0, -1]), Fraction(1, 3)]), QSeries(5, 2, [3, 1]))
+
     @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
     @hypothesis.given(series_pair(), st.sampled_from([(0, 0), (1, 0), (1, 1), (1, -1)]))
+    @hypothesis.example(pinned, (1, -1))
     def check(pair, weights):
         a, b = pair
         _assert_product(a, b)

@@ -10,7 +10,8 @@ Subpackage layout:
 - divcong:   modular bases, lattice equivalence decisions, Hermite normal form
 - geometry:  circle/homogeneous-space spectra, SU(2)/SU(3) data, Chern-Simons
 - fassembly: xi-tables, assembly formulas, known representatives, examples
-- cli:       batch command-line front end and series/basis file formats
+- files:     series, basis and xi-table file formats, read to integer rows
+- cli:       batch command-line front end, verdict and certificate printing
 """
 
 from .exactnum import CycNum, EpsPoly, bernoulli, cyclotomic_poly

@@ -4,20 +4,7 @@ Subcommands: eis, ell, g2, divcong, assemble, example, oracle.
 Exit codes: 0 success / true verdict, 1 false verdict, 2 usage, 3 data error,
 4 internal error or output closed early (never a verdict).
 
-Series and basis files share one line-oriented UTF-8 format: a header
-``level=<N> weight=<k> prec=<P> label=<text>`` (each key once, in any order,
-``label`` optional and without whitespace, no other key; ``weight=?`` for
-plain series), then one line per q-coefficient: the index and phi(N) rationals
-(any token ``fractions.Fraction`` reads, written as an integer or ``p/q`` with
-an unsigned ``q``) separated by single spaces. ``#`` starts a comment. A
-series with an eps-part is written as its eps^0 block followed by a block
-labelled ``<label>.eps`` holding the eps^1 coefficients; in every file the
-reader folds such a block into the block right before it, which must be the
-``<label>`` block with no eps block yet (any other ``.eps`` block, stacked or
-orphaned, is a data error). A series file holds one folded block; a basis
-file is a sequence of eps-free blocks. Reader errors name ``file:line``.
-Machine-readable output (``--machine``) emits exactly this format, so
-commands compose.
+--machine output is the file format of `files`, so commands compose.
 """
 
 from __future__ import annotations
@@ -25,246 +12,61 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from bisect import bisect_left
-from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, cycle
-from math import gcd, lcm
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
-from .divcong import (BasisEntry, BasisError, EquivResult, ModularBasis,
-                      PrecisionError, build_basis, default_generators,
-                      dependent_entry, is_equivalent, make_lattice, policy_prec)
-from .exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
+from .divcong import (BasisError, EquivResult, ModularBasis, PrecisionError, build_basis,
+                      default_generators, dependent_entry, is_equivalent, make_lattice,
+                      policy_prec)
+from .exactnum import LevelMismatchError, euler_phi
 from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES, QUATERNIONIC,
-                        QUATERNIONIC_KERNEL_PARITY, MissingTwistError, XiTable,
+                        QUATERNIONIC_KERNEL_PARITY, MissingTwistError,
                         assemble_complex, assemble_complex_reduced,
                         assemble_quaternionic, assemble_quaternionic_reduced,
                         check_example, run_example)
+from .files import DataError, _ratio, read_basis, read_series, read_xi_table, write_series
 from .genus import (_ell, _Product, _quaternionic_entries, ell_expansion, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
-from .qseries import (EpsPartError, QSeries, _linear_combination, eps_split,
-                      is_integral_series, series_row)
+from .qseries import EpsPartError, QSeries, eps_split, is_integral_series, series_row
 
 ORACLE_TOLERANCE = 1e-8
 _ORACLE_TAUS = (0.31j, 0.05 + 0.4j)
 
 
-class DataError(ValueError):
-    """Malformed input file or inconsistent data; maps to exit code 3."""
-
-
-# ---------------------------------------------------------------------------
-# Series / basis file format
-
-
-def write_series(fh: TextIO, series: QSeries, weight: Optional[int],
-                 label: str) -> None:
-    """Write a series block, followed by a '<label>.eps' block for its eps^1 part."""
-    parts = eps_split(series)
-    w = "?" if weight is None else str(weight)
-    deg = euler_phi(series.level)
-    for part, name in zip(parts, (label, label + ".eps")):
-        fh.write(f"level={part.level} weight={w} prec={part.prec} label={name}\n")
-        row, den = series_row(part, part.prec)
-        for n in range(part.prec):
-            fh.write(f"{n} {' '.join(_ratio(c, den) for c in row[n * deg:(n + 1) * deg])}\n")
-
-
-def _ratio(c: int, den: int) -> str:
-    """c/den in lowest terms, as str(Fraction(c, den)) prints it."""
-    g = gcd(c, den)
-    return str(c // g) if g == den else f"{c // g}/{den // g}"
-
-
-# coordinates as written: integers or p/q with an unsigned q, single-spaced
-_WRITTEN = re.compile(r"[-+]?\d+(?:/\d+)?(?: [-+]?\d+(?:/\d+)?)*")
-
-
-def _rational(tok: str, where: str) -> tuple[int, int]:
-    """(num, den), den > 0, of Fraction(tok); no Fraction is made for an integer or p/q."""
-    p, _, q = tok.partition("/")
-    try:
-        if _WRITTEN.fullmatch(tok) and int(q or 1):
-            return int(p), int(q or 1)
-        return Fraction(tok).as_integer_ratio()
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DataError(f"{where}: bad rational {tok!r}") from exc
-
-
-def _data_lines(path: Path) -> Iterator[tuple[int, str]]:
-    """(line number, text) of each non-blank line of a UTF-8 file, comments cut."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    yield line_no, line
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc})") from exc
-
-
-def read_blocks(path: Path) -> list[tuple[Optional[int], str, QSeries]]:
-    """Parse a series/basis file into (weight, label, series) blocks.
-
-    A header is any line whose first token holds '=' (a coefficient line
-    starts with its integer index), so its keys may come in any order. A
-    '<label>.eps' block holds the eps^1 part of the '<label>' block right
-    before it, and folds into that block's series; a block whose label ends
-    in '.eps' and follows anything else (no block, another label, or a block
-    that already took its eps block) is refused.
-    """
-    lines = list(_data_lines(path))
-    if not lines:
-        raise DataError(f"{path}: no series blocks found")
-    starts = [i for i, (_, line) in enumerate(lines) if "=" in line.split(None, 1)[0]]
-    if not starts or starts[0]:
-        raise DataError(f"{path}:{lines[0][0]}: coefficient line before any header")
-    blocks: list[tuple[Optional[int], str, QSeries]] = []
-    open_label = None  # the last block's label while it has no eps block
-    for start, end in zip(starts, starts[1:] + [len(lines)]):
-        weight, label, series = _parse_block(path, lines[start], lines[start + 1:end])
-        where = f"{path}:{lines[start][0]}"
-        if not label.endswith(".eps"):
-            blocks.append((weight, label, series))
-            open_label = label
-            continue
-        if open_label is None or label != open_label + ".eps":
-            raise DataError(f"{where}: eps block '{label}' does not follow its series block")
-        const_weight, const_label, const = blocks[-1]
-        if (const_weight, const.level, const.prec) != (weight, series.level, series.prec):
-            raise DataError(f"{where}: eps block does not match its series block")
-        blocks[-1] = (weight, const_label, _linear_combination(
-            const.level, const.prec, (((1,), const), ((0, 1), series))))
-        open_label = None
-    return blocks
-
-
-def _parse_block(path: Path, header: tuple[int, str],
-                 rows: list[tuple[int, str]]) -> tuple[Optional[int], str, QSeries]:
-    """(weight, label, series) of one block, from its numbered header and coefficient lines."""
-    header_no, line = header
-    level, prec, weight, label = _parse_header(line, path, header_no)
-    if len(rows) != prec:
-        raise DataError(f"{path}:{header_no}: block '{label}' has {len(rows)} "
-                        f"coefficient lines, expected {prec}")
-    deg = euler_phi(level)
-    lines = [row.split() for _, row in rows]
-    coords = [tok for toks in lines for tok in toks[1:]]
-    # lines 'n c_1 .. c_deg' in order, all written, in one pass; else line by line
-    with suppress(ValueError, ZeroDivisionError):  # a q = 0; int() past its digit limit
-        if (_WRITTEN.fullmatch(text := " ".join(coords)) and all(len(t) == deg + 1 for t in lines)
-                and [toks[0] for toks in lines] == list(map(str, range(prec)))):
-            den = lcm(*map(int, re.findall(r"/(\d+)", text)))
-            row = list(map(int, coords)) if den == 1 else [
-                int(p) * (den // int(q or 1)) for p, _, q in (t.partition("/") for t in coords)]
-            return weight, label, QSeries._of(level, prec, den, [row])
-    pairs: list[tuple[int, int]] = []
-    for n, ((line_no, _), toks) in enumerate(zip(rows, lines)):
-        where = f"{path}:{line_no}"
-        try:
-            index = int(toks[0])
-        except ValueError as exc:
-            raise DataError(f"{where}: bad coefficient index {toks[0]!r}") from exc
-        if index != n:
-            raise DataError(f"{where}: block '{label}' out of order at index {index}")
-        if len(toks) - 1 != deg:
-            raise DataError(f"{where}: block '{label}' index {n}: "
-                            f"{len(toks) - 1} coordinates, expected {deg}")
-        pairs += (_rational(t, where) for t in toks[1:])
-    den = lcm(*{d for _, d in pairs})
-    return weight, label, QSeries._of(level, prec, den, [[x * (den // d) for x, d in pairs]])
-
-
-def _parse_header(line: str, path: Path, line_no: int) -> tuple[int, int, Optional[int], str]:
-    """(level, prec, weight, label) of a header line holding level, weight and prec
-    once each and label at most once, every field 'key=value' (so a label holds
-    no whitespace); weight None for 'weight=?'."""
-    fields: dict[str, str] = {}
-    for part in line.split():
-        if "=" not in part:
-            raise DataError(f"{path}:{line_no}: malformed header field {part!r}")
-        key, value = part.split("=", 1)
-        if key in fields or key not in ("level", "weight", "prec", "label"):
-            kind = "repeated" if key in fields else "unknown"
-            raise DataError(f"{path}:{line_no}: {kind} header key {key!r}")
-        fields[key] = value
-    try:
-        level = int(fields["level"])
-        prec = int(fields["prec"])
-        weight = None if fields["weight"] == "?" else int(fields["weight"])
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}:{line_no}: malformed header {line!r}") from exc
-    if level < 2 or prec < 1:
-        raise DataError(f"{path}:{line_no}: level must be >= 2 and prec >= 1")
-    if weight is not None and weight < 0:
-        raise DataError(f"{path}:{line_no}: weight must be >= 0")
-    return level, prec, weight, fields.get("label", "")
-
-
-def read_series(path: Path) -> QSeries:
-    """The series of a file holding a single block."""
-    blocks = read_blocks(path)
-    if len(blocks) != 1:
-        raise DataError(f"{path}: expected a single series block, found {len(blocks)}")
-    return blocks[0][2]
-
-
-def read_basis(path: Path) -> ModularBasis:
-    """A basis file: eps-free blocks of explicit weight, all at one level."""
-    blocks = read_blocks(path)
-    level = blocks[0][2].level
-    entries = []
-    for weight, label, series in blocks:
-        if weight is None:
-            raise DataError(f"{path}: basis blocks need explicit weights")
-        if series.level != level:
-            raise DataError(f"{path}: mixed levels in basis file")
-        if not series.is_eps_free():
-            raise DataError(f"{path}: basis entry '{label}' carries an eps part")
-        entries.append(BasisEntry(weight, series, label))
-    return ModularBasis(level, max(e.weight for e in entries),
-                        min(e.series.prec for e in entries), tuple(entries))
-
-
 def _load_or_build_basis(level: int, weight: int, prec: int,
                          basis_dir: Path) -> ModularBasis:
-    """The built-in generators' basis, which a file found must equal, else the file."""
+    """The built-in generators' basis, which a file found must equal, else the file,
+    which must hold the constant 1 as its only weight-0 entry and independent
+    entries of each weight."""
     basis_prec = max(prec, policy_prec(level, weight))
     path = basis_dir / f"basis_N{level}_W{weight}_P{basis_prec}.txt"
     try:
-        path.open(encoding="utf-8").close()  # only absence means "no file"
-    except FileNotFoundError:
+        found = read_basis(path)
+    except FileNotFoundError:  # only absence means "no file"
         return build_basis(level, weight, basis_prec)
-    found = read_basis(path)
     if found.level != level or found.maxweight < weight or found.prec < prec:
         raise DataError(f"{path}: basis file does not cover level {level}, "
                         f"weight {weight}, prec {prec}")
     try:
         generators = default_generators(level, basis_prec)
     except BasisError:
-        _check_user_basis(found, path)
+        constants = found.of_weight(0)
+        if len(constants) != 1 or constants[0].series != QSeries.one(level, found.prec):
+            raise DataError(f"{path}: a basis file needs exactly one weight-0 entry, the constant 1")
+        entry = dependent_entry(found)
+        if entry is not None:
+            raise DataError(f"{path}: basis entry '{entry.label}' is a rational combination "
+                            f"of the weight-{entry.weight} entries before it")
         return found
     basis = build_basis(level, weight, basis_prec, generators)
     if found.entries != basis.entries:
         raise DataError(f"{path}: differs from the basis built from the generators")
     return basis
-
-
-def _check_user_basis(basis: ModularBasis, path: Path) -> None:
-    """A user basis holds the constant 1 as its only weight-0 entry, and
-    the entries of each weight are independent."""
-    constants = basis.of_weight(0)
-    if len(constants) != 1 or constants[0].series != QSeries.one(basis.level, basis.prec):
-        raise DataError(f"{path}: a basis file needs exactly one weight-0 entry, the constant 1")
-    entry = dependent_entry(basis)
-    if entry is not None:
-        raise DataError(f"{path}: basis entry '{entry.label}' is a rational combination "
-                        f"of the weight-{entry.weight} entries before it")
 
 
 # ---------------------------------------------------------------------------
@@ -373,33 +175,6 @@ def _cmd_divcong(args) -> int:
     return 0 if res.equivalent else 1
 
 
-def _read_xi_table(path: Path, name: str, level: int, l: int) -> XiTable:
-    kind, pad = _ASSEMBLERS[name][0], (0,) * (euler_phi(level) - 1)
-    entries = {}
-    for line_no, line in _data_lines(path):
-        toks = line.split()
-        if len(toks) not in (2, 3):
-            raise DataError(f"{path}:{line_no}: expected 'd value [eps-value]'")
-        try:
-            d = int(toks[0])
-        except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: bad twist index {toks[0]!r}") from exc
-        if d in entries:
-            raise DataError(f"{path}:{line_no}: repeated twist index {d}")
-        entries[d] = EpsPoly(level, [CycNum._of(level, den, (num,) + pad) for num, den in
-                                     (_rational(t, f"{path}:{line_no}") for t in toks[1:])])
-        if d == 0:
-            raise DataError(f"{path}:{line_no}: twist index 0 is not allowed")
-        if d < 0 and kind != COMPLEX_FULL:
-            raise DataError(f"{path}:{line_no}: --kind {name} takes positive twist indices only")
-    if not entries:
-        raise DataError(f"{path}: empty xi table")
-    try:
-        return XiTable(kind, level, l, entries)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
 _ASSEMBLERS = {
     "complex": (COMPLEX_FULL, assemble_complex),
     "complex-reduced": (COMPLEX_POSITIVE, assemble_complex_reduced),
@@ -410,8 +185,8 @@ _ASSEMBLERS = {
 
 
 def _cmd_assemble(args) -> int:
-    table = _read_xi_table(Path(args.xi), args.kind, args.level, args.l)
-    rep = _ASSEMBLERS[args.kind][1](table, args.prec)
+    kind, assemble = _ASSEMBLERS[args.kind]
+    rep = assemble(read_xi_table(Path(args.xi), kind, args.level, args.l, args.kind), args.prec)
     _print_series(rep.series, f"assembled[{args.kind}]", None, args.machine)
     if not args.machine:
         print(f"weight bound: {rep.weight_bound}")

@@ -3,9 +3,9 @@
 A QSeries holds q^0 .. q^(prec-1) exactly as a positive `den` and `parts`:
 per eps degree e (0 or 1), one flat tuple whose entry n*phi(N) + t is den
 times coordinate t (power basis) of the eps^e part of the q^n coefficient.
-The form is canonical (gcd(den, entries) = 1, last part nonzero) and only
-this module reads it. Every series is stored through `_store`, the one place
-that refuses an eps^2 part (EpsPartError), whichever operation made it.
+The form is canonical (gcd(den, entries) = 1, last part nonzero); only this
+module and `files` read it. Every series is stored through `_store`, the one
+place that refuses an eps^2 part (EpsPartError), whichever operation made it.
 `coefficient(n)` builds one EpsPoly on demand, and `series_row` is the
 flat integer view of an eps-free series. Arithmetic requires equal levels
 and truncates to the smaller precision.

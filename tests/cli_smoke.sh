@@ -113,7 +113,7 @@ expect 1 out line 'verdict: False' finv divcong Q.txt Z.txt -N 3 -w 2
 mkdir U
 python3 -c 'import sys
 from fractions import Fraction
-from finvariant.cli import write_series
+from finvariant.files import write_series
 from finvariant.divcong import BasisEntry, build_basis
 from finvariant.genus import g_hat
 from finvariant.qseries import QSeries

@@ -46,3 +46,13 @@ def level5_user_basis(prec: int) -> ModularBasis:
     """A weight-2 basis at level 5, which has no built-in generators."""
     gens = [(1, "Ghat1", g_hat(5, 1, prec)), (2, "Ghat2", g_hat(5, 2, prec))]
     return build_basis(5, 2, prec, generators=gens, check_dims=False)
+
+
+def mixed_weight_witness(prec: int) -> QSeries:
+    """ROADMAP item 21's u at level 3: a sum of forms of weights 1..5 that
+    agrees with a member of the weight <= 6 lattice to O(q^9), with s = 1 + 2*zeta."""
+    g1, g3, s = g_hat(3, 1, prec), g_hat(3, 3, prec), CycNum(3, [1, 2])
+    g1sq = g1 * g1
+    return ((-125092 * g1 + 158040 * g3 + 371040 * g1sq * g1 - 242784 * g1sq * g3
+             - 389952 * g1sq * g1sq * g1) * s
+            + 258600 * g1sq - 307584 * g1 * g3 - 327312 * g1sq * g1sq)

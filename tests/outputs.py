@@ -29,9 +29,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from finvariant.cli import main, write_series  # noqa: E402
-from finvariant.divcong import build_basis  # noqa: E402
+from finvariant.cli import main  # noqa: E402
+from conftest import mixed_weight_witness  # noqa: E402
+from finvariant.divcong import BasisEntry, build_basis  # noqa: E402
 from finvariant.exactnum import CycNum  # noqa: E402
+from finvariant.files import write_series  # noqa: E402
 from finvariant.genus import g_hat, g_tilde  # noqa: E402
 from finvariant.qseries import QSeries  # noqa: E402
 
@@ -72,6 +74,18 @@ def write_inputs() -> None:
     entries = build_basis(5, 2, 12, generators=gens).entries
     _write_basis("bases5", entries)
     _write_basis("bases5_short", [e for e in entries if e.label != "Ghat2"])
+    # tests/cli_smoke.sh's level-5 basis, whose Ghat2 carries q^3/7: without
+    # Gtilde, q^3/7 (D) is a member and q^3/7 + q^4/7 (N) is not, decided in
+    # the local case modulo 7
+    q3_7 = QSeries(5, 12, [0, 0, 0, Fraction(1, 7)])
+    _write_basis("U", [BasisEntry(2, e.series + q3_7, "Ghat2_q3") if e.label == "Ghat2" else e
+                       for e in entries])
+    _write("Y.txt", QSeries.zero(5, 12))
+    _write("D.txt", q3_7)
+    _write("N.txt", q3_7 + QSeries(5, 12, [0, 0, 0, 0, Fraction(1, 7)]))
+    # item 21: u/7, of weights 1..5, against 0 at N = 3, w = 6
+    _write("u_7.txt", mixed_weight_witness(44) * Fraction(1, 7))
+    _write("zero3_44.txt", QSeries.zero(3, 44))
     with open("xi.txt", "w", encoding="utf-8") as fh:  # the README tour's table
         fh.writelines(f"{d} -{d}/12 1/{d + 1}\n" for d in range(1, 12))
     with open("circle.txt", "w", encoding="utf-8") as fh:  # xi_d = 1/2 - d*eps
@@ -136,6 +150,12 @@ def commands() -> list[tuple[str, bool]]:
     # item 4: an incomplete user basis, and the complete one
     cmds += [f"divcong ghat2_5_7.txt zero5.txt -N 5 -w 2 -p 12 --no-gtilde --machine --basis {b}"
              for b in ("bases5_short", "bases5")]
+    # the local case: the solve modulo 7 through U's Ghat2_q3
+    cmds += [f"divcong {f} Y.txt -N 5 -w 2 --no-gtilde --machine --basis U"
+             for f in ("D.txt", "N.txt")]
+    # item 21: true at policy_prec(3, 6) = 9, false at 14 and 44
+    cmds += [f"divcong u_7.txt zero3_44.txt -N 3 -w 6 -p {p} --machine{g}"
+             for p in (9, 14, 44) for g in ("", " --no-gtilde")]
     # exit codes 1 and 3 with their messages, and usage errors
     cmds += [
         "divcong half_q5.txt zero3.txt -N 3 -w 0 -p 12",

@@ -15,10 +15,12 @@ import pytest
 from conftest import level5_user_basis, random_series
 import finvariant
 from finvariant import cli, divcong
-from finvariant.cli import (DataError, main, read_basis, read_blocks,
-                            read_series, write_series)
+from finvariant.cli import main
 from finvariant.divcong import BasisEntry, ModularBasis, build_basis
 from finvariant.exactnum import CycNum, EpsPoly, euler_phi
+from finvariant.fassembly import COMPLEX_POSITIVE
+from finvariant.files import (DataError, read_basis, read_blocks, read_series,
+                              read_xi_table, write_series)
 from finvariant.genus import g_tilde
 from finvariant.qseries import EpsPartError, QSeries, is_integral_series
 
@@ -122,7 +124,7 @@ def test_series_round_trip(tmp_path):
         write_series(fh, f, 2, "gt2")
     assert read_series(path) == f
     blocks = read_blocks(path)
-    assert blocks[0][0] == 2 and blocks[0][1] == "gt2"
+    assert blocks[0][2] == 2 and blocks[0][3] == "gt2"
 
 
 def test_written_coordinates_print_as_fractions(tmp_path):
@@ -283,7 +285,7 @@ def test_reading_written_tokens_makes_no_fraction(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     got = read_series(path)
-    table = cli._read_xi_table(xi_path, "complex-reduced", 3, 1)
+    table = read_xi_table(xi_path, COMPLEX_POSITIVE, 3, 1, "complex-reduced")
     assert calls == []
     Fraction(1, 3)  # the counter counts
     assert len(calls) == 1
@@ -999,7 +1001,6 @@ def test_example_machine_output_stable(tmp_path, capsys):
 def test_example_user_basis_enables_other_levels(tmp_path, capsys):
     # no built-in generators at level 5: a user-supplied basis file in the
     # cache directory makes the circle example runnable there
-    from finvariant.cli import write_series
     from finvariant.divcong import policy_prec
     from finvariant.genus import g_hat
     prec = 12

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import level5_user_basis, random_integral_series, random_series
+from conftest import (level5_user_basis, mixed_weight_witness, random_integral_series,
+                      random_series)
 from finvariant import divcong
 from finvariant.divcong import (DIM_TARGETS, BasisEntry, BasisError, ModularBasis,
                                 PrecisionError, _bezout, _EchelonForm, build_basis,
@@ -514,6 +515,19 @@ def test_low_precision_false_not_a_proof():
     res = is_equivalent(F, QSeries.zero(3, 5), lattice)
     assert not res.equivalent
     assert not res.false_is_proof
+
+
+@pytest.mark.parametrize("gtilde", [True, False], ids=["gtilde", "no_gtilde"])
+@pytest.mark.parametrize("prec, verdict", [(9, True), (14, False), (44, False)])
+def test_mixed_weight_witness_verdicts(prec, verdict, gtilde):
+    # ROADMAP item 21: u/7 is a sum of forms of weights 1..5 that a member of
+    # the weight <= 6 lattice matches to O(q^9) only. Today's verdicts, as
+    # `finv divcong -N 3 -w 6` gives them: true at policy_prec(3, 6) = 9,
+    # which no claim backs, and false above it
+    assert policy_prec(3, 6) == 9
+    lattice = make_lattice(3, 6, prec, gtilde=g_tilde(3, 6, prec) if gtilde else None)
+    res = is_equivalent(mixed_weight_witness(44) * Fraction(1, 7), QSeries.zero(3, 44), lattice)
+    assert res.equivalent is verdict
 
 
 def test_certificate_spans_weight_zero_and_top_only(lattice_k4):

@@ -53,7 +53,7 @@ def _load_or_build_basis(level: int, weight: int, prec: int,
         raise DataError(f"{path}: basis file does not cover level {level}, "
                         f"weight {weight}, prec {prec}")
     try:
-        generators = default_generators(level, basis_prec)
+        generators = default_generators(level, basis_prec, weight)
     except BasisError:
         constants = found.of_weight(0)
         if len(constants) != 1 or constants[0].series != QSeries.one(level, found.prec):

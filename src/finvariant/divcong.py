@@ -83,7 +83,9 @@ def sturm_bound(level: int, k: int) -> int:
 
 
 def policy_prec(level: int, k: int) -> int:
-    """Minimum precision at which a false verdict counts as a proof."""
+    """Sturm bound + 5: the least basis precision, and what `false_is_proof` checks. A false
+    verdict at any P proves F - G outside the lattice as supplied; a true one here is no proof
+    (at N = 3, k = 6 a sum of weights 1-5 reads true at P = 9 = policy_prec(3, 6), false at 14)."""
     return sturm_bound(level, k) + 5
 
 
@@ -169,15 +171,16 @@ class ModularBasis:
         return [e for e in self.entries if e.weight == w]
 
 
-def default_generators(level: int, prec: int) -> list[tuple[int, str, QSeries]]:
-    """Built-in generator sets for the supported levels.
+def default_generators(level: int, prec: int, maxweight=None) -> list[tuple[int, str, QSeries]]:
+    """Built-in generator sets for the supported levels, of weight <= maxweight if given.
 
     Validity is not assumed here: build_basis confirms the expected
     per-weight dimensions by exact rank computation.
     """
     if level not in _GENERATOR_WEIGHTS:
         raise BasisError(f"no built-in generators for level {level}; supply a basis file")
-    return [(k, f"Ghat{k}", g_hat(level, k, prec)) for k in _GENERATOR_WEIGHTS[level]]
+    return [(k, f"Ghat{k}", g_hat(level, k, prec)) for k in _GENERATOR_WEIGHTS[level]
+            if maxweight is None or k <= maxweight]
 
 
 class _ColumnSpace:
@@ -233,8 +236,9 @@ class _ColumnSpace:
         self.combs.append([self.den * x for x in comb])
         g = math.gcd(self.den * s, *chain(*self.vecs, *self.combs))
         self.den = self.den * s // g
-        self.vecs = [[x // g for x in vec] for vec in self.vecs]
-        self.combs = [[x // g for x in cb] for cb in self.combs]
+        if g > 1:
+            self.vecs = [[x // g for x in vec] for vec in self.vecs]
+            self.combs = [[x // g for x in cb] for cb in self.combs]
         self.vden = self.den // math.gcd(self.den, *chain(*self.vecs))
         return True
 
@@ -296,7 +300,7 @@ def build_basis(level: int, maxweight: int, prec: int,
     if prec < need:
         raise PrecisionError(
             f"prec {prec} below policy {need} for weight {maxweight} at level {level}")
-    gens = default_generators(level, prec) if generators is None else generators
+    gens = default_generators(level, prec, maxweight) if generators is None else generators
     for weight, name, g in gens:
         if g.level != level:
             raise LevelMismatchError(f"generator {name} has level {g.level}, not {level}")
@@ -416,10 +420,10 @@ def is_equivalent(F: QSeries, G: QSeries,
     degree over one denominator (`_row_sum`). The eps^1 row must be an exact
     rational multiple of Gtilde (the formal parameter is a transcendental
     real, so nothing else in the lattice can absorb it); the eps^0 row is a
-    rational-span-plus-integral membership, solved exactly. A false verdict
-    is marked as proof only when the working precision meets the Sturm-bound
-    policy. The certified residual is the one series a decision builds; the
-    replay is checked against the rows of F - G as an integer identity.
+    rational-span-plus-integral membership, solved exactly. A false verdict is
+    a proof at any precision (see `policy_prec`). The certified residual is the
+    one series a decision builds; the replay is checked against the rows of
+    F - G as an integer identity.
     """
     if F.level != lattice.level or G.level != lattice.level:
         raise BasisError("series level does not match lattice")
@@ -530,20 +534,20 @@ class _EchelonForm:
         live = [[row[k] % modulus for row in matrix] + [int(j == k) for j in range(s)]
                 for k in range(s)]
         for i in range(m):
-            # Bezout steps merge row i of every working column into the first
+            # Bezout steps merge row i of every working column (0 above it) into the first
             first = live[0]
             for j in range(1, s):
                 if live[j][i]:
                     a, b, c, d = _bezout(first[i], live[j][i])
-                    first, live[j] = ([(a * x + b * y) % modulus for x, y in zip(first, live[j])],
-                                      [(c * x + d * y) % modulus for x, y in zip(first, live[j])])
+                    head, tail = first[i:], live[j][i:]
+                    first[i:] = [(a * x + b * y) % modulus for x, y in zip(head, tail)]
+                    live[j][i:] = [(c * x + d * y) % modulus for x, y in zip(head, tail)]
             # x*entry == g (mod M) with gcd(x, M/g) = 1: x*first and the
             # (M/g)-multiple, which vanishes at row i, span what first did
             g = math.gcd(first[i], modulus)
             x = _bezout(first[i], modulus)[0]
-            self.cols.append([x * y % modulus for y in first])
-            self.cols[-1][i] = g
-            live[0] = [modulus // g * y % modulus for y in first]
+            self.cols.append([0] * i + [g] + [x * y % modulus for y in first[i + 1:]])
+            live[0] = [0] * (i + 1) + [modulus // g * y % modulus for y in first[i + 1:]]
 
     def solve(self, rhs: Sequence[int]) -> Optional[list[int]]:
         """A t with A*t == rhs (mod M), entries in [0, M), or None, in one pass:

@@ -8,15 +8,17 @@ the value c0 + c1*eps of a q-coefficient or xi-entry in a formal real
 parameter eps, with CycNum parts and no arithmetic (eps is never given a
 numeric value). `cyclotomic_poly` gives Phi_N as an integer coefficient
 tuple, lowest degree first. Nothing here is floating point: the tests'
-numeric oracles read a CycNum's (level, den, ints) themselves.
+numeric oracles read a CycNum's (level, den, ints) themselves. CycNum sums run
+on `_int_sum`, products on qseries' `_row_product` (imported in the call).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd, lcm
-from typing import Sequence, Union
+from operator import add, mul, sub
+from typing import Iterable, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -133,18 +135,33 @@ def _zeta_powers(level: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _fold(level: int, powers: Sequence[int]) -> list[int]:
-    """Power-basis coordinates of sum powers[s] * zeta^s; powers below phi(level)
-    are already coordinates, so only the tail s >= phi(level) is folded in."""
+def _fold(level: int, cols: list[Sequence[int]]) -> list[Sequence[int]]:
+    """Columns s of zeta^s coordinates (one entry per value: a CycNum or a q-power) reduced
+    modulo Phi_N, a +-1 entry of zeta^s (all but N = 105's 2, for N <= 120) as a row add."""
     table = _zeta_powers(level)
     deg = len(table[0])
-    out = list(powers[:deg])
-    for s, c in enumerate(powers[deg:], deg):
-        if c:
-            for t, r in enumerate(table[s % level]):
-                if r:
-                    out[t] += c * r
+    out = cols[:deg]
+    for s in range(deg, len(cols)):
+        for t, r in enumerate(table[s % level]):
+            if r == 1 or r == -1:
+                out[t] = list(map(add if r == 1 else sub, out[t], cols[s]))
+            elif r:
+                out[t] = [x + r * y for x, y in zip(out[t], cols[s])]
     return out
+
+
+def _int_sum(terms: Iterable[tuple[int, Sequence[int]]]) -> Optional[Sequence[int]]:
+    """sum m*row over the (m, row) of terms, rows of one length (None for no terms): the one
+    integer row add. A first row with m = 1 is taken as it is, a later m = +-1 is a row add."""
+    acc = None
+    for m, row in terms:
+        if acc is None:
+            acc = row if m == 1 else [m * x for x in row]
+        elif m == 1 or m == -1:
+            acc = list(map(add if m == 1 else sub, acc, row))
+        else:
+            acc = [x + m * y for x, y in zip(acc, row)]
+    return acc
 
 
 class CycNum:
@@ -238,8 +255,8 @@ class CycNum:
         if o is NotImplemented:
             return o
         den = lcm(self.den, o.den)
-        a, b = sign * (den // self.den), other_sign * (den // o.den)
-        return CycNum._of(self.level, den, [a * x + b * y for x, y in zip(self.ints, o.ints)])
+        return CycNum._of(self.level, den, _int_sum(((sign * (den // self.den), self.ints),
+                                                     (other_sign * (den // o.den), o.ints))))
 
     def __add__(self, other: Union["CycNum", Scalar]) -> "CycNum":
         return self._sum(other, 1, 1)
@@ -258,17 +275,13 @@ class CycNum:
     def __mul__(self, other: Union["CycNum", Scalar]) -> "CycNum":
         if isinstance(other, (int, Fraction)):
             return CycNum._of(self.level, self.den * other.denominator,
-                              [x * other.numerator for x in self.ints])
+                              _int_sum(((other.numerator, self.ints),)))
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        deg = len(self.ints)
-        prod = [0] * (2 * deg - 1)
-        for i, a in enumerate(self.ints):
-            if a:
-                for j, b in enumerate(o.ints):
-                    prod[i + j] += a * b
-        return CycNum._of(self.level, self.den * o.den, _fold(self.level, prod))
+        from .qseries import _row_product  # qseries builds on this module
+        prod = _row_product(self.level, 1, (self.ints,), (o.ints,))[0]
+        return CycNum._of(self.level, self.den * o.den, prod)
 
     __rmul__ = __mul__
 
@@ -277,10 +290,8 @@ class CycNum:
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         num = CycNum._of(self.level, 1, self.ints)
-        others = CycNum.one(self.level)
-        for j in range(2, self.level):
-            if gcd(j, self.level) == 1:
-                others = others * num.galois(j)
+        conjugates = [num.galois(j) for j in range(2, self.level) if gcd(j, self.level) == 1]
+        others = reduce(mul, conjugates) if conjugates else CycNum.one(self.level)
         return others * Fraction(self.den, (num * others).ints[0])
 
     def __truediv__(self, other: Union["CycNum", Scalar]) -> "CycNum":
@@ -298,10 +309,9 @@ class CycNum:
         """Apply the Galois automorphism zeta -> zeta^j (requires gcd(j, level) = 1)."""
         if gcd(j, self.level) != 1:
             raise ValueError("galois exponent must be prime to the level")
-        powers = [0] * self.level
-        for i, c in enumerate(self.ints):
-            powers[i * j % self.level] += c
-        return CycNum._of(self.level, self.den, _fold(self.level, powers))
+        at = {i * j % self.level: c for i, c in enumerate(self.ints)}  # one power each
+        cols = _fold(self.level, [[at.get(s, 0)] for s in range(self.level)])
+        return CycNum._of(self.level, self.den, [c for c, in cols])
 
     def rational_part(self) -> Fraction | None:
         """The value as a Fraction if it lies in Q, else None."""

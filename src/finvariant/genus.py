@@ -36,14 +36,13 @@ def weight_constant(level: int, k: int) -> CycNum:
     """Constant term c_k of G_hat_k: 1/2 + zeta/(1-zeta) for k = 1, B_k/k above.
 
     (zeta - 1) * sum_{j<N} j zeta^j = N, so c_1 = 1/2 - sum_{j<N} j zeta^(j+1) / N:
-    one fold of the powers zeta^1 .. zeta^N, over the denominator 2N.
+    one fold of the powers zeta^0 .. zeta^N, over the denominator 2N.
     """
     if k < 1:
         raise ValueError("weight must be >= 1")
     if k == 1:
-        ints = [-2 * c for c in _fold(level, [0] + list(range(level)))]
-        ints[0] += level
-        return CycNum._of(level, 2 * level, ints)
+        cols = _fold(level, [[level]] + [[-2 * j] for j in range(level)])
+        return CycNum._of(level, 2 * level, [c for c, in cols])
     return CycNum.from_rational(level, bernoulli(k) / k)
 
 

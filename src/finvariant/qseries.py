@@ -14,13 +14,14 @@ Every operation runs on the rows: the product by Kronecker substitution (one
 big-int product of the packed (q, zeta) polynomials, see Harvey, JSC 2009;
 a row moves to and from its packed int through one array of 64-bit words,
 one extended-slice copy per slot byte, and a square packs once and
-multiplies by itself; +-1 fold entries are row adds), `divisor_sum` as a
+multiplies by itself; `exactnum._fold` reduces it, +-1 entries as row adds;
+CycNum's product is the same `_row_product`), `divisor_sum` as a
 residue-class sieve on the integer rows of the series sum c(d) q^d (column
 sums per class of j mod N in O(sqrt(N*P)) slice steps, then twisted in
 groups of classes with one matrix up to sign, j and -j, +-1 entries as row
 adds; a second, negated source may enter class -j, so both signs of a
 complex table take one twist), a scalar added at the q^0 slots alone, and
-+, -, rational multiples and certificate replay as one integer row sum, `_row_sum`;
++, -, rational multiples and replay as one integer row sum (`_row_sum`, by `_int_sum`);
 `_linear_combination` is that sum as a series. A lattice decision reads
 F - G from it as rows and checks its replay as an integer identity, so
 neither is made canonical. A CycNum already holds integers over one
@@ -43,7 +44,7 @@ from operator import add, sub
 from typing import Optional, Sequence, Union
 
 from .exactnum import (CycNum, EpsPoly, LevelMismatchError, Scalar, _coprime_part,
-                       _zeta_powers, euler_phi)
+                       _fold, _int_sum, _zeta_powers, euler_phi)
 
 Coefficient = Union[Scalar, CycNum, EpsPoly]
 
@@ -178,7 +179,7 @@ class QSeries:
         parts = [list(p) if m == 1 else [m * x for x in p] for p in self.parts]
         parts += [[0] * (self.prec * deg) for _ in c_parts[len(parts):]]
         for p, q0 in zip(parts, c_parts):
-            p[:deg] = [x + k * y for x, y in zip(p, q0)]
+            p[:deg] = _int_sum(((1, p[:deg]), (k, q0)))
         return QSeries._of(self.level, self.prec, den, parts)
 
     def __rsub__(self, other) -> "QSeries":
@@ -192,7 +193,8 @@ class QSeries:
         if isinstance(other, (int, Fraction)):
             return _linear_combination(self.level, self.prec, (((other,), self),))
         o = self._coerce(other)
-        return _series_product(self.level, min(self.prec, o.prec), self, o)
+        rows = _row_product(self.level, prec := min(self.prec, o.prec), self.parts, o.parts)
+        return QSeries._of(self.level, prec, self.den * o.den, rows)
 
     __rmul__ = __mul__
 
@@ -281,16 +283,10 @@ def _row_sum(level: int, prec: int,
     scaled = [(scalars, f) for scalars, f in terms if f.parts]
     total = lcm(*(f.den * s.denominator for scalars, f in scaled for s in scalars if s))
     top = max((len(scalars) + len(f.parts) - 1 for scalars, f in scaled), default=1)
-    sums: list = [None] * top  # a row no term reaches stays None until the end
-    for scalars, f in scaled:
-        for i, s in enumerate(scalars):
-            if s:
-                m = s.numerator * (total // (f.den * s.denominator))
-                for e, part in enumerate(f.parts):
-                    row = part[:size] if m == 1 else [m * x for x in part[:size]]
-                    acc = sums[i + e]
-                    sums[i + e] = row if acc is None else list(map(add, acc, row))
-    sums = [[0] * size if row is None else row for row in sums]
+    # degree k adds each term's part k - i, one row at a time; a row no term reaches is 0
+    sums = [_int_sum((s.numerator * (total // (f.den * s.denominator)), f.parts[k - i][:size])
+                     for scalars, f in scaled for i, s in enumerate(scalars)
+                     if s and 0 <= k - i < len(f.parts)) or [0] * size for k in range(top)]
     while len(sums) > 1 and not any(sums[-1]):
         sums.pop()
     return total, sums
@@ -362,48 +358,37 @@ def _slot_offset(width: int, count: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-def _series_product(level: int, prec: int, a: QSeries, b: QSeries) -> QSeries:
-    """a*b to O(q^prec) by Kronecker substitution.
+def _row_product(level: int, prec: int, rows_a, rows_b) -> list[list[int]]:
+    """(sum eps^e rows_a[e]) * (sum eps^e rows_b[e]) to O(q^prec) by Kronecker substitution.
 
-    Each eps part of a factor is packed into one int with 2*deg-1 slots per
-    q-power, so the zeta-degree of a product term stays inside its q-power;
-    a slot is width bytes, enough for any product coordinate, and moves to
-    and from the int through 64-bit words (`_pack`, `_unpack`). A square
-    (b is a) packs once and multiplies each packed int by itself, which
-    CPython squares. Eps part k of the product is the sum of the big-int
-    products of parts i and k-i. Its slots are unpacked and reduced modulo
-    the cyclotomic polynomial column by column, a +-1 entry (all but N = 105's
-    2, for N <= 120) as one row add or subtract.
+    The one multiply in Q(zeta_N), of series and (prec 1) of CycNums. Each row
+    is packed into one int with 2*deg-1 slots per q-power, so the zeta-degree
+    of a product term stays inside its q-power; a slot is width bytes, enough
+    for any product coordinate, and moves through 64-bit words (`_pack`,
+    `_unpack`). A square (rows_b is rows_a) packs once. Eps part k of the
+    product sums the big-int products of parts i and k-i, unpacked and `_fold`ed.
     """
     deg = euler_phi(level)
-    if not a.parts or not b.parts:
-        return QSeries.zero(level, prec)
-    stride, size, table = 2 * deg - 1, prec * deg, _zeta_powers(level)
-    parts_a = [p[:size] for p in a.parts]
-    parts_b = parts_a if b is a else [p[:size] for p in b.parts]
-    big_a, big_b = (max(max(map(abs, p)) for p in parts) for parts in (parts_a, parts_b))
+    stride, size = 2 * deg - 1, prec * deg
+    parts_a = [p[:size] for p in rows_a]
+    parts_b = parts_a if rows_b is rows_a else [p[:size] for p in rows_b]
+    big_a, big_b = (max(map(abs, chain(*parts)), default=0) for parts in (parts_a, parts_b))
     terms = min(len(parts_a), len(parts_b)) * size
     width = (big_a.bit_length() + big_b.bit_length() + terms.bit_length() + 2 + 7) // 8
     packed_a = [_pack(p, deg, stride, width) for p in parts_a]
-    packed_b = packed_a if b is a else [_pack(p, deg, stride, width) for p in parts_b]
+    packed_b = packed_a if parts_b is parts_a else [_pack(p, deg, stride, width) for p in parts_b]
     out = []
     for k in range(len(parts_a) + len(parts_b) - 1):
         z = sum(packed_a[i] * packed_b[k - i]
                 for i in range(max(0, k - len(parts_b) + 1), min(k, len(parts_a) - 1) + 1))
         digits = _unpack(z, prec * stride, width)
-        # column s holds the zeta^s coordinate of every q-power; fold s >= deg down
-        cols = [digits[s::stride] for s in range(stride)]
-        for s in range(deg, stride):
-            for t, r in enumerate(table[s % level]):
-                if r == 1 or r == -1:
-                    cols[t] = list(map(add if r == 1 else sub, cols[t], cols[s]))
-                elif r:
-                    cols[t] = [x + r * y for x, y in zip(cols[t], cols[s])]
+        # column s holds the zeta^s coordinate of every q-power
+        cols = _fold(level, [digits[s::stride] for s in range(stride)])
         flat = [0] * size
         for t in range(deg):
             flat[t::deg] = cols[t]
         out.append(flat)
-    return QSeries._of(level, prec, a.den * b.den, out)
+    return out
 
 
 @lru_cache(maxsize=None)

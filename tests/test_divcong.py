@@ -274,6 +274,19 @@ def test_build_basis_forms_one_product_per_monomial(monkeypatch, level, maxweigh
     assert len(calls) == products
 
 
+@pytest.mark.parametrize("level, maxweight, formed",
+                         [(3, 2, [1]), (2, 2, [2]), (2, 1, []), (3, 3, [1, 3]), (2, 4, [2, 4])])
+def test_build_basis_forms_only_the_generators_it_reads(monkeypatch, level, maxweight, formed):
+    # a monomial of weight <= maxweight holds no generator of higher weight
+    calls = []
+    monkeypatch.setattr(divcong, "g_hat", lambda n, k, prec: calls.append(k) or g_hat(n, k, prec))
+    basis = build_basis(level, maxweight, 12)
+    assert calls == formed
+    every = build_basis(level, maxweight, 12, default_generators(level, 12))
+    assert [(e.weight, e.label, _series_key(e.series)) for e in basis.entries] == \
+        [(e.weight, e.label, _series_key(e.series)) for e in every.entries]
+
+
 def test_build_basis_rejects_generator_of_another_level():
     # a lone weight-1 generator is never multiplied, so only the check sees its level
     prec = policy_prec(5, 2)

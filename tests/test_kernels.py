@@ -14,7 +14,7 @@ from math import isqrt
 
 import pytest
 
-from finvariant import divcong, qseries
+from finvariant import divcong, exactnum, qseries
 from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
 from finvariant.genus import g_hat, g_tilde, weight_constant
 from finvariant.qseries import EpsPartError, QSeries, divisor_sum
@@ -198,6 +198,23 @@ def test_product_across_slot_widths(monkeypatch, width, shape, bits):
         assert widths == [width]
         assert square == a * copy
         assert _rows(square) == series_product(level, prec, _rows(a), _rows(copy))
+
+
+def test_one_fold_serves_cycnum_and_series_products(monkeypatch):
+    # CycNum's product is the q^0 coefficient of the series row product:
+    # a wrong fold, put into the one shared function in place, changes both
+    a, b = CycNum.zeta(5, 3), CycNum(5, [Fraction(1, 2), 0, 1, -3])
+    f, g = QSeries(5, 3, [a, 1, b]), QSeries(5, 3, [b, a])
+    right = (a * b, f * g, a.galois(3), weight_constant(5, 1))
+
+    def no_fold(level, cols):
+        return cols[:euler_phi(level)]
+
+    monkeypatch.setattr(exactnum._fold, "__code__", no_fold.__code__)
+    wrong = (a * b, f * g, a.galois(3), weight_constant(5, 1))
+    assert all(x != y for x, y in zip(right, wrong))
+    assert wrong[1].coefficient(0) == EpsPoly(5, (wrong[0],))
+    assert right[1].coefficient(0) == EpsPoly(5, (right[0],))
 
 
 @pytest.mark.parametrize("level", LEVELS + (105,))

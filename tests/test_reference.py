@@ -1,11 +1,13 @@
 """The test-owned oracles in reference.py stay independent of the code they check, and single;
-the integer layer of finvariant/files.py stays free of the rest of finvariant."""
+the integer layer of finvariant/files.py stays free of the rest of finvariant, and importing
+finvariant/exactnum.py imports no other finvariant module."""
 
 import ast
 from pathlib import Path
 
 REFERENCE = Path(__file__).with_name("reference.py")
 FILES = Path(__file__).resolve().parents[1] / "src" / "finvariant" / "files.py"
+EXACTNUM = FILES.with_name("exactnum.py")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -79,6 +81,18 @@ def test_files_integer_layer_reaches_only_euler_phi():
     assert reached(["read_blocks", "write_block", "read_xi_rows"]) == {"exactnum.euler_phi"}
     # the check sees a wrapper's reach
     assert "qseries.QSeries" in reached(["read_series"])
+
+
+def test_exactnum_imports_no_finvariant_module_at_module_level():
+    # qseries builds on exactnum, so CycNum's product reaches qseries' row
+    # kernel by an import inside the call; none may run at import time
+    tree = _tree(EXACTNUM)
+    loaded = [node for node in tree.body if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    loaded += [node for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if not isinstance(node, ast.FunctionDef)]
+    assert loaded and not any(_finvariant_imports(node) for node in loaded)
+    # the check sees the import in the call
+    assert "qseries._row_product" in _finvariant_imports(tree).values()
 
 
 def test_no_test_module_redefines_a_reference_function():

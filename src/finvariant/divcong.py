@@ -534,6 +534,11 @@ class _EchelonForm:
         live = [[row[k] % modulus for row in matrix] + [int(j == k) for j in range(s)]
                 for k in range(s)]
         for i in range(m):
+            if not any(any(col[i:m]) for col in live):
+                # no working column reaches rows i..: each gives M*e_k, since
+                # gcd(0, M) = M and _bezout(0, M) gives x = 0
+                self.cols += [[0] * k + [modulus] + [0] * (m + s - k - 1) for k in range(i, m)]
+                break
             # Bezout steps merge row i of every working column (0 above it) into the first
             first = live[0]
             for j in range(1, s):

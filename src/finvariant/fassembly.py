@@ -18,7 +18,7 @@ from . import geometry
 from .divcong import EquivResult, ModularBasis, is_equivalent, make_lattice
 from .exactnum import EpsPoly, Scalar
 from .genus import g_tilde, g_tilde_level1
-from .qseries import QSeries, _divisor_sum, divisor_sum, is_integral_series
+from .qseries import QSeries, divisor_sum, is_integral_series
 
 COMPLEX_FULL = "complex_full"
 COMPLEX_POSITIVE = "complex_positive"
@@ -114,7 +114,7 @@ def assemble_complex(xi: XiTable, prec: int) -> FRepresentative:
     """
     if xi.kind != COMPLEX_FULL:
         raise ValueError("assemble_complex needs a complex_full table")
-    series = _divisor_sum(xi.series(prec), xi.series(prec, -1), 1, 0)
+    series = divisor_sum(xi.series(prec), minus=1, negated=xi.series(prec, -1))
     return FRepresentative(series, xi.l + 1, "complex transfer, all twists")
 
 

@@ -416,8 +416,10 @@ def _twist_groups(level: int, minus: int, plus: int) -> tuple:
     return tuple((tuple(members), matrix) for matrix, members in groups.items())
 
 
-def divisor_sum(coeffs: QSeries, minus: int = 0, plus: int = 0) -> QSeries:
-    """The sieve sum_{n>=1} sum_{d*j=n} c(d) (minus*zeta^(-j) + plus*zeta^j) q^n.
+def divisor_sum(coeffs: QSeries, minus: int = 0, plus: int = 0, *,
+                negated: Optional[QSeries] = None) -> QSeries:
+    """The sieve sum_{n>=1} sum_{d*j=n} c(d) (minus*zeta^(-j) + plus*zeta^j) q^n,
+    less the same sieve of negated with minus and plus swapped, if given.
 
     coeffs is sum_d c(d) q^d (its q^0 term unread) and fixes the level and
     precision P; the weight is 1 when minus = plus = 0. The one divisor-sum
@@ -427,21 +429,13 @@ def divisor_sum(coeffs: QSeries, minus: int = 0, plus: int = 0) -> QSeries:
     s = isqrt(K*P) as in Dirichlet's hyperbola method: for j <= s, c is added
     along the multiples of j; for j > s, so d <= (P-1)//(s+1), c(d) is added
     along d*j for the j of each class from its first one past s, in steps of
-    K. That is O(sqrt(K*P)) exact integer slice steps per column. The
-    twist follows in groups (`_twist_groups`): classes whose matrices agree
-    up to sign, j and -j when minus = +-plus, are summed first, and each
-    group's matrix is applied once, its +-1 entries as row adds. This call
-    runs the loop with no second, negated source (`_divisor_sum`).
-    """
-    return _divisor_sum(coeffs, None, minus, plus)
-
-
-def _divisor_sum(coeffs: QSeries, negated: Optional[QSeries], minus: int, plus: int) -> QSeries:
-    """divisor_sum(coeffs, minus, plus) - divisor_sum(negated, plus, minus), twisted once.
-
-    Over one denominator, negated's rows times -1 are sieved into class -j
-    where coeffs' go to class j, since minus*zeta^j + plus*zeta^(-j) is the
-    twist of class -j; so a class -j >= P of a j < P is not empty.
+    K. That is O(sqrt(K*P)) exact integer slice steps per column. Over one
+    denominator, negated's rows times -1 are sieved into class -j where
+    coeffs' go to class j, since minus*zeta^j + plus*zeta^(-j) is the twist
+    of class -j; so a class -j >= P of a j < P is not empty. The twist
+    follows in groups (`_twist_groups`): classes whose matrices agree up to
+    sign, j and -j when minus = +-plus, are summed first, and each group's
+    matrix is applied once, its +-1 entries as row adds.
     """
     level, prec = coeffs.level, coeffs.prec
     deg = euler_phi(level)

@@ -9,9 +9,10 @@ line per command, ``<exit code> <sha256 of stdout> <sha256 of stderr>
 <command>``. Two kinds of command record their exit code alone (``-`` for
 both hashes): `oracle`, whose output is floating point, and a usage error
 that argparse reports, whose text varies across Python versions. The file is
-committed, so `git diff --exit-code tests/outputs.sha256` after a run shows
-every output that changed, by command. finvariant is imported from this
-checkout's src/. The script takes no options.
+committed, and Tier-1 (tests/test_outputs.py) compares `manifest_lines()`
+with it, naming every command whose line changed, was added or is missing;
+after a deliberate change, rerun this script and commit the file. finvariant
+is imported from this checkout's src/. The script takes no options.
 """
 
 from __future__ import annotations
@@ -122,7 +123,8 @@ def commands() -> list[tuple[str, bool]]:
              for n in range(2, 14) for k in range(1, 5) for tilde in ("", " --tilde")]
     cmds += [f"g2 -N {n}" for n in range(2, 14)]
     cmds += [f"ell -N {n} -k 4 -p 30 --quaternionic 1 --machine" for n in range(2, 14)]
-    # the larger shapes of test_cli.py's machine goldens
+    # larger --machine shapes: the ell line's p_4^2 needs Kronecker slots of
+    # more than 8 bytes
     cmds += [
         "g2 -N 7 -p 200 --machine",
         "ell -N 7 -k 8 -p 200 --quaternionic 3 --machine",
@@ -185,8 +187,9 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def main_manifest() -> None:
-    start = time.perf_counter()
+def manifest_lines() -> list[str]:
+    """The manifest's lines, from every command run in a fresh temporary
+    directory; the working directory is restored afterwards."""
     lines = []
     with tempfile.TemporaryDirectory() as work:
         cwd = os.getcwd()
@@ -199,6 +202,12 @@ def main_manifest() -> None:
                 lines.append(f"{code} {hashes} finv {cmd}\n")
         finally:
             os.chdir(cwd)
+    return lines
+
+
+def main_manifest() -> None:
+    start = time.perf_counter()
+    lines = manifest_lines()
     MANIFEST.write_text("".join(lines), encoding="utf-8")
     print(f"{len(lines)} commands in {time.perf_counter() - start:.1f} s; wrote {MANIFEST.name}")
 

@@ -681,6 +681,21 @@ def test_local_solve_composite_moduli_match_enumeration():
                 _assert_local_solve(matrix, list(rhs), modulus, image)
 
 
+def test_local_solve_tall_system_with_mostly_zero_rows():
+    # the form stops once every working column vanishes mod M; the rows
+    # left, zero or not, must still be read by the pass
+    rng = random.Random(32)
+    modulus, m = 25, 30
+    for _ in range(3):
+        matrix = [[0, 0] for _ in range(m)]
+        for i in rng.sample(range(m - 1), 3):
+            matrix[i] = [rng.randrange(modulus) * 5 ** rng.randint(0, 2) for _ in range(2)]
+        image = _image(matrix, modulus)
+        # a member, and a non-member that is 0 but on the last row
+        for rhs in (rng.choice(sorted(image)), [0] * (m - 1) + [5]):
+            _assert_local_solve(matrix, list(rhs), modulus, image)
+
+
 def _cyc_series(level, prec, coords):
     return QSeries(level, prec, [EpsPoly(level, (CycNum(level, c),)) for c in coords])
 

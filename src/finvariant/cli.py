@@ -92,13 +92,10 @@ def _print_series(series: QSeries, label: str, weight: Optional[int],
 def _print_verdict(res: EquivResult, machine: bool) -> None:
     if machine:
         print(f"verdict={'true' if res.equivalent else 'false'}")
-        print(f"false_is_proof={'yes' if res.false_is_proof else 'no'}")
         print(f"modulus={res.modulus.replace(' ', '_')}")
     else:
         print(f"verdict: {res.equivalent}")
         print(f"modulus: {res.modulus}")
-        if not res.false_is_proof:
-            print("warning: precision below policy; a false verdict is not a proof")
 
 
 def _print_certificate(res: EquivResult, lattice, machine: bool) -> None:
@@ -204,8 +201,6 @@ def _cmd_example(args) -> int:
     if args.machine:
         print(f"example={args.name} level={args.level} prec={args.prec}")
         print(f"verdict={'true' if report.verdict else 'false'}")
-        if report.equivalence is not None:
-            print(f"false_is_proof={'yes' if report.equivalence.false_is_proof else 'no'}")
         write_series(sys.stdout, report.assembled.series, None, "assembled")
         write_series(sys.stdout, report.reference.series, None, "reference")
     else:

@@ -53,7 +53,7 @@ class BasisError(ValueError):
 
 
 class PrecisionError(ValueError):
-    """Requested precision below the soundness policy."""
+    """Requested precision below the basis precision policy."""
 
 
 # Weights k of the built-in generators Ghat_k, and the dimensions of the
@@ -83,9 +83,9 @@ def sturm_bound(level: int, k: int) -> int:
 
 
 def policy_prec(level: int, k: int) -> int:
-    """Sturm bound + 5: the least basis precision, and what `false_is_proof` checks. A false
-    verdict at any P proves F - G outside the lattice as supplied; a true one here is no proof
-    (at N = 3, k = 6 a sum of weights 1-5 reads true at P = 9 = policy_prec(3, 6), false at 14)."""
+    """Sturm bound + 5: the least basis precision, which `build_basis` enforces. It proves no
+    verdict: at N = 3, k = 6 a sum of weights 1-5 reads true at P = 9 = policy_prec(3, 6) and
+    false at 14."""
     return sturm_bound(level, k) + 5
 
 
@@ -391,7 +391,6 @@ class EquivCertificate:
 class EquivResult:
     equivalent: bool
     certificate: Optional[EquivCertificate]
-    false_is_proof: bool
     prec_used: int
     modulus: str
 
@@ -421,19 +420,19 @@ def is_equivalent(F: QSeries, G: QSeries,
     rational multiple of Gtilde (the formal parameter is a transcendental
     real, so nothing else in the lattice can absorb it); the eps^0 row is a
     rational-span-plus-integral membership, solved exactly. A false verdict is
-    a proof at any precision (see `policy_prec`). The certified residual is the
-    one series a decision builds; the replay is checked against the rows of
-    F - G as an integer identity.
+    a proof at any precision P, because a member stays a member when truncated;
+    a true one holds to O(q^P) (see `policy_prec`). The certified residual is
+    the one series a decision builds; the replay is checked against the rows
+    of F - G as an integer identity.
     """
     if F.level != lattice.level or G.level != lattice.level:
         raise BasisError("series level does not match lattice")
     prec = min(F.prec, G.prec, lattice.prec)
-    sound = prec >= policy_prec(lattice.level, lattice.weight)
     modulus = lattice.describe
     den, rows = _row_sum(lattice.level, prec, (((1,), F), ((-1,), G)))
 
     def negative() -> EquivResult:
-        return EquivResult(False, None, sound, prec, modulus)
+        return EquivResult(False, None, prec, modulus)
 
     c1 = _ZERO
     if len(rows) == 2:
@@ -468,7 +467,7 @@ def is_equivalent(F: QSeries, G: QSeries,
     _, rden, replayed = cert._rows(lattice)
     if [[x * den for x in row] for row in replayed] != [[x * rden for x in row] for row in rows]:
         raise AssertionError("certificate replay mismatch (internal error)")
-    return EquivResult(True, cert, sound, prec, modulus)
+    return EquivResult(True, cert, prec, modulus)
 
 
 def _integral_span_solve(num: Sequence[int], den: int, space: _ColumnSpace,

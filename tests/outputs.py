@@ -144,8 +144,9 @@ def commands() -> list[tuple[str, bool]]:
         "assemble --kind complex-reduced --xi circle.txt -l 1 -N 3 -p 12 --machine",
         "divcong nu2_F.txt nu2_G.txt -N 3 -w 4 -p 12 --machine",
     ]
-    # item 2: the proof flag on each side of policy_prec (7)
+    # item 2: false on each side of policy_prec(3, 2) = 7, and a human false below it
     cmds += [f"divcong half_q5.txt zero3.txt -N 3 -w 2 -p {p} --machine" for p in (6, 7, 12)]
+    cmds += ["divcong half_q5.txt zero3.txt -N 3 -w 2 -p 6"]
     # item 4(b): the span field at a built-in level
     cmds += [f"divcong {f} zero3.txt -N 3 -w 2 -p 12 --machine"
              for f in ("ghat2_7.txt", "zeta_ghat2_7.txt", "zeta_ghat1sq_7.txt", "zeta_7.txt")]

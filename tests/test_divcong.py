@@ -433,7 +433,6 @@ def test_nu2_divided_congruence(lattice_k4):
     G = gt2 * gt2 * Fraction(1, 2)
     res = is_equivalent(F, G, lattice_k4)
     assert res.equivalent
-    assert res.false_is_proof
     # replay reconstructs F - G bit-exactly
     assert res.certificate.replay(lattice_k4) == F - G
 
@@ -445,7 +444,6 @@ def test_perturbed_congruence_rejected(lattice_k4):
     res = is_equivalent(gt2 * Fraction(1, 11), gt2 * gt2 * Fraction(1, 2),
                         lattice_k4)
     assert not res.equivalent
-    assert res.false_is_proof
 
 
 def test_lattice_membership_level4():
@@ -513,21 +511,6 @@ def test_eps_part_not_multiple_fails(lattice_k2):
     F = QSeries(3, 12, (EpsPoly(3, ()), EpsPoly.linear(3, 0, 1)))  # q * eps alone
     res = is_equivalent(F, QSeries.zero(3, 12), lattice_k2)
     assert not res.equivalent
-
-
-def test_false_verdict_with_proof_flag(lattice_k2):
-    F = QSeries(3, 12, [0, Fraction(1, 2)])
-    res = is_equivalent(F, QSeries.zero(3, 12), lattice_k2)
-    assert not res.equivalent
-    assert res.false_is_proof  # prec 12 >= policy 7
-
-
-def test_low_precision_false_not_a_proof():
-    lattice = make_lattice(3, 2, 5, gtilde=None)
-    F = QSeries(3, 5, [0, Fraction(1, 5)])
-    res = is_equivalent(F, QSeries.zero(3, 5), lattice)
-    assert not res.equivalent
-    assert not res.false_is_proof
 
 
 @pytest.mark.parametrize("gtilde", [True, False], ids=["gtilde", "no_gtilde"])
@@ -810,8 +793,8 @@ def _assert_as_lattice_at_prec(F, G, lattice, prec):
                            basis=lattice.basis)
     assert at_prec.prec == prec < lattice.prec
     ref = is_equivalent(F, G, at_prec)
-    assert (res.equivalent, res.false_is_proof, res.prec_used, res.modulus) == \
-        (ref.equivalent, ref.false_is_proof, ref.prec_used, ref.modulus)
+    assert (res.equivalent, res.prec_used, res.modulus) == \
+        (ref.equivalent, ref.prec_used, ref.modulus)
     assert res.prec_used == prec
     if ref.certificate is None:
         assert res.certificate is None
@@ -837,13 +820,13 @@ def test_member_below_lattice_precision(lattice_25, prec):
     # 1/7*zeta at q^2 needs a multiple of e1 that q^1 forbids
     bump = QSeries(3, prec, [0, 0, EpsPoly(3, (CycNum(3, (0, Fraction(1, 7))),))])
     res = _assert_as_lattice_at_prec(F + bump, zero, lattice, prec)
-    assert not res.equivalent and not res.false_is_proof
+    assert not res.equivalent
 
 
 def test_member_below_lattice_precision_modular(lattice_k4):
     gt2, gt4 = g_tilde(3, 2, 12), lattice_k4.gtilde
     G = gt2 * gt2 * Fraction(1, 2)
-    # prec 6 lies below the soundness policy, prec 8 meets it
+    # prec 6 lies below policy_prec(3, 4) = 8, prec 8 meets it
     for prec in (6, 8):
         F = (gt2 * Fraction(1, 12)).truncate(prec)
         assert _assert_as_lattice_at_prec(F, G, lattice_k4, prec).equivalent
@@ -853,9 +836,7 @@ def test_member_below_lattice_precision_modular(lattice_k4):
         # an eps-part off the Gtilde direction, and 1/7 at q^1 off the span
         for bump in (QSeries(3, prec, [0, EpsPoly.linear(3, 0, 1)]),
                      QSeries(3, prec, [0, Fraction(1, 7)])):
-            res = _assert_as_lattice_at_prec(F + bump, G, lattice_k4, prec)
-            assert not res.equivalent
-            assert res.false_is_proof == (prec >= policy_prec(3, 4))
+            assert not _assert_as_lattice_at_prec(F + bump, G, lattice_k4, prec).equivalent
 
 
 # ---------------------------------------------------------------------------
@@ -1180,15 +1161,40 @@ def test_verdict_unchanged_by_adding_a_member(metamorphic_lattice, passes):
     _assert_pass_reached(lattice, passes)
 
 
+def test_verdicts_monotone_in_precision(lattice_k2, lattice_25):
+    # a member stays a member when truncated, so a false verdict at P stays
+    # false at every P' > P: each case is decided at P = 1..lattice.prec
+    zero3 = QSeries.zero(3, 44)
+    basis6 = build_basis(3, 6, 44)
+    plain5 = make_lattice(3, 2, 5, gtilde=None)
+    # (name, F, G, lattice, first P with a false verdict)
+    cases = [(f"u/7 N3 w6 {name}", mixed_weight_witness(44) * Fraction(1, 7), zero3,
+              make_lattice(3, 6, 44, gtilde=gtilde, basis=basis6), 10)
+             for name, gtilde in (("gtilde", g_tilde(3, 6, 44)), ("plain", None))]
+    cases += [("q^5/2 N3 w2", QSeries(3, 12, [0] * 5 + [Fraction(1, 2)]), zero3, lattice_k2, 6),
+              ("q/2 N3 w2", QSeries(3, 12, [0, Fraction(1, 2)]), zero3, lattice_k2, 3),
+              ("q/5 N3 w2 plain", QSeries(3, 5, [0, Fraction(1, 5)]), zero3, plain5, 3)]
+    lattice35 = make_lattice(3, 2, 8, basis=_basis_35())
+    for lattice, seed in ((lattice_k2, 2), (lattice_25[0], 25), (lattice35, 35)):
+        pairs = _random_pairs(lattice, random.Random(seed), 12)
+        assert {is_equivalent(F, G, lattice).equivalent for F, G in pairs} == {True, False}
+        cases += [(f"random {seed} #{n}", F, G, lattice, None) for n, (F, G) in enumerate(pairs)]
+    for name, F, G, lattice, first_false in cases:
+        verdicts = [is_equivalent(F.truncate(p), G.truncate(p), lattice).equivalent
+                    for p in range(1, lattice.prec + 1)]
+        assert verdicts == sorted(verdicts, reverse=True), name
+        if first_false is not None:
+            assert verdicts.index(False) + 1 == first_false, name
+
+
 # ---------------------------------------------------------------------------
 # The one-pass difference against a two-pass reference: F - G built as a
 # series, truncated, split by eps degree and flattened before the solve
 
 
 def _two_pass_decide(F, G, lattice):
-    """(verdict, false_is_proof, prec_used, certificate fields or None)."""
+    """(verdict, prec_used, certificate fields or None)."""
     prec = min(F.prec, G.prec, lattice.prec)
-    sound = prec >= policy_prec(lattice.level, lattice.weight)
     parts = eps_split((F - G).truncate(prec))
     at_prec = lattice if prec == lattice.prec else replace(lattice, prec=prec)
     c1 = Fraction(0)
@@ -1196,31 +1202,31 @@ def _two_pass_decide(F, G, lattice):
         gvec = None if lattice.gtilde is None else _vector(lattice.gtilde, prec)
         c1 = _fraction_eps_coeff(_vector(parts[1], prec), gvec)
         if c1 is None:
-            return False, sound, prec, None
+            return False, prec, None
     solved = divcong._integral_span_solve(*series_row(parts[0], prec), at_prec._space,
                                           lattice.level)
     if solved is None:
-        return False, sound, prec, None
+        return False, prec, None
     a, w, d = solved
     coeffs = [Fraction(0)] * len(lattice.basis.entries)
     for pos, idx in enumerate(lattice.span_indices):
         coeffs[idx] = Fraction(a[pos], d)
     c0 = Fraction(a[len(lattice.span_indices)], d) if lattice.gtilde is not None else Fraction(0)
     residual = QSeries._of(lattice.level, prec, d, (w,))
-    return True, sound, prec, (prec, tuple(coeffs), c0, c1,
-                               residual.prec, residual.den, residual.parts)
+    return True, prec, (prec, tuple(coeffs), c0, c1,
+                        residual.prec, residual.den, residual.parts)
 
 
 def _assert_matches_two_pass(F, G, lattice):
     want = _two_pass_decide(F, G, lattice)
     res = is_equivalent(F, G, lattice)
-    assert (res.equivalent, res.false_is_proof, res.prec_used) == want[:3]
+    assert (res.equivalent, res.prec_used) == want[:2]
     cert = res.certificate
-    if want[3] is None:
+    if want[2] is None:
         assert cert is None
     else:
         assert (cert.prec, cert.basis_coeffs, cert.gtilde_coeff, cert.gtilde_eps_coeff,
-                cert.residual.prec, cert.residual.den, cert.residual.parts) == want[3]
+                cert.residual.prec, cert.residual.den, cert.residual.parts) == want[2]
     return res.equivalent
 
 

@@ -1,8 +1,9 @@
 """Batch command-line front end.
 
 Subcommands: eis, ell, g2, divcong, assemble, example, oracle.
-Exit codes: 0 success / true verdict, 1 false verdict, 2 usage, 3 data error,
-4 internal error or output closed early (never a verdict).
+Exit codes: 0 success / true verdict, 1 false verdict, 2 usage, 3 data error
+(any DataError, or an unreadable input path), 4 internal error or output closed
+early (never a verdict).
 
 --machine output is the file format of `files`, so commands compose.
 """
@@ -20,19 +21,17 @@ from itertools import accumulate, cycle
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .divcong import (BasisError, EquivResult, ModularBasis, PrecisionError, build_basis,
-                      default_generators, dependent_entry, is_equivalent, make_lattice,
-                      policy_prec)
-from .exactnum import LevelMismatchError, euler_phi
+from .divcong import (BasisError, EquivResult, ModularBasis, build_basis, default_generators,
+                      dependent_entry, is_equivalent, make_lattice, policy_prec)
+from .exactnum import DataError, euler_phi
 from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES, QUATERNIONIC,
-                        QUATERNIONIC_KERNEL_PARITY, MissingTwistError,
-                        assemble_complex, assemble_complex_reduced,
+                        QUATERNIONIC_KERNEL_PARITY, assemble_complex, assemble_complex_reduced,
                         assemble_quaternionic, assemble_quaternionic_reduced,
                         check_example, run_example)
-from .files import DataError, _ratio, read_basis, read_series, read_xi_table, write_series
+from .files import _ratio, read_basis, read_series, read_xi_table, write_series
 from .genus import (_ell, _Product, _quaternionic_entries, ell_expansion, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
-from .qseries import EpsPartError, QSeries, eps_split, is_integral_series, series_row
+from .qseries import QSeries, eps_split, is_integral_series, series_row
 
 ORACLE_TOLERANCE = 1e-8
 _ORACLE_TAUS = (0.31j, 0.05 + 0.4j)
@@ -380,9 +379,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # devnull so that the interpreter's last flush fails silently too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 4
-    except (DataError, OSError, BasisError, PrecisionError,
-            LevelMismatchError, EpsPartError, MissingTwistError) as exc:
-        # OSError: an unreadable input path
+    except (DataError, OSError) as exc:
+        # DataError: any input the library refuses; OSError: an unreadable input path
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -41,18 +41,18 @@ from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence
 
-from .exactnum import LevelMismatchError, _coprime_part, prime_factors
+from .exactnum import DataError, LevelMismatchError, _coprime_part, prime_factors
 from .genus import g_hat
 from .qseries import QSeries, _row_sum, is_integral_series, series_row
 
 _ZERO = Fraction(0)
 
 
-class BasisError(ValueError):
+class BasisError(DataError):
     """Generator set failed independence or dimension validation."""
 
 
-class PrecisionError(ValueError):
+class PrecisionError(DataError):
     """Requested precision below the basis precision policy."""
 
 
@@ -366,7 +366,6 @@ class EquivCertificate:
     with the residual an integral series.
     """
 
-    prec: int
     basis_coeffs: tuple[Fraction, ...]
     gtilde_coeff: Fraction
     gtilde_eps_coeff: Fraction
@@ -383,7 +382,7 @@ class EquivCertificate:
         if lattice.gtilde is not None and (self.gtilde_coeff or self.gtilde_eps_coeff):
             terms.append(((self.gtilde_coeff, self.gtilde_eps_coeff), lattice.gtilde))
         terms.append(((1,), self.residual))
-        prec = min(self.prec, *(series.prec for _, series in terms))
+        prec = min(series.prec for _, series in terms)
         return (prec, *_row_sum(self.residual.level, prec, terms))
 
 
@@ -458,7 +457,7 @@ def is_equivalent(F: QSeries, G: QSeries,
         basis_coeffs[idx] = Fraction(span_coeffs[pos], d)
     c0 = Fraction(span_coeffs[len(span_idx)], d) if lattice.gtilde is not None else _ZERO
     residual = QSeries._of(lattice.level, prec, d, (residual_row,))
-    cert = EquivCertificate(prec, tuple(basis_coeffs), c0, c1, residual)
+    cert = EquivCertificate(tuple(basis_coeffs), c0, c1, residual)
     if not is_integral_series(residual):
         raise AssertionError("non-integral certificate residual (internal error)")
     # replay rebuilds F - G from the span coefficients and the residual, so

@@ -26,7 +26,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class LevelMismatchError(ValueError):
+class DataError(ValueError):
+    """Input the library refuses: every refusal class derives from it; cli exits 3 on it."""
+
+
+class LevelMismatchError(DataError):
     """Raised when combining cyclotomic values of different levels."""
 
 
@@ -137,7 +141,8 @@ def _zeta_powers(level: int) -> tuple[tuple[int, ...], ...]:
 
 def _fold(level: int, cols: list[Sequence[int]]) -> list[Sequence[int]]:
     """Columns s of zeta^s coordinates (one entry per value: a CycNum or a q-power) reduced
-    modulo Phi_N, a +-1 entry of zeta^s (all but N = 105's 2, for N <= 120) as a row add."""
+    modulo Phi_N, a +-1 entry of zeta^s (all but N = 105's 2, for N <= 120) as a row add,
+    inline: through `_int_sum` the rows were identical and the series kernels 3.5-4% slower."""
     table = _zeta_powers(level)
     deg = len(table[0])
     out = cols[:deg]

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 from . import geometry
 from .divcong import EquivResult, ModularBasis, is_equivalent, make_lattice
-from .exactnum import EpsPoly, Scalar
+from .exactnum import DataError, EpsPoly, Scalar
 from .genus import g_tilde, g_tilde_level1
 from .qseries import QSeries, divisor_sum, is_integral_series
 
@@ -29,9 +29,8 @@ _KINDS = (COMPLEX_FULL, COMPLEX_POSITIVE, QUATERNIONIC,
           QUATERNIONIC_KERNEL_PARITY)
 
 
-class MissingTwistError(KeyError):
+class MissingTwistError(DataError):
     """A required twist index is absent from the table (no silent zero-fill)."""
-    __str__ = Exception.__str__  # the message unquoted, unlike KeyError
 
 
 @dataclass(frozen=True)
@@ -93,11 +92,10 @@ class XiTable:
 
 @dataclass(frozen=True)
 class FRepresentative:
-    """A representative series with its weight bound and provenance note."""
+    """A representative series with its weight bound."""
 
     series: QSeries
     weight_bound: int
-    note: str = ""
 
     def __post_init__(self):
         if self.series.coefficient(0):
@@ -115,7 +113,7 @@ def assemble_complex(xi: XiTable, prec: int) -> FRepresentative:
     if xi.kind != COMPLEX_FULL:
         raise ValueError("assemble_complex needs a complex_full table")
     series = divisor_sum(xi.series(prec), minus=1, negated=xi.series(prec, -1))
-    return FRepresentative(series, xi.l + 1, "complex transfer, all twists")
+    return FRepresentative(series, xi.l + 1)
 
 
 def assemble_complex_reduced(xi: XiTable, prec: int) -> FRepresentative:
@@ -127,7 +125,7 @@ def assemble_complex_reduced(xi: XiTable, prec: int) -> FRepresentative:
         raise ValueError("assemble_complex_reduced needs a complex_positive table")
     sign = 1 if (xi.l + 1) % 2 == 0 else -1
     series = divisor_sum(xi.series(prec), minus=1, plus=sign)
-    return FRepresentative(series, xi.l + 1, "complex transfer, positive twists")
+    return FRepresentative(series, xi.l + 1)
 
 
 def assemble_quaternionic(xi: XiTable, prec: int) -> FRepresentative:
@@ -135,7 +133,7 @@ def assemble_quaternionic(xi: XiTable, prec: int) -> FRepresentative:
     if xi.kind != QUATERNIONIC:
         raise ValueError("assemble_quaternionic needs a quaternionic table")
     series = divisor_sum(xi.series(prec))
-    return FRepresentative(series, xi.l + 1, "quaternionic transfer")
+    return FRepresentative(series, xi.l + 1)
 
 
 def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentative:
@@ -149,10 +147,9 @@ def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentati
     if parities.l % 2:
         raise ValueError("kernel-parity reduction needs even l")
     if parities.l % 4 == 2:
-        return FRepresentative(QSeries.zero(parities.level, prec), parities.l + 1,
-                               "quaternionic transfer, torsion-zero branch")
+        return FRepresentative(QSeries.zero(parities.level, prec), parities.l + 1)
     series = divisor_sum(parities.series(prec)) * Fraction(1, 2)
-    return FRepresentative(series, parities.l + 1, "quaternionic transfer, kernel parities")
+    return FRepresentative(series, parities.l + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +165,15 @@ def known_representative(name: str, level: int, prec: int) -> FRepresentative:
     """
     if name == "eta2":
         series = g_tilde(level, 1, prec) * Fraction(1, 2)
-        return FRepresentative(series, 2, "half the weight-one series")
+        return FRepresentative(series, 2)
     if name not in ("nu2", "etasigma"):
         raise ValueError(f"unknown representative {name!r}")
     check_example(name, level)
     if name == "nu2":
         gt2 = g_tilde(level, 2, prec)
-        return FRepresentative(gt2 * gt2 * Fraction(1, 2), 4,
-                               "half the squared weight-two series")
+        return FRepresentative(gt2 * gt2 * Fraction(1, 2), 4)
     series = g_tilde_level1(level, 4, prec) * Fraction(1, 2)
-    return FRepresentative(series, 5, "half the classical weight-four series")
+    return FRepresentative(series, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +219,7 @@ def run_example(name: str, level: int, prec: int,
         assembled = assemble_complex(xi, prec)
         expected = g_tilde(level, 1, prec) * (-Fraction(e_invariant))
         verdict = assembled.series == expected
-        return ExampleReport(assembled, FRepresentative(expected, 2, "-e * Gtilde_1"),
+        return ExampleReport(assembled, FRepresentative(expected, 2),
                              verdict, None, {"e_invariant": Fraction(e_invariant)})
 
     weight, with_gtilde = EXAMPLES[name]

@@ -17,8 +17,8 @@ file is a sequence of eps-free blocks. A xi-table holds one
 format, so commands compose.
 
 `read_blocks`, `write_block` and `read_xi_rows` work on plain integers and use
-nothing of finvariant but ``euler_phi``; `read_series`, `read_basis`,
-`write_series` and `read_xi_table` wrap them in QSeries, ModularBasis, XiTable.
+nothing of finvariant but exactnum's ``euler_phi`` and ``DataError``; `read_series`,
+`read_basis`, `write_series` and `read_xi_table` wrap them in QSeries, ModularBasis, XiTable.
 """
 
 from __future__ import annotations
@@ -31,15 +31,11 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, TextIO
 
 from .divcong import BasisEntry, ModularBasis
-from .exactnum import CycNum, EpsPoly, euler_phi
+from .exactnum import CycNum, DataError, EpsPoly, euler_phi
 from .fassembly import COMPLEX_FULL, XiTable
 from .qseries import QSeries
 
 Block = tuple[int, int, Optional[int], str, int, Sequence[Sequence[int]]]  # weight None: '?'
-
-
-class DataError(ValueError):
-    """Malformed input file or inconsistent data; maps to exit code 3."""
 
 
 def write_block(fh: TextIO, level: int, prec: int, weight: Optional[int], label: str,

@@ -43,7 +43,7 @@ from math import gcd, isqrt, lcm
 from operator import add, sub
 from typing import Optional, Sequence, Union
 
-from .exactnum import (CycNum, EpsPoly, LevelMismatchError, Scalar, _coprime_part,
+from .exactnum import (CycNum, DataError, EpsPoly, LevelMismatchError, Scalar, _coprime_part,
                        _fold, _int_sum, _zeta_powers, euler_phi)
 
 Coefficient = Union[Scalar, CycNum, EpsPoly]
@@ -54,7 +54,7 @@ _WORD_BITS, _WORD_MASK = 8 * _WORD, (1 << 8 * _WORD) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
-class EpsPartError(ValueError):
+class EpsPartError(DataError):
     """Raised when an operation requires an eps-free series, or would leave an eps^2 part."""
 
 
@@ -478,6 +478,7 @@ def divisor_sum(coeffs: QSeries, minus: int = 0, plus: int = 0, *,
                 rows = acc[live[0][0]] if live else {}
                 for j, op in live[1:]:
                     rows = {i: list(map(op, row, acc[j][i])) for i, row in rows.items()}
+                # +-1 entries are inline row adds: `_int_sum` gave identical rows, 3.5-4% slower
                 for i, row in rows.items():
                     for t, m in matrix[i]:
                         if (have := out.get(t)) is None:

@@ -123,6 +123,9 @@ for e in build_basis(5, 2, 12, generators=gens, check_dims=False).entries:
         e = BasisEntry(2, e.series + QSeries(5, 12, [0, 0, 0, Fraction(1, 7)]), "Ghat2_q3")
     write_series(sys.stdout, e.series, e.weight, e.label)' > U/basis_N5_W2_P12.txt
 { printf 'level=5 weight=? prec=12 label=Y\n'; printf '%s 0 0 0 0\n' $(seq 0 11); } > Y.txt
+# without a basis file, level 5 has no basis: a library refusal, exit 3, and
+# the basis directory V is not created
+expect 3 err whole 'error: no built-in generators for level 5; supply a basis file' finv divcong Y.txt Y.txt -N 5 -w 2 --basis V
 { printf 'level=5 weight=? prec=12 label=D\n'; printf '%s 0 0 0 0\n' 0 1 2
   printf '3 1/7 0 0 0\n'; printf '%s 0 0 0 0\n' $(seq 4 11); } > D.txt
 { printf 'level=5 weight=? prec=12 label=N\n'; printf '%s 0 0 0 0\n' 0 1 2

@@ -1,8 +1,10 @@
 """Command-line front end: subcommands, file formats, exit codes, determinism."""
 
 import contextlib
+import importlib
 import io
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 
 from conftest import level5_user_basis, random_series
 import finvariant
-from finvariant import cli, divcong
+from finvariant import cli, divcong, genus, geometry
 from finvariant.cli import main
 from finvariant.divcong import BasisEntry, ModularBasis, build_basis
 from finvariant.exactnum import CycNum, EpsPoly, euler_phi
@@ -867,6 +869,22 @@ def test_non_utf8_input_exit_three(tmp_path, capsys):
                            str(xi), "-l", "1", "-N", "3", "-p", "2")
     assert code == 3
     assert err.startswith(f"error: {xi}: not UTF-8 text") and len(err.splitlines()) == 1
+
+
+def test_every_library_exception_is_a_data_error_or_named():
+    # main maps DataError to exit 3, so each exception class finvariant
+    # defines refuses an input as a DataError, or is one of two named others:
+    # a point on the pole lattice given to the public numeric genus, and a
+    # failed internal check (exit 4); a new class fails here until sorted
+    defined = set()
+    for info in pkgutil.iter_modules(finvariant.__path__):
+        module = importlib.import_module(f"finvariant.{info.name}")
+        defined |= {obj for obj in vars(module).values()
+                    if isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__}
+    refusals = {cls for cls in defined if issubclass(cls, DataError)}
+    assert DataError in refusals
+    assert defined - refusals == {genus.PoleError, geometry.CalibrationError}
 
 
 def test_internal_error_exit_four(tmp_path, capsys, monkeypatch):

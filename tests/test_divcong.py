@@ -1213,8 +1213,7 @@ def _two_pass_decide(F, G, lattice):
         coeffs[idx] = Fraction(a[pos], d)
     c0 = Fraction(a[len(lattice.span_indices)], d) if lattice.gtilde is not None else Fraction(0)
     residual = QSeries._of(lattice.level, prec, d, (w,))
-    return True, prec, (prec, tuple(coeffs), c0, c1,
-                        residual.prec, residual.den, residual.parts)
+    return True, prec, (tuple(coeffs), c0, c1, residual.prec, residual.den, residual.parts)
 
 
 def _assert_matches_two_pass(F, G, lattice):
@@ -1225,7 +1224,7 @@ def _assert_matches_two_pass(F, G, lattice):
     if want[2] is None:
         assert cert is None
     else:
-        assert (cert.prec, cert.basis_coeffs, cert.gtilde_coeff, cert.gtilde_eps_coeff,
+        assert (cert.basis_coeffs, cert.gtilde_coeff, cert.gtilde_eps_coeff,
                 cert.residual.prec, cert.residual.den, cert.residual.parts) == want[2]
     return res.equivalent
 

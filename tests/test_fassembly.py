@@ -129,9 +129,9 @@ def test_assemblers_match_direct_enumeration_with_cyclotomic_xi():
             (assemble_quaternionic_reduced(table(QUATERNIONIC_KERNEL_PARITY, 4, positive), prec),
              [(odd, 0, 0, Fraction(1, 2))]),
         )
-        for rep, terms in cases:
+        for case, (rep, terms) in enumerate(cases):
             want = _twisted_sum(level, prec, terms)
-            assert (rep.series.den, rep.series.parts) == want, (level, rep.note)
+            assert (rep.series.den, rep.series.parts) == want, (level, case)
 
 
 def test_complex_assembly_at_every_precision_around_the_level():

@@ -31,7 +31,7 @@ from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES, QUATERNIONIC,
 from .files import _ratio, read_basis, read_series, read_xi_table, write_series
 from .genus import (_ell, _Product, _quaternionic_entries, ell_expansion, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
-from .qseries import QSeries, eps_split, is_integral_series, series_row
+from .qseries import QSeries, is_integral_series, series_row
 
 ORACLE_TOLERANCE = 1e-8
 _ORACLE_TAUS = (0.31j, 0.05 + 0.4j)
@@ -77,15 +77,16 @@ def _print_series(series: QSeries, label: str, weight: Optional[int],
     if machine:
         write_series(sys.stdout, series, weight, label)
         return
-    print(f"{label} (level {series.level}, precision {series.prec}):")
-    deg = euler_phi(series.level)
+    # the stored parts over series.den: c/den in lowest terms reads the same over any den
+    deg, den = euler_phi(series.level), series.den
     zs = ["" if t == 0 else "*z" if t == 1 else f"*z^{t}" for t in range(deg)]
-    cells = [[_ratio(c, den) + z if c else "" for c, z in zip(row, cycle(zs))]
-             for row, den in (series_row(part, part.prec) for part in eps_split(series))]
+    cells = [[_ratio(c, den) + z if c else "" for c, z in zip(p, cycle(zs))] for p in series.parts]
+    lines = [f"{label} (level {series.level}, precision {series.prec}):"]
     for n in range(series.prec):
         terms = [" + ".join(filter(None, part[n * deg:(n + 1) * deg])) for part in cells]
         terms = [f"({t})*eps" if e else t for e, t in enumerate(terms) if t]
-        print(f"  q^{n}: {' + '.join(terms) or '0'}")
+        lines.append(f"  q^{n}: {' + '.join(terms) or '0'}")
+    print("\n".join(lines))
 
 
 def _print_verdict(res: EquivResult, machine: bool) -> None:

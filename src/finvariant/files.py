@@ -40,13 +40,14 @@ Block = tuple[int, int, Optional[int], str, int, Sequence[Sequence[int]]]  # wei
 
 def write_block(fh: TextIO, level: int, prec: int, weight: Optional[int], label: str,
                 den: int, rows: Sequence[Sequence[int]]) -> None:
-    """Write rows[0]/den as a block, followed by a '<label>.eps' block for rows[1]."""
+    """Write rows[0]/den as a block, followed by a '<label>.eps' block for rows[1]:
+    each block's cells formatted once, and the block written with one `write`."""
     w = "?" if weight is None else str(weight)
     deg = euler_phi(level)
     for row, name in zip(rows or [(0,) * (prec * deg)], (label, label + ".eps")):
-        fh.write(f"level={level} weight={w} prec={prec} label={name}\n")
-        for n in range(prec):
-            fh.write(f"{n} {' '.join(_ratio(c, den) for c in row[n * deg:(n + 1) * deg])}\n")
+        cells = [_ratio(c, den) for c in row]
+        fh.write(f"level={level} weight={w} prec={prec} label={name}\n" + "".join(
+            f"{n} {' '.join(cells[n * deg:(n + 1) * deg])}\n" for n in range(prec)))
 
 
 def _ratio(c: int, den: int) -> str:
@@ -55,8 +56,11 @@ def _ratio(c: int, den: int) -> str:
     return str(c // g) if g == den else f"{c // g}/{den // g}"
 
 
-# coordinates as written: integers or p/q with an unsigned q, single-spaced
-_WRITTEN = re.compile(r"[-+]?\d+(?:/\d+)?(?: [-+]?\d+(?:/\d+)?)*")
+# a coordinate as written: an integer or p/q with an unsigned q. Of tokens without
+# whitespace, int() reads exactly these (and p and q of p/q) once a '_', and a '/'
+# before anything but a digit, are ruled out: one search of a block's text
+_WRITTEN = re.compile(r"[-+]?\d+(?:/\d+)?")
+_UNWRITTEN = re.compile(r"_|/(?!\d)")
 
 
 def _rational(tok: str, where: str) -> tuple[int, int]:
@@ -92,7 +96,8 @@ def read_blocks(path: Path) -> list[Block]:
     lines = list(_data_lines(path))
     if not lines:
         raise DataError(f"{path}: no series blocks found")
-    starts = [i for i, (_, line) in enumerate(lines) if "=" in line.split(None, 1)[0]]
+    starts = [i for i, (_, line) in enumerate(lines)
+              if "=" in line and "=" in line.split(None, 1)[0]]  # no split without a '='
     if not starts or starts[0]:
         raise DataError(f"{path}:{lines[0][0]}: coefficient line before any header")
     blocks: list[Block] = []
@@ -128,8 +133,9 @@ def _parse_block(path: Path, header: tuple[int, str], rows: list[tuple[int, str]
     lines = [row.split() for _, row in rows]
     coords = [tok for toks in lines for tok in toks[1:]]
     # lines 'n c_1 .. c_deg' in order, all written, in one pass; else line by line
-    with suppress(ValueError, ZeroDivisionError):  # a q = 0; int() past its digit limit
-        if (_WRITTEN.fullmatch(text := " ".join(coords)) and all(len(t) == deg + 1 for t in lines)
+    with suppress(ValueError, ZeroDivisionError):  # int() refuses a token or a q = 0
+        if (not _UNWRITTEN.search(text := " ".join(coords))
+                and all(len(t) == deg + 1 for t in lines)
                 and [toks[0] for toks in lines] == list(map(str, range(prec)))):
             den = lcm(*map(int, re.findall(r"/(\d+)", text)))
             row = list(map(int, coords)) if den == 1 else [

@@ -2,7 +2,9 @@
 
 Exact side: the weight-k coefficient series G_hat of the level-N genus
 expansion Ell(x) = 1 + sum_k G_hat_k x^k/(k-1)!, their constant-free parts
-G_tilde, the quaternionic expansion, and the weight-two combination g2.
+G_tilde (each G_hat_k is one series made from G_tilde_k's row with its
+constant written into the q^0 slots), the quaternionic expansion, and the
+weight-two combination g2.
 
 Numeric side: floating-point evaluation of the genus via the standard
 triple-product form of the Jacobi-type Phi function, a circle-DFT Taylor
@@ -50,8 +52,16 @@ def g_hat(level: int, k: int, prec: int) -> QSeries:
     """The weight-k coefficient series of the level-N genus expansion.
 
     G_hat_k = c_k - sum_{n>=1} (sum_{d|n} (zeta^(-n/d) + (-1)^k zeta^(n/d)) d^(k-1)) q^n.
+
+    One construction: c_k = `weight_constant` is written into the q^0 slots of
+    `g_tilde`'s row (zero there), the row rescaled to lcm(den, c_k.den).
     """
-    return g_tilde(level, k, prec) + weight_constant(level, k)
+    tilde, c = g_tilde(level, k, prec), weight_constant(level, k)
+    den = math.lcm(tilde.den, c.den)
+    m, deg = den // tilde.den, len(c.ints)
+    row = [m * x for x in tilde.parts[0]] if tilde.parts else [0] * (prec * deg)
+    row[:deg] = [(den // c.den) * x for x in c.ints]
+    return QSeries._of(level, prec, den, [row])
 
 
 def g_tilde(level: int, k: int, prec: int) -> QSeries:

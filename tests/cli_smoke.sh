@@ -73,6 +73,24 @@ for n in range(200):
             c[-(n // d) % 7] -= d * d
     print(n, *(x - c[6] for x in c[:6]))')" \
   finv eis -N 7 -k 3 -p 200 --tilde --machine
+# a constant term: Ghat_1 at level 5 is c_1 + sum_{d|n} (zeta^(n/d) - zeta^(-n/d)) q^n,
+# c_1 = 1/2 - (1/5) sum_{j<5} j zeta^(j+1), with zeta^4 = -(1 + zeta + zeta^2 + zeta^3),
+# summed here without finvariant; the human series prints the same q^0
+expect 0 out whole "$(python3 -c 'from fractions import Fraction
+c = [Fraction(1, 2), 0, 0, 0, 0]
+for j in range(5):
+    c[(j + 1) % 5] -= Fraction(j, 5)
+print("level=5 weight=1 prec=12 label=Ghat_1")
+print(0, *(x - c[4] for x in c[:4]))
+for n in range(1, 12):
+    c = [0] * 5
+    for d in range(1, n + 1):
+        if n % d == 0:
+            c[n // d % 5] += 1
+            c[-(n // d) % 5] -= 1
+    print(n, *(x - c[4] for x in c[:4]))')" \
+  finv eis -N 5 -k 1 -p 12 --machine
+expect 0 out line '  q^0: 3/10 + 3/5*z + 2/5*z^2 + 1/5*z^3' finv eis -N 5 -k 1 -p 4
 # the two-sided assembly at level 7, at P = 5 < 7 (the class -j of a twist
 # j < P is past P but not empty) and at P = 12: q^n is
 # sum_{d|n} (zeta^(-n/d) xi[d] - zeta^(n/d) xi[-d]) with xi[d] = d and

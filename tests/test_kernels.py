@@ -349,15 +349,20 @@ def test_short_coefficient_lists_pad_with_zeros(level):
                                                   [(1, _rows(base)), (1, scalar)])
 
 
-@pytest.mark.parametrize("level", (2, 3, 5, 12))
-@pytest.mark.parametrize("k", (1, 2, 3, 4))
+@pytest.mark.parametrize("level", (2, 3, 4, 5, 7, 12))
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6))
 def test_g_hat_is_g_tilde_plus_its_constant(level, k):
-    prec = 30
-    hat, tilde = g_hat(level, k, prec), g_tilde(level, k, prec)
-    assert hat.coefficient(0) == EpsPoly(level, (weight_constant(level, k),))
-    assert tilde.coefficient(0) == EpsPoly(level, ())
-    for n in range(1, prec):
-        assert hat.coefficient(n) == tilde.coefficient(n)
+    # g_hat writes c_k into g_tilde's q^0 slots: field for field the series sum, also at
+    # P = 1 (c_k over an empty sieve), odd k >= 3 (c_k = 0) and k = 2 (c_2 = 1/12 enters den)
+    for prec in (1, 2, 30):
+        hat, tilde = g_hat(level, k, prec), g_tilde(level, k, prec)
+        s = tilde + weight_constant(level, k)
+        assert (hat.level, hat.prec) == (level, prec)
+        assert (hat.den, hat.parts) == (s.den, s.parts)
+        assert hat.coefficient(0) == EpsPoly(level, (weight_constant(level, k),))
+        assert tilde.coefficient(0) == EpsPoly(level, ())
+        for n in range(1, prec):
+            assert hat.coefficient(n) == tilde.coefficient(n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .divcong import (BasisError, EquivResult, ModularBasis, build_basis, default_generators,
                       dependent_entry, is_equivalent, make_lattice, policy_prec)
-from .exactnum import DataError, euler_phi
+from .exactnum import DataError, _coprime_part, euler_phi
 from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES, QUATERNIONIC,
                         QUATERNIONIC_KERNEL_PARITY, assemble_complex, assemble_complex_reduced,
                         assemble_quaternionic, assemble_quaternionic_reduced,
@@ -31,7 +31,7 @@ from .fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES, QUATERNIONIC,
 from .files import _ratio, read_basis, read_series, read_xi_table, write_series
 from .genus import (_ell, _Product, _quaternionic_entries, ell_expansion, g2, g_hat,
                     g_tilde, numeric_taylor, series_value)
-from .qseries import QSeries, is_integral_series, series_row
+from .qseries import QSeries, series_row
 
 ORACLE_TOLERANCE = 1e-8
 _ORACLE_TAUS = (0.31j, 0.05 + 0.4j)
@@ -143,11 +143,23 @@ def _cmd_ell(args) -> int:
     return 0
 
 
+def _twelfth_off_integral(series: QSeries) -> bool:
+    """is_integral_series(series - 1/12) of an eps-free series, read from its stored rows.
+
+    The shift moves coordinate 0 of q^0 alone, v/D to (12v - D)/(12D). An entry
+    v/D lies in Z[zeta, 1/N] exactly when the part of D prime to N divides v,
+    whether or not v/D is in lowest terms; for the other entries, when it
+    divides their gcd.
+    """
+    row, den = series_row(series, series.prec)
+    return ((12 * row[0] - den) % _coprime_part(12 * den, series.level) == 0
+            and math.gcd(*row[1:]) % _coprime_part(den, series.level) == 0)
+
+
 def _cmd_g2(args) -> int:
     series = g2(args.level, args.prec)
     _print_series(series, "g2", 2, args.machine)
-    shifted = series - Fraction(1, 12)
-    ok = is_integral_series(shifted)
+    ok = _twelfth_off_integral(series)
     if args.machine:
         print(f"congruence_mod_integral={'true' if ok else 'false'}")
     else:

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 from . import geometry
 from .divcong import EquivResult, ModularBasis, is_equivalent, make_lattice
-from .exactnum import DataError, EpsPoly, Scalar
+from .exactnum import DataError, EpsPoly, Scalar, euler_phi
 from .genus import g_tilde, g_tilde_level1
 from .qseries import QSeries, divisor_sum, is_integral_series
 
@@ -98,7 +98,8 @@ class FRepresentative:
     weight_bound: int
 
     def __post_init__(self):
-        if self.series.coefficient(0):
+        deg = euler_phi(self.series.level)
+        if any(any(p[:deg]) for p in self.series.parts):  # the q^0 slots of each eps part
             raise ValueError("representative must have zero constant term")
 
 
@@ -140,7 +141,9 @@ def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentati
     """Kernel-parity assembly: half the odd-divisor sum, or zero.
 
     For l = 0 mod 4: coefficient(q^n) = (1/2) sum over odd d | n of the
-    stored kernel parity; for l = 2 mod 4 the representative is zero.
+    stored kernel parity; for l = 2 mod 4 the representative is zero. The 1/2
+    enters the sieve's input as a doubled denominator, so the sum is the
+    one series the sieve makes.
     """
     if parities.kind != QUATERNIONIC_KERNEL_PARITY:
         raise ValueError("assemble_quaternionic_reduced needs a kernel-parity table")
@@ -148,8 +151,9 @@ def assemble_quaternionic_reduced(parities: XiTable, prec: int) -> FRepresentati
         raise ValueError("kernel-parity reduction needs even l")
     if parities.l % 4 == 2:
         return FRepresentative(QSeries.zero(parities.level, prec), parities.l + 1)
-    series = divisor_sum(parities.series(prec)) * Fraction(1, 2)
-    return FRepresentative(series, parities.l + 1)
+    parity = parities.series(prec)
+    halved = QSeries._of(parity.level, prec, 2 * parity.den, parity.parts)
+    return FRepresentative(divisor_sum(halved), parities.l + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +253,11 @@ def run_example(name: str, level: int, prec: int,
         entries = geometry.etasigma_parity_values(level, prec - 1)
         detail = {"parity": "d^2 mod 2 from the plane index"}
     else:
-        entries = geometry.su3_parity_values(level, prec - 1)
+        # each kernel parity enumerated once: the table's k <= 10 and the twists' k < prec/2
+        kernel = [geometry.su3_kernel_parity(k) for k in range(max(11, prec // 2))]
+        entries = geometry._su3_parity_values(level, prec - 1, kernel)
         detail = {"parity": "enumerated kernel parities",
-                  "parity_table": {k: geometry.su3_kernel_parity(k) for k in range(11)}}
+                  "parity_table": dict(enumerate(kernel[:11]))}
     table = XiTable(QUATERNIONIC_KERNEL_PARITY, level, 4, entries)
     assembled = assemble_quaternionic_reduced(table, prec)
     reference = known_representative("etasigma", level, prec)

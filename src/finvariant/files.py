@@ -133,13 +133,18 @@ def _parse_block(path: Path, header: tuple[int, str], rows: list[tuple[int, str]
     lines = [row.split() for _, row in rows]
     coords = [tok for toks in lines for tok in toks[1:]]
     # lines 'n c_1 .. c_deg' in order, all written, in one pass; else line by line
-    with suppress(ValueError, ZeroDivisionError):  # int() refuses a token or a q = 0
+    # (int() refuses a token or a q = 0; a q not all digits has no factor)
+    with suppress(ValueError, ZeroDivisionError, KeyError):
         if (not _UNWRITTEN.search(text := " ".join(coords))
                 and all(len(t) == deg + 1 for t in lines)
                 and [toks[0] for toks in lines] == list(map(str, range(prec)))):
-            den = lcm(*map(int, re.findall(r"/(\d+)", text)))
-            row = list(map(int, coords)) if den == 1 else [
-                int(p) * (den // int(q or 1)) for p, _, q in (t.partition("/") for t in coords)]
+            qs = set(re.findall(r"/(\d+)", text))
+            den = lcm(*map(int, qs))
+            if den == 1:
+                row = list(map(int, coords))
+            else:  # each distinct q's factor den // q worked out once
+                factor = {"": den, **{q: den // int(q) for q in qs}}
+                row = [int(p) * factor[q] for p, _, q in [t.partition("/") for t in coords]]
             return level, prec, weight, label, den, [row]
     pairs: list[tuple[int, int]] = []
     for n, ((line_no, _), toks) in enumerate(zip(rows, lines)):

@@ -15,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactnum import EpsPoly
 
@@ -185,10 +185,15 @@ def su3_psi_twist_kernel_parity(d: int) -> int:
     """
     if d < 1 or d % 2 == 0:
         raise ValueError("d must be odd and positive")
+    return _psi_twist_parity(d, su3_kernel_parity)
+
+
+def _psi_twist_parity(d: int, kernel: Callable[[int], int]) -> int:
+    """The parity of V_{d+1} - V_{d-1}, odd d >= 1, from kernel(k), the kernel parity
+    of the 2k+2-dimensional twist."""
     if d == 1:
-        return su3_kernel_parity(0)
-    return (su3_kernel_parity((d - 1) // 2)
-            + su3_kernel_parity((d - 3) // 2)) % 2
+        return kernel(0)
+    return (kernel((d - 1) // 2) + kernel((d - 3) // 2)) % 2
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +467,12 @@ def etasigma_parity_values(level: int, dmax: int) -> dict[int, EpsPoly]:
 
 
 def su3_parity_values(level: int, dmax: int) -> dict[int, EpsPoly]:
-    """Kernel parities from the SU(3) enumeration, odd d only."""
-    return {d: EpsPoly.rational(level, su3_psi_twist_kernel_parity(d))
+    """Kernel parities from the SU(3) enumeration, odd d only: each k enumerated once."""
+    kernel = [su3_kernel_parity(k) for k in range((dmax + 1) // 2)]
+    return _su3_parity_values(level, dmax, kernel)
+
+
+def _su3_parity_values(level: int, dmax: int, kernel: Sequence[int]) -> dict[int, EpsPoly]:
+    """su3_parity_values from kernel[k] = su3_kernel_parity(k), k <= (dmax - 1) // 2."""
+    return {d: EpsPoly.rational(level, _psi_twist_parity(d, kernel.__getitem__))
             for d in range(1, dmax + 1, 2)}

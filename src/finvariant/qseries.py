@@ -3,9 +3,10 @@
 A QSeries holds q^0 .. q^(prec-1) exactly as a positive `den` and `parts`:
 per eps degree e (0 or 1), one flat tuple whose entry n*phi(N) + t is den
 times coordinate t (power basis) of the eps^e part of the q^n coefficient.
-The form is canonical (gcd(den, entries) = 1, last part nonzero); only this
-module and `files` read it. Every series is stored through `_store`, the one
-place that refuses an eps^2 part (EpsPartError), whichever operation made it.
+The form is canonical (gcd(den, entries) = 1, last part nonzero); outside
+this module only `genus`, `fassembly`, `files` and `cli` read it. Every
+series is stored through `_store`, the one place that refuses an eps^2
+part (EpsPartError), whichever operation made it.
 `coefficient(n)` builds one EpsPoly on demand, and `series_row` is the
 flat integer view of an eps-free series. Arithmetic requires equal levels
 and truncates to the smaller precision.
@@ -25,10 +26,11 @@ complex table take one twist), a scalar added at the q^0 slots alone, and
 `_linear_combination` is that sum as a series. A lattice decision reads
 F - G from it as rows and checks its replay as an integer identity, so
 neither is made canonical. A CycNum already holds integers over one
-denominator, so `_int_parts` only rescales each given coefficient's
-(den, ints) to the row's denominator, one comprehension per eps part; the
-rows are then in lowest terms, so the constructor pads them with zeros and
-stores them without a gcd (a scalar costs O(phi(N)) Python steps), and
+denominator, so `_int_parts`, the one converter of coefficient values,
+transposes the values' eps parts once (a rational makes no CycNum) and
+rescales each part's (den, ints) to the row's denominator, one
+comprehension per eps part; the rows are then in lowest terms, so the
+constructor pads them with zeros and stores them without a gcd, and
 `coefficient(n)` slices the row back.
 """
 
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, zip_longest
 from math import gcd, isqrt, lcm
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Optional, Sequence, Union
 
 from .exactnum import (CycNum, DataError, EpsPoly, LevelMismatchError, Scalar, _coprime_part,
@@ -67,7 +69,9 @@ class QSeries:
         values = list(islice(coeffs, prec))
         den, parts = _int_parts(level, values)  # in lowest terms
         pad = [0] * ((prec - len(values)) * euler_phi(level))
-        self._store(level, prec, den, [p + pad for p in parts])
+        for p in parts:
+            p += pad
+        self._store(level, prec, den, parts)
 
     @classmethod
     def _of(cls, level: int, prec: int, den: int, parts: Sequence[Sequence[int]]) -> "QSeries":
@@ -240,6 +244,16 @@ def eps_split(f: QSeries) -> list[QSeries]:
 # Integer kernels
 
 
+class _Part(tuple):
+    """(den, ints): a rational's eps^0 part, or an absent part, as `_int_parts` reads a
+    CycNum, its coordinates ints[t]/den. Made by tuple's own constructor, with no
+    Python-level __new__ as a namedtuple has."""
+
+    __slots__ = ()
+    den = property(itemgetter(0))
+    ints = property(itemgetter(1))
+
+
 def _int_parts(level: int, values: Sequence[Coefficient]) -> tuple[int, list[list[int]]]:
     """Rationals, CycNums and EpsPolys as flat integer rows per eps part, over one denominator.
 
@@ -247,26 +261,28 @@ def _int_parts(level: int, values: Sequence[Coefficient]) -> tuple[int, list[lis
     of the eps^e part of values[n], and den is the least common denominator
     of all coordinates. Each value is in lowest terms, so the rows are too:
     for p^a exactly dividing den, a value of denominator divisible by p^a
-    keeps a coordinate prime to p.
+    keeps a coordinate prime to p. The values' parts are transposed once,
+    by eps degree (an EpsPoly's CycNums as they are, a rational's eps^0 part
+    a `_Part` with its numerator as coordinate 0, no CycNum), and each
+    part's row is one comprehension over them, each coordinate times its
+    value's den // part.den.
     """
     deg = euler_phi(level)
     rest = (0,) * (deg - 1)
-    blank = (1, (0,) + rest)
-    rows = []  # per value, one (den, ints) per eps degree, ints phi(level) long
+    rows = []  # per value, its eps parts: CycNums, or a rational's _Part
     for c in values:
-        if isinstance(c, (CycNum, EpsPoly)):
+        if isinstance(c, (EpsPoly, CycNum)):
             if c.level != level:
                 raise LevelMismatchError("series coefficient level mismatch")
-            rows.append(((c.den, c.ints),) if isinstance(c, CycNum) else
-                        [(x.den, x.ints) for x in c.coeffs])
+            rows.append(c.coeffs if isinstance(c, EpsPoly) else (c,))
         elif isinstance(c, (int, Fraction)):
-            rows.append(((c.denominator, (c.numerator,) + rest),) if c else ())
+            rows.append((_Part((c.denominator, (c.numerator,) + rest)),) if c else ())
         else:
             raise TypeError(f"series coefficient must be exact, not {type(c)!r}")
-    den = lcm(*(d for cs in rows for d, _ in cs))
-    return den, [[x * m for cs in rows for d, ints in (cs[e] if e < len(cs) else blank,)
-                  for m in (den // d,) for x in ints]
-                 for e in range(max(map(len, rows), default=0))]
+    den = lcm(*[c.den for cs in rows for c in cs])
+    # zip_longest transposes the values' parts by eps degree
+    return den, [[x * m for c in cs for m in (den // c.den,) for x in c.ints]
+                 for cs in zip_longest(*rows, fillvalue=_Part((1, rest + (0,))))]
 
 
 def _row_sum(level: int, prec: int,
@@ -430,42 +446,41 @@ def divisor_sum(coeffs: QSeries, minus: int = 0, plus: int = 0, *,
     along the multiples of j; for j > s, so d <= (P-1)//(s+1), c(d) is added
     along d*j for the j of each class from its first one past s, in steps of
     K. That is O(sqrt(K*P)) exact integer slice steps per column. Over one
-    denominator, negated's rows times -1 are sieved into class -j where
-    coeffs' go to class j, since minus*zeta^j + plus*zeta^(-j) is the twist
-    of class -j; so a class -j >= P of a j < P is not empty. The twist
-    follows in groups (`_twist_groups`): classes whose matrices agree up to
-    sign, j and -j when minus = +-plus, are summed first, and each group's
-    matrix is applied once, its +-1 entries as row adds.
+    denominator, negated's columns are subtracted into class -j where
+    coeffs' are added to class j, since minus*zeta^j + plus*zeta^(-j) is the
+    twist of class -j; so a class -j >= P of a j < P is not empty. Only the
+    nonzero columns are scaled to that denominator, and a source already
+    over it is sieved from its own column slices, with no rescaled copy.
+    The twist follows in groups (`_twist_groups`): classes whose matrices
+    agree up to sign, j and -j when minus = +-plus, are summed first, and
+    each group's matrix is applied once, its +-1 entries as row adds.
     """
     level, prec = coeffs.level, coeffs.prec
     deg = euler_phi(level)
     classes = level if minus or plus else 1
     split = isqrt(classes * prec)
-    den, parts, mirror = coeffs.den, coeffs.parts, None
-    if negated is not None:
-        den = lcm(den, negated.den)
-        a, b = den // coeffs.den, -(den // negated.den)
-        pairs = list(zip_longest(coeffs.parts, negated.parts, fillvalue=()))
-        parts = [[a * x for x in p] for p, _ in pairs]
-        mirror = [[b * x for x in p] for _, p in pairs]
+    # each source with the op its rows enter by: negated's subtracted, into class -j
+    sources = ((coeffs, add),) if negated is None else ((coeffs, add), (negated, sub))
+    den = lcm(*(f.den for f, _ in sources))
     sums = []
-    for e, flat in enumerate(parts):
-        cols = {i: c for i in range(deg) if any(c := flat[i::deg])}
-        keys, feeds = cols, ((cols, False),)
-        if mirror:
-            neg = {i: c for i in range(deg) if any(c := mirror[e][i::deg])}
-            keys, feeds = cols | neg, ((cols, False), (neg, True))
-        acc = [{i: [0] * prec for i in keys} for _ in range(classes)]
-        for cols, mirrored in feeds:
-            view = acc[:1] + acc[:0:-1] if mirrored else acc  # view[j] is class -j
+    for e in range(max(len(f.parts) for f, _ in sources)):
+        feeds = []
+        for f, op in sources:
+            m, flat = den // f.den, f.parts[e] if e < len(f.parts) else ()
+            # each nonzero column, scaled to den (the slice itself for m = 1)
+            feeds.append(({i: c if m == 1 else [m * x for x in c]
+                           for i in range(deg) if any(c := flat[i::deg])}, op))
+        acc = [{i: [0] * prec for cols, _ in feeds for i in cols} for _ in range(classes)]
+        for cols, op in feeds:
+            view = acc if op is add else acc[:1] + acc[:0:-1]  # view[j] is class -j
             for j in range(1, min(split + 1, prec)):
                 rows = view[j % classes]
                 for i, c in cols.items():
-                    rows[i][j::j] = map(add, rows[i][j::j], c[1:(prec - 1) // j + 1])
+                    rows[i][j::j] = map(op, rows[i][j::j], c[1:(prec - 1) // j + 1])
             for d in range(1, (prec - 1) // (split + 1) + 1):
                 step = d * classes
                 for i, c in cols.items():
-                    if v := c[d]:
+                    if v := (c[d] if op is add else -c[d]):
                         for first in range(split + 1, split + 1 + classes):  # j > s, per class
                             start, row = d * first, view[first % classes][i]
                             row[start::step] = [x + v for x in row[start::step]]

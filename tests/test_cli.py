@@ -114,6 +114,23 @@ def test_g2_congruence_exit(capsys):
     assert "congruence_mod_integral=true" in out
 
 
+def test_g2_congruence_read_from_the_rows():
+    # the rows' check against is_integral_series of the series it no longer builds,
+    # g2 - 1/12; false for an added q/7 unless 7 | N and for a q^0 off by 1/5 unless 5 | N
+    for level, prec in ((2, 10), (3, 12), (4, 9), (5, 30), (6, 8), (7, 20), (10, 12), (12, 6)):
+        series = genus.g2(level, prec)
+        cases = [series, series + QSeries(level, prec, [0, Fraction(1, 7)]),
+                 series + Fraction(1, 5), series - Fraction(1, 12),
+                 QSeries.zero(level, prec), QSeries.one(level, 1)]
+        got = [cli._twelfth_off_integral(f) for f in cases]
+        assert got == [is_integral_series(f - Fraction(1, 12)) for f in cases], level
+        assert got[:3] == [True, level % 7 == 0, level % 5 == 0], level
+        eps = series + EpsPoly.linear(level, 0, 1)
+        for check in (cli._twelfth_off_integral, is_integral_series):
+            with pytest.raises(EpsPartError):
+                check(eps - Fraction(1, 12) if check is is_integral_series else eps)
+
+
 # ---------------------------------------------------------------------------
 # series and basis files
 

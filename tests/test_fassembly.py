@@ -16,7 +16,8 @@ from finvariant.fassembly import (COMPLEX_FULL, COMPLEX_POSITIVE, EXAMPLES,
                                   assemble_quaternionic_reduced,
                                   known_representative, run_example)
 from finvariant.genus import g_tilde, g_tilde_level1
-from finvariant.geometry import circle_xi, nu2_xi_values
+from finvariant import geometry
+from finvariant.geometry import circle_xi, nu2_xi_values, su3_psi_twist_kernel_parity
 from finvariant.qseries import QSeries
 from reference import divisors, row_sum, series_rows, sigma, twisted_divisor_sum
 
@@ -155,6 +156,31 @@ def test_complex_assembly_at_every_precision_around_the_level():
             terms = [(_table_coords(plus), 1, 0, 1), (_table_coords(minus), 0, -1, 1)]
             want = _twisted_sum(level, prec, terms)
             assert (rep.series.den, rep.series.parts) == want, (level, prec)
+
+
+def test_complex_assembly_with_equal_denominators_and_an_eps_part_on_one_side():
+    # xi[d] and xi[-d] both over exactly 4, so neither side is rescaled, and an eps part on
+    # xi[-d] only: that part is sieved as stored while xi[d]'s eps^1 side is empty
+    rng = random.Random(67)
+    for level in (2, 3, 5, 12):
+        deg = euler_phi(level)
+
+        def value():
+            return CycNum(level, [Fraction(2 * rng.randint(-4, 4) + 1, 4)]
+                          + [Fraction(rng.randint(-9, 9), 4) for _ in range(deg - 1)])
+
+        for prec in (2, 3, level + 2, 17):
+            plus = {d: (value(),) for d in range(1, prec)}
+            minus = {d: (value(), value()) for d in range(1, prec)}
+            entries = {**{d: EpsPoly(level, v) for d, v in plus.items()},
+                       **{-d: EpsPoly(level, v) for d, v in minus.items()}}
+            table = _table(COMPLEX_FULL, level, 1, entries)
+            assert table.series(prec).den == table.series(prec, -1).den == 4
+            rep = assemble_complex(table, prec)
+            terms = [(_table_coords(plus), 1, 0, 1), (_table_coords(minus), 0, -1, 1)]
+            assert (rep.series.den, rep.series.parts) == _twisted_sum(level, prec, terms), \
+                (level, prec)
+            assert len(rep.series.parts) == 2
 
 
 def test_missing_twist_refused():
@@ -339,6 +365,9 @@ def test_full_and_reduced_assemblies_agree_for_odd_l():
 def test_representative_constant_term_enforced():
     with pytest.raises(ValueError):
         FRepresentative(QSeries.one(3, 4), 2)
+    # a q^0 that holds only an eps part
+    with pytest.raises(ValueError):
+        FRepresentative(QSeries(3, 4, [EpsPoly.linear(3, 0, 1)]), 2)
 
 
 def test_assemblers_reject_wrong_kind():
@@ -434,6 +463,21 @@ def test_run_example_quaternionic_pair_identical():
     assert a.verdict and b.verdict
     assert a.assembled.series == b.assembled.series
     assert b.details["parity_table"] == {k: (k + 1) % 2 for k in range(11)}
+
+
+def test_su3_example_enumerates_each_kernel_parity_once(monkeypatch):
+    # the odd twists d <= 15 read k <= 7, the parity table k <= 10: one enumeration each
+    calls = []
+    real = geometry.su3_kernel_parity
+    monkeypatch.setattr(geometry, "su3_kernel_parity", lambda k: calls.append(k) or real(k))
+    report = run_example("su3", 3, 16)
+    assert sorted(calls) == list(range(11))
+    assert report.verdict
+    calls.clear()
+    values = geometry.su3_parity_values(3, 15)
+    assert sorted(calls) == list(range(8))
+    assert values == {d: EpsPoly.rational(3, su3_psi_twist_kernel_parity(d))
+                      for d in range(1, 16, 2)}
 
 
 def test_run_example_parity_guard():

@@ -330,7 +330,7 @@ def test_divisor_sum_across_the_split(level):
 # Scalars and short coefficient lists joining a series
 
 
-@pytest.mark.parametrize("level", (2, 3, 7, 12))
+@pytest.mark.parametrize("level", (2, 3, 5, 7, 12))
 def test_short_coefficient_lists_pad_with_zeros(level):
     # 0, 1, fewer than, exactly and more than prec coefficients, eps parts too
     rng = random.Random(9000 + level)
@@ -347,6 +347,18 @@ def test_short_coefficient_lists_pad_with_zeros(level):
                 scalar = series_rows(level, prec, [_coords(c)])
                 assert _rows(base + c) == row_sum(prec * euler_phi(level),
                                                   [(1, _rows(base)), (1, scalar)])
+    # 64 values whose eps^0 parts are rational, so columns t >= 1 are zero there, while
+    # one zeta-valued eps^1 part fills its top column; the EpsPoly at q^5 has a zero eps^0
+    deg = euler_phi(level)
+    zeta = CycNum(level, [0] * (deg - 1) + [Fraction(5, 3)])
+    values = [rng.choice((_fraction(rng, False), rng.randint(-4, 4),
+                          EpsPoly.linear(level, _fraction(rng, False), _fraction(rng, False))))
+              for _ in range(64)]
+    values[5] = EpsPoly.linear(level, 0, Fraction(2, 7))
+    values[9] = EpsPoly(level, (CycNum(level, [Fraction(1, 4)]), zeta))
+    got = QSeries(level, 64, values)
+    assert _rows(got) == series_rows(level, 64, [_coords(c) for c in values])
+    assert got.coefficient(9).coefficient(1) == zeta
 
 
 @pytest.mark.parametrize("level", (2, 3, 4, 5, 7, 12))

@@ -29,7 +29,9 @@ sec. 2.4), and each decision is one forward pass over its rows, one
 divisibility test per row.  A positive verdict always carries a replayable
 certificate; its s+1 coefficients are the only rationals the decision forms,
 its residual the only series, and its replay is checked against the rows of
-F - G as an integer identity.
+F - G as one integer identity per eps degree, on a per-lattice replay table:
+the stored rows and denominators of the span entries, by basis index, and of
+Gtilde, built at the first certified decision and cut below its precision.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ from functools import cached_property
 from itertools import chain
 from typing import Optional, Sequence
 
-from .exactnum import DataError, LevelMismatchError, _coprime_part, prime_factors
+from .exactnum import (DataError, LevelMismatchError, _coprime_part, _int_sum, euler_phi,
+                       prime_factors)
 from .genus import g_hat
 from .qseries import QSeries, _row_sum, is_integral_series, series_row
 
@@ -204,15 +207,17 @@ class _ColumnSpace:
         self.form: Optional[_EchelonForm] = None
 
     def reduce(self, num: Sequence[int], den: int) -> tuple[list[int], list[int], int]:
-        """(r, comb, d) with num/den = sum_j comb[j]/d * column_j + r/d, d = den*self.den."""
-        r = [self.den * x for x in num]
-        comb = [0] * self.ncols
+        """(r, comb, d) with num/den = sum_j comb[j]/d * column_j + r/d, d = den*self.den.
+
+        The first pivot subtraction also scales num by self.den, in the same pass."""
+        r, comb = None, [0] * self.ncols
         for p, vec, cb in zip(self.pivots, self.vecs, self.combs):
             c = num[p]
             if c:
-                r = [x - c * y for x, y in zip(r, vec)]
+                r = ([self.den * x - c * y for x, y in zip(num, vec)] if r is None
+                     else [x - c * y for x, y in zip(r, vec)])
                 comb = [x + c * y for x, y in zip(comb, cb)]
-        return r, comb, den * self.den
+        return [self.den * x for x in num] if r is None else r, comb, den * self.den
 
     def insert(self, col_index: int, num: Sequence[int], den: int) -> bool:
         """Add num/den as column col_index; False, storing nothing, if it lies in the span."""
@@ -283,6 +288,19 @@ class IndeterminacyLattice:
         for j, series in enumerate(span):
             space.insert(j, *series_row(series, self.prec))
         return space
+
+    @cached_property
+    def _replay_table(self) -> tuple[dict[int, tuple[int, Sequence[int]]], tuple]:
+        """(rows, g): the stored eps-free (den, row), to O(q^prec), of the span
+        entries by basis index and of Gtilde (empty without it); built once
+        per lattice, and cut, not rebuilt, to replay a certificate at a lower
+        precision."""
+        size = self.prec * euler_phi(self.level)
+        span = {i: self.basis.entries[i].series for i in self.span_indices}
+        if self.gtilde is not None:
+            span[-1] = self.gtilde
+        rows = {i: (f.den, (f.parts or [(0,) * size])[0][:size]) for i, f in span.items()}
+        return rows, rows.pop(-1, ())
 
 
 def build_basis(level: int, maxweight: int, prec: int,
@@ -358,7 +376,7 @@ def _weight_monomials(gens, w, prec, built) -> list[tuple[str, QSeries]]:
             for exps, f in built[w].items()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivCertificate:
     """Witness of a positive verdict: F - G rebuilt from lattice directions.
 
@@ -372,21 +390,39 @@ class EquivCertificate:
     residual: QSeries
 
     def replay(self, lattice: IndeterminacyLattice) -> QSeries:
-        """Reconstruct the certified difference from its parts, in one integer sum."""
-        return QSeries._of(self.residual.level, *self._rows(lattice))
+        """Reconstruct the certified difference from its parts, one integer sum per eps degree."""
+        prec, den, degrees = self._terms(lattice)
+        size = prec * euler_phi(lattice.level)
+        return QSeries._of(self.residual.level, prec, den,
+                           [_int_sum(terms) or [0] * size for terms in degrees])
 
-    def _rows(self, lattice: IndeterminacyLattice) -> tuple[int, int, list[Sequence[int]]]:
-        """(prec, den, rows): the replayed difference as the `_row_sum` of its parts."""
-        terms = [((coeff,), entry.series)
-                 for coeff, entry in zip(self.basis_coeffs, lattice.basis.entries) if coeff]
-        if lattice.gtilde is not None and (self.gtilde_coeff or self.gtilde_eps_coeff):
-            terms.append(((self.gtilde_coeff, self.gtilde_eps_coeff), lattice.gtilde))
-        terms.append(((1,), self.residual))
-        prec = min(series.prec for _, series in terms)
-        return (prec, *_row_sum(self.residual.level, prec, terms))
+    def _terms(self, lattice: IndeterminacyLattice
+               ) -> tuple[int, int, list[list[tuple[int, Sequence[int]]]]]:
+        """(prec, den, degrees): to O(q^prec), prec the residual's or the
+        lattice's if lower, the eps^e part of the replayed difference is the
+        `_int_sum` of the (multiplier, row) pairs degrees[e] over den: the
+        coefficients on the rows of the lattice's replay table, then the
+        residual. A coefficient on an entry outside the span is refused."""
+        rows, g = lattice._replay_table
+        if any(c for i, c in enumerate(self.basis_coeffs) if i not in rows):
+            raise DataError("certificate coefficient on a basis entry outside the lattice span")
+        res = self.residual
+        prec = min(res.prec, lattice.prec)
+        size = prec * euler_phi(lattice.level)
+        # per eps degree, the (coefficient, (den, row)) pairs; Gtilde's row serves both
+        coeffs = [[(c, rows[i]) for i, c in enumerate(self.basis_coeffs) if c], []]
+        if g:
+            coeffs[0].append((self.gtilde_coeff, g))
+            coeffs[1].append((self.gtilde_eps_coeff, g))
+        den = math.lcm(res.den, *(d * c.denominator for terms in coeffs for c, (d, _) in terms if c))
+        degrees = [[(c.numerator * (den // (d * c.denominator)), row[:size])
+                    for c, (d, row) in terms if c] for terms in coeffs]
+        for e, part in enumerate(res.parts):
+            degrees[e].append((den // res.den, part[:size]))
+        return prec, den, degrees
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivResult:
     equivalent: bool
     certificate: Optional[EquivCertificate]
@@ -421,8 +457,10 @@ def is_equivalent(F: QSeries, G: QSeries,
     rational-span-plus-integral membership, solved exactly. A false verdict is
     a proof at any precision P, because a member stays a member when truncated;
     a true one holds to O(q^P) (see `policy_prec`). The certified residual is
-    the one series a decision builds; the replay is checked against the rows
-    of F - G as an integer identity.
+    the one series a decision builds. The replay puts the certificate's own
+    coefficients on the lattice's replay table (the stored entry and Gtilde
+    rows, cut to the working precision) and adds the residual; it is checked
+    against the rows of F - G as one integer identity per eps degree.
     """
     if F.level != lattice.level or G.level != lattice.level:
         raise BasisError("series level does not match lattice")
@@ -435,12 +473,12 @@ def is_equivalent(F: QSeries, G: QSeries,
 
     c1 = _ZERO
     if len(rows) == 2:
-        # e/den = c1 * g/gden exactly when every cross product e*g[p] - g*e[p]
-        # vanishes, p the first nonzero entry of g (none for a zero Gtilde)
+        # e/den = c1 * g/gden exactly when e*g[p] == g*e[p], entry by entry,
+        # p the first nonzero entry of g (none for a zero Gtilde)
         e = rows[1]
         g, gden = series_row(lattice.gtilde, prec) if lattice.gtilde is not None else ((), 1)
         p = next((i for i, x in enumerate(g) if x), None)
-        if p is None or any(x * g[p] != y * e[p] for x, y in zip(e, g)):
+        if p is None or [x * g[p] for x in e] != [y * e[p] for y in g]:
             return negative()
         c1 = Fraction(e[p] * gden, den * g[p])
 
@@ -460,12 +498,15 @@ def is_equivalent(F: QSeries, G: QSeries,
     cert = EquivCertificate(tuple(basis_coeffs), c0, c1, residual)
     if not is_integral_series(residual):
         raise AssertionError("non-integral certificate residual (internal error)")
-    # replay rebuilds F - G from the span coefficients and the residual, so
-    # it also shows that F - G - residual lies in the span: replay/rden ==
-    # rows/den, eps degree by eps degree
-    _, rden, replayed = cert._rows(lattice)
-    if [[x * den for x in row] for row in replayed] != [[x * rden for x in row] for row in rows]:
-        raise AssertionError("certificate replay mismatch (internal error)")
+    # den*replay - rden*(F - G) vanishes, so F - G - residual lies in the span
+    _, rden, degrees = cert._terms(lattice)
+    h = math.gcd(den, rden)
+    for e, terms in enumerate(degrees):
+        terms = [(den // h * m, row) for m, row in terms]
+        if e < len(rows):
+            terms.append((-(rden // h), rows[e]))
+        if any(_int_sum(terms) or ()):
+            raise AssertionError("certificate replay mismatch (internal error)")
     return EquivResult(True, cert, prec, modulus)
 
 

@@ -22,10 +22,9 @@ sums per class of j mod N in O(sqrt(N*P)) slice steps, then twisted in
 groups of classes with one matrix up to sign, j and -j, +-1 entries as row
 adds; a second, negated source may enter class -j, so both signs of a
 complex table take one twist), a scalar added at the q^0 slots alone, and
-+, -, rational multiples and replay as one integer row sum (`_row_sum`, by `_int_sum`);
-`_linear_combination` is that sum as a series. A lattice decision reads
-F - G from it as rows and checks its replay as an integer identity, so
-neither is made canonical. A CycNum already holds integers over one
++, - and rational multiples as one integer row sum (`_row_sum`, by `_int_sum`);
+`_linear_combination` is that sum as a series, and a lattice decision reads
+F - G from it as rows. A CycNum already holds integers over one
 denominator, so `_int_parts`, the one converter of coefficient values,
 transposes the values' eps parts once (a rational makes no CycNum) and
 rescales each part's (den, ints) to the row's denominator, one
@@ -224,12 +223,13 @@ def series_row(f: QSeries, prec: int) -> tuple[Sequence[int], int]:
 def is_integral_series(f: QSeries) -> bool:
     """True iff every coefficient lies in Z[zeta, 1/level].
 
-    An entry v/den is integral exactly when the part of den prime to N divides v.
+    An entry v/den is integral exactly when the part d of den prime to N
+    divides v; the row is when d divides the gcd of its entries.
     """
     if not f.is_eps_free():
         raise EpsPartError("integrality undefined for series with eps-part")
     d = _coprime_part(f.den, f.level)
-    return d == 1 or not any(v % d for v in f.parts[0])
+    return d == 1 or gcd(*f.parts[0]) % d == 0
 
 
 def eps_split(f: QSeries) -> list[QSeries]:
@@ -291,18 +291,22 @@ def _row_sum(level: int, prec: int,
 
     Each term pairs rational scalars s_j, one per eps degree, with a series
     of precision >= prec. Every term's rows are scaled to one common
-    denominator and summed as integers. Returns (den, rows): rows[e] is den
-    times the eps^e part, prec*phi(level) ints. den is that lcm, not reduced
-    against the entries; trailing zero rows are dropped, but one row remains.
+    denominator and summed as integers: each nonzero (term, scalar) gets its
+    multiplier once, its rows join the groups of their eps degrees, and each
+    group is one `_int_sum`. Returns (den, rows): rows[e] is den times the
+    eps^e part, prec*phi(level) ints. den is that lcm, not reduced against
+    the entries; trailing zero rows are dropped, but one row remains.
     """
     size = prec * euler_phi(level)
-    scaled = [(scalars, f) for scalars, f in terms if f.parts]
-    total = lcm(*(f.den * s.denominator for scalars, f in scaled for s in scalars if s))
-    top = max((len(scalars) + len(f.parts) - 1 for scalars, f in scaled), default=1)
-    # degree k adds each term's part k - i, one row at a time; a row no term reaches is 0
-    sums = [_int_sum((s.numerator * (total // (f.den * s.denominator)), f.parts[k - i][:size])
-                     for scalars, f in scaled for i, s in enumerate(scalars)
-                     if s and 0 <= k - i < len(f.parts)) or [0] * size for k in range(top)]
+    scaled = [(s, i, f) for scalars, f in terms if f.parts for i, s in enumerate(scalars) if s]
+    total = lcm(*(f.den * s.denominator for s, _, f in scaled))
+    # scalar i times part e of a series lands in degree i + e; a degree no term reaches is 0
+    groups = [[] for _ in range(max((i + len(f.parts) for _, i, f in scaled), default=1))]
+    for s, i, f in scaled:
+        m = s.numerator * (total // (f.den * s.denominator))
+        for e, part in enumerate(f.parts, i):
+            groups[e].append((m, part[:size]))
+    sums = [_int_sum(group) or [0] * size for group in groups]
     while len(sums) > 1 and not any(sums[-1]):
         sums.pop()
     return total, sums

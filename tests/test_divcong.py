@@ -5,22 +5,23 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
 from conftest import (level5_user_basis, mixed_weight_witness, random_integral_series,
                       random_series)
 from finvariant import divcong
-from finvariant.divcong import (DIM_TARGETS, BasisEntry, BasisError, ModularBasis,
-                                PrecisionError, _bezout, _EchelonForm, build_basis,
+from finvariant.divcong import (DIM_TARGETS, BasisEntry, BasisError, IndeterminacyLattice,
+                                ModularBasis, PrecisionError, _bezout, _EchelonForm, build_basis,
                                 default_generators, hnf, is_equivalent,
                                 make_lattice, policy_prec, sturm_bound)
-from finvariant.exactnum import (CycNum, EpsPoly, LevelMismatchError, _coprime_part, euler_phi,
-                                 prime_factors)
+from finvariant.exactnum import (CycNum, DataError, EpsPoly, LevelMismatchError, _coprime_part,
+                                 euler_phi, prime_factors)
 from finvariant.genus import g_hat, g_tilde
 from finvariant.qseries import QSeries, eps_split, is_integral_series, series_row
-from reference import (det, dims, divisors, is_hnf, mat_mul, rank, row_sum, series_rows,
-                       twisted_divisor_sum)
+from reference import (canonical, det, dims, divisors, is_hnf, mat_mul, rank, row_sum,
+                       series_rows, twisted_divisor_sum)
 
 
 def test_sturm_bound_values():
@@ -1040,6 +1041,31 @@ def test_integer_column_space_matches_fraction_reference(level, weight, prec):
     assert _assert_matches_reference(lattice, pairs) == {True, False}
 
 
+def test_column_space_reduce_fuses_the_scale_into_the_first_subtraction():
+    rng, size = random.Random(31), 9
+    columns = [([rng.randint(-9, 9) for _ in range(size)], rng.choice([1, 5, 7, 12, 35]))
+               for _ in range(3)]
+    space, reference = divcong._ColumnSpace(3), _FractionSpace(3)
+    for j, (num, den) in enumerate(columns):
+        space.insert(j, num, den)
+        reference.insert(j, [Fraction(x, den) for x in num])
+    assert len(space.pivots) == 3 and space.den > 1
+    # zero at every pivot: no subtraction runs, and num comes back scaled
+    num = [0 if i in space.pivots else rng.randint(-9, 9) for i in range(size)]
+    assert space.reduce(num, 7) == ([space.den * x for x in num], [0] * 3, 7 * space.den)
+    vectors = [[rng.randint(-50, 50) for _ in range(size)] for _ in range(24)]
+    vectors[0][space.pivots[0]] = 0  # the first subtraction is at a later pivot
+    for num in vectors:
+        den = rng.randint(1, 30)
+        r, comb, d = space.reduce(num, den)
+        want_r, want_comb = reference.reduce([Fraction(x, den) for x in num])
+        assert [Fraction(x, d) for x in r] == want_r and not any(r[p] for p in space.pivots)
+        assert [Fraction(x, d) for x in comb] == want_comb
+        # num/den = sum_j comb[j]/d * column_j + r/d, as integer rows
+        terms = [(Fraction(c, d), (cden, (col,))) for c, (col, cden) in zip(comb, columns)]
+        assert row_sum(size, terms + [(Fraction(1, d), (1, (r,)))]) == canonical(den, (num,))
+
+
 def _free_matrix(space):
     """The free rows of the span vectors times vden: the echelon form's matrix."""
     pivots = set(space.pivots)
@@ -1332,6 +1358,72 @@ def test_replay_check_fires_on_a_wrong_eps_coefficient(monkeypatch):
     F = lattice.gtilde * EpsPoly.linear(3, 0, Fraction(3, 4))
     with pytest.raises(AssertionError, match="certificate replay mismatch"):
         is_equivalent(F, QSeries.zero(3, 12), lattice)
+
+
+def test_replay_check_fires_on_a_coefficient_on_the_wrong_entry(lattice_k2, monkeypatch):
+    # the replay reads each coefficient against its own entry's row, so two
+    # span coefficients swapped between entries are caught
+    solve = divcong._integral_span_solve
+    swaps = []
+
+    def swapped(num, den, space, level):
+        a, w, d = solve(num, den, space, level)
+        i, j = [k for k, x in enumerate(a) if x][:2]
+        swaps.append((a[i], a[j]))
+        a[i], a[j] = a[j], a[i]
+        return a, w, d
+
+    monkeypatch.setattr(divcong, "_integral_span_solve", swapped)
+    F = (random_integral_series(random.Random(3), 3, 12) + Fraction(2, 5)
+         + lattice_k2.basis.of_weight(2)[0].series * Fraction(3, 7))
+    with pytest.raises(AssertionError, match="certificate replay mismatch"):
+        is_equivalent(F, QSeries.zero(3, 12), lattice_k2)
+    [(x, y)] = swaps
+    assert x != y
+
+
+def test_replay_table_built_once_per_lattice(monkeypatch):
+    built = []
+    build = IndeterminacyLattice._replay_table.func
+    counted = cached_property(lambda self: built.append(self) or build(self))
+    counted.__set_name__(IndeterminacyLattice, "_replay_table")
+    monkeypatch.setattr(IndeterminacyLattice, "_replay_table", counted)
+    lattice = make_lattice(3, 2, 12, gtilde=g_tilde(3, 2, 12))
+    pairs = _random_pairs(lattice, random.Random(44), 12)
+    assert not built  # nothing is built before a decision
+    verdicts = {is_equivalent(F, G, lattice).equivalent for F, G in pairs}
+    assert verdicts == {True, False} and built == [lattice]
+    # below lattice.prec the table is cut, not rebuilt, for the decision and the replay
+    F, G = (f.truncate(9) for f in pairs[0])
+    res = is_equivalent(F, G, lattice)
+    assert res.equivalent and res.prec_used == 9 < lattice.prec
+    assert res.certificate.replay(lattice) == (F - G).truncate(9)
+    for F, G in pairs:
+        if (res := is_equivalent(F, G, lattice)).equivalent:
+            assert res.certificate.replay(lattice) == (F - G).truncate(lattice.prec)
+    assert built == [lattice]
+
+
+@pytest.mark.parametrize("level, weight, prec", [(2, 6, 20), (3, 4, 30), (4, 4, 20)])
+def test_replay_rebuilds_the_difference(level, weight, prec):
+    lattice = make_lattice(level, weight, prec, gtilde=g_tilde(level, weight, prec))
+    rng = random.Random(level * prec)
+    for _ in range(6):
+        G = random_series(rng, level, prec)
+        F = G + _random_member(lattice, rng)
+        res = is_equivalent(F, G, lattice)
+        assert res.equivalent
+        assert res.certificate.replay(lattice) == (F - G).truncate(prec)
+
+
+def test_replay_refuses_a_coefficient_outside_the_span(lattice_k2):
+    F = random_integral_series(random.Random(8), 3, 12)
+    cert = is_equivalent(F, QSeries.zero(3, 12), lattice_k2).certificate
+    [mid] = [i for i, e in enumerate(lattice_k2.basis.entries) if e.weight == 1]
+    coeffs = list(cert.basis_coeffs)
+    coeffs[mid] = Fraction(1, 7)
+    with pytest.raises(DataError, match="outside the lattice span"):
+        replace(cert, basis_coeffs=tuple(coeffs)).replay(lattice_k2)
 
 
 def test_decision_builds_only_the_residual_series(lattice_k2, monkeypatch):

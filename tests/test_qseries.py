@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from conftest import random_series
+from conftest import random_integral_series, random_series
 from finvariant.exactnum import CycNum, EpsPoly, LevelMismatchError, euler_phi
 from finvariant.genus import g2, g_tilde_level1
 from finvariant.qseries import EpsPartError, QSeries, divisor_sum, eps_split, is_integral_series
@@ -79,6 +79,27 @@ def test_is_integral_series_examples():
     half_plus_q = QSeries(3, 4, [Fraction(1, 2), 1])
     assert not is_integral_series(half_plus_q)
     assert is_integral_series(g2(3, 30) - Fraction(1, 12))
+
+
+@pytest.mark.parametrize("level", [3, 5, 12])
+def test_is_integral_series_reads_the_last_slot(level):
+    # one entry with a denominator prime to N, in the last slot of the row,
+    # decides; an N-smooth one there does not, and the zero series is integral
+    rng, prec, deg = random.Random(level), 8, euler_phi(level)
+    base = random_integral_series(rng, level, prec)
+    assert is_integral_series(base)
+
+    def at_last_slot(x):
+        return QSeries(level, prec, [0] * (prec - 1) + [CycNum(level, [0] * (deg - 1) + [x])])
+
+    p = next(q for q in (7, 11, 13) if level % q)
+    bumped = base + at_last_slot(Fraction(1, p))
+    assert bumped.den % p == 0 and bumped.parts[0][-1] % p
+    assert all(v % p == 0 for v in bumped.parts[0][:-1])
+    assert not is_integral_series(bumped)
+    assert is_integral_series(base + at_last_slot(Fraction(1, level)))
+    for zero in (QSeries.zero(level, prec), base - base):
+        assert not zero.parts and is_integral_series(zero)
 
 
 def test_is_integral_rejects_eps_part():
